@@ -3,9 +3,8 @@
 Subcommand tree: ``zoo | flatten | hhh | rep | latin | geo``.  Every command
 accepts ``--json`` (machine-readable record instead of the human report),
 ``--no-cache``, ``--seed`` (all randomness flows through one generator
-seeded here, so sampled points are reproducible), ``--threads`` (accepted
-for interface compatibility; results never depend on it) and
-``--cache-dir``.  The global flags may appear anywhere on the line.
+seeded here, so sampled points are reproducible) and ``--cache-dir``.  The
+global flags may appear anywhere on the line.
 
 Exit codes: 0 success, 1 verification failure, 2 unknown command or bad
 arguments, 3 capacity error.
@@ -14,9 +13,10 @@ Expensive results are cached under ``$GCT_CACHE_DIR`` (default
 ``~/.cache/gct``), content-addressed by the SHA-256 digest of the manifest
 inputs {command, parameters, seed, code_version}.  A cache entry stores the
 :class:`RunManifest` (with timing and the result digest) next to the result
-record and the rendered human report, so a cache hit replays the original
-bytes.  Commands whose input is a polynomial file key on the *content*
-digest of the parsed polynomial, never on the path.
+record, the rendered human report and the verdict; the digest covers all
+three, so a cache hit replays the original bytes or is recomputed.  Commands
+whose input is a polynomial file key on the *content* digest of the parsed
+polynomial, never on the path.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .hhh import (
     hhh_rank,
     kernel_character,
     kernel_dims_by_weight,
+    sym_sym_dim,
 )
 from .latin import (
     alon_tarsi_count_reduced,
@@ -127,8 +128,11 @@ def manifest_key(
     ).hexdigest()
 
 
-def record_digest(record: dict) -> str:
-    return hashlib.sha256(_canonical(record)).hexdigest()
+def entry_digest(record: dict, human: str, ok: bool) -> str:
+    """Digest of everything a cache hit replays."""
+    return hashlib.sha256(
+        _canonical({"record": record, "human": human, "ok": ok})
+    ).hexdigest()
 
 
 def _cache_path(cache_dir: str, key: str) -> str:
@@ -143,10 +147,12 @@ def _cache_load(path: str) -> Optional[dict]:
         return None
     manifest = entry.get("manifest", {})
     record = entry.get("record")
-    if not isinstance(record, dict) or "human" not in entry:
+    if not isinstance(record, dict) or "human" not in entry or "ok" not in entry:
         return None
     # a corrupted entry must not replay: the stored digest certifies it
-    if manifest.get("result_digest") != record_digest(record):
+    if manifest.get("result_digest") != entry_digest(
+        record, entry["human"], entry["ok"]
+    ):
         return None
     return entry
 
@@ -526,11 +532,6 @@ def cmd_flatten_shifted(ns: argparse.Namespace, ctx: RunContext) -> CommandResul
 # ---------------------------------------------------------------------------
 
 
-def _sym_sym_dim(outer: int, inner: int, v: int) -> int:
-    """dim S^outer(S^inner C^v)."""
-    return comb(comb(inner + v - 1, inner) + outer - 1, outer)
-
-
 def cmd_hhh_rank(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
     record: Dict[str, object] = {
         "command": "hhh rank",
@@ -545,10 +546,10 @@ def cmd_hhh_rank(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
         record["shape"] = list(block.shape)
         record["rank"] = block.rank()
     else:
-        dom = _sym_sym_dim(ns.d, ns.n, ns.v)
+        dom = sym_sym_dim(ns.d, ns.n, ns.v)
         r = hhh_rank(ns.d, ns.n, ns.v)
         record["domain_dimension"] = dom
-        record["codomain_dimension"] = _sym_sym_dim(ns.n, ns.d, ns.v)
+        record["codomain_dimension"] = sym_sym_dim(ns.n, ns.d, ns.v)
         record["rank"] = r
         record["kernel_dimension"] = dom - r
     return CommandResult(record)
@@ -701,18 +702,7 @@ def cmd_rep_useful(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
 
 
 def cmd_latin_count(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    checkpoint = None
-    if ns.resume:
-        os.makedirs(ctx.cache_dir, exist_ok=True)
-        checkpoint = os.path.join(
-            ctx.cache_dir, f"latin-count-{ns.n}.checkpoint.json"
-        )
-        _progress(f"checkpointing to {checkpoint}")
-    at = alon_tarsi_count_reduced(
-        ns.n,
-        checkpoint_path=checkpoint,
-        progress=lambda done, total: _progress(f"branch {done}/{total}"),
-    )
+    at = alon_tarsi_count_reduced(ns.n)
     record = {
         "command": "latin count",
         "n": at.n,
@@ -900,7 +890,7 @@ def cmd_geo_stab(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 _BOOL_FLAGS = ("--json", "--no-cache")
-_VALUE_FLAGS = ("--seed", "--threads", "--cache-dir")
+_VALUE_FLAGS = ("--seed", "--cache-dir")
 
 
 def _hoist_globals(argv: Sequence[str]) -> List[str]:
@@ -956,8 +946,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--no-cache", action="store_true", help="bypass the result cache")
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled points (default 0)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; results never depend on it")
     parser.add_argument("--cache-dir", default=None,
                         help="cache directory (default $GCT_CACHE_DIR or ~/.cache/gct)")
     groups = parser.add_subparsers(dest="group", metavar="GROUP", required=True)
@@ -1063,8 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
                cacheable=True, param_names=("n",),
                help="signed Latin-square counts (reduced enumeration)")
     sp.add_argument("n", type=int)
-    sp.add_argument("--resume", action="store_true",
-                    help="checkpoint per branch in the cache directory")
     sp = _leaf(sub, "pairing", cmd_latin_pairing, command=("latin", "pairing"),
                cacheable=True, param_names=("n", "all_vars"),
                help="differential pairing <perm^n, det^n> (or all-vars coefficient)")
@@ -1168,7 +1154,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.write(
                 render_json(entry["record"]) if ctx.json_mode else entry["human"]
             )
-            return 0 if entry.get("ok", True) else 1
+            return 0 if entry["ok"] else 1
 
     t0 = time.perf_counter()
     try:
@@ -1199,7 +1185,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
             seed=ns.seed,
             code_version=__version__,
             timing_seconds=round(elapsed, 6),
-            result_digest=record_digest(result.record),
+            result_digest=entry_digest(result.record, rendered_human, result.ok),
         )
         _cache_store(
             path,

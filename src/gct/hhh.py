@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -76,19 +77,9 @@ def multiset_basis(
     """All multisets of ``count`` degree-``degree`` monomials in v vars,
     optionally restricted to a total exponent vector ``weight``."""
     monos = monomials_of_degree(v, degree)
-    out: List[Multiset] = []
     if weight is None:
-        def rec_all(i: int, c: int, acc: List[Exponent]) -> None:
-            if c == 0:
-                out.append(tuple(acc))
-                return
-            for j in range(i, len(monos)):
-                acc.append(monos[j])
-                rec_all(j, c - 1, acc)
-                acc.pop()
-
-        rec_all(0, count, [])
-        return out
+        return list(combinations_with_replacement(monos, count))
+    out: List[Multiset] = []
     w0 = tuple(int(x) for x in weight)
     if len(w0) != v or sum(w0) != count * degree:
         return []
@@ -242,6 +233,11 @@ class PlethysmMap:
         return out
 
 
+def sym_sym_dim(outer: int, inner: int, v: int) -> int:
+    """dim S^outer(S^inner C^v)."""
+    return comb(comb(inner + v - 1, inner) + outer - 1, outer)
+
+
 def build_hhh(
     d: int,
     n: int,
@@ -266,8 +262,8 @@ def build_hhh(
             )
     else:
         w = None
-        dom_size = comb(comb(v + n - 1, n) + d - 1, d)
-        cod_size = comb(comb(v + d - 1, d) + n - 1, n)
+        dom_size = sym_sym_dim(d, n, v)
+        cod_size = sym_sym_dim(n, d, v)
         if max(dom_size, cod_size) > max_block:
             raise CapacityError(
                 f"h_{{{d},{n}}} on C^{v} (full)", max(dom_size, cod_size), max_block

@@ -16,34 +16,24 @@ the two are compared in tests.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from math import factorial
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .flatten import CapacityError
 from .poly import Polynomial, apply_diff
-from .zoo import det, perm
+from .zoo import det, perm, perm_sign
 
 Square = Tuple[Tuple[int, ...], ...]
 
 #: exhaustive enumeration cap (n=6 runs go through the reduced counter)
 MAX_EXHAUSTIVE = 5
+#: reduced-count cap (n=7 has about 1.2e10 reduced squares)
+MAX_REDUCED = 6
 #: cap on n for the pairing expansions (degree n^2 polynomials)
 MAX_PAIRING_PERM = 3
 MAX_PAIRING_ALLVARS = 4
-
-
-def perm_sign(seq: Sequence[int]) -> int:
-    """Sign of a sequence of distinct integers, by inversion parity."""
-    inv = 0
-    n = len(seq)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
 
 
 def is_latin_square(square: Sequence[Sequence[int]]) -> bool:
@@ -181,7 +171,7 @@ def alon_tarsi_count(n: int, *, cap: int = MAX_EXHAUSTIVE) -> ATCount:
 
 
 # ---------------------------------------------------------------------------
-# Reduced (fixed-first-row) counting, resumable for long runs
+# Reduced (fixed-first-row) counting, one branch per relabelling orbit
 # ---------------------------------------------------------------------------
 #
 # Relabeling the symbols by sigma in S_n permutes Latin squares freely and
@@ -191,6 +181,14 @@ def alon_tarsi_count(n: int, *, cap: int = MAX_EXHAUSTIVE) -> ATCount:
 # the full-sign statistics; the column-sign statistics survive when n is
 # even, and for odd n relabeling makes the column-sign counts provably
 # equal, (n!/2)(cp_fixed + cm_fixed) each.
+#
+# Relabeling columns and symbols by the same sigma keeps the identity first
+# row, sends the second row d to sigma d sigma^{-1}, keeps every row sign
+# and multiplies the product of the column signs by sgn(sigma)^n.  For
+# sigma in G = {sigma : sgn(sigma)^n = 1} (S_n for even n, A_n for odd n)
+# this is a sign-preserving bijection between the completions of d and of
+# sigma d sigma^{-1}, so count_branch is constant on each G-orbit of second
+# rows and one representative per orbit suffices.
 
 
 def second_row_branches(n: int) -> List[Tuple[int, ...]]:
@@ -201,6 +199,28 @@ def second_row_branches(n: int) -> List[Tuple[int, ...]]:
         for p in permutations(range(1, n + 1))
         if all(p[j] != j + 1 for j in range(n))
     ]
+
+
+def branch_orbits(n: int) -> List[Tuple[Tuple[int, ...], int]]:
+    """(representative, orbit size) for each G-orbit of second_row_branches(n),
+    G acting by conjugation; the representative is the orbit's first branch
+    in lexicographic order."""
+    group = [s for s in permutations(range(n)) if perm_sign(s) ** n == 1]
+    seen = set()
+    orbits = []
+    for d in second_row_branches(n):
+        if d in seen:
+            continue
+        orbit = set()
+        for s in group:
+            # sigma d sigma^{-1}: column sigma(j) holds symbol sigma(d(j))
+            img = [0] * n
+            for j in range(n):
+                img[s[j]] = s[d[j] - 1] + 1
+            orbit.add(tuple(img))
+        seen |= orbit
+        orbits.append((d, len(orbit)))
+    return orbits
 
 
 def count_branch(n: int, second_row: Sequence[int]) -> Tuple[int, int, int, int]:
@@ -235,51 +255,20 @@ def count_branch(n: int, second_row: Sequence[int]) -> Tuple[int, int, int, int]
     return tuple(counts)  # type: ignore[return-value]
 
 
-def alon_tarsi_count_reduced(
-    n: int,
-    *,
-    checkpoint_path: Optional[str] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-) -> ATCount:
-    """Alon--Tarsi counts via fixed-first-row enumeration (handles n=6).
-
-    With ``checkpoint_path``, per-branch counts are written after every
-    completed branch and previously finished branches are skipped on
-    restart, so a long run can be interrupted and resumed.
-    """
-    from math import factorial
-
+def alon_tarsi_count_reduced(n: int) -> ATCount:
+    """Alon--Tarsi counts via fixed-first-row enumeration (handles n=6),
+    counting one second-row branch per relabelling orbit."""
     if n < 1:
         raise ValueError("n must be positive")
+    if n > MAX_REDUCED:
+        raise CapacityError("alon_tarsi_count_reduced", n, MAX_REDUCED)
     if n == 1:
         return ATCount(1, 1, 0, 1, 0)
-    branches = second_row_branches(n)
-    done: Dict[str, List[int]] = {}
-    if checkpoint_path and os.path.exists(checkpoint_path):
-        with open(checkpoint_path, "r", encoding="utf-8") as fh:
-            saved = json.load(fh)
-        if saved.get("n") != n:
-            raise ValueError(
-                f"checkpoint {checkpoint_path} is for n={saved.get('n')}, not n={n}"
-            )
-        done = saved.get("branches", {})
     totals = [0, 0, 0, 0]
-    for idx, second in enumerate(branches):
-        key = str(idx)
-        if key in done:
-            counts = done[key]
-        else:
-            counts = list(count_branch(n, second))
-            done[key] = counts
-            if checkpoint_path:
-                tmp = checkpoint_path + ".tmp"
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump({"n": n, "branches": done}, fh)
-                os.replace(tmp, checkpoint_path)
+    for rep, size in branch_orbits(n):
+        counts = count_branch(n, rep)
         for i in range(4):
-            totals[i] += counts[i]
-        if progress:
-            progress(idx + 1, len(branches))
+            totals[i] += size * counts[i]
     fp, fm, fcp, fcm = totals
     full = factorial(n)
     if n % 2 == 0:

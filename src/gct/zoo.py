@@ -42,21 +42,15 @@ from .poly import (
 # ---------------------------------------------------------------------------
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        cycle_len = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            cycle_len += 1
-        if cycle_len % 2 == 0:
-            sign = -sign
-    return sign
+def perm_sign(seq: Sequence[int]) -> int:
+    """Sign of a sequence of distinct integers, by inversion parity."""
+    inv = 0
+    n = len(seq)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if seq[i] > seq[j]:
+                inv += 1
+    return -1 if inv & 1 else 1
 
 
 def det(n: int) -> Polynomial:
@@ -69,7 +63,7 @@ def det(n: int) -> Polynomial:
         e = [0] * v
         for i in range(n):
             e[i * n + perm[i]] = 1
-        terms[tuple(e)] = Fraction(_perm_sign(perm))
+        terms[tuple(e)] = Fraction(perm_sign(perm))
     return Polynomial(v, terms)
 
 
@@ -169,7 +163,7 @@ def pascal_det(m: int) -> Polynomial:
 
     terms: Dict[Exponent, Fraction] = {}
     perms = list(permutations(range(m)))
-    signs = {p: _perm_sign(p) for p in perms}
+    signs = {p: perm_sign(p) for p in perms}
     for s2 in perms:
         for s3 in perms:
             for s4 in perms:

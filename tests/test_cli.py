@@ -62,6 +62,7 @@ def test_exit_2_bad_args(capsys):
     assert run(capsys, "no-such-group")[0] == 2
     assert run(capsys, "rep", "char", "abc", "1,1")[0] == 2
     assert run(capsys, "flatten", "rank", "/nonexistent/poly.json")[0] == 2
+    assert run(capsys, "--threads", "2", "rep", "kron", "2", "2", "2")[0] == 2
     _, _, err = run(capsys, "rep", "char", "abc", "1,1")
     assert "gct: error:" in err
 
@@ -126,6 +127,26 @@ def test_corrupted_cache_entry_recomputed(capsys):
     assert out == fresh  # tampered entry was rejected and recomputed
     with open(path, "r", encoding="utf-8") as fh:
         assert json.load(fh)["record"]["value"] != 999
+
+
+@pytest.mark.parametrize("field", ["human", "ok"])
+def test_tampered_human_or_verdict_recomputed(capsys, field):
+    """The stored digest covers the human report and the verdict, not only
+    the record: an entry with either one altered alone must not replay."""
+    args = ("rep", "pleth", "4,2", "3", "2")
+    _, fresh, _ = run(capsys, *args)
+    cache_dir = os.environ["GCT_CACHE_DIR"]
+    (name,) = os.listdir(cache_dir)
+    path = os.path.join(cache_dir, name)
+    with open(path, "r", encoding="utf-8") as fh:
+        entry = json.load(fh)
+    entry[field] = fresh.replace("value: ", "value: 9") if field == "human" else False
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(entry, fh)
+    code, out, _ = run(capsys, *args)
+    assert (code, out) == (0, fresh)
+    with open(path, "r", encoding="utf-8") as fh:
+        assert json.load(fh)[field] == (fresh if field == "human" else True)
 
 
 def test_no_cache_flag(capsys):
@@ -248,17 +269,19 @@ def test_seed_participates_in_cache_key(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_latin_count_and_resume(capsys):
-    code, out, err = run(capsys, "latin", "count", "4", "--resume")
+def test_latin_count(capsys):
+    code, out, _ = run(capsys, "latin", "count", "4")
     assert code == 0
     assert "count_plus: 576" in out
     assert "count_minus: 0" in out
-    checkpoint = os.path.join(
-        os.environ["GCT_CACHE_DIR"], "latin-count-4.checkpoint.json"
-    )
-    assert os.path.exists(checkpoint)
-    assert "checkpointing" in err  # progress is stderr-only
-    assert "branch 9/9" in err
+
+
+def test_latin_count_capacity(capsys):
+    code, out, _ = run(capsys, "--json", "latin", "count", "7")
+    assert code == 3
+    rec = json.loads(out)
+    assert rec["error"] == "capacity"
+    assert (rec["size"], rec["cap"]) == (7, 6)
 
 
 def test_latin_pairing(capsys):

@@ -2,11 +2,11 @@
 
 The sign conventions are pinned by their transformation laws (symbol
 relabeling, row permutation, transposition), the counts by the classical
-L(n) = 1, 2, 12, 576, 161280 and by reduced-vs-exhaustive agreement, and
-the differential pairings by the Latin-square expansion oracle.
+L(n) = 1, 2, 12, 576, 161280, by reduced-vs-exhaustive agreement and by
+the all-branches reduced sum (the oracle of the orbit-weighted counter),
+and the differential pairings by the Latin-square expansion oracle.
 """
 
-import json
 from itertools import permutations
 from math import factorial
 
@@ -40,12 +40,28 @@ def transpose(square):
 # ---------------------------------------------------------------------------
 
 
-def test_perm_sign_matches_cycle_oracle():
-    from gct.zoo import _perm_sign  # cycle-structure implementation
+def cycle_sign(perm):
+    """Sign of a permutation of 0..n-1 from its cycle structure."""
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        cycle_len = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            cycle_len += 1
+        if cycle_len % 2 == 0:
+            sign = -sign
+    return sign
 
+
+def test_perm_sign_matches_cycle_oracle():
     for n in range(1, 6):
         for p in permutations(range(n)):
-            assert latin.perm_sign(p) == _perm_sign(p)
+            assert latin.perm_sign(p) == cycle_sign(p)
 
 
 def test_is_latin_square():
@@ -137,8 +153,32 @@ def test_atcount_arithmetic():
 
 
 # ---------------------------------------------------------------------------
-# reduced counting and checkpoints
+# reduced counting
 # ---------------------------------------------------------------------------
+
+
+def all_branches_count(n):
+    """Reduced counts summed over every second-row branch, no orbit weighting."""
+    if n == 1:
+        return latin.ATCount(1, 1, 0, 1, 0)
+    totals = [0, 0, 0, 0]
+    for second in latin.second_row_branches(n):
+        for i, c in enumerate(latin.count_branch(n, second)):
+            totals[i] += c
+    fp, fm, fcp, fcm = totals
+    full = factorial(n)
+    if n % 2 == 0:
+        return latin.ATCount(n, full * fp, full * fm, full * fcp, full * fcm)
+    half = full // 2
+    return latin.ATCount(n, full * fp, full * fm, half * (fcp + fcm), half * (fcp + fcm))
+
+
+def conjugate(d, sigma):
+    """sigma d sigma^{-1} for d on symbols 1..n and sigma on 0..n-1."""
+    inverse = [0] * len(sigma)
+    for i, s in enumerate(sigma):
+        inverse[s] = i
+    return tuple(sigma[d[inverse[k]] - 1] + 1 for k in range(len(d)))
 
 
 def test_second_row_branches_are_derangements():
@@ -151,9 +191,39 @@ def test_second_row_branches_are_derangements():
             assert all(b[j] != j + 1 for j in range(n))
 
 
+def test_branch_orbit_sizes():
+    # S_6 conjugacy classes of derangements: (2,2,2), (4,2), (3,3), (6)
+    assert [size for _, size in latin.branch_orbits(6)] == [15, 90, 40, 120]
+    # A_5: the 3+2 class stays whole, the 5-cycles split in two
+    assert [size for _, size in latin.branch_orbits(5)] == [20, 12, 12]
+    for n in range(2, 7):
+        orbits = latin.branch_orbits(n)
+        assert sum(size for _, size in orbits) == len(latin.second_row_branches(n))
+        reps = [rep for rep, _ in orbits]
+        assert reps == sorted(reps)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_count_branch_constant_on_orbits(n):
+    """Relabelling columns and symbols by one sigma with sgn(sigma)^n = 1
+    maps completions of d onto completions of sigma d sigma^{-1}, signs kept."""
+    group = [s for s in permutations(range(n)) if cycle_sign(s) ** n == 1]
+    for rep, size in latin.branch_orbits(n):
+        want = latin.count_branch(n, rep)
+        orbit = {conjugate(rep, s) for s in group}
+        assert len(orbit) == size
+        for d in orbit:
+            assert latin.count_branch(n, d) == want
+
+
 def test_count_branch_rejects_clashing_second_row():
     with pytest.raises(ValueError):
         latin.count_branch(3, (1, 3, 2))  # fixes symbol 1 under column 1
+
+
+def test_reduced_matches_all_branches_oracle():
+    for n in range(1, 6):
+        assert latin.alon_tarsi_count_reduced(n) == all_branches_count(n)
 
 
 def test_reduced_matches_exhaustive():
@@ -183,53 +253,26 @@ def test_reduced_n5():
     assert at5.difference == 0  # odd order
 
 
+def test_reduced_n6():
+    at6 = latin.alon_tarsi_count_reduced(6)
+    assert (
+        at6.count_plus,
+        at6.count_minus,
+        at6.column_count_plus,
+        at6.column_count_minus,
+    ) == (505958400, 306892800, 306892800, 505958400)
+    assert at6.total == 812851200  # L(6)
+
+
 def test_reduced_n1():
     at1 = latin.alon_tarsi_count_reduced(1)
     assert (at1.count_plus, at1.count_minus) == (1, 0)
 
 
-def test_checkpoint_roundtrip(tmp_path):
-    path = str(tmp_path / "at4.checkpoint.json")
-    calls = []
-    first = latin.alon_tarsi_count_reduced(
-        4, checkpoint_path=path, progress=lambda i, t: calls.append((i, t))
-    )
-    assert calls == [(i, 9) for i in range(1, 10)]
-    with open(path, "r", encoding="utf-8") as fh:
-        saved = json.load(fh)
-    assert saved["n"] == 4 and len(saved["branches"]) == 9
-
-    # a resumed run must not recount finished branches
-    def boom(n, second_row):
-        raise AssertionError("branch recounted despite checkpoint")
-
-    original = latin.count_branch
-    latin.count_branch = boom
-    try:
-        second = latin.alon_tarsi_count_reduced(4, checkpoint_path=path)
-    finally:
-        latin.count_branch = original
-    assert second == first
-
-
-def test_checkpoint_partial_resume(tmp_path):
-    path = str(tmp_path / "at4.partial.json")
-    branches = latin.second_row_branches(4)
-    partial = {"0": list(latin.count_branch(4, branches[0]))}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"n": 4, "branches": partial}, fh)
-    resumed = latin.alon_tarsi_count_reduced(4, checkpoint_path=path)
-    assert resumed == latin.alon_tarsi_count_reduced(4)
-    with open(path, "r", encoding="utf-8") as fh:
-        assert len(json.load(fh)["branches"]) == 9
-
-
-def test_checkpoint_order_mismatch(tmp_path):
-    path = str(tmp_path / "at.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"n": 5, "branches": {}}, fh)
-    with pytest.raises(ValueError):
-        latin.alon_tarsi_count_reduced(4, checkpoint_path=path)
+def test_reduced_capacity_refused_up_front():
+    with pytest.raises(CapacityError) as exc:
+        latin.alon_tarsi_count_reduced(7)
+    assert exc.value.size == 7 and exc.value.cap == latin.MAX_REDUCED == 6
 
 
 # ---------------------------------------------------------------------------

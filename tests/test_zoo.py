@@ -177,7 +177,7 @@ def test_pascal_det_small():
     for s2 in permutations(range(2)):
         for s3 in permutations(range(2)):
             for s4 in permutations(range(2)):
-                sign = zoo._perm_sign(s2) * zoo._perm_sign(s3) * zoo._perm_sign(s4)
+                sign = zoo.perm_sign(s2) * zoo.perm_sign(s3) * zoo.perm_sign(s4)
                 prod = Fraction(1)
                 for i in range(2):
                     prod *= point[var(i, s2[i], s3[i], s4[i])]
@@ -257,7 +257,7 @@ def _t_linear_coefficient_of_det(skew, sym):
                 for b, cb in enumerate(entry):
                     nxt[a + b] += ca * cb
             prod = nxt
-        sign = zoo._perm_sign(p)
+        sign = zoo.perm_sign(p)
         for d, c in enumerate(prod):
             acc[d] += sign * c
     return acc[1]
