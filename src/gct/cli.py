@@ -11,7 +11,9 @@ arguments, 3 capacity error.
 
 Expensive results are cached under ``$GCT_CACHE_DIR`` (default
 ``~/.cache/gct``), content-addressed by the SHA-256 digest of the manifest
-inputs {command, parameters, seed, code_version}.  A cache entry stores the
+inputs {command, parameters, seed, code_version}, where code_version is the
+SHA-256 of this package's ``*.py`` sources (so any change to the code
+invalidates every earlier entry).  A cache entry stores the
 :class:`RunManifest` (with timing and the result digest) next to the result
 record, the rendered human report and the verdict; the digest covers all
 three, so a cache hit replays the original bytes or is recomputed.  Commands
@@ -22,6 +24,7 @@ polynomial, never on the path.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -33,7 +36,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import __version__, zoo
+from . import zoo
 from .flatten import (
     CapacityError,
     chow_border_lower_bound,
@@ -94,9 +97,6 @@ class RunManifest:
     timing_seconds: float
     result_digest: str
 
-    def key(self) -> str:
-        return manifest_key(self.command, self.parameters, self.seed)
-
     def to_record(self) -> dict:
         return {
             "command": list(self.command),
@@ -112,6 +112,20 @@ def _canonical(payload: object) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """SHA-256 of the package's ``*.py`` files, name and bytes, in name order.
+
+    Python sources cannot contain NUL, so it separates the files unambiguously.
+    """
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for name in sorted(f for f in os.listdir(pkg) if f.endswith(".py")):
+        with open(os.path.join(pkg, name), "rb") as fh:
+            h.update(b"\0" + name.encode() + b"\0" + fh.read())
+    return h.hexdigest()
+
+
 def manifest_key(
     command: Sequence[str], parameters: Dict[str, object], seed: int
 ) -> str:
@@ -122,7 +136,7 @@ def manifest_key(
                 "command": list(command),
                 "parameters": parameters,
                 "seed": seed,
-                "code_version": __version__,
+                "code_version": code_digest(),
             }
         )
     ).hexdigest()
@@ -133,10 +147,6 @@ def entry_digest(record: dict, human: str, ok: bool) -> str:
     return hashlib.sha256(
         _canonical({"record": record, "human": human, "ok": ok})
     ).hexdigest()
-
-
-def _cache_path(cache_dir: str, key: str) -> str:
-    return os.path.join(cache_dir, key + ".json")
 
 
 def _cache_load(path: str) -> Optional[dict]:
@@ -1146,9 +1156,9 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     use_cache = (
         ns.cacheable and not ns.no_cache and not getattr(ns, "output", None)
     )
-    key = manifest_key(ns.command, parameters, ns.seed)
-    path = _cache_path(ctx.cache_dir, key)
     if use_cache:
+        key = manifest_key(ns.command, parameters, ns.seed)
+        path = os.path.join(ctx.cache_dir, key + ".json")
         entry = _cache_load(path)
         if entry is not None:
             sys.stdout.write(
@@ -1183,7 +1193,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
             command=tuple(ns.command),
             parameters=parameters,
             seed=ns.seed,
-            code_version=__version__,
+            code_version=code_digest(),
             timing_seconds=round(elapsed, 6),
             result_digest=entry_digest(result.record, rendered_human, result.ok),
         )

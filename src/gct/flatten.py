@@ -1,10 +1,12 @@
 """Exact ranks of flattenings and the border-rank lower bounds they give.
 
-Rank computation is fraction-free Bareiss elimination on integer rows
-(denominators are cleared row by row, which does not change the rank).
-Pivots are chosen deterministically: leftmost available column, then the
-candidate row whose entry has the smallest absolute value (ties broken by
-row index).  Everything is exact; there is no floating point fallback.
+One elimination core serves rank, kernel and solve: fraction-free Bareiss
+elimination on integer rows (denominators are cleared row by row, which
+does not change the row space).  Pivots are chosen deterministically:
+leftmost available column, then the candidate row whose entry has the
+smallest absolute value (ties broken by row index).  Kernel vectors and
+solutions come from back-substitution over Q on the echelon rows.
+Everything is exact; there is no floating point fallback.
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ class RankCertificate:
 def _as_rows(matrix) -> List[List[Fraction]]:
     if isinstance(matrix, FlatteningMatrix):
         return matrix.rows()
-    if hasattr(matrix, "entries") and hasattr(matrix, "row_basis"):
-        return [list(r) for r in matrix.entries]
     return [list(r) for r in matrix]
 
 
@@ -73,14 +73,14 @@ def _integerize(rows: List[List[Fraction]]) -> List[List[int]]:
     return out
 
 
-def exact_rank_certificate(matrix, *, max_columns: int = MAX_COLUMNS) -> RankCertificate:
-    """Exact rank over Q with the pivot pattern used to establish it."""
-    rows = _as_rows(matrix)
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-    if n_cols > max_columns:
-        raise CapacityError("exact_rank", n_cols, max_columns)
-    m = _integerize(rows)
+def _echelon(m: List[List[int]], n_cols: int) -> Tuple[List[int], List[int], List[int]]:
+    """Bareiss forward pass on integer rows, in place.
+
+    Returns (pivot_rows, pivot_cols, trace): each pivot's original row
+    index, its column and its value.  Afterwards ``m[r]`` is the r-th pivot
+    row, zero left of ``pivot_cols[r]``, and the rows past the rank are zero.
+    """
+    n_rows = len(m)
     row_origin = list(range(n_rows))
     pivot_rows: List[int] = []
     pivot_cols: List[int] = []
@@ -121,13 +121,39 @@ def exact_rank_certificate(matrix, *, max_columns: int = MAX_COLUMNS) -> RankCer
             mi[col] = 0
         prev = piv
         r += 1
+    return pivot_rows, pivot_cols, trace
+
+
+def _back_substitute(
+    m: List[List[int]], pivot_cols: List[int], x: List[Fraction]
+) -> List[Fraction]:
+    """Fill ``x`` at the pivot columns so every echelon row annihilates it.
+
+    The entries of ``x`` at the other columns are fixed by the caller.
+    """
+    n = len(x)
+    for r in range(len(pivot_cols) - 1, -1, -1):
+        pc, row = pivot_cols[r], m[r]
+        s = sum(row[j] * x[j] for j in range(pc + 1, n) if x[j])
+        x[pc] = Fraction(-s, row[pc])
+    return x
+
+
+def exact_rank_certificate(matrix, *, max_columns: int = MAX_COLUMNS) -> RankCertificate:
+    """Exact rank over Q with the pivot pattern used to establish it."""
+    rows = _as_rows(matrix)
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if n_rows else 0
+    if n_cols > max_columns:
+        raise CapacityError("exact_rank", n_cols, max_columns)
+    pivot_rows, pivot_cols, trace = _echelon(_integerize(rows), n_cols)
     h = hashlib.sha256()
     h.update(repr((n_rows, n_cols)).encode())
     for p in trace:
         h.update(str(p).encode())
         h.update(b",")
     return RankCertificate(
-        rank=r,
+        rank=len(pivot_cols),
         pivot_rows=tuple(pivot_rows),
         pivot_cols=tuple(pivot_cols),
         shape=(n_rows, n_cols),
@@ -141,43 +167,23 @@ def exact_rank(matrix, *, max_columns: int = MAX_COLUMNS) -> int:
 
 
 def nullspace(matrix, *, max_columns: int = MAX_COLUMNS) -> List[List[Fraction]]:
-    """Exact basis of the right kernel {v : M v = 0}, via Gauss-Jordan."""
+    """Exact basis of the right kernel {v : M v = 0}.
+
+    One vector per free column c: 1 at c, 0 at the other free columns.
+    """
     rows = _as_rows(matrix)
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
+    n_cols = len(rows[0]) if rows else 0
     if n_cols > max_columns:
         raise CapacityError("nullspace", n_cols, max_columns)
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivot_col_of_row: List[int] = []
-    r = 0
-    for col in range(n_cols):
-        if r >= n_rows:
-            break
-        sel = -1
-        for i in range(r, n_rows):
-            if m[i][col]:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        piv = m[r][col]
-        m[r] = [x / piv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivot_col_of_row.append(col)
-        r += 1
-    pivot_cols = set(pivot_col_of_row)
-    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
+    m = _integerize(rows)
+    _, pivot_cols, _ = _echelon(m, n_cols)
+    pivots = set(pivot_cols)
     basis: List[List[Fraction]] = []
-    for fc in free_cols:
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
-        for row_i, pc in enumerate(pivot_col_of_row):
-            v[pc] = -m[row_i][fc]
-        basis.append(v)
+    for fc in range(n_cols):
+        if fc not in pivots:
+            v = [Fraction(0)] * n_cols
+            v[fc] = Fraction(1)
+            basis.append(_back_substitute(m, pivot_cols, v))
     return basis
 
 
@@ -187,43 +193,16 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> List[Fraction]:
     Raises ValueError when the system is inconsistent.  Accepts any
     rectangular shape; used for small exact Vandermonde-type systems.
     """
-    a = [[Fraction(x) for x in row] for row in rows]
-    b = [Fraction(x) for x in rhs]
-    if len(a) != len(b):
+    if len(rows) != len(rhs):
         raise ValueError("rhs length must match row count")
-    n_rows = len(a)
-    n_cols = len(a[0]) if n_rows else 0
-    pivot_col_of_row: List[int] = []
-    r = 0
-    for col in range(n_cols):
-        if r >= n_rows:
-            break
-        sel = -1
-        for i in range(r, n_rows):
-            if a[i][col]:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        b[r], b[sel] = b[sel], b[r]
-        piv = a[r][col]
-        a[r] = [x / piv for x in a[r]]
-        b[r] = b[r] / piv
-        for i in range(n_rows):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                b[i] = b[i] - f * b[r]
-        pivot_col_of_row.append(col)
-        r += 1
-    for i in range(r, n_rows):
-        if b[i] != 0:
-            raise ValueError("linear system is inconsistent")
-    x = [Fraction(0)] * n_cols
-    for row_i, pc in enumerate(pivot_col_of_row):
-        x[pc] = b[row_i]
-    return x
+    n_cols = len(rows[0]) if rows else 0
+    m = _integerize([list(row) + [b] for row, b in zip(rows, rhs)])
+    _, pivot_cols, _ = _echelon(m, n_cols + 1)
+    if pivot_cols and pivot_cols[-1] == n_cols:
+        raise ValueError("linear system is inconsistent")
+    # the rhs column carries -1: a row annihilating (x, -1) reads A x = b
+    x = [Fraction(0)] * n_cols + [Fraction(-1)]
+    return _back_substitute(m, pivot_cols, x)[:n_cols]
 
 
 # ---------------------------------------------------------------------------

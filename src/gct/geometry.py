@@ -145,20 +145,6 @@ def det_polymatrix(m: PolyMatrix, rows: Optional[Sequence[int]] = None,
     return minors[tuple(range(k))]
 
 
-@dataclass(frozen=True)
-class CharPolyCoeffs:
-    """cp_0..cp_N of a polynomial matrix; cp_s = sum of s x s principal
-    minors = trace of the s-th wedge power."""
-
-    coeffs: Tuple[Polynomial, ...]
-
-    def __getitem__(self, s: int) -> Polynomial:
-        return self.coeffs[s]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-
 def cp_coefficient(m: PolyMatrix, s: int) -> Polynomial:
     """cp_s(M): the sum of all s x s principal minors, exactly."""
     if s < 0 or s > m.size:
@@ -169,14 +155,6 @@ def cp_coefficient(m: PolyMatrix, s: int) -> Polynomial:
     for subset in combinations(range(m.size), s):
         total = total + det_polymatrix(m, subset, subset)
     return total
-
-
-def charpoly_coeffs(m: PolyMatrix, up_to: Optional[int] = None) -> CharPolyCoeffs:
-    if up_to is None:
-        up_to = m.size
-    if up_to > m.size:
-        raise ValueError("up_to exceeds matrix size")
-    return CharPolyCoeffs(tuple(cp_coefficient(m, s) for s in range(up_to + 1)))
 
 
 def compound(m: PolyMatrix, k: int) -> PolyMatrix:
@@ -236,10 +214,6 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
             else:
                 work.pop(t, None)
     return Polynomial(f.num_vars, quotient)
-
-
-def divisible(f: Polynomial, g: Polynomial) -> bool:
-    return divide_exact(f, g) is not None
 
 
 # ---------------------------------------------------------------------------

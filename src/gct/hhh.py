@@ -63,14 +63,6 @@ def _canonical_multiset(monos: Sequence[Exponent]) -> Multiset:
     return tuple(sorted(monos, key=grevlex_key))
 
 
-def weight_of_multiset(ms: Multiset, v: int) -> Tuple[int, ...]:
-    w = [0] * v
-    for m in ms:
-        for a, e in enumerate(m):
-            w[a] += e
-    return tuple(w)
-
-
 def multiset_basis(
     count: int, degree: int, v: int, weight: Optional[Sequence[int]] = None
 ) -> List[Multiset]:
@@ -217,20 +209,6 @@ class PlethysmMap:
 
     def rank(self, *, max_columns: int = MAX_ELIM) -> int:
         return exact_rank(self.entries, max_columns=max_columns)
-
-    def apply(self, coeffs: Dict[Multiset, Fraction]) -> Dict[Multiset, Fraction]:
-        """Apply to a domain vector given as a sparse dict."""
-        out: Dict[Multiset, Fraction] = {}
-        for ms, c in coeffs.items():
-            if c == 0:
-                continue
-            for key, val in hhh_column(ms, self.n, self.v).items():
-                acc = out.get(key, Fraction(0)) + c * val
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return out
 
 
 def sym_sym_dim(outer: int, inner: int, v: int) -> int:
@@ -412,13 +390,6 @@ def weight_zero_weight(d: int, n: int, v: int) -> Tuple[int, ...]:
             f"weight-zero space of S^{d}(S^{n} C^{v}) is zero: {v} does not divide {d*n}"
         )
     return ((d * n) // v,) * v
-
-
-def weight_zero_block(
-    d: int, n: int, v: int, *, max_block: int = MAX_BLOCK
-) -> PlethysmMap:
-    """h_{d,n} restricted to the sl-weight-zero subspace (v must divide dn)."""
-    return build_hhh(d, n, v, weight_zero_weight(d, n, v), max_block=max_block)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,38 @@ def test_tampered_human_or_verdict_recomputed(capsys, field):
         assert json.load(fh)[field] == (fresh if field == "human" else True)
 
 
+def test_entry_from_other_code_recomputed(capsys, monkeypatch):
+    """The key covers a digest of the package sources: an entry stored by
+    other code is recomputed, even when it is self-consistent."""
+    args = ("rep", "pleth", "4,2", "3", "2")
+    this_code = cli.code_digest
+    monkeypatch.setattr(cli, "code_digest", lambda: "0" * 64)
+    _, fresh, _ = run(capsys, *args)
+    cache_dir = os.environ["GCT_CACHE_DIR"]
+    (name,) = os.listdir(cache_dir)
+    path = os.path.join(cache_dir, name)
+    with open(path, "r", encoding="utf-8") as fh:
+        entry = json.load(fh)
+    assert entry["manifest"]["code_version"] == "0" * 64
+    # the other code's answer differs, under a valid digest
+    entry["human"] = fresh.replace("value: ", "value: 9")
+    entry["manifest"]["result_digest"] = cli.entry_digest(
+        entry["record"], entry["human"], entry["ok"]
+    )
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(entry, fh)
+    assert run(capsys, *args)[1] == entry["human"]  # that code replays it
+    monkeypatch.setattr(cli, "code_digest", this_code)
+    code, out, _ = run(capsys, *args)
+    assert (code, out) == (0, fresh)
+    assert len(os.listdir(cache_dir)) == 2
+    versions = set()
+    for f in os.listdir(cache_dir):
+        with open(os.path.join(cache_dir, f), "r", encoding="utf-8") as fh:
+            versions.add(json.load(fh)["manifest"]["code_version"])
+    assert versions == {"0" * 64, cli.code_digest()}
+
+
 def test_no_cache_flag(capsys):
     args = ("geo", "cayley", "2", "0", "--no-cache")
     assert run(capsys, *args)[0] == 0

@@ -1,5 +1,6 @@
 """Exact linear algebra: Bareiss ranks against an independent oracle,
-nullspaces, solving, and flattening lower bounds."""
+nullspaces and solving against the Gauss-Jordan eliminators they
+replaced, and flattening lower bounds."""
 
 from fractions import Fraction
 
@@ -43,6 +44,92 @@ def rref_rank(rows):
     return rank
 
 
+def gauss_jordan_nullspace(rows):
+    """Oracle: the former Fraction Gauss-Jordan kernel basis of gct.flatten."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n_rows = len(m)
+    n_cols = len(m[0]) if n_rows else 0
+    pivot_col_of_row = []
+    r = 0
+    for col in range(n_cols):
+        if r >= n_rows:
+            break
+        sel = -1
+        for i in range(r, n_rows):
+            if m[i][col]:
+                sel = i
+                break
+        if sel < 0:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        piv = m[r][col]
+        m[r] = [x / piv for x in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivot_col_of_row.append(col)
+        r += 1
+    pivot_cols = set(pivot_col_of_row)
+    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
+    basis = []
+    for fc in free_cols:
+        v = [Fraction(0)] * n_cols
+        v[fc] = Fraction(1)
+        for row_i, pc in enumerate(pivot_col_of_row):
+            v[pc] = -m[row_i][fc]
+        basis.append(v)
+    return basis
+
+
+def gauss_jordan_solve(rows, rhs):
+    """Oracle: the former Fraction Gauss-Jordan solver of gct.flatten."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    b = [Fraction(x) for x in rhs]
+    if len(a) != len(b):
+        raise ValueError("rhs length must match row count")
+    n_rows = len(a)
+    n_cols = len(a[0]) if n_rows else 0
+    pivot_col_of_row = []
+    r = 0
+    for col in range(n_cols):
+        if r >= n_rows:
+            break
+        sel = -1
+        for i in range(r, n_rows):
+            if a[i][col]:
+                sel = i
+                break
+        if sel < 0:
+            continue
+        a[r], a[sel] = a[sel], a[r]
+        b[r], b[sel] = b[sel], b[r]
+        piv = a[r][col]
+        a[r] = [x / piv for x in a[r]]
+        b[r] = b[r] / piv
+        for i in range(n_rows):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                b[i] = b[i] - f * b[r]
+        pivot_col_of_row.append(col)
+        r += 1
+    for i in range(r, n_rows):
+        if b[i] != 0:
+            raise ValueError("linear system is inconsistent")
+    x = [Fraction(0)] * n_cols
+    for row_i, pc in enumerate(pivot_col_of_row):
+        x[pc] = b[row_i]
+    return x
+
+
+def _solve_or_raise(solver, rows, rhs):
+    try:
+        return solver(rows, rhs)
+    except ValueError:
+        return "inconsistent"
+
+
 # ---------------------------------------------------------------------------
 # Ranks
 # ---------------------------------------------------------------------------
@@ -76,6 +163,14 @@ def test_rank_bareiss_zero_head_regression():
     ]
     assert exact_rank(m) == 6
     assert rref_rank(m) == 6
+    # literal values: pivot order and pivot values are part of the
+    # certificate, so a change of elimination order shows here
+    cert = exact_rank_certificate(m)
+    assert cert.pivot_rows == (0, 1, 3, 2, 4, 5)
+    assert cert.pivot_cols == (0, 1, 2, 3, 4, 5)
+    assert cert.trace_digest == (
+        "12788a86b950dc9a9233e2593ccec6a40c974b0f4c001bc43496ca0dbfb24fd0"
+    )
 
 
 @given(fraction_matrices())
@@ -100,6 +195,12 @@ def test_rank_certificate_pivots_index_a_nonsingular_minor():
     ]
     assert exact_rank(minor) == cert.rank
     assert cert.trace_digest == exact_rank_certificate(rows).trace_digest
+    # literal values, as in test_rank_bareiss_zero_head_regression
+    assert cert.pivot_rows == (0, 2)
+    assert cert.pivot_cols == (0, 1)
+    assert cert.trace_digest == (
+        "bd619e87e234125c763b1b3cfe19effc752fc4fd6877a1c84df7400048b52982"
+    )
 
 
 def test_rank_capacity_cap():
@@ -131,6 +232,7 @@ def test_nullspace_is_exact_kernel_basis(rows):
             assert sum(a * b for a, b in zip(row, vec)) == 0
     if basis:
         assert exact_rank(basis) == len(basis)
+    assert basis == gauss_jordan_nullspace(rows)
 
 
 def test_solve_linear_known_and_inconsistent():
@@ -138,6 +240,19 @@ def test_solve_linear_known_and_inconsistent():
     assert x == [3, 2]
     with pytest.raises(ValueError):
         solve_linear([[1, 1], [1, 1]], [0, 1])
+    assert solve_linear([[0, 0], [0, 0]], [0, 0]) == [0, 0]
+    with pytest.raises(ValueError):
+        solve_linear([[0, 0], [0, 0]], [0, 1])
+    assert solve_linear([], []) == []
+    with pytest.raises(ValueError):
+        solve_linear([[]], [1])
+    # tall Vandermonde system, consistent: the data come from a cubic
+    coeffs = [Fraction(3), Fraction(-1, 2), Fraction(0), Fraction(2, 3)]
+    points = range(-2, 5)
+    vander = [[Fraction(t) ** k for k in range(4)] for t in points]
+    values = [sum(c * v for c, v in zip(coeffs, row)) for row in vander]
+    assert solve_linear(vander, values) == coeffs
+    assert gauss_jordan_solve(vander, values) == coeffs
 
 
 @given(fraction_matrices(max_rows=4, max_cols=4), st.integers(0, 2**30))
@@ -151,6 +266,12 @@ def test_solve_linear_solves_consistent_systems(rows, seed):
     x = solve_linear(rows, rhs)
     for row, b in zip(rows, rhs):
         assert sum(a * c for a, c in zip(row, x)) == b
+    assert x == gauss_jordan_solve(rows, rhs)
+    # an arbitrary right-hand side: both refuse, or both give one vector
+    other = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in rows]
+    assert _solve_or_raise(solve_linear, rows, other) == _solve_or_raise(
+        gauss_jordan_solve, rows, other
+    )
 
 
 # ---------------------------------------------------------------------------
