@@ -6,6 +6,7 @@ behavior: replays must be byte-identical, corrupted entries must be
 recomputed, and commands with file side effects must bypass the cache.
 """
 
+import hashlib
 import json
 import os
 
@@ -364,3 +365,292 @@ def test_hhh_rank_weight_block(capsys):
     assert rec["weight"] == [2, 2, 2]
     # shape is [codomain, domain]; the kernel here is the symmetric det
     assert rec["rank"] == rec["shape"][1] - 1
+
+
+# ---------------------------------------------------------------------------
+# golden transcript: exact stdout bytes and exit codes of every command
+# ---------------------------------------------------------------------------
+
+#: files the golden cases read, written into the working directory first
+GOLDEN_FILES = (
+    ("zoo", "make", "det", "3", "-o", "det3.json"),
+    ("zoo", "make", "chow", "3", "-o", "chow3.json"),
+    ("zoo", "witness", "fischer", "3", "-o", "fischer3.json"),
+)
+
+#: (id, argv): every leaf command at least once, a capacity refusal (exit 3)
+#: and bad arguments (exit 2)
+GOLDEN = (
+    ("zoo-make", ("zoo", "make", "det", "3")),
+    ("zoo-make-o", ("zoo", "make", "perm", "2", "-o", "perm2.json")),
+    ("zoo-witness", ("zoo", "witness", "benor", "3", "2")),
+    ("zoo-witness-o", ("zoo", "witness", "ryser", "3", "-o", "ryser3.json")),
+    ("zoo-verify", ("zoo", "verify", "fischer3.json", "chow3.json")),
+    ("flatten-rank", ("flatten", "rank", "det3.json")),
+    ("flatten-rank-k", ("flatten", "rank", "det3.json", "--k", "2")),
+    ("flatten-waring-lb", ("flatten", "waring-lb", "chow3.json")),
+    ("flatten-chow-lb", ("flatten", "chow-lb", "det3.json")),
+    ("flatten-shifted", ("flatten", "shifted", "det3.json", "--k", "1", "--l", "1")),
+    ("hhh-rank", ("hhh", "rank", "2", "2", "3")),
+    ("hhh-rank-weight", ("hhh", "rank", "3", "2", "3", "--weight", "2,2,2")),
+    ("hhh-kernel", ("hhh", "kernel", "3", "2", "3")),
+    ("hhh-kernel-weight", ("hhh", "kernel", "3", "2", "3", "--weight", "2,2,2")),
+    ("hhh-character", ("hhh", "character", "3", "2", "3")),
+    ("rep-char", ("rep", "char", "3,1", "2,1,1")),
+    ("rep-kron", ("rep", "kron", "2,2", "2,2", "2,2")),
+    ("rep-skron", ("rep", "skron", "2,2", "2,2")),
+    ("rep-pleth", ("rep", "pleth", "2,4", "3", "2")),
+    ("rep-obstruct", ("rep", "obstruct", "4,4", "4", "2")),
+    ("rep-useful", ("rep", "useful", "6,2", "4", "2", "3")),
+    ("latin-count", ("latin", "count", "4")),
+    ("latin-pairing", ("latin", "pairing", "2")),
+    ("latin-pairing-all-vars", ("latin", "pairing", "3", "--all-vars")),
+    ("geo-hessian", ("geo", "hessian", "det", "2")),
+    ("geo-hessian-o", ("geo", "hessian", "det3.json", "-o", "h.json")),
+    ("geo-cp", ("geo", "cp", "det", "3", "--s", "2")),
+    ("geo-sfturbo", ("geo", "sfturbo", "3", "--checks", "cp1,cp3")),
+    ("geo-discriminant", ("geo", "discriminant")),
+    ("geo-cayley", ("geo", "cayley", "2", "1")),
+    ("geo-sylfranke", ("geo", "sylfranke", "3", "1", "1")),
+    ("geo-dualdim-seed", ("geo", "dualdim", "det", "3", "--seed", "5")),
+    ("geo-dualdim-perm", ("geo", "dualdim", "perm", "3")),
+    ("geo-dualdim-point", ("geo", "dualdim", "chow3.json", "--point", "1,1,0")),
+    ("geo-stab", ("geo", "stab", "p_lambda", "3")),
+    ("capacity-pairing", ("latin", "pairing", "4")),
+    ("capacity-latin", ("latin", "count", "7")),
+    ("bad-group", ("no-such-group",)),
+    ("bad-partition", ("rep", "char", "abc", "1,1")),
+    ("bad-file", ("flatten", "rank", "missing.json")),
+    ("bad-name", ("zoo", "make", "nosuch", "3")),
+)
+
+#: id -> (exit code, SHA-256 of stdout, SHA-256 of stdout under --json),
+#: recorded from the hand-built parser that preceded the command table
+GOLDEN_STDOUT = {
+    "zoo-make": (
+        0,
+        "7e44ffa8490efa9e793d399b00c3aa270af1bde84bfffdc7ef59bbcfa35da3c4",
+        "6b8bc8247f1ce0a50dc77cbea9805b8cb684ec6a82de14709fd4b91295327bf4",
+    ),
+    "zoo-make-o": (
+        0,
+        "f10d8090058801ccedd3a8a5b9af277ccd5b013d684f87dd9e7184f31191bbf3",
+        "0bd3b0dd30b18ff2426667f8c27eade94b1d0497a75979312ff3a3d2a9252510",
+    ),
+    "zoo-witness": (
+        0,
+        "caec2cbd1fac25a8680f19f8c537887519184c6c0cad09e22ba9d44c7350aeac",
+        "9a18c4a888c81bcb4bedbc2e26dadc28768731f8754e1b75a9989653ce203bd3",
+    ),
+    "zoo-witness-o": (
+        0,
+        "0329dda4118b94e05a0bd32894c734df75d6c86252f192c700eb9f629a50acea",
+        "770d44675063ac2c994ffa8fcdca81d60820a6b8b466b657a09be8fbc4b9b8d7",
+    ),
+    "zoo-verify": (
+        0,
+        "82da978dc97f5d2c951a85f4bd57ac33d6a65911bab9e5ace29adebf0652fb09",
+        "2e21f65509104b81ec2551382e322f578e03099262dbccafc1f4c6c50f59de20",
+    ),
+    "flatten-rank": (
+        0,
+        "c8188d76d7499a29f7770efafe91c68235a2851dda1750761afe8c798caa59a0",
+        "f42b078dba0272e906644cb8df7243044191e4bbbe36ce742c5472c729a15001",
+    ),
+    "flatten-rank-k": (
+        0,
+        "e0235fd2e3be8977948524e3562074e3e89a759969c1049ab153bf896d1c33bd",
+        "bd599ad7ea298ebced99df2c2086be234d9bbececb43b4dd26f14db2c6c70700",
+    ),
+    "flatten-waring-lb": (
+        0,
+        "a2f21d5ef9be69e93bc4c867c6e437ba6a5951e738263722de672353ea0c5b99",
+        "35e7322f682004b9c4ca53b275fabd8018031fba535f46f2b7a8d562ab46676f",
+    ),
+    "flatten-chow-lb": (
+        0,
+        "557ba83867969134a5d712a40eb1094507046cdcd91a44a9044ca62d22312d68",
+        "9b6cc6b072b06413b99827bff4dc9330d7186644ca552f5372fe6962133d2c6e",
+    ),
+    "flatten-shifted": (
+        0,
+        "679c526291702b4414d12c8672852c9bec478d8062d642f4b212917f64583036",
+        "efc7c82b072b859c41e04a1982b4a047c63e0095fa52eb270f079135da4bdd49",
+    ),
+    "hhh-rank": (
+        0,
+        "cd9dd53cd3d910f1f65ab4d7bd32a576ee65126f107b080b0426bd9c3610ecdd",
+        "ebdb5fa93c3167c8ffaf9987850e4a3a1c6bcf375f013e3dedac0f31b5ee897f",
+    ),
+    "hhh-rank-weight": (
+        0,
+        "8ef1231f819c28f90a2140ece994510f386fad67e2c69ce915edea23142b06ca",
+        "3d84de060aaf0025520eb4d6eb0bbba33ecba904c1b95dfa027e8eb444b25aab",
+    ),
+    "hhh-kernel": (
+        0,
+        "0ea6ab4658817e738cf22a403915bd27959cccfcfc3131db762382e8e35e4ccf",
+        "b843a55ddd3f8530b5cbfd9dc003cb43d21a7243c82120e23add22884659ff35",
+    ),
+    "hhh-kernel-weight": (
+        0,
+        "9ed1781a3a1cca9d3a9f791bad1d2c4f03fb1e3a27c8e4cc0528b437f215d746",
+        "fa62f21a18c63e5378aea213717d4eddea276bbf46c29b92f70511492d8e14c7",
+    ),
+    "hhh-character": (
+        0,
+        "09ca569711b2e0f2671634ddc75ad8c5e4bedee1c708614a72cd58b47033471c",
+        "1d715bf5bf9c1af7568f1887535528f1c4aff65e601f16f374331e3d073409c7",
+    ),
+    "rep-char": (
+        0,
+        "394a7eb0d1320ed6799abc8ad04a1aa4f75a9fcf0549c5af28c9211a710e1cf4",
+        "327acff7aa52ceaebdd7d04e5301e2f122a07b8f1c62265cc4bec26837117a52",
+    ),
+    "rep-kron": (
+        0,
+        "e82394a1b798c40d3a7b1436989ecd3c6ce3c5cc5f4376f74bdcda9e040681f4",
+        "6a3ef44643135866997bf1d3b533a2d49c69d5e58259e341e998a7cc08311d4c",
+    ),
+    "rep-skron": (
+        0,
+        "6315e5e8d16ef33171fbfb84dfbb11b598fefb0f4bd5f66da7734f968d2a170c",
+        "998b078b1386cd56dcb62b58545ed6b032791c4a880122cec10c3a6842b947db",
+    ),
+    "rep-pleth": (
+        0,
+        "f5b6a7d4f8f99dae449066aae52d87d6404807fb62e96d017b1fb3f494df5fb8",
+        "56965cfe30cdf3f985f81357d69480013b9aa34577a273cd1177fa2470a6ea5c",
+    ),
+    "rep-obstruct": (
+        0,
+        "520ec944e6f56d2d1252d33db101c44b326f1bb4a82c6b6f000a114e5197f516",
+        "e446459b2c9d5ca8dd84336324f68705a22464b64a7b60c5cc89cd01a74c8994",
+    ),
+    "rep-useful": (
+        0,
+        "35a01f1aa9b3d41b3d1c3591f275fca9aa710066cc02e22c683f5a002a7cd13e",
+        "fcb2145c122830e4b84a4bc24d0dc52b88f08ef3c0eedabf35951959574db2f9",
+    ),
+    "latin-count": (
+        0,
+        "efe9a7bb036a218da3ace445935722eba2b6ed7c395217e2121a3d5dada6d9c4",
+        "3b125bb2ddc073bae036914e573f9bc1e313b27524db4d03f4b20c5055133cf1",
+    ),
+    "latin-pairing": (
+        0,
+        "6c3845d8e68076a45fe4440959847bf8f4a20d4a5a79067b085a6133da15e278",
+        "b9dadc99319cab88edb11e6417f06b1607476de1240d6a1ac3362677c4a7bb15",
+    ),
+    "latin-pairing-all-vars": (
+        0,
+        "15478ceb079461b3b3766ecdab218a4bf39ff94fba1c39b2b68ce188d8e2c057",
+        "b4d817fb10079ecfaac3e072b4b056e89ac4d2e7d27b5d28de007dd9d1d2b2ce",
+    ),
+    "geo-hessian": (
+        0,
+        "48ebafc7a2725ae69daadd6985fab7f506e7b6127327f411d08214fca193c782",
+        "c60771149c06ad2a97b91afda1ce8b6d04c8e467c9c642387168f6b350fbe42c",
+    ),
+    "geo-hessian-o": (
+        0,
+        "0973f0ddeb6faadc37d46f3cf43c550ed940ef2d37036afc5f613de0ef5b91de",
+        "07db6c90cd1ffb81c720fd1481efaeb3b7e0a29ac50be7baa7143ae9e1a1e385",
+    ),
+    "geo-cp": (
+        0,
+        "7063df09d02abe4da3e303a5989d97ac52a6e948be236cbc57b9219367b9f3bd",
+        "7eb8ca7a2681dee72fef37f31bb9b28d2cedfbe01853ae228815364e4debaba7",
+    ),
+    "geo-sfturbo": (
+        0,
+        "f6ef79875a9bd85162adc77d62b34cf9dd4b2505943f9feda80824b0c9e631bf",
+        "1407406a6c27df4cfb1f46ef88b72bb881d1409beb028dae9ac096351b774a94",
+    ),
+    "geo-discriminant": (
+        0,
+        "5647002ac9817dd8714fd3c7bdf3befff267a125a6526072a98307a072e02c0e",
+        "ba6b815f7c12a95cd4aa31dfd50606206e8ad80bc3a3406e444f045ce2ca9883",
+    ),
+    "geo-cayley": (
+        0,
+        "d736a0a608c7a644dc1b4f927b87423d0a8eae5fa4bdbdef882189083947651b",
+        "557bd8ec43c87a9bc3c66d96adb61e75de2ad24f85ea9586f24b892dc6a5140a",
+    ),
+    "geo-sylfranke": (
+        0,
+        "b576a461059486d28a43875bcd34ebd01a508018bb161b37b82defc4e9e3922d",
+        "6bd667e38f50d876e6d1025b76c880ff48189b9820c86c7081ac70254b81ba18",
+    ),
+    "geo-dualdim-seed": (
+        0,
+        "70650b7e1d4e572a2dee22888200536423248ab275a0ffd3e95a6475d6d37579",
+        "c5b8dda81ea8f04b7e7b41f6aac148297c7f5f7bf1e357367eba70156bdaa7e1",
+    ),
+    "geo-dualdim-perm": (
+        0,
+        "c1ec2768d1f655d6c8951b9a317505a261084f94483f63f89efcdad2e5f239a2",
+        "598cdff18d6a6ea40d1ec31c604f60ce4aff872dbc269d687a2d801baffcbbf2",
+    ),
+    "geo-dualdim-point": (
+        0,
+        "d63674339093b6b0fccbc2ae637f5cfb412336bff35b8f09587ff7b95280007b",
+        "1536cff2904d1d1f4595bd4e6eae9f401f3860ec6edc79fdf997bdf0c2b82be4",
+    ),
+    "geo-stab": (
+        0,
+        "f80be4b9d6ffe8820d14cd412e61fc29b8678c2d4c808a000e0fe40e9daffaa8",
+        "e1700b9e0a3050c29553e0ed5212a161f81c963aa45dea1c4140d0fe0a861aee",
+    ),
+    "capacity-pairing": (
+        3,
+        "82ad7a1f14d29bc84d1feefdaa213657dfd671dd90114485ed0b71e3b084722f",
+        "6587c1c59743a10d3f9ac2e50dc50e2112d8cd9aaae360f4ac3f7285209fb9c8",
+    ),
+    "capacity-latin": (
+        3,
+        "f7344fe67941ef2ca07201cf2aa690c569d6c5eda7e88439559ea0fe20695bce",
+        "255a42344bcf4d1449f4af13e7469485a8e3e685d1c2fb95d121d7e11de8a824",
+    ),
+    "bad-group": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "bad-partition": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "bad-file": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "bad-name": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
+
+@pytest.fixture
+def golden_files(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # records echo relative paths only
+    for argv in GOLDEN_FILES:
+        assert cli.dispatch(list(argv)) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", ["human", "json"])
+@pytest.mark.parametrize("case", GOLDEN, ids=[c[0] for c in GOLDEN])
+def test_stdout_unchanged(capsys, golden_files, case, mode):
+    """Exit code and stdout bytes of each command, computed and then replayed."""
+    case_id, argv = case
+    code, human, as_json = GOLDEN_STDOUT[case_id]
+    argv = ("--json", *argv) if mode == "json" else argv
+    for _ in range(2):  # the second run of a cacheable command is a replay
+        got, out, _ = run(capsys, *argv)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (got, digest) == (code, as_json if mode == "json" else human)
