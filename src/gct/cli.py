@@ -1,24 +1,33 @@
-"""The ``gct`` command line: dispatch, file I/O, caching, run manifests.
+"""The ``gct`` command line: one command table, dispatch, caching, run manifests.
 
-Subcommand tree: ``zoo | flatten | hhh | rep | latin | geo``.  Every command
-accepts ``--json`` (machine-readable record instead of the human report),
-``--no-cache``, ``--seed`` (all randomness flows through one generator
-seeded here, so sampled points are reproducible) and ``--cache-dir``.  The
-global flags may appear anywhere on the line.
+Subcommand tree: ``zoo | flatten | hhh | rep | latin | geo``.  Each command
+is declared once, in :data:`COMMANDS` (help, cacheable, argument specs);
+:func:`build_parser` is a loop over that table, and ``gct <group> <command>``
+runs the module function ``cmd_<group>_<command>`` (dashes become
+underscores), looked up by name at dispatch.  After parsing, arguments are
+converted by name (partitions, ``--weight``, ``--point``, ``poly_file``,
+``target``); a conversion error is a ``gct: error:`` line and exit 2.
 
-Exit codes: 0 success, 1 verification failure, 2 unknown command or bad
-arguments, 3 capacity error.
+Every command accepts ``--json`` (machine-readable record instead of the
+human report), ``--no-cache`` and ``--cache-dir``, anywhere on the line.
+``geo dualdim`` takes ``--seed`` (default 0) for the point it samples, so
+sampled points are reproducible.
+
+Exit codes: 0 success, 1 verification failure (the record's ``ok`` is
+false), 2 unknown command or bad arguments, 3 capacity error.
 
 Expensive results are cached under ``$GCT_CACHE_DIR`` (default
 ``~/.cache/gct``), content-addressed by the SHA-256 digest of the manifest
-inputs {command, parameters, seed, code_version}, where code_version is the
-SHA-256 of this package's ``*.py`` sources (so any change to the code
-invalidates every earlier entry).  A cache entry stores the
-:class:`RunManifest` (with timing and the result digest) next to the result
-record, the rendered human report and the verdict; the digest covers all
-three, so a cache hit replays the original bytes or is recomputed.  Commands
-whose input is a polynomial file key on the *content* digest of the parsed
-polynomial, never on the path.
+inputs {command, parameters, code_version}.  The parameters are the declared
+arguments except ``-o``, after conversion: partitions in normal form, a
+polynomial file by the content digest of the parsed polynomial (never the
+path), a target by name and parameters or content digest, and the seed of
+``geo dualdim``.  code_version is the SHA-256 of this package's ``*.py``
+sources (so any change to the code invalidates every earlier entry).  A
+cache entry stores the run manifest (the key's inputs, timing and the result
+digest) next to the result record, the rendered human report and the
+verdict; the digest covers all three, so a cache hit replays the original
+bytes or is recomputed.
 """
 
 from __future__ import annotations
@@ -33,8 +42,9 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import zoo
 from .flatten import (
@@ -69,7 +79,7 @@ from .latin import (
     pairing_allvars_det,
     pairing_perm_det,
 )
-from .poly import Polynomial, dumps, loads, poly_digest, to_record
+from .poly import Polynomial, dumps, loads, polarize, poly_digest, to_record
 from .reptheory import (
     ObstructionReport,
     character,
@@ -84,28 +94,6 @@ from .reptheory import (
 # ---------------------------------------------------------------------------
 # Run manifests and the result cache
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record serialized with every cached result."""
-
-    command: Tuple[str, ...]
-    parameters: Dict[str, object]
-    seed: int
-    code_version: str
-    timing_seconds: float
-    result_digest: str
-
-    def to_record(self) -> dict:
-        return {
-            "command": list(self.command),
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "code_version": self.code_version,
-            "timing_seconds": self.timing_seconds,
-            "result_digest": self.result_digest,
-        }
 
 
 def _canonical(payload: object) -> bytes:
@@ -126,16 +114,13 @@ def code_digest() -> str:
     return h.hexdigest()
 
 
-def manifest_key(
-    command: Sequence[str], parameters: Dict[str, object], seed: int
-) -> str:
+def manifest_key(command: Sequence[str], parameters: Dict[str, object]) -> str:
     """Content address of a run: digest of the manifest *inputs*."""
     return hashlib.sha256(
         _canonical(
             {
                 "command": list(command),
                 "parameters": parameters,
-                "seed": seed,
                 "code_version": code_digest(),
             }
         )
@@ -235,14 +220,10 @@ def _progress(msg: str) -> None:
 
 @dataclass
 class CommandResult:
+    """A handler's record body, and its human report when not the record's."""
+
     record: dict
     human: Optional[str] = None
-    ok: bool = True
-
-    def rendered(self, json_mode: bool) -> str:
-        if json_mode:
-            return render_json(self.record)
-        return self.human if self.human is not None else render_human(self.record)
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +295,8 @@ def witness_from_record(rec: dict) -> object:
 
 
 # ---------------------------------------------------------------------------
-# Shared argument plumbing
+# Argument conversions
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class RunContext:
-    seed: int
-    rng: random.Random
-    cache_dir: str
-    json_mode: bool
 
 
 def _read_poly_file(path: str) -> Polynomial:
@@ -367,12 +340,39 @@ def _parse_partition(text: str) -> Tuple[int, ...]:
     return normalize_partition(parts)
 
 
-def _parse_weight(text: str) -> Tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def _parse_weight(text: str) -> Optional[Tuple[int, ...]]:
+    return tuple(int(x) for x in text.split(",")) if text else None
 
 
-def _parse_points(text: str) -> List[Fraction]:
-    return [Fraction(x) for x in text.split(",")]
+def _parse_points(text: str) -> Optional[List[Fraction]]:
+    return [Fraction(x) for x in text.split(",")] if text else None
+
+
+#: argument name -> its conversion, applied after parsing in declaration order
+_CONVERSIONS = {
+    "pi": _parse_partition,
+    "mu": _parse_partition,
+    "nu": _parse_partition,
+    "weight": _parse_weight,
+    "point": _parse_points,
+    "poly_file": _read_poly_file,
+    "target": _load_target,
+}
+
+
+def _echo(ns: argparse.Namespace, **fields: object) -> dict:
+    """A record that echoes the arguments given (``-o`` aside), then ``fields``."""
+    given = {name: getattr(ns, name) for name in ns.arg_names}
+    return {**{k: v for k, v in given.items() if v is not None}, **fields}
+
+
+def _key_value(value: object) -> object:
+    """What a converted argument contributes to the cache key."""
+    if isinstance(value, Polynomial):
+        return poly_digest(value)
+    if isinstance(value, Target):
+        return value.manifest_param()
+    return value
 
 
 def _write_text(path: str, text: str) -> None:
@@ -380,73 +380,59 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _file_or_stdout(
+    ns: argparse.Namespace, record: dict, text: str, field: str, value: object
+) -> CommandResult:
+    """With ``-o`` write ``text`` there; without, ``text`` is the human
+    report and ``value`` joins the record as ``field``."""
+    if ns.output:
+        _write_text(ns.output, text)
+        record["written_to"] = ns.output
+        return CommandResult(record)
+    record[field] = value
+    return CommandResult(record, human=text)
+
+
 # ---------------------------------------------------------------------------
 # zoo
 # ---------------------------------------------------------------------------
 
+#: scheme -> (number of parameters, their usage, what the witness describes)
+_SCHEMES = {
+    "fischer": (1, "one parameter: n", "fischer decomposition of x_1...x_n"),
+    "ryser": (1, "one parameter: n", "ryser decomposition of perm_n"),
+    "benor": (2, "two parameters: m k", "ben-or decomposition of l^{m-k} e_m^k"),
+}
 
-def cmd_zoo_make(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
+
+def cmd_zoo_make(ns: argparse.Namespace) -> CommandResult:
     p = zoo.make(ns.name, *ns.params)
-    record = {
-        "command": "zoo make",
-        "name": ns.name,
-        "params": list(ns.params),
-        "num_vars": p.num_vars,
-        "degree": _jsonable(p.degree()),
-        "terms": p.num_terms(),
-        "digest": poly_digest(p),
-    }
-    text = dumps(p)
-    if ns.output:
-        _write_text(ns.output, text)
-        record["written_to"] = ns.output
-        return CommandResult(record)
-    record["polynomial"] = to_record(p)
+    record = _echo(
+        ns,
+        num_vars=p.num_vars,
+        degree=p.degree(),
+        terms=p.num_terms(),
+        digest=poly_digest(p),
+    )
     # without -o the human report *is* the polynomial file
-    return CommandResult(record, human=text)
+    return _file_or_stdout(ns, record, dumps(p), "polynomial", to_record(p))
 
 
-def cmd_zoo_witness(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    if ns.scheme == "fischer":
-        if len(ns.params) != 1:
-            raise ValueError("fischer takes one parameter: n")
-        dec: object = zoo.fischer_decomposition(ns.params[0])
-        target = "fischer decomposition of x_1...x_n"
-    elif ns.scheme == "ryser":
-        if len(ns.params) != 1:
-            raise ValueError("ryser takes one parameter: n")
-        dec = zoo.ryser_decomposition(ns.params[0])
-        target = "ryser decomposition of perm_n"
-    elif ns.scheme == "benor":
-        if len(ns.params) != 2:
-            raise ValueError("benor takes two parameters: m k")
-        dec = zoo.benor_decomposition(ns.params[0], ns.params[1])
-        target = "ben-or decomposition of l^{m-k} e_m^k"
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown scheme {ns.scheme!r}")
-    rec_w = witness_to_record(dec)
+def cmd_zoo_witness(ns: argparse.Namespace) -> CommandResult:
+    arity, usage, target = _SCHEMES[ns.scheme]
+    if len(ns.params) != arity:
+        raise ValueError(f"{ns.scheme} takes {usage}")
+    rec_w = witness_to_record(getattr(zoo, f"{ns.scheme}_decomposition")(*ns.params))
+    record = _echo(ns, describes=target, kind=rec_w["kind"], terms=len(rec_w["terms"]))
     text = json.dumps(rec_w, indent=2) + "\n"
-    record = {
-        "command": "zoo witness",
-        "scheme": ns.scheme,
-        "params": list(ns.params),
-        "describes": target,
-        "kind": rec_w["kind"],
-        "terms": len(rec_w["terms"]),
-    }
-    if ns.output:
-        _write_text(ns.output, text)
-        record["written_to"] = ns.output
-        return CommandResult(record)
-    record["witness"] = rec_w
-    return CommandResult(record, human=text)
+    return _file_or_stdout(ns, record, text, "witness", rec_w)
 
 
-def cmd_zoo_verify(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
+def cmd_zoo_verify(ns: argparse.Namespace) -> CommandResult:
     with open(ns.witness, "r", encoding="utf-8") as fh:
         rec_w = json.load(fh)
     w = witness_from_record(rec_w)
-    target = _read_poly_file(ns.target)
+    target = _read_poly_file(ns.target_file)
     if isinstance(w, zoo.WaringDecomposition):
         report = zoo.verify_waring(w, target)
     elif isinstance(w, zoo.ChowDecomposition):
@@ -454,14 +440,13 @@ def cmd_zoo_verify(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
     else:
         report = zoo.verify_det_expression(w, target)
     record = {
-        "command": "zoo verify",
         "witness": ns.witness,
-        "target": ns.target,
+        "target": ns.target_file,
         "kind": rec_w.get("kind"),
         "ok": report.ok,
         "message": report.message,
     }
-    return CommandResult(record, human=report.message + "\n", ok=report.ok)
+    return CommandResult(record, human=report.message + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -469,40 +454,26 @@ def cmd_zoo_verify(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 
-def _flatten_param(ns: argparse.Namespace) -> Dict[str, object]:
-    ns.loaded_poly = _read_poly_file(ns.poly_file)
-    params: Dict[str, object] = {"poly_digest": poly_digest(ns.loaded_poly)}
-    for attr in ("k", "shift"):
-        if hasattr(ns, attr):
-            params[attr] = getattr(ns, attr)
-    return params
-
-
-def cmd_flatten_rank(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    from .poly import polarize
-
-    p: Polynomial = ns.loaded_poly
+def cmd_flatten_rank(ns: argparse.Namespace) -> CommandResult:
+    p: Polynomial = ns.poly_file
     d = p.degree()
     if d is None or not p.is_homogeneous():
         raise ValueError("need a nonzero homogeneous polynomial")
     k = ns.k if ns.k is not None else d // 2
     fm = polarize(p, k)
     record = {
-        "command": "flatten rank",
         "poly_digest": poly_digest(p),
         "degree": d,
         "k": k,
-        "shape": list(fm.shape),
+        "shape": fm.shape,
         "rank": exact_rank(fm),
     }
     return CommandResult(record)
 
 
-def cmd_flatten_waring_lb(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    p: Polynomial = ns.loaded_poly
-    b = waring_border_lower_bound(p)
+def _border_bound(p: Polynomial, lower_bound) -> CommandResult:
+    b = lower_bound(p)
     record = {
-        "command": "flatten waring-lb",
         "poly_digest": poly_digest(p),
         "bound": b.bound,
         "best_k": b.best_k,
@@ -511,24 +482,18 @@ def cmd_flatten_waring_lb(ns: argparse.Namespace, ctx: RunContext) -> CommandRes
     return CommandResult(record)
 
 
-def cmd_flatten_chow_lb(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    p: Polynomial = ns.loaded_poly
-    b = chow_border_lower_bound(p)
-    record = {
-        "command": "flatten chow-lb",
-        "poly_digest": poly_digest(p),
-        "bound": b.bound,
-        "best_k": b.best_k,
-        "ranks": {str(k): b.ranks[k] for k in sorted(b.ranks)},
-    }
-    return CommandResult(record)
+def cmd_flatten_waring_lb(ns: argparse.Namespace) -> CommandResult:
+    return _border_bound(ns.poly_file, waring_border_lower_bound)
 
 
-def cmd_flatten_shifted(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    p: Polynomial = ns.loaded_poly
+def cmd_flatten_chow_lb(ns: argparse.Namespace) -> CommandResult:
+    return _border_bound(ns.poly_file, chow_border_lower_bound)
+
+
+def cmd_flatten_shifted(ns: argparse.Namespace) -> CommandResult:
+    p: Polynomial = ns.poly_file
     dim = shifted_partials_dim(p, ns.k, ns.shift)
     record = {
-        "command": "flatten shifted",
         "poly_digest": poly_digest(p),
         "k": ns.k,
         "shift": ns.shift,
@@ -542,41 +507,27 @@ def cmd_flatten_shifted(ns: argparse.Namespace, ctx: RunContext) -> CommandResul
 # ---------------------------------------------------------------------------
 
 
-def cmd_hhh_rank(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    record: Dict[str, object] = {
-        "command": "hhh rank",
-        "d": ns.d,
-        "n": ns.n,
-        "v": ns.v,
-    }
+def cmd_hhh_rank(ns: argparse.Namespace) -> CommandResult:
+    record = _echo(ns)
     if ns.weight:
-        w = _parse_weight(ns.weight)
-        block = build_hhh(ns.d, ns.n, ns.v, w)
-        record["weight"] = list(w)
-        record["shape"] = list(block.shape)
+        block = build_hhh(ns.d, ns.n, ns.v, ns.weight)
+        record["shape"] = block.shape
         record["rank"] = block.rank()
-    else:
-        dom = sym_sym_dim(ns.d, ns.n, ns.v)
-        r = hhh_rank(ns.d, ns.n, ns.v)
-        record["domain_dimension"] = dom
-        record["codomain_dimension"] = sym_sym_dim(ns.n, ns.d, ns.v)
-        record["rank"] = r
-        record["kernel_dimension"] = dom - r
+        return CommandResult(record)
+    dom = sym_sym_dim(ns.d, ns.n, ns.v)
+    r = hhh_rank(ns.d, ns.n, ns.v)
+    record["domain_dimension"] = dom
+    record["codomain_dimension"] = sym_sym_dim(ns.n, ns.d, ns.v)
+    record["rank"] = r
+    record["kernel_dimension"] = dom - r
     return CommandResult(record)
 
 
-def cmd_hhh_kernel(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    record: Dict[str, object] = {
-        "command": "hhh kernel",
-        "d": ns.d,
-        "n": ns.n,
-        "v": ns.v,
-    }
+def cmd_hhh_kernel(ns: argparse.Namespace) -> CommandResult:
+    record = _echo(ns)
     if ns.weight:
-        w = _parse_weight(ns.weight)
-        block = build_hhh(ns.d, ns.n, ns.v, w)
+        block = build_hhh(ns.d, ns.n, ns.v, ns.weight)
         rows, cols = block.shape
-        record["weight"] = list(w)
         record["shape"] = [rows, cols]
         record["kernel_dimension"] = cols - block.rank()
         return CommandResult(record)
@@ -593,19 +544,14 @@ def cmd_hhh_kernel(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
     return CommandResult(record)
 
 
-def cmd_hhh_character(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
+def cmd_hhh_character(ns: argparse.Namespace) -> CommandResult:
     ch = kernel_character(ns.d, ns.n, ns.v)
     ordered = sorted(ch, reverse=True)
-    record = {
-        "command": "hhh character",
-        "d": ns.d,
-        "n": ns.n,
-        "v": ns.v,
-        "kernel_multiplicities": {_key_str(pi): ch[pi] for pi in ordered},
-        "kernel_dimension": sum(
-            m * schur_dimension(pi, ns.v) for pi, m in ch.items()
-        ),
-    }
+    record = _echo(
+        ns,
+        kernel_multiplicities={_key_str(pi): ch[pi] for pi in ordered},
+        kernel_dimension=sum(m * schur_dimension(pi, ns.v) for pi, m in ch.items()),
+    )
     return CommandResult(record)
 
 
@@ -614,96 +560,50 @@ def cmd_hhh_character(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 
-def cmd_rep_char(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    pi = _parse_partition(ns.pi)
-    mu = _parse_partition(ns.mu)
-    record = {
-        "command": "rep char",
-        "pi": list(pi),
-        "mu": list(mu),
-        "value": character(pi, mu),
-    }
-    return CommandResult(record)
+def cmd_rep_char(ns: argparse.Namespace) -> CommandResult:
+    return CommandResult(_echo(ns, value=character(ns.pi, ns.mu)))
 
 
-def cmd_rep_kron(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    pi = _parse_partition(ns.pi)
-    mu = _parse_partition(ns.mu)
-    nu = _parse_partition(ns.nu)
-    record = {
-        "command": "rep kron",
-        "pi": list(pi),
-        "mu": list(mu),
-        "nu": list(nu),
-        "value": kronecker(pi, mu, nu),
-    }
-    return CommandResult(record)
+def cmd_rep_kron(ns: argparse.Namespace) -> CommandResult:
+    return CommandResult(_echo(ns, value=kronecker(ns.pi, ns.mu, ns.nu)))
 
 
-def cmd_rep_skron(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    pi = _parse_partition(ns.pi)
-    mu = _parse_partition(ns.mu)
-    record = {
-        "command": "rep skron",
-        "pi": list(pi),
-        "mu": list(mu),
-        "value": symmetric_kronecker(pi, mu),
-    }
-    return CommandResult(record)
+def cmd_rep_skron(ns: argparse.Namespace) -> CommandResult:
+    return CommandResult(_echo(ns, value=symmetric_kronecker(ns.pi, ns.mu)))
 
 
-def cmd_rep_pleth(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    pi = _parse_partition(ns.pi)
-    record = {
-        "command": "rep pleth",
-        "pi": list(pi),
-        "d": ns.d,
-        "n": ns.n,
-        "value": plethysm_mult(pi, ns.d, ns.n),
-    }
-    return CommandResult(record)
+def cmd_rep_pleth(ns: argparse.Namespace) -> CommandResult:
+    return CommandResult(_echo(ns, value=plethysm_mult(ns.pi, ns.d, ns.n)))
 
 
-def cmd_rep_obstruct(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    pi = _parse_partition(ns.pi)
-    if sum(pi) != ns.d * ns.n:
-        raise ValueError(f"|pi|={sum(pi)} must equal d*n={ns.d * ns.n}")
-    mu = (ns.d,) * ns.n
-    _progress(f"[1/3] plethysm multiplicity of {pi} in S^{ns.d}(S^{ns.n}) ...")
-    mult = plethysm_mult(pi, ns.d, ns.n)
+def cmd_rep_obstruct(ns: argparse.Namespace) -> CommandResult:
+    pi, d, n = ns.pi, ns.d, ns.n
+    if sum(pi) != d * n:
+        raise ValueError(f"|pi|={sum(pi)} must equal d*n={d * n}")
+    mu = (d,) * n
+    _progress(f"[1/3] plethysm multiplicity of {pi} in S^{d}(S^{n}) ...")
+    mult = plethysm_mult(pi, d, n)
     _progress(f"      mult = {mult}")
-    _progress(f"[2/3] Kronecker coefficient k(pi, {ns.d}^{ns.n}, {ns.d}^{ns.n}) ...")
+    _progress(f"[2/3] Kronecker coefficient k(pi, {d}^{n}, {d}^{n}) ...")
     kron = kronecker(pi, mu, mu)
     _progress(f"      k = {kron}")
-    _progress(f"[3/3] symmetric Kronecker sk(pi, {ns.d}^{ns.n}) ...")
+    _progress(f"[3/3] symmetric Kronecker sk(pi, {d}^{n}) ...")
     sk = symmetric_kronecker(pi, mu)
     _progress(f"      sk = {sk}")
-    report = ObstructionReport(pi=pi, d=ns.d, n=ns.n, mult=mult, kron=kron, sym_kron=sk)
-    record = {
-        "command": "rep obstruct",
-        "pi": list(pi),
-        "d": ns.d,
-        "n": ns.n,
-        "mult": mult,
-        "kronecker": kron,
-        "symmetric_kronecker": sk,
-        "representation_obstruction": report.is_representation_obstruction,
-        "occurrence_obstruction": report.is_occurrence_obstruction,
-    }
+    report = ObstructionReport(pi=pi, d=d, n=n, mult=mult, kron=kron, sym_kron=sk)
+    record = _echo(
+        ns,
+        mult=mult,
+        kronecker=kron,
+        symmetric_kronecker=sk,
+        representation_obstruction=report.is_representation_obstruction,
+        occurrence_obstruction=report.is_occurrence_obstruction,
+    )
     return CommandResult(record)
 
 
-def cmd_rep_useful(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    pi = _parse_partition(ns.pi)
-    record = {
-        "command": "rep useful",
-        "pi": list(pi),
-        "d": ns.d,
-        "n": ns.n,
-        "m": ns.m,
-        "value": gct_useful_filter(pi, ns.d, ns.n, ns.m),
-    }
-    return CommandResult(record)
+def cmd_rep_useful(ns: argparse.Namespace) -> CommandResult:
+    return CommandResult(_echo(ns, value=gct_useful_filter(ns.pi, ns.d, ns.n, ns.m)))
 
 
 # ---------------------------------------------------------------------------
@@ -711,10 +611,9 @@ def cmd_rep_useful(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 
-def cmd_latin_count(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
+def cmd_latin_count(ns: argparse.Namespace) -> CommandResult:
     at = alon_tarsi_count_reduced(ns.n)
     record = {
-        "command": "latin count",
         "n": at.n,
         "count_plus": at.count_plus,
         "count_minus": at.count_minus,
@@ -727,7 +626,7 @@ def cmd_latin_count(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
     return CommandResult(record)
 
 
-def cmd_latin_pairing(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
+def cmd_latin_pairing(ns: argparse.Namespace) -> CommandResult:
     if ns.all_vars:
         value = pairing_allvars_det(ns.n)
         pairing = "allvars-det"
@@ -737,11 +636,10 @@ def cmd_latin_pairing(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
         pairing = "perm-det"
         description = "differential pairing <perm_n^n, det_n^n>"
     record = {
-        "command": "latin pairing",
         "n": ns.n,
         "pairing": pairing,
         "description": description,
-        "value": _jsonable(value),
+        "value": value,
         "nonzero": value != 0,
     }
     return CommandResult(record)
@@ -752,49 +650,40 @@ def cmd_latin_pairing(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 
-def _target_param(ns: argparse.Namespace) -> Dict[str, object]:
-    ns.loaded_target = _load_target(ns.target)
-    params: Dict[str, object] = {"target": ns.loaded_target.manifest_param()}
-    for attr in ("s", "point"):
-        if hasattr(ns, attr):
-            params[attr] = getattr(ns, attr)
-    return params
+def _pass_fail(record: dict, claim: str) -> CommandResult:
+    """An identity check: the human report is one PASS/FAIL line."""
+    return CommandResult(record, human=f"{claim}: {'PASS' if record['ok'] else 'FAIL'}\n")
 
 
-def cmd_geo_hessian(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    tgt: Target = ns.loaded_target
+def cmd_geo_hessian(ns: argparse.Namespace) -> CommandResult:
+    tgt: Target = ns.target
     h = hessian(tgt.poly)
     record: Dict[str, object] = {
-        "command": "geo hessian",
         "target": tgt.label(),
         "size": h.size,
         "num_vars": h.num_vars,
-        "entry_degree": _jsonable(tgt.poly.degree() - 2),
+        "entry_degree": tgt.poly.degree() - 2,
     }
-    full = {
-        "size": h.size,
-        "num_vars": h.num_vars,
-        "entries": [[to_record(e) for e in row] for row in h.entries],
-    }
+    entries = [[to_record(e) for e in row] for row in h.entries]
     if ns.output:
+        full = {"size": h.size, "num_vars": h.num_vars, "entries": entries}
         _write_text(ns.output, json.dumps(full, indent=2) + "\n")
         record["written_to"] = ns.output
     else:
-        record["entries"] = full["entries"]
+        record["entries"] = entries
     return CommandResult(record)
 
 
-def cmd_geo_cp(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    tgt: Target = ns.loaded_target
+def cmd_geo_cp(ns: argparse.Namespace) -> CommandResult:
+    tgt: Target = ns.target
     h = hessian(tgt.poly)
     cp = cp_coefficient(h, ns.s)
     record: Dict[str, object] = {
-        "command": "geo cp",
         "target": tgt.label(),
         "s": ns.s,
         "matrix": f"H({tgt.label()})",
         "terms": cp.num_terms(),
-        "degree": _jsonable(cp.degree()),
+        "degree": cp.degree(),
         "digest": poly_digest(cp),
     }
     if ns.output:
@@ -803,11 +692,10 @@ def cmd_geo_cp(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
     return CommandResult(record)
 
 
-def cmd_geo_sfturbo(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
+def cmd_geo_sfturbo(ns: argparse.Namespace) -> CommandResult:
     checks = tuple(ns.checks.split(",")) if ns.checks else None
     report = verify_sfturbo(ns.v, checks=checks)
     record = {
-        "command": "geo sfturbo",
         "v": ns.v,
         "checks": [
             {"name": c.name, "ok": c.ok, "detail": c.detail}
@@ -815,58 +703,44 @@ def cmd_geo_sfturbo(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
         ],
         "ok": report.ok,
     }
-    return CommandResult(record, human=report.summary() + "\n", ok=report.ok)
+    return CommandResult(record, human=report.summary() + "\n")
 
 
-def cmd_geo_discriminant(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    ok = verify_discriminant_identity()
+def cmd_geo_discriminant(ns: argparse.Namespace) -> CommandResult:
     record = {
-        "command": "geo discriminant",
         "identity": "det(H(Delta)) = 3888 * Delta^2",
-        "ok": ok,
+        "ok": verify_discriminant_identity(),
     }
-    human = f"det(H(Δ)) = 3888·Δ²: {'PASS' if ok else 'FAIL'}\n"
-    return CommandResult(record, human=human, ok=ok)
+    return _pass_fail(record, "det(H(Δ)) = 3888·Δ²")
 
 
-def cmd_geo_cayley(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    ok = cayley_check(ns.n, ns.s)
-    record = {
-        "command": "geo cayley",
-        "n": ns.n,
-        "s": ns.s,
-        "identity": "det(d/dx) det^{s+1} = ((s+n)!/s!) det^s",
-        "ok": ok,
-    }
-    human = f"Cayley identity at n={ns.n}, s={ns.s}: {'PASS' if ok else 'FAIL'}\n"
-    return CommandResult(record, human=human, ok=ok)
-
-
-def cmd_geo_sylfranke(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    ok = verify_sylvester_franke(ns.v, ns.k, ns.p)
-    record = {
-        "command": "geo sylfranke",
-        "v": ns.v,
-        "k": ns.k,
-        "p": ns.p,
-        "statement": "det(A)^p divides cp_{C(v-1,k)+p}(compound(A,k))",
-        "ok": ok,
-    }
-    human = (
-        f"det^{ns.p} | cp_{comb(ns.v - 1, ns.k) + ns.p}"
-        f"(Λ^{ns.k} A) at v={ns.v}: {'PASS' if ok else 'FAIL'}\n"
+def cmd_geo_cayley(ns: argparse.Namespace) -> CommandResult:
+    record = _echo(
+        ns,
+        identity="det(d/dx) det^{s+1} = ((s+n)!/s!) det^s",
+        ok=cayley_check(ns.n, ns.s),
     )
-    return CommandResult(record, human=human, ok=ok)
+    return _pass_fail(record, f"Cayley identity at n={ns.n}, s={ns.s}")
 
 
-def cmd_geo_dualdim(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    tgt: Target = ns.loaded_target
+def cmd_geo_sylfranke(ns: argparse.Namespace) -> CommandResult:
+    record = _echo(
+        ns,
+        statement="det(A)^p divides cp_{C(v-1,k)+p}(compound(A,k))",
+        ok=verify_sylvester_franke(ns.v, ns.k, ns.p),
+    )
+    claim = f"det^{ns.p} | cp_{comb(ns.v - 1, ns.k) + ns.p}(Λ^{ns.k} A) at v={ns.v}"
+    return _pass_fail(record, claim)
+
+
+def cmd_geo_dualdim(ns: argparse.Namespace) -> CommandResult:
+    tgt: Target = ns.target
     if ns.point:
-        point = _parse_points(ns.point)
+        point = ns.point
         origin = "explicit"
     elif tgt.name == "det":
-        point = sample_det_smooth_zero(tgt.params[0], ctx.rng)
-        origin = f"sampled rank-{tgt.params[0] - 1} matrix (seed {ctx.seed})"
+        point = sample_det_smooth_zero(tgt.params[0], random.Random(ns.seed))
+        origin = f"sampled rank-{tgt.params[0] - 1} matrix (seed {ns.seed})"
     elif tgt.name == "perm":
         point = perm_special_point(tgt.params[0])
         origin = "all-ones matrix with entry (1,1) = -(m-1)"
@@ -876,19 +750,17 @@ def cmd_geo_dualdim(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
         )
     dd = dual_dimension_at(tgt.poly, point)
     record = {
-        "command": "geo dualdim",
         "target": tgt.label(),
-        "point": [str(x) for x in point],
+        "point": point,
         "point_origin": origin,
         "dual_dimension": dd,
     }
     return CommandResult(record)
 
 
-def cmd_geo_stab(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
-    tgt: Target = ns.loaded_target
+def cmd_geo_stab(ns: argparse.Namespace) -> CommandResult:
+    tgt: Target = ns.target
     record = {
-        "command": "geo stab",
         "target": tgt.label(),
         "stabilizer_lie_dim": stabilizer_lie_dim(tgt.poly),
     }
@@ -896,55 +768,129 @@ def cmd_geo_stab(ns: argparse.Namespace, ctx: RunContext) -> CommandResult:
 
 
 # ---------------------------------------------------------------------------
-# Parser construction
+# The command table and the parser built from it
 # ---------------------------------------------------------------------------
 
-_BOOL_FLAGS = ("--json", "--no-cache")
-_VALUE_FLAGS = ("--seed", "--cache-dir")
+Arg = Tuple[Tuple[str, ...], dict]
+
+
+def _arg(*flags: str, **kwargs: object) -> Arg:
+    """One ``add_argument`` call, kept as data."""
+    return flags, kwargs
+
+
+def _ints(*names: str) -> Tuple[Arg, ...]:
+    """Integer positional arguments."""
+    return tuple(_arg(name, type=int) for name in names)
+
+
+_DNV = _ints("d", "n", "v")
+_POLY_FILE = (_arg("poly_file"),)
+_WEIGHT = _arg("--weight", default=None, help="comma list, e.g. 5,5,5,5,5")
+_PI_MU = (_arg("pi"), _arg("mu"))
+_PI_D_N = (_arg("pi"), *_ints("d", "n"))
+_TARGET = _arg("target", nargs="+")
+
+#: group -> (help, {command -> (help, cacheable, argument specs)})
+COMMANDS: Dict[str, Tuple[str, Dict[str, Tuple[str, bool, Tuple[Arg, ...]]]]] = {
+    "zoo": ("named polynomials, witnesses, verification", {
+        "make": ("emit a named polynomial as a polynomial file", False, (
+            _arg("name", help="det perm elem chow fermat sumprod imm pascal_det p_lambda "
+                 "discriminant padded_elem"),
+            _arg("params", nargs="*", type=int),
+            _arg("-o", "--output", default=None, help="write to file instead of stdout"),
+        )),
+        "witness": ("emit a classical decomposition witness file", False, (
+            _arg("scheme", choices=("fischer", "ryser", "benor")),
+            _arg("params", nargs="*", type=int),
+            _arg("-o", "--output", default=None),
+        )),
+        "verify": ("verify a witness file against a target polynomial file", False, (
+            _arg("witness"),
+            _arg("target_file", metavar="target"),
+        )),
+    }),
+    "flatten": ("exact flattening ranks and lower bounds", {
+        "rank": ("rank of the k-th catalecticant (default middle)", True, (
+            *_POLY_FILE,
+            _arg("--k", type=int, default=None),
+        )),
+        "waring-lb": ("Waring border-rank lower bound over all catalecticants", True, _POLY_FILE),
+        "chow-lb": ("Chow border-rank lower bound over all catalecticants", True, _POLY_FILE),
+        "shifted": ("dimension of the shifted partial-derivative space", True, (
+            *_POLY_FILE,
+            _arg("--k", type=int, required=True),
+            _arg("--l", dest="shift", type=int, required=True, help="shift degree"),
+        )),
+    }),
+    "hhh": ("the Hermite-Hadamard-Howe map h_{d,n}", {
+        "rank": ("rank of h_{d,n} on C^v (or of one weight block)", True, (*_DNV, _WEIGHT)),
+        "kernel": ("kernel dimensions by dominant weight", True, (*_DNV, _WEIGHT)),
+        "character": ("GL-character of ker h_{d,n} as Schur multiplicities", True, _DNV),
+    }),
+    "rep": ("symmetric-group multiplicity calculus", {
+        "char": ("irreducible character value chi^pi(mu)", False, _PI_MU),
+        "kron": ("Kronecker coefficient k(pi, mu, nu)", False, (*_PI_MU, _arg("nu"))),
+        "skron": ("symmetric Kronecker coefficient sk(pi, mu)", False, _PI_MU),
+        "pleth": ("multiplicity of S_pi in S^d(S^n)", True, _PI_D_N),
+        "obstruct": ("occurrence-obstruction data (mult, k, sk) for det_n", True, _PI_D_N),
+        "useful": ("necessary (n,m)-GCT-usefulness filter", False, (*_PI_D_N, *_ints("m"))),
+    }),
+    "latin": ("Alon-Tarsi sign counting and pairings", {
+        "count": ("signed Latin-square counts (reduced enumeration)", True, _ints("n")),
+        "pairing": ("differential pairing <perm^n, det^n> (or all-vars coefficient)", True, (
+            *_ints("n"),
+            _arg("--all-vars", action="store_true"),
+        )),
+    }),
+    "geo": ("Hessians, cp identities, dual/stabilizer dims", {
+        "hessian": ("Hessian matrix of a target polynomial", False, (
+            _arg("target", nargs="+", help="'det 3', 'perm 3', ... or a polynomial file"),
+            _arg("-o", "--output", default=None, help="write entries as JSON"),
+        )),
+        "cp": ("characteristic coefficient cp_s of the Hessian", True, (
+            _TARGET,
+            _arg("--s", type=int, required=True),
+            _arg("-o", "--output", default=None, help="write cp_s as a polynomial file"),
+        )),
+        "sfturbo": ("characteristic-coefficient identities for H(det_v)", True, (
+            *_ints("v"),
+            _arg("--checks", default=None,
+                 help="comma list from cp1,cp2_negative,cp3,cp5,cp8,cp9"),
+        )),
+        "discriminant": (
+            "verify det(H(Delta)) = 3888 Delta^2 for the binary-cubic discriminant", True, ()
+        ),
+        "cayley": (
+            "Cayley identity det(d/dx) det^{s+1} = ((s+n)!/s!) det^s", True, _ints("n", "s")
+        ),
+        "sylfranke": (
+            "Sylvester-Franke divisibility for compound matrices", True, _ints("v", "k", "p")
+        ),
+        "dualdim": ("dual-variety dimension at a smooth zero", True, (
+            _TARGET,
+            _arg("--point", default=None, help="comma list of rationals"),
+            _arg("--seed", type=int, default=0, help="seed for sampled points (default 0)"),
+        )),
+        "stab": ("dimension of the gl(v) stabilizer Lie algebra", True, (_TARGET,)),
+    }),
+}
 
 
 def _hoist_globals(argv: Sequence[str]) -> List[str]:
     """Move global flags to the front so they may appear anywhere."""
     front: List[str] = []
     rest: List[str] = []
-    i = 0
-    while i < len(argv):
-        a = argv[i]
-        if a in _BOOL_FLAGS:
+    tokens = iter(argv)
+    for a in tokens:
+        if a in ("--json", "--no-cache") or a.startswith("--cache-dir="):
             front.append(a)
-        elif a in _VALUE_FLAGS:
+        elif a == "--cache-dir":
             front.append(a)
-            if i + 1 < len(argv):
-                i += 1
-                front.append(argv[i])
-        elif any(a.startswith(f + "=") for f in _VALUE_FLAGS):
-            front.append(a)
+            front.extend(islice(tokens, 1))  # its value, if there is one
         else:
             rest.append(a)
-        i += 1
     return front + rest
-
-
-def _leaf(
-    sub,
-    name: str,
-    handler: Callable,
-    *,
-    command: Tuple[str, ...],
-    cacheable: bool = False,
-    param_names: Tuple[str, ...] = (),
-    param_fn: Optional[Callable] = None,
-    help: str = "",
-):
-    sp = sub.add_parser(name, help=help, description=help)
-    sp.set_defaults(
-        handler=handler,
-        command=command,
-        cacheable=cacheable,
-        param_names=param_names,
-        param_fn=param_fn,
-    )
-    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -955,167 +901,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--no-cache", action="store_true", help="bypass the result cache")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled points (default 0)")
     parser.add_argument("--cache-dir", default=None,
                         help="cache directory (default $GCT_CACHE_DIR or ~/.cache/gct)")
     groups = parser.add_subparsers(dest="group", metavar="GROUP", required=True)
-
-    # --- zoo ---------------------------------------------------------------
-    g = groups.add_parser("zoo", help="named polynomials, witnesses, verification")
-    sub = g.add_subparsers(dest="cmd", metavar="CMD", required=True)
-    sp = _leaf(sub, "make", cmd_zoo_make, command=("zoo", "make"),
-               help="emit a named polynomial as a polynomial file")
-    sp.add_argument("name", help="det perm elem chow fermat sumprod imm pascal_det p_lambda discriminant padded_elem")
-    sp.add_argument("params", nargs="*", type=int)
-    sp.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
-    sp = _leaf(sub, "witness", cmd_zoo_witness, command=("zoo", "witness"),
-               help="emit a classical decomposition witness file")
-    sp.add_argument("scheme", choices=("fischer", "ryser", "benor"))
-    sp.add_argument("params", nargs="*", type=int)
-    sp.add_argument("-o", "--output", default=None)
-    sp = _leaf(sub, "verify", cmd_zoo_verify, command=("zoo", "verify"),
-               help="verify a witness file against a target polynomial file")
-    sp.add_argument("witness")
-    sp.add_argument("target")
-
-    # --- flatten -----------------------------------------------------------
-    g = groups.add_parser("flatten", help="exact flattening ranks and lower bounds")
-    sub = g.add_subparsers(dest="cmd", metavar="CMD", required=True)
-    sp = _leaf(sub, "rank", cmd_flatten_rank, command=("flatten", "rank"),
-               cacheable=True, param_fn=_flatten_param,
-               help="rank of the k-th catalecticant (default middle)")
-    sp.add_argument("poly_file")
-    sp.add_argument("--k", type=int, default=None)
-    sp = _leaf(sub, "waring-lb", cmd_flatten_waring_lb, command=("flatten", "waring-lb"),
-               cacheable=True, param_fn=_flatten_param,
-               help="Waring border-rank lower bound over all catalecticants")
-    sp.add_argument("poly_file")
-    sp = _leaf(sub, "chow-lb", cmd_flatten_chow_lb, command=("flatten", "chow-lb"),
-               cacheable=True, param_fn=_flatten_param,
-               help="Chow border-rank lower bound over all catalecticants")
-    sp.add_argument("poly_file")
-    sp = _leaf(sub, "shifted", cmd_flatten_shifted, command=("flatten", "shifted"),
-               cacheable=True, param_fn=_flatten_param,
-               help="dimension of the shifted partial-derivative space")
-    sp.add_argument("poly_file")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--l", dest="shift", type=int, required=True, help="shift degree")
-
-    # --- hhh ---------------------------------------------------------------
-    g = groups.add_parser("hhh", help="the Hermite-Hadamard-Howe map h_{d,n}")
-    sub = g.add_subparsers(dest="cmd", metavar="CMD", required=True)
-    for cname, handler, chelp in (
-        ("rank", cmd_hhh_rank, "rank of h_{d,n} on C^v (or of one weight block)"),
-        ("kernel", cmd_hhh_kernel, "kernel dimensions by dominant weight"),
-        ("character", cmd_hhh_character, "GL-character of ker h_{d,n} as Schur multiplicities"),
-    ):
-        sp = _leaf(sub, cname, handler, command=("hhh", cname),
-                   cacheable=True,
-                   param_names=("d", "n", "v", "weight") if cname != "character" else ("d", "n", "v"),
-                   help=chelp)
-        sp.add_argument("d", type=int)
-        sp.add_argument("n", type=int)
-        sp.add_argument("v", type=int)
-        if cname != "character":
-            sp.add_argument("--weight", default=None, help="comma list, e.g. 5,5,5,5,5")
-
-    # --- rep ---------------------------------------------------------------
-    g = groups.add_parser("rep", help="symmetric-group multiplicity calculus")
-    sub = g.add_subparsers(dest="cmd", metavar="CMD", required=True)
-    sp = _leaf(sub, "char", cmd_rep_char, command=("rep", "char"),
-               help="irreducible character value chi^pi(mu)")
-    sp.add_argument("pi")
-    sp.add_argument("mu")
-    sp = _leaf(sub, "kron", cmd_rep_kron, command=("rep", "kron"),
-               help="Kronecker coefficient k(pi, mu, nu)")
-    sp.add_argument("pi")
-    sp.add_argument("mu")
-    sp.add_argument("nu")
-    sp = _leaf(sub, "skron", cmd_rep_skron, command=("rep", "skron"),
-               help="symmetric Kronecker coefficient sk(pi, mu)")
-    sp.add_argument("pi")
-    sp.add_argument("mu")
-    sp = _leaf(sub, "pleth", cmd_rep_pleth, command=("rep", "pleth"),
-               cacheable=True, param_names=("pi", "d", "n"),
-               help="multiplicity of S_pi in S^d(S^n)")
-    sp.add_argument("pi")
-    sp.add_argument("d", type=int)
-    sp.add_argument("n", type=int)
-    sp = _leaf(sub, "obstruct", cmd_rep_obstruct, command=("rep", "obstruct"),
-               cacheable=True, param_names=("pi", "d", "n"),
-               help="occurrence-obstruction data (mult, k, sk) for det_n")
-    sp.add_argument("pi")
-    sp.add_argument("d", type=int)
-    sp.add_argument("n", type=int)
-    sp = _leaf(sub, "useful", cmd_rep_useful, command=("rep", "useful"),
-               help="necessary (n,m)-GCT-usefulness filter")
-    sp.add_argument("pi")
-    sp.add_argument("d", type=int)
-    sp.add_argument("n", type=int)
-    sp.add_argument("m", type=int)
-
-    # --- latin -------------------------------------------------------------
-    g = groups.add_parser("latin", help="Alon-Tarsi sign counting and pairings")
-    sub = g.add_subparsers(dest="cmd", metavar="CMD", required=True)
-    sp = _leaf(sub, "count", cmd_latin_count, command=("latin", "count"),
-               cacheable=True, param_names=("n",),
-               help="signed Latin-square counts (reduced enumeration)")
-    sp.add_argument("n", type=int)
-    sp = _leaf(sub, "pairing", cmd_latin_pairing, command=("latin", "pairing"),
-               cacheable=True, param_names=("n", "all_vars"),
-               help="differential pairing <perm^n, det^n> (or all-vars coefficient)")
-    sp.add_argument("n", type=int)
-    sp.add_argument("--all-vars", action="store_true")
-
-    # --- geo ---------------------------------------------------------------
-    g = groups.add_parser("geo", help="Hessians, cp identities, dual/stabilizer dims")
-    sub = g.add_subparsers(dest="cmd", metavar="CMD", required=True)
-    sp = _leaf(sub, "hessian", cmd_geo_hessian, command=("geo", "hessian"),
-               help="Hessian matrix of a target polynomial")
-    sp.add_argument("target", nargs="+", help="'det 3', 'perm 3', ... or a polynomial file")
-    sp.add_argument("-o", "--output", default=None, help="write entries as JSON")
-    sp.set_defaults(param_fn=_target_param)
-    sp = _leaf(sub, "cp", cmd_geo_cp, command=("geo", "cp"),
-               cacheable=True, param_fn=_target_param,
-               help="characteristic coefficient cp_s of the Hessian")
-    sp.add_argument("target", nargs="+")
-    sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("-o", "--output", default=None, help="write cp_s as a polynomial file")
-    sp = _leaf(sub, "sfturbo", cmd_geo_sfturbo, command=("geo", "sfturbo"),
-               cacheable=True, param_names=("v", "checks"),
-               help="characteristic-coefficient identities for H(det_v)")
-    sp.add_argument("v", type=int)
-    sp.add_argument("--checks", default=None,
-                    help="comma list from cp1,cp2_negative,cp3,cp5,cp8,cp9")
-    sp = _leaf(sub, "discriminant", cmd_geo_discriminant, command=("geo", "discriminant"),
-               cacheable=True,
-               help="verify det(H(Delta)) = 3888 Delta^2 for the binary-cubic discriminant")
-    sp = _leaf(sub, "cayley", cmd_geo_cayley, command=("geo", "cayley"),
-               cacheable=True, param_names=("n", "s"),
-               help="Cayley identity det(d/dx) det^{s+1} = ((s+n)!/s!) det^s")
-    sp.add_argument("n", type=int)
-    sp.add_argument("s", type=int)
-    sp = _leaf(sub, "sylfranke", cmd_geo_sylfranke, command=("geo", "sylfranke"),
-               cacheable=True, param_names=("v", "k", "p"),
-               help="Sylvester-Franke divisibility for compound matrices")
-    sp.add_argument("v", type=int)
-    sp.add_argument("k", type=int)
-    sp.add_argument("p", type=int)
-    sp = _leaf(sub, "dualdim", cmd_geo_dualdim, command=("geo", "dualdim"),
-               cacheable=True, param_fn=_target_param,
-               help="dual-variety dimension at a smooth zero")
-    sp.add_argument("target", nargs="+")
-    sp.add_argument("--point", default=None, help="comma list of rationals")
-    sp = _leaf(sub, "stab", cmd_geo_stab, command=("geo", "stab"),
-               cacheable=True, param_fn=_target_param,
-               help="dimension of the gl(v) stabilizer Lie algebra")
-    sp.add_argument("target", nargs="+")
+    for group, (group_help, commands) in COMMANDS.items():
+        g = groups.add_parser(group, help=group_help)
+        sub = g.add_subparsers(dest="cmd", metavar="CMD", required=True)
+        for name, (cmd_help, cacheable, args) in commands.items():
+            sp = sub.add_parser(name, help=cmd_help, description=cmd_help)
+            dests = [sp.add_argument(*flags, **kwargs).dest for flags, kwargs in args]
+            # what the cache key and the record echo: all but the -o file
+            sp.set_defaults(cacheable=cacheable, arg_names=[d for d in dests if d != "output"])
     return parser
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
+
+#: what a bad argument raises, in a conversion or in a handler: exit code 2
+_USAGE_ERRORS = (OSError, ValueError, KeyError, ZeroDivisionError)
+
+
+def _usage_error(exc: Exception) -> int:
+    # str() of a KeyError is the repr of its message: print the message
+    message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    print(f"gct: error: {message}", file=sys.stderr)
+    return 2
 
 
 def _resolve_cache_dir(ns: argparse.Namespace) -> str:
@@ -1135,40 +947,36 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
         ns = parser.parse_args(_hoist_globals(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    ctx = RunContext(
-        seed=ns.seed,
-        rng=random.Random(ns.seed),
-        cache_dir=_resolve_cache_dir(ns),
-        json_mode=ns.json,
-    )
     try:
-        if ns.param_fn is not None:
-            parameters = _jsonable(ns.param_fn(ns))
-        else:
-            parameters = _jsonable(
-                {name: getattr(ns, name) for name in ns.param_names}
-            )
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"gct: error: {exc}", file=sys.stderr)
-        return 2
+        for name in ns.arg_names:
+            value = getattr(ns, name)
+            if name in _CONVERSIONS and value is not None:
+                setattr(ns, name, _CONVERSIONS[name](value))
+    except _USAGE_ERRORS as exc:
+        return _usage_error(exc)
 
+    command = (ns.group, ns.cmd)
     # -o writes a side-effect file, which a cache replay would skip
     use_cache = (
         ns.cacheable and not ns.no_cache and not getattr(ns, "output", None)
     )
     if use_cache:
-        key = manifest_key(ns.command, parameters, ns.seed)
-        path = os.path.join(ctx.cache_dir, key + ".json")
+        parameters = _jsonable(
+            {name: _key_value(getattr(ns, name)) for name in ns.arg_names}
+        )
+        key = manifest_key(command, parameters)
+        path = os.path.join(_resolve_cache_dir(ns), key + ".json")
         entry = _cache_load(path)
         if entry is not None:
             sys.stdout.write(
-                render_json(entry["record"]) if ctx.json_mode else entry["human"]
+                render_json(entry["record"]) if ns.json else entry["human"]
             )
             return 0 if entry["ok"] else 1
 
+    handler = globals()["cmd_" + "_".join(command).replace("-", "_")]
     t0 = time.perf_counter()
     try:
-        result = ns.handler(ns, ctx)
+        result = handler(ns)
     except CapacityError as exc:
         record = {
             "error": "capacity",
@@ -1177,39 +985,35 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
             "cap": exc.cap,
             "message": str(exc),
         }
-        sys.stdout.write(
-            render_json(record) if ctx.json_mode else render_human(record)
-        )
+        sys.stdout.write(render_json(record) if ns.json else render_human(record))
         return 3
-    except (OSError, ValueError, KeyError, ZeroDivisionError, json.JSONDecodeError) as exc:
-        print(f"gct: error: {exc}", file=sys.stderr)
-        return 2
+    except _USAGE_ERRORS as exc:
+        return _usage_error(exc)
     elapsed = time.perf_counter() - t0
 
-    result.record = _jsonable(result.record)
-    rendered_human = result.rendered(json_mode=False)
+    record = _jsonable({"command": " ".join(command), **result.record})
+    human = render_human(record) if result.human is None else result.human
+    ok = record.get("ok", True)
     if use_cache:
-        manifest = RunManifest(
-            command=tuple(ns.command),
-            parameters=parameters,
-            seed=ns.seed,
-            code_version=code_digest(),
-            timing_seconds=round(elapsed, 6),
-            result_digest=entry_digest(result.record, rendered_human, result.ok),
-        )
+        # the run manifest: the key's inputs, the timing and the result digest
+        manifest = {
+            "command": list(command),
+            "parameters": parameters,
+            "code_version": code_digest(),
+            "timing_seconds": round(elapsed, 6),
+            "result_digest": entry_digest(record, human, ok),
+        }
         _cache_store(
             path,
             {
-                "manifest": manifest.to_record(),
-                "ok": result.ok,
-                "record": result.record,
-                "human": rendered_human,
+                "manifest": manifest,
+                "ok": ok,
+                "record": record,
+                "human": human,
             },
         )
-    sys.stdout.write(
-        render_json(result.record) if ctx.json_mode else rendered_human
-    )
-    return 0 if result.ok else 1
+    sys.stdout.write(render_json(record) if ns.json else human)
+    return 0 if ok else 1
 
 
 def main() -> None:

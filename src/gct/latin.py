@@ -10,8 +10,8 @@ The coefficient of the all-variables monomial prod_{ij} x_ij in det_n^n
 equals the sum over Latin squares L of the product of the row signs of L
 (choose one permutation per det factor; requiring each variable once
 forces the chosen permutations to tile a Latin square).  That identity is
-implemented both by polynomial expansion and by direct enumeration, and
-the two are compared in tests.
+implemented here by polynomial expansion; the direct enumeration over
+Latin squares is its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .flatten import CapacityError
 from .poly import Polynomial, apply_diff
@@ -27,8 +27,6 @@ from .zoo import det, perm, perm_sign
 
 Square = Tuple[Tuple[int, ...], ...]
 
-#: exhaustive enumeration cap (n=6 runs go through the reduced counter)
-MAX_EXHAUSTIVE = 5
 #: reduced-count cap (n=7 has about 1.2e10 reduced squares)
 MAX_REDUCED = 6
 #: cap on n for the pairing expansions (degree n^2 polynomials)
@@ -78,7 +76,7 @@ def sign(square: Sequence[Sequence[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration
+# Completion of partial squares
 # ---------------------------------------------------------------------------
 
 
@@ -115,17 +113,6 @@ def _complete(
     fill(0)
 
 
-def enumerate_latin_squares(n: int, *, cap: int = MAX_EXHAUSTIVE) -> Iterator[Square]:
-    """All Latin squares of order n, in lexicographic (row-major) order."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > cap:
-        raise CapacityError("enumerate_latin_squares", n, cap)
-    found: List[Square] = []
-    _complete(n, [], [0] * n, found.append)
-    return iter(found)
-
-
 @dataclass(frozen=True)
 class ATCount:
     """Alon--Tarsi counts of order n under both sign conventions."""
@@ -147,27 +134,6 @@ class ATCount:
     @property
     def column_difference(self) -> int:
         return self.column_count_plus - self.column_count_minus
-
-
-def alon_tarsi_count(n: int, *, cap: int = MAX_EXHAUSTIVE) -> ATCount:
-    """Exhaustive signed count of all Latin squares of order n."""
-    p = m = cp = cm = 0
-    for sq in enumerate_latin_squares(n, cap=cap):
-        rs = 1
-        for row in sq:
-            rs *= perm_sign(row)
-        cs = 1
-        for j in range(n):
-            cs *= perm_sign([row[j] for row in sq])
-        if rs * cs > 0:
-            p += 1
-        else:
-            m += 1
-        if cs > 0:
-            cp += 1
-        else:
-            cm += 1
-    return ATCount(n, p, m, cp, cm)
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +275,3 @@ def pairing_allvars_det(n: int, *, cap: int = MAX_PAIRING_ALLVARS):
     d = det(n) ** n
     allvars = Polynomial.monomial((1,) * (n * n))
     return apply_diff(allvars, d).as_scalar()
-
-
-def pairing_allvars_oracle(n: int, *, cap: int = MAX_EXHAUSTIVE) -> int:
-    """Independent expansion oracle for pairing_allvars_det.
-
-    Choosing one permutation monomial from each of the n det factors and
-    demanding every variable appear once lays the permutations out as the
-    rows of a Latin square; the surviving coefficient is the sum of the
-    products of row signs.
-    """
-    total = 0
-    for sq in enumerate_latin_squares(n, cap=cap):
-        rs = 1
-        for row in sq:
-            rs *= perm_sign(row)
-        total += rs
-    return total

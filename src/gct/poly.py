@@ -436,11 +436,6 @@ def apply_diff(op: Polynomial, target: Polynomial) -> Polynomial:
     return Polynomial(op.num_vars, acc)
 
 
-def diff_pairing(op: Polynomial, target: Polynomial) -> Fraction:
-    """Scalar apolarity pairing: op(d) applied to target, degrees equal."""
-    return apply_diff(op, target).as_scalar()
-
-
 # ---------------------------------------------------------------------------
 # Flattenings (partial derivative / catalecticant matrices)
 # ---------------------------------------------------------------------------

@@ -95,10 +95,6 @@ def z_order(mu: Partition) -> int:
     return z
 
 
-def class_size(mu: Partition) -> int:
-    return factorial(sum(mu)) // z_order(mu)
-
-
 def hook_lengths(p: Partition) -> List[List[int]]:
     conj = conjugate(p)
     return [
@@ -183,11 +179,6 @@ def character(pi: Sequence[int], mu: Sequence[int]) -> int:
     if sum(p) != sum(m):
         raise ValueError(f"|pi|={sum(p)} but |mu|={sum(m)}")
     return _mn(p, m)
-
-
-def character_cache_clear() -> None:
-    _mn.cache_clear()
-    _rim_hook_removals.cache_clear()
 
 
 # ---------------------------------------------------------------------------

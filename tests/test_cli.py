@@ -59,13 +59,23 @@ def test_exit_1_verification_failure(capsys, tmp_path):
     assert "FAIL at monomial" in out
 
 
-def test_exit_2_bad_args(capsys):
+def test_exit_2_bad_args(capsys, tmp_path):
     assert run(capsys, "no-such-group")[0] == 2
     assert run(capsys, "rep", "char", "abc", "1,1")[0] == 2
     assert run(capsys, "flatten", "rank", "/nonexistent/poly.json")[0] == 2
     assert run(capsys, "--threads", "2", "rep", "kron", "2", "2", "2")[0] == 2
+    bad = tmp_path / "zero-denominator.json"
+    assert run(capsys, "zoo", "make", "det", "2", "-o", str(bad))[0] == 0
+    bad.write_text(bad.read_text().replace('"-1"', '"1/0"'))
+    assert run(capsys, "flatten", "rank", str(bad))[0] == 2
     _, _, err = run(capsys, "rep", "char", "abc", "1,1")
     assert "gct: error:" in err
+
+
+def test_error_line_prints_the_message(capsys):
+    code, out, err = run(capsys, "zoo", "make", "nosuch", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("gct: error: unknown polynomial 'nosuch'")
 
 
 def test_exit_3_capacity(capsys):
@@ -295,6 +305,30 @@ def test_seed_participates_in_cache_key(capsys):
     run(capsys, "geo", "dualdim", "det", "3", "--seed", "9")
     n2 = len(os.listdir(os.environ["GCT_CACHE_DIR"]))
     assert n2 == n1 + 1
+
+
+def test_seed_only_on_dualdim(capsys):
+    for argv in (
+        ("rep", "pleth", "4,2", "3", "2", "--seed", "7"),
+        ("--seed", "7", "rep", "pleth", "4,2", "3", "2"),
+        ("geo", "stab", "det", "2", "--seed", "7"),
+    ):
+        assert run(capsys, *argv)[:2] == (2, "")
+
+
+def test_spellings_of_one_question_share_a_cache_entry(capsys, monkeypatch):
+    _, fresh, _ = run(capsys, "rep", "pleth", "4,2", "3", "2")
+    cache_dir = os.environ["GCT_CACHE_DIR"]
+    assert len(os.listdir(cache_dir)) == 1
+
+    def not_called(ns):
+        raise AssertionError("recomputed instead of replayed")
+
+    # the handler is looked up by name at dispatch, so this catches a miss
+    monkeypatch.setattr(cli, "cmd_rep_pleth", not_called)
+    assert run(capsys, "rep", "pleth", "2,4", "3", "2") == (0, fresh, "")
+    assert run(capsys, "rep", "pleth", "4,2,0", "3", "2") == (0, fresh, "")
+    assert len(os.listdir(cache_dir)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ The sign conventions are pinned by their transformation laws (symbol
 relabeling, row permutation, transposition), the counts by the classical
 L(n) = 1, 2, 12, 576, 161280, by reduced-vs-exhaustive agreement and by
 the all-branches reduced sum (the oracle of the orbit-weighted counter),
-and the differential pairings by the Latin-square expansion oracle.
+and the differential pairings by the Latin-square expansion oracle.  The
+exhaustive enumeration oracles live here, not in gct.latin: no command
+needs them.
 """
 
 from itertools import permutations
@@ -17,8 +19,60 @@ from hypothesis import strategies as st
 from gct import latin
 from gct.flatten import CapacityError
 
+#: exhaustive enumeration cap (n=6 runs go through the reduced counter)
+MAX_EXHAUSTIVE = 5
 
-SQUARES_3 = list(latin.enumerate_latin_squares(3))
+
+def enumerate_latin_squares(n, *, cap=MAX_EXHAUSTIVE):
+    """All Latin squares of order n, in lexicographic (row-major) order."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > cap:
+        raise CapacityError("enumerate_latin_squares", n, cap)
+    found = []
+    latin._complete(n, [], [0] * n, found.append)
+    return iter(found)
+
+
+def alon_tarsi_count(n, *, cap=MAX_EXHAUSTIVE):
+    """Exhaustive signed count of all Latin squares of order n."""
+    p = m = cp = cm = 0
+    for sq in enumerate_latin_squares(n, cap=cap):
+        rs = 1
+        for row in sq:
+            rs *= latin.perm_sign(row)
+        cs = 1
+        for j in range(n):
+            cs *= latin.perm_sign([row[j] for row in sq])
+        if rs * cs > 0:
+            p += 1
+        else:
+            m += 1
+        if cs > 0:
+            cp += 1
+        else:
+            cm += 1
+    return latin.ATCount(n, p, m, cp, cm)
+
+
+def pairing_allvars_oracle(n, *, cap=MAX_EXHAUSTIVE):
+    """Independent expansion oracle for pairing_allvars_det.
+
+    Choosing one permutation monomial from each of the n det factors and
+    demanding every variable appear once lays the permutations out as the
+    rows of a Latin square; the surviving coefficient is the sum of the
+    products of row signs.
+    """
+    total = 0
+    for sq in enumerate_latin_squares(n, cap=cap):
+        rs = 1
+        for row in sq:
+            rs *= latin.perm_sign(row)
+        total += rs
+    return total
+
+
+SQUARES_3 = list(enumerate_latin_squares(3))
 
 
 def relabel(square, sigma):
@@ -99,7 +153,7 @@ def test_row_permutation_laws_n3(sigma, sq):
 
 
 def test_row_swap_flips_column_sign_even_n():
-    sq4 = next(latin.enumerate_latin_squares(4))
+    sq4 = next(enumerate_latin_squares(4))
     swapped = reorder_rows(sq4, (1, 0, 2, 3))
     # (-1)^4 = +1: column sign is invariant under a row swap for even n
     assert latin.column_sign(swapped) == latin.column_sign(sq4)
@@ -122,7 +176,7 @@ def test_transpose_swaps_row_and_column_signs():
 
 def test_latin_square_counts():
     for n, want in [(1, 1), (2, 2), (3, 12), (4, 576)]:
-        squares = list(latin.enumerate_latin_squares(n))
+        squares = list(enumerate_latin_squares(n))
         assert len(squares) == want
         assert len(set(squares)) == want
         assert all(latin.is_latin_square(sq) for sq in squares)
@@ -130,17 +184,17 @@ def test_latin_square_counts():
 
 def test_enumeration_cap():
     with pytest.raises(CapacityError) as exc:
-        list(latin.enumerate_latin_squares(6))
+        list(enumerate_latin_squares(6))
     assert exc.value.size == 6 and exc.value.cap == 5
 
 
 def test_alon_tarsi_small_values():
-    at2 = latin.alon_tarsi_count(2)
+    at2 = alon_tarsi_count(2)
     assert (at2.count_plus, at2.count_minus) == (2, 0)
-    at3 = latin.alon_tarsi_count(3)
+    at3 = alon_tarsi_count(3)
     assert (at3.count_plus, at3.count_minus) == (6, 6)
     assert at3.total == 12 and at3.difference == 0
-    at4 = latin.alon_tarsi_count(4)
+    at4 = alon_tarsi_count(4)
     assert (at4.count_plus, at4.count_minus) == (576, 0)
     assert at4.difference == 576
     # column-sign convention is balanced for odd n
@@ -229,7 +283,7 @@ def test_reduced_matches_all_branches_oracle():
 def test_reduced_matches_exhaustive():
     for n in (2, 3, 4):
         red = latin.alon_tarsi_count_reduced(n)
-        full = latin.alon_tarsi_count(n)
+        full = alon_tarsi_count(n)
         assert (red.count_plus, red.count_minus) == (full.count_plus, full.count_minus)
         assert red.total == full.total
         if n % 2 == 0:
@@ -292,7 +346,7 @@ def test_pairing_allvars_matches_latin_oracle():
     values = {}
     for n in (1, 2, 3, 4):
         values[n] = latin.pairing_allvars_det(n)
-        assert values[n] == latin.pairing_allvars_oracle(n)
+        assert values[n] == pairing_allvars_oracle(n)
     assert values == {1: 1, 2: -2, 3: 0, 4: 576}
     with pytest.raises(CapacityError):
         latin.pairing_allvars_det(5)
@@ -301,7 +355,7 @@ def test_pairing_allvars_matches_latin_oracle():
 def test_allvars_coefficient_is_row_sign_sum():
     """The oracle itself: direct check that the n=2 coefficient is -2."""
     total = 0
-    for sq in latin.enumerate_latin_squares(2):
+    for sq in enumerate_latin_squares(2):
         rs = 1
         for row in sq:
             rs *= latin.perm_sign(row)

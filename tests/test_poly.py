@@ -10,7 +10,6 @@ from gct.poly import (
     LinearSubstitution,
     Polynomial,
     apply_diff,
-    diff_pairing,
     divides,
     dumps,
     exponent_add,
@@ -174,6 +173,11 @@ def test_plain_partial_derivatives():
     p = Polynomial.monomial((4, 1))
     assert apply_diff(x, p) == Polynomial.monomial((3, 1), 4)
     assert apply_diff(x * x, p) == Polynomial.monomial((2, 1), 12)
+
+
+def diff_pairing(op, target):
+    """Scalar apolarity pairing: op(d) applied to target, degrees equal."""
+    return apply_diff(op, target).as_scalar()
 
 
 def test_monomial_self_pairing_is_factorial_product():
