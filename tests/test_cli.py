@@ -452,6 +452,8 @@ GOLDEN = (
     ("geo-stab", ("geo", "stab", "p_lambda", "3")),
     ("capacity-pairing", ("latin", "pairing", "4")),
     ("capacity-latin", ("latin", "count", "7")),
+    ("capacity-hhh-kernel", ("hhh", "kernel", "6", "3", "6")),
+    ("capacity-hhh-rank", ("hhh", "rank", "5", "5", "5")),
     ("bad-group", ("no-such-group",)),
     ("bad-partition", ("rep", "char", "abc", "1,1")),
     ("bad-file", ("flatten", "rank", "missing.json")),
@@ -459,7 +461,8 @@ GOLDEN = (
 )
 
 #: id -> (exit code, SHA-256 of stdout, SHA-256 of stdout under --json),
-#: recorded from the hand-built parser that preceded the command table
+#: recorded from the hand-built parser that preceded the command table; the
+#: two h_{d,n} refusals from the plan that counted every dominant weight
 GOLDEN_STDOUT = {
     "zoo-make": (
         0,
@@ -645,6 +648,16 @@ GOLDEN_STDOUT = {
         3,
         "f7344fe67941ef2ca07201cf2aa690c569d6c5eda7e88439559ea0fe20695bce",
         "255a42344bcf4d1449f4af13e7469485a8e3e685d1c2fb95d121d7e11de8a824",
+    ),
+    "capacity-hhh-kernel": (
+        3,
+        "e050669d7865a07d5604d15da608273f2cf50c0d0cb9bdb3798f8f7eb73616ba",
+        "ee54e96fc5fd5a7737bd1db9286a0279dc7e7881b4f08e35cd24b07187a71119",
+    ),
+    "capacity-hhh-rank": (
+        3,
+        "3dd9de077207ead5a371b45730c21fee362854d2ada4bf400a08351b52e3e8e6",
+        "eb84d1476a4b735a992fec09fe3f6f75e0d2c5eb478c0f7c4afbb1fd6a1785b9",
     ),
     "bad-group": (
         2,
