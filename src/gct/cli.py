@@ -67,10 +67,10 @@ from .geometry import (
     verify_sylvester_franke,
 )
 from .hhh import (
-    _orbit_size,
     build_hhh,
     hhh_rank,
     kernel_character,
+    kernel_dimension,
     kernel_dims_by_weight,
     sym_sym_dim,
 )
@@ -532,15 +532,10 @@ def cmd_hhh_kernel(ns: argparse.Namespace) -> CommandResult:
         record["kernel_dimension"] = cols - block.rank()
         return CommandResult(record)
     dims = kernel_dims_by_weight(ns.d, ns.n, ns.v)
-    ordered = sorted(dims, reverse=True)
     record["kernel_by_dominant_weight"] = {
-        _key_str(w): dims[w] for w in ordered if dims[w]
+        _key_str(w): dims[w] for w in sorted(dims, reverse=True) if dims[w]
     }
-    total = 0
-    for w in ordered:
-        padded = tuple(w) + (0,) * (ns.v - len(w))
-        total += _orbit_size(padded) * dims[w]
-    record["kernel_dimension"] = total
+    record["kernel_dimension"] = kernel_dimension(dims, ns.v)
     return CommandResult(record)
 
 

@@ -271,7 +271,9 @@ def verify_sfturbo(v: int, checks: Optional[Sequence[str]] = None) -> SFReport:
     does NOT divide cp_2), cp8/cp9 (v=3 closed forms 2*det^2*Q and
     2*det^3).  Heavy coefficients are opt-in; v is capped at 4.
     """
-    if v not in (3, 4):
+    if v < 3:
+        raise ValueError(f"sfturbo checks need v >= 3, got {v}")
+    if v > 4:
         raise CapacityError("verify_sfturbo", v, 4)
     if checks is None:
         checks = DEFAULT_SFTURBO_CHECKS[v]
@@ -356,8 +358,10 @@ def verify_discriminant_identity() -> bool:
 
 def cayley_check(n: int, s: int) -> bool:
     """det_n(d/dx) applied to det_n^{s+1} equals ((s+n)!/s!) det_n^s."""
-    if n > 3 or s > 2:
-        raise CapacityError("cayley_check", max(n, s), 3)
+    if n > 3:
+        raise CapacityError("cayley_check n", n, 3)
+    if s > 2:
+        raise CapacityError("cayley_check s", s, 2)
     d = det(n)
     target = d ** (s + 1)
     lhs = apply_diff(d, target)

@@ -23,6 +23,7 @@ full matrix on small cases.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -39,6 +40,7 @@ from .poly import (
 )
 from .reptheory import (
     Partition,
+    _suffix_counts,
     count_weight_multisets,
     decompose_weight_dims,
     partitions,
@@ -67,37 +69,38 @@ def multiset_basis(
     count: int, degree: int, v: int, weight: Optional[Sequence[int]] = None
 ) -> List[Multiset]:
     """All multisets of ``count`` degree-``degree`` monomials in v vars,
-    optionally restricted to a total exponent vector ``weight``."""
+    optionally restricted to a total exponent vector ``weight``.
+
+    A restricted basis is listed by walking ``count_weight_multisets``'
+    suffix-count table, entering only nonempty branches.
+    """
     monos = monomials_of_degree(v, degree)
     if weight is None:
         return list(combinations_with_replacement(monos, count))
-    out: List[Multiset] = []
-    w0 = tuple(int(x) for x in weight)
-    if len(w0) != v or sum(w0) != count * degree:
+    if not count_weight_multisets(count, degree, v, weight):  # validates weight
         return []
-
-    def rec(i: int, c: int, rem: Tuple[int, ...], acc: List[Exponent]) -> None:
+    out: List[Multiset] = []
+    # (first free monomial, copies left, weight left, multiset so far); a
+    # node's children are pushed in reverse of the order they are listed in:
+    # later first monomials first, then fewer copies of it first
+    stack = [(0, count, tuple(int(x) for x in weight), ())]
+    while stack:
+        i, c, rem, acc = stack.pop()
         if c == 0:
-            if not any(rem):
-                out.append(tuple(acc))
-            return
-        if i == len(monos):
-            return
-        m = monos[i]
-        jmax = c
-        for a in range(v):
-            if m[a]:
-                jmax = min(jmax, rem[a] // m[a])
-        cur = rem
-        for j in range(jmax + 1):
-            if j:
+            out.append(acc)
+            continue
+        counts = _suffix_counts(degree, v, c, rem)
+        for p in range(i, len(monos)):
+            if counts[p] == counts[p + 1]:  # nothing starts at monos[p]
+                continue
+            m, cur, children = monos[p], rem, []
+            for j in range(1, c + 1):
                 cur = tuple(x - y for x, y in zip(cur, m))
-                acc.append(m)
-            rec(i + 1, c - j, cur, acc)
-        for _ in range(jmax):
-            acc.pop()
-
-    rec(0, count, w0, [])
+                if min(cur, default=0) < 0:
+                    break
+                if _suffix_counts(degree, v, c - j, cur)[p + 1]:
+                    children.append((p + 1, c - j, cur, acc + (m,) * j))
+            stack.extend(reversed(children))
     return out
 
 
@@ -276,46 +279,22 @@ def build_hhh(
     )
 
 
-def _orbit_size(padded_weight: Tuple[int, ...]) -> int:
-    """Number of distinct permutations of a weight vector."""
-    counts: Dict[int, int] = {}
-    for x in padded_weight:
-        counts[x] = counts.get(x, 0) + 1
-    total = factorial(len(padded_weight))
-    for c in counts.values():
-        total //= factorial(c)
-    return total
-
-
 def dominant_weights(total: int, v: int) -> List[Tuple[int, ...]]:
     """Partitions of ``total`` with at most v parts, zero-padded to length v,
     in descending lexicographic order."""
     return [p + (0,) * (v - len(p)) for p in partitions(total, max_len=v)]
 
 
-def _plan_blocks(
-    d: int, n: int, v: int, max_block: int, max_elim: int
-) -> List[Tuple[Tuple[int, ...], int, int]]:
-    """Predict every dominant-weight block size; reject before building.
-
-    Capacity failures are raised up front, naming the worst block, so no
-    work is wasted on the feasible blocks of an infeasible computation.
-    """
-    plan = []
-    worst: Tuple[int, Tuple[int, ...]] = (0, ())
-    for w in dominant_weights(d * n, v):
-        dom, cod = predicted_block_size(d, n, v, w)
-        if dom == 0 and cod == 0:
-            continue
-        if max(dom, cod) > worst[0]:
-            worst = (max(dom, cod), w)
-        plan.append((w, dom, cod))
-    cap = min(max_block, max_elim)
-    if worst[0] > cap:
-        raise CapacityError(
-            f"h_{{{d},{n}}} on C^{v}, dominant weight {worst[1]}", worst[0], cap
-        )
-    return plan
+def kernel_dimension(dims: Dict[Partition, int], v: int) -> int:
+    """dim ker h_{d,n} on C^v from ``kernel_dims_by_weight``: each dominant
+    weight counts once per distinct permutation of its v entries."""
+    total = 0
+    for part, k in dims.items():
+        orbit = factorial(v) // factorial(v - len(part))
+        for c in Counter(part).values():
+            orbit //= factorial(c)
+        total += orbit * k
+    return total
 
 
 def hhh_rank(
@@ -326,14 +305,9 @@ def hhh_rank(
     max_block: int = MAX_BLOCK,
     max_elim: int = MAX_ELIM,
 ) -> int:
-    """Exact rank of h_{d,n} on C^v, summed over dominant weight blocks."""
-    total = 0
-    for w, dom, cod in _plan_blocks(d, n, v, max_block, max_elim):
-        if dom == 0 or cod == 0:
-            continue
-        block = build_hhh(d, n, v, w, max_block=max_block)
-        total += _orbit_size(w) * block.rank(max_columns=max_elim)
-    return total
+    """Exact rank of h_{d,n} on C^v: dim S^d(S^n C^v) minus the kernel."""
+    dims = kernel_dims_by_weight(d, n, v, max_block=max_block, max_elim=max_elim)
+    return sym_sym_dim(d, n, v) - kernel_dimension(dims, v)
 
 
 def kernel_dims_by_weight(
@@ -344,17 +318,26 @@ def kernel_dims_by_weight(
     max_block: int = MAX_BLOCK,
     max_elim: int = MAX_ELIM,
 ) -> Dict[Partition, int]:
-    """dim ker(h_{d,n}) restricted to each dominant weight of dn."""
+    """dim ker(h_{d,n}) restricted to each dominant weight of dn.
+
+    Oversized blocks are refused before any is built, from one count: with
+    dn = qv + r, the flattest dominant weight (q+1)^r q^(v-r) is the
+    dominance minimum, and weight multiplicities of a polynomial GL_v-module
+    never shrink down the dominance order (Kostka numbers K_{pi,mu} are
+    monotone in mu), so its block is the largest on both sides.
+    """
+    if d < 1 or n < 1 or v < 1:
+        raise ValueError("d, n, v must be positive")
+    q, r = divmod(d * n, v)
+    flattest = (q + 1,) * r + (q,) * (v - r)
+    largest = max(predicted_block_size(d, n, v, flattest))
+    cap = min(max_block, max_elim)
+    if largest > cap:
+        raise CapacityError(f"h_{{{d},{n}}} on C^{v}, dominant weight {flattest}", largest, cap)
     out: Dict[Partition, int] = {}
-    for w, dom, cod in _plan_blocks(d, n, v, max_block, max_elim):
-        if dom == 0:
-            continue
-        part = tuple(x for x in w if x)
-        if cod == 0:
-            out[part] = dom
-            continue
+    for w in dominant_weights(d * n, v):
         block = build_hhh(d, n, v, w, max_block=max_block)
-        out[part] = dom - block.rank(max_columns=max_elim)
+        out[tuple(x for x in w if x)] = block.shape[1] - block.rank(max_columns=max_elim)
     return out
 
 

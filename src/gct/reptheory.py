@@ -9,7 +9,9 @@ Plethysm multiplicities mult(S_pi, S^d(S^n V)) have two exact routes:
 
 * weight route (default for small dn): count multisets of d degree-n
   monomials with prescribed column sums, then invert the unitriangular
-  Kostka matrix down the dominance order;
+  Kostka matrix down the dominance order.  The counts come from one
+  memoized table of suffix counts (``_suffix_counts``), at most d calls
+  deep; ``gct.hhh.multiset_basis`` lists the same multisets by walking it;
 * character route (default for large dn): expand the plethysm of cycle
   indices Z(S_d)[Z(S_n)] = sum_gamma w_gamma p_gamma and evaluate
   mult = sum_gamma w_gamma chi_pi(gamma).
@@ -23,7 +25,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import monomials_of_degree
@@ -350,8 +352,46 @@ def decompose_weight_dims(dims: Dict[Partition, int]) -> Dict[Partition, int]:
 # ---------------------------------------------------------------------------
 
 
-#: shared across calls -- weight queries for the same (n, v) reuse subtrees
-_WEIGHT_COUNT_MEMO: Dict[Tuple[int, int, int, int, Tuple[int, ...]], int] = {}
+#: (degree, v, count, remaining weight) -> the _suffix_counts list; shared
+#: across calls, so the weight blocks of one S^d(S^n C^v) reuse subproblems
+_WEIGHT_COUNT_MEMO: Dict[Tuple[int, int, int, Tuple[int, ...]], List[int]] = {}
+
+
+@lru_cache(maxsize=None)
+def _monomials(v: int, degree: int) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(monomials_of_degree(v, degree))
+
+
+def _suffix_counts(degree: int, v: int, count: int, rem: Tuple[int, ...]) -> List[int]:
+    """Entry i: the number of ``count``-multisets of monomials_of_degree(v,
+    degree)[i:] with column sums ``rem`` (which sums to count * degree).
+
+    Filled from the last monomial down; each recursive call has a smaller
+    count, so the recursion is at most ``count`` deep.
+    """
+    key = (degree, v, count, rem)
+    got = _WEIGHT_COUNT_MEMO.get(key)
+    if got is not None:
+        return got
+    monos = _monomials(v, degree)
+    if count == 0:  # then rem is zero
+        out = [1] * (len(monos) + 1)
+    else:
+        out = [0] * (len(monos) + 1)
+        for i in range(len(monos) - 1, -1, -1):
+            m = monos[i]
+            total = out[i + 1]  # no copy of monos[i]
+            jmax = count
+            for x, y in zip(rem, m):
+                if y:
+                    jmax = min(jmax, x // y)
+            cur = rem
+            for j in range(1, jmax + 1):  # j copies of monos[i], the rest later
+                cur = tuple(x - y for x, y in zip(cur, m))
+                total += _suffix_counts(degree, v, count - j, cur)[i + 1]
+            out[i] = total
+    _WEIGHT_COUNT_MEMO[key] = out
+    return out
 
 
 def count_weight_multisets(d: int, n: int, v: int, weight: Sequence[int]) -> int:
@@ -362,34 +402,7 @@ def count_weight_multisets(d: int, n: int, v: int, weight: Sequence[int]) -> int
         raise ValueError("weight must be v non-negative integers")
     if sum(w) != d * n:
         return 0
-    monos = monomials_of_degree(v, n)
-    memo = _WEIGHT_COUNT_MEMO
-
-    def rec(i: int, c: int, rem: Tuple[int, ...]) -> int:
-        if c == 0:
-            return 1 if not any(rem) else 0
-        if i == len(monos):
-            return 0
-        key = (n, v, i, c, rem)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        m = monos[i]
-        # max copies of monos[i] that fit under rem
-        jmax = c
-        for a in range(v):
-            if m[a]:
-                jmax = min(jmax, rem[a] // m[a])
-        total = 0
-        cur = rem
-        for j in range(jmax + 1):
-            if j:
-                cur = tuple(x - y for x, y in zip(cur, m))
-            total += rec(i + 1, c - j, cur)
-        memo[key] = total
-        return total
-
-    return rec(0, d, w)
+    return _suffix_counts(n, v, d, w)[0]
 
 
 def plethysm_multiplicities(d: int, n: int, v: int) -> Dict[Partition, int]:

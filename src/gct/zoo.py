@@ -263,21 +263,6 @@ def discriminant() -> Polynomial:
     return Polynomial(4, terms)
 
 
-_BUILTINS = {
-    "det": (det, 1),
-    "perm": (perm, 1),
-    "elem": (elem, 2),
-    "chow": (chow, 1),
-    "fermat": (fermat, 2),
-    "sumprod": (sumprod, 2),
-    "imm": (imm, 2),
-    "pascal_det": (pascal_det, 1),
-    "p_lambda": (p_lambda, 1),
-    "discriminant": (discriminant, 0),
-    "padded_elem": (None, 2),  # handled in make()
-}
-
-
 def padded_elem(m: int, k: int) -> Polynomial:
     """l^{m-k} e^k_m on m+1 variables (x_1..x_m, l last): Ben-Or's target."""
     if not 1 <= k <= m:
@@ -289,10 +274,23 @@ def padded_elem(m: int, k: int) -> Polynomial:
     return Polynomial(m + 1, terms)
 
 
+_BUILTINS = {
+    "det": (det, 1),
+    "perm": (perm, 1),
+    "elem": (elem, 2),
+    "chow": (chow, 1),
+    "fermat": (fermat, 2),
+    "sumprod": (sumprod, 2),
+    "imm": (imm, 2),
+    "pascal_det": (pascal_det, 1),
+    "p_lambda": (p_lambda, 1),
+    "discriminant": (discriminant, 0),
+    "padded_elem": (padded_elem, 2),
+}
+
+
 def make(name: str, *params: int) -> Polynomial:
     """Build a named polynomial; see the module docstring for layouts."""
-    if name == "padded_elem":
-        return padded_elem(*params)
     entry = _BUILTINS.get(name)
     if entry is None:
         raise KeyError(
@@ -411,8 +409,6 @@ def verify_det_expression(
     v1 = target.num_vars + 1
     sub = LinearSubstitution(n * n, v1, tuple(witness.entries))
     got = substitute(det(n), sub)
-    pad = [0] * v1
-    pad[-1] = n - m
     want_terms: Dict[Exponent, Fraction] = {}
     for e, c in target.terms.items():
         want_terms[tuple(e) + (n - m,)] = c

@@ -70,6 +70,9 @@ def test_exit_2_bad_args(capsys, tmp_path):
     assert run(capsys, "flatten", "rank", str(bad))[0] == 2
     _, _, err = run(capsys, "rep", "char", "abc", "1,1")
     assert "gct: error:" in err
+    code, out, err = run(capsys, "zoo", "make", "padded_elem", "3")
+    assert (code, out) == (2, "")
+    assert err == "gct: error: padded_elem takes 2 parameter(s), got 1\n"
 
 
 def test_error_line_prints_the_message(capsys):
@@ -85,6 +88,24 @@ def test_exit_3_capacity(capsys):
     assert rec["error"] == "capacity"
     assert rec["size"] == 190131
     assert rec["size"] > rec["cap"]
+
+
+@pytest.mark.parametrize(
+    "argv,size,cap",
+    [(("geo", "cayley", "2", "3"), 3, 2), (("geo", "cayley", "4", "1"), 4, 3),
+     (("geo", "sfturbo", "5"), 5, 4)],
+)
+def test_capacity_record_names_the_parameter_over_its_cap(capsys, argv, size, cap):
+    code, out, _ = run(capsys, "--json", *argv)
+    rec = json.loads(out)
+    assert (code, rec["error"], rec["size"], rec["cap"]) == (3, "capacity", size, cap)
+
+
+@pytest.mark.parametrize("v", ["1", "2"])
+def test_sfturbo_below_3_is_a_bad_argument(capsys, v):
+    code, out, err = run(capsys, "geo", "sfturbo", v)
+    assert (code, out) == (2, "")
+    assert err.startswith("gct: error: sfturbo checks need v >= 3")
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,9 @@ def test_sfturbo_errors():
         geo.verify_sfturbo(3, checks=("cp7",))
     with pytest.raises(CapacityError):
         geo.verify_sfturbo(5)
+    for v in (0, 1, 2):
+        with pytest.raises(ValueError):
+            geo.verify_sfturbo(v)
     with pytest.raises(CapacityError):
         geo.verify_sfturbo(4, checks=("cp8",))
 
@@ -305,8 +308,12 @@ def test_cayley_omega_constant():
     for n in (1, 2, 3):
         for s in (0, 1, 2):
             assert geo.cayley_check(n, s)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as exc:
         geo.cayley_check(4, 1)
+    assert (exc.value.size, exc.value.cap) == (4, 3)
+    with pytest.raises(CapacityError) as exc:
+        geo.cayley_check(2, 3)
+    assert (exc.value.size, exc.value.cap) == (3, 2)
 
 
 def test_sylvester_franke():

@@ -10,6 +10,7 @@ the principal-ideal structure of ker h_{d,2}(C^3) over the symmetric
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from gct import hhh
 from gct.flatten import CapacityError, exact_rank, nullspace
 from gct.poly import Polynomial, grevlex_key, monomials_of_degree
-from gct.reptheory import count_weight_multisets, plethysm_multiplicities
+from gct.reptheory import count_weight_multisets, dominates, plethysm_multiplicities
 
 
 # ---------------------------------------------------------------------------
@@ -32,6 +33,40 @@ def weight_of_multiset(ms, v):
         for a, e in enumerate(m):
             w[a] += e
     return tuple(w)
+
+
+def recursive_multiset_basis(count, degree, v, weight):
+    """The weighted listing that preceded the suffix-count walk: one frame
+    per monomial, in the order the walk must reproduce."""
+    monos = monomials_of_degree(v, degree)
+    out = []
+    w0 = tuple(int(x) for x in weight)
+    if len(w0) != v or sum(w0) != count * degree:
+        return []
+
+    def rec(i, c, rem, acc):
+        if c == 0:
+            if not any(rem):
+                out.append(tuple(acc))
+            return
+        if i == len(monos):
+            return
+        m = monos[i]
+        jmax = c
+        for a in range(v):
+            if m[a]:
+                jmax = min(jmax, rem[a] // m[a])
+        cur = rem
+        for j in range(jmax + 1):
+            if j:
+                cur = tuple(x - y for x, y in zip(cur, m))
+                acc.append(m)
+            rec(i + 1, c - j, cur, acc)
+        for _ in range(jmax):
+            acc.pop()
+
+    rec(0, count, w0, [])
+    return out
 
 
 def apply_map(h, coeffs):
@@ -114,6 +149,45 @@ def test_multiset_basis_weight_restriction():
         assert sorted(got) == sorted(want)
         assert len(got) == count_weight_multisets(d, n, v, weight)
     assert hhh.multiset_basis(d, n, v, (1, 1, 1)) == []  # wrong total
+    for bad in [(2, 2, 2, 0), (2, 2), (7, -1, 0)]:  # wrong length, negative entry
+        with pytest.raises(ValueError):
+            hhh.multiset_basis(d, n, v, bad)
+        with pytest.raises(ValueError):
+            count_weight_multisets(d, n, v, bad)
+
+
+#: the two h_{5,5} blocks of the hhh-blocks benchmark, dominant and relabelled
+H55_BENCH_WEIGHTS = [(19, 4, 1, 1, 0), (19, 1, 0, 4, 1), (18, 5, 2, 0, 0), (18, 0, 2, 5, 0)]
+
+
+@pytest.mark.parametrize(
+    "d,n,v,weights",
+    [(d, n, v, hhh.dominant_weights(d * n, v)) for d, n, v in [(3, 2, 3), (4, 3, 3), (6, 3, 3)]]
+    + [(5, 5, 5, H55_BENCH_WEIGHTS)],
+)
+def test_multiset_basis_matches_recursive_oracle(d, n, v, weights):
+    """Same multisets in the same order as the per-monomial recursion."""
+    for w in weights:
+        for count, degree in [(d, n), (n, d)]:
+            got = hhh.multiset_basis(count, degree, v, w)
+            assert got == recursive_multiset_basis(count, degree, v, w), (count, degree, w)
+            assert len(got) == count_weight_multisets(count, degree, v, w)
+
+
+def test_flattest_h27_block_of_degree_7_monomials():
+    """1716 degree-7 monomials in 7 variables: far more than the recursion limit.
+
+    A pair {a, b} with a + b = (2,...,2) is fixed by a, whose entries lie in
+    {0, 1, 2} and sum to 7; a = b only for (1,...,1).  So the count is
+    (c - 1)/2 + 1 with c the x^7 coefficient of (1 + x + x^2)^7.
+    """
+    c = (Polynomial.linear_form([Fraction(1)]) ** 2
+         + Polynomial.linear_form([Fraction(1)]) + Polynomial.one(1)) ** 7
+    assert c.terms[(7,)] == 393
+    w = (2,) * 7
+    assert count_weight_multisets(2, 7, 7, w) == (393 - 1) // 2 + 1 == 197
+    assert len(hhh.multiset_basis(2, 7, 7, w)) == 197
+    assert hhh.predicted_block_size(2, 7, 7, w) == (197, 2461)
 
 
 def test_predicted_block_size_matches_built():
@@ -128,6 +202,55 @@ def test_dominant_weights():
     ws = hhh.dominant_weights(4, 3)
     assert ws[0] == (4, 0, 0) and (2, 1, 1) in ws and (1, 1, 1) not in ws
     assert all(len(w) == 3 and sum(w) == 4 for w in ws)
+
+
+def test_weight_multiplicities_grow_down_dominance():
+    """The fact the capacity plan rests on: on dominant weights, dim of the
+    mu weight space of S^d(S^n C^v) is at least that of lambda when mu is
+    dominated by lambda; so the flattest weight has the largest block."""
+    pairs = 0
+    for d in range(1, 6):
+        for n in range(1, 6):
+            for v in range(1, 5):
+                if d * n > 14:
+                    continue
+                weights = hhh.dominant_weights(d * n, v)
+                size = {w: count_weight_multisets(d, n, v, w) for w in weights}
+                for lam in weights:
+                    for mu in weights:
+                        if lam != mu and dominates(lam, mu):
+                            pairs += 1
+                            assert size[lam] <= size[mu], (d, n, v, lam, mu)
+                q, r = divmod(d * n, v)
+                assert size[(q + 1,) * r + (q,) * (v - r)] == max(size.values())
+    assert pairs == 2723
+
+
+def test_refusal_counts_only_the_flattest_weight(monkeypatch):
+    calls = []
+    predicted = hhh.predicted_block_size
+
+    def counted(d, n, v, w):
+        calls.append(tuple(w))
+        return predicted(d, n, v, w)
+
+    monkeypatch.setattr(hhh, "predicted_block_size", counted)
+    with pytest.raises(CapacityError) as exc:
+        hhh.kernel_dims_by_weight(6, 3, 6)
+    assert calls == [(3,) * 6]
+    assert (exc.value.size, exc.value.cap) == (32152, 5000)
+    assert "dominant weight (3, 3, 3, 3, 3, 3)" in exc.value.context
+    calls.clear()
+    with pytest.raises(CapacityError):
+        hhh.hhh_rank(5, 5, 5)
+    assert calls == [(5,) * 5]
+    calls.clear()
+    with pytest.raises(CapacityError) as exc:  # dn = 6 = 1*4 + 2
+        hhh.kernel_character(3, 2, 4, max_elim=5)
+    assert calls == [(2, 2, 1, 1)]
+    assert (exc.value.size, exc.value.cap) == (6, 5)
+    with pytest.raises(ValueError):
+        hhh.hhh_rank(2, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +382,10 @@ def test_kernel_dims_sum_to_total_kernel():
         total = 0
         for part, k in dims.items():
             padded = tuple(part) + (0,) * (v - len(part))
-            total += hhh._orbit_size(padded) * k
+            total += len(set(permutations(padded))) * k
+        assert hhh.kernel_dimension(dims, v) == total
         domain_dim = comb(comb(n + v - 1, n) + d - 1, d)
-        assert total == domain_dim - hhh.hhh_rank(d, n, v)
+        assert total == domain_dim - exact_rank(hhh.build_hhh(d, n, v).entries)
 
 
 # ---------------------------------------------------------------------------
