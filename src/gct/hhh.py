@@ -30,14 +30,8 @@ from itertools import combinations_with_replacement
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .flatten import CapacityError, exact_rank, nullspace
-from .poly import (
-    Exponent,
-    Polynomial,
-    apply_diff,
-    grevlex_key,
-    monomials_of_degree,
-)
+from .flatten import CapacityError, exact_rank
+from .poly import Exponent, grevlex_key, monomials_of_degree
 from .reptheory import (
     Partition,
     _suffix_counts,
@@ -285,6 +279,16 @@ def dominant_weights(total: int, v: int) -> List[Tuple[int, ...]]:
     return [p + (0,) * (v - len(p)) for p in partitions(total, max_len=v)]
 
 
+def flattest_weight(total: int, v: int) -> Tuple[int, ...]:
+    """The dominance-minimal dominant weight (q+1)^r q^(v-r), total = qv + r.
+
+    When v divides total it is the weight-zero weight of sl_v, the block
+    where the Weyl group S_v still acts.
+    """
+    q, r = divmod(total, v)
+    return (q + 1,) * r + (q,) * (v - r)
+
+
 def kernel_dimension(dims: Dict[Partition, int], v: int) -> int:
     """dim ker h_{d,n} on C^v from ``kernel_dims_by_weight``: each dominant
     weight counts once per distinct permutation of its v entries."""
@@ -320,16 +324,15 @@ def kernel_dims_by_weight(
 ) -> Dict[Partition, int]:
     """dim ker(h_{d,n}) restricted to each dominant weight of dn.
 
-    Oversized blocks are refused before any is built, from one count: with
-    dn = qv + r, the flattest dominant weight (q+1)^r q^(v-r) is the
-    dominance minimum, and weight multiplicities of a polynomial GL_v-module
-    never shrink down the dominance order (Kostka numbers K_{pi,mu} are
-    monotone in mu), so its block is the largest on both sides.
+    Oversized blocks are refused before any is built, from one count: the
+    flattest dominant weight is the dominance minimum, and weight
+    multiplicities of a polynomial GL_v-module never shrink down the
+    dominance order (Kostka numbers K_{pi,mu} are monotone in mu), so its
+    block is the largest on both sides.
     """
     if d < 1 or n < 1 or v < 1:
         raise ValueError("d, n, v must be positive")
-    q, r = divmod(d * n, v)
-    flattest = (q + 1,) * r + (q,) * (v - r)
+    flattest = flattest_weight(d * n, v)
     largest = max(predicted_block_size(d, n, v, flattest))
     cap = min(max_block, max_elim)
     if largest > cap:
@@ -359,125 +362,3 @@ def kernel_character(
         d, n, v, max_block=max_block, max_elim=max_elim
     )
     return decompose_weight_dims(dims)
-
-
-def weight_zero_weight(d: int, n: int, v: int) -> Tuple[int, ...]:
-    """The GL-weight of the sl-weight-zero subspace, ((dn/v), ..., (dn/v)).
-
-    The weight-zero subspace of S^d(S^n C^v) is nonzero only when v | dn.
-    Injectivity and surjectivity of the equivariant map h_{d,n} are
-    detected on this single block, where the Weyl group S_v still acts.
-    """
-    if (d * n) % v:
-        raise ValueError(
-            f"weight-zero space of S^{d}(S^{n} C^{v}) is zero: {v} does not divide {d*n}"
-        )
-    return ((d * n) // v,) * v
-
-
-# ---------------------------------------------------------------------------
-# Hadamard's vanishing: kernel elements kill the Chow variety
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChowVanishingReport:
-    ok: bool
-    kernel_dim: int
-    trials: int
-    message: str
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _evaluate_on(ms_coeffs: Dict[Multiset, Fraction], pairings: Dict[Exponent, Fraction]) -> Fraction:
-    total = Fraction(0)
-    for ms, c in ms_coeffs.items():
-        val = c
-        for m in ms:
-            val *= pairings[m]
-            if val == 0:
-                break
-        total += val
-    return total
-
-
-def kernel_vanishes_on_chow(
-    d: int,
-    n: int,
-    v: int,
-    trials: int = 10,
-    seed: int = 0,
-    *,
-    max_block: int = 20_000,
-) -> ChowVanishingReport:
-    """Check ker h_{d,n} ⊆ I_d(Ch_n) on random split points, exactly.
-
-    Every kernel basis vector, viewed as a degree-d polynomial on S^n C^v*
-    via the apolarity pairing <m, u> = m(d/dy) u, must vanish on u = a
-    product of n random rational linear forms.  As a sanity check that the
-    evaluation has teeth, a random vector outside the kernel must be
-    nonzero on some trial (when the kernel is proper).
-    """
-    import random
-
-    h = build_hhh(d, n, v, max_block=max_block)
-    kernel = nullspace(h.entries, max_columns=max_block)
-    rng = random.Random(seed)
-    monos = monomials_of_degree(v, n)
-
-    def random_chow_point() -> Polynomial:
-        u = Polynomial.one(v)
-        for _ in range(n):
-            coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(v)]
-            if not any(coeffs):
-                coeffs[rng.randrange(v)] = Fraction(1)
-            u = u * Polynomial.linear_form(coeffs)
-        return u
-
-    failures = 0
-    sanity_nonzero = False
-    for _ in range(trials):
-        u = random_chow_point()
-        pairings = {
-            m: apply_diff(Polynomial.monomial(m), u).as_scalar() for m in monos
-        }
-        for vec in kernel:
-            coeffs = {
-                h.col_basis[i]: x for i, x in enumerate(vec) if x != 0
-            }
-            if _evaluate_on(coeffs, pairings) != 0:
-                failures += 1
-        if len(kernel) < len(h.col_basis):
-            # a random vector; overwhelmingly not in the kernel, and its
-            # non-vanishing is only *recorded*, not required per trial
-            vec = [Fraction(rng.randint(-3, 3)) for _ in h.col_basis]
-            coeffs = {
-                h.col_basis[i]: x for i, x in enumerate(vec) if x != 0
-            }
-            if _evaluate_on(coeffs, pairings) != 0:
-                sanity_nonzero = True
-    ok = failures == 0 and (not kernel or sanity_nonzero or len(kernel) == len(h.col_basis))
-    msg = (
-        f"h_{{{d},{n}}} on C^{v}: kernel dim {len(kernel)}, {trials} split points, "
-        + ("all kernel evaluations zero" if failures == 0 else f"{failures} NONZERO kernel evaluations")
-        + ("; non-kernel sanity vector nonzero" if sanity_nonzero else "")
-    )
-    return ChowVanishingReport(ok=ok, kernel_dim=len(kernel), trials=trials, message=msg)
-
-
-# ---------------------------------------------------------------------------
-# Brion's degree bound
-# ---------------------------------------------------------------------------
-
-
-def brion_bound(n: int, w: int) -> int:
-    """Brion's effective surjectivity degree d_0(n, w) for h_{d,n} on C^w.
-
-    For d beyond this bound the Hadamard map h_{d,n} on C^w is surjective:
-    d_0 = (n-1)(w-1)((n-1) * floor(C(n+w-1, w-1)/w) - n).
-    """
-    if n < 1 or w < 1:
-        raise ValueError("n and w must be positive")
-    return (n - 1) * (w - 1) * ((n - 1) * (comb(n + w - 1, w - 1) // w) - n)

@@ -5,18 +5,17 @@ computed by the Murnaghan--Nakayama rule on beta-sets (first-column hook
 lengths) with global memoization; all inner products run over cycle types
 with exact rational 1/z_mu weights.
 
-Plethysm multiplicities mult(S_pi, S^d(S^n V)) have two exact routes:
+Plethysm multiplicities mult(S_pi, S^d(S^n V)) come from the plethysm of
+cycle indices Z(S_d)[Z(S_n)] = sum_gamma w_gamma p_gamma, evaluated as
+mult = sum_gamma w_gamma chi_pi(gamma).  The tests check this against
+the weight route (count multisets of d degree-n monomials with prescribed
+column sums, then invert the unitriangular Kostka matrix) on every pi
+with l(pi) <= 4 for dn <= 16 and every pi with l(pi) <= 6 for dn <= 10.
 
-* weight route (default for small dn): count multisets of d degree-n
-  monomials with prescribed column sums, then invert the unitriangular
-  Kostka matrix down the dominance order.  The counts come from one
-  memoized table of suffix counts (``_suffix_counts``), at most d calls
-  deep; ``gct.hhh.multiset_basis`` lists the same multisets by walking it;
-* character route (default for large dn): expand the plethysm of cycle
-  indices Z(S_d)[Z(S_n)] = sum_gamma w_gamma p_gamma and evaluate
-  mult = sum_gamma w_gamma chi_pi(gamma).
-
-The two agree everywhere; tests compare them on all of dn <= 10.
+That route's pieces stay here because ``gct.hhh`` sizes and decomposes
+its weight blocks with them: the counts come from one memoized table of
+suffix counts (``_suffix_counts``), at most d calls deep, and
+``gct.hhh.multiset_basis`` lists the same multisets by walking it.
 """
 
 from __future__ import annotations
@@ -102,18 +101,6 @@ def hook_lengths(p: Partition) -> List[List[int]]:
     return [
         [p[i] - j + conj[j] - i - 1 for j in range(p[i])] for i in range(len(p))
     ]
-
-
-def dimension(p: Partition) -> int:
-    """Number of standard Young tableaux, by the hook length formula."""
-    n = sum(p)
-    denom = 1
-    for row in hook_lengths(p):
-        for h in row:
-            denom *= h
-    dim, rem = divmod(factorial(n), denom)
-    assert rem == 0
-    return dim
 
 
 def schur_dimension(p: Partition, k: int) -> int:
@@ -250,36 +237,6 @@ def symmetric_kronecker(pi: Sequence[int], mu: Sequence[int]) -> int:
     return int(total)
 
 
-def lr_coeff(pi: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
-    """Littlewood-Richardson c^pi_{mu,nu} via induced characters.
-
-    c = <chi_pi, Ind_{S_a x S_b}^{S_{a+b}} chi_mu x chi_nu>, evaluated with
-    Frobenius reciprocity as a double class sum.  Exposed mainly as a
-    cross-check (Pieri tests) for the character machinery.
-    """
-    p = normalize_partition(pi)
-    m = normalize_partition(mu)
-    n = normalize_partition(nu)
-    if sum(p) != sum(m) + sum(n):
-        raise ValueError("sizes must satisfy |pi| = |mu| + |nu|")
-    total = Fraction(0)
-    for g1 in partitions(sum(m)):
-        cm = _mn(m, g1)
-        if not cm:
-            continue
-        for g2 in partitions(sum(n)):
-            cn = _mn(n, g2)
-            if not cn:
-                continue
-            joined = normalize_partition(g1 + g2)
-            cp = _mn(p, joined)
-            if not cp:
-                continue
-            total += Fraction(cm * cn * cp, z_order(g1) * z_order(g2))
-    assert total.denominator == 1 and total >= 0
-    return int(total)
-
-
 # ---------------------------------------------------------------------------
 # Kostka numbers
 # ---------------------------------------------------------------------------
@@ -348,7 +305,7 @@ def decompose_weight_dims(dims: Dict[Partition, int]) -> Dict[Partition, int]:
 
 
 # ---------------------------------------------------------------------------
-# Plethysm multiplicities
+# Weight-space dimensions of S^d(S^n C^v)
 # ---------------------------------------------------------------------------
 
 
@@ -405,17 +362,9 @@ def count_weight_multisets(d: int, n: int, v: int, weight: Sequence[int]) -> int
     return _suffix_counts(n, v, d, w)[0]
 
 
-def plethysm_multiplicities(d: int, n: int, v: int) -> Dict[Partition, int]:
-    """All multiplicities of S_pi, l(pi) <= v, in S^d(S^n C^v).
-
-    Weight route: weight-space dimensions at dominant weights, then
-    unitriangular Kostka inversion.
-    """
-    dims: Dict[Partition, int] = {}
-    for lam in partitions(d * n, max_len=v):
-        padded = lam + (0,) * (v - len(lam))
-        dims[lam] = count_weight_multisets(d, n, v, padded)
-    return decompose_weight_dims(dims)
+# ---------------------------------------------------------------------------
+# Plethysm multiplicities
+# ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -443,18 +392,17 @@ def _plethysm_cycle_weights(d: int, n: int) -> Tuple[Tuple[Partition, Fraction],
     return tuple(sorted(total.items()))
 
 
-#: below this dn the spec's weight/Kostka route is used directly
-_WEIGHT_ROUTE_LIMIT = 16
+def _check_degrees(p: Partition, d: int, n: int) -> None:
+    if d < 0 or n < 0:
+        raise ValueError(f"degrees d={d} and n={n} must be non-negative")
+    if sum(p) != d * n:
+        raise ValueError(f"|pi|={sum(p)} must equal d*n={d * n}")
 
 
 def plethysm_mult(pi: Sequence[int], d: int, n: int) -> int:
     """mult(S_pi, S^d(S^n V)) for any V with dim >= l(pi); exact."""
     p = normalize_partition(pi)
-    if sum(p) != d * n:
-        raise ValueError(f"|pi|={sum(p)} must equal d*n={d * n}")
-    if d * n <= _WEIGHT_ROUTE_LIMIT:
-        v = max(len(p), 1)
-        return plethysm_multiplicities(d, n, v).get(p, 0)
+    _check_degrees(p, d, n)
     total = Fraction(0)
     for gamma, w in _plethysm_cycle_weights(d, n):
         c = _mn(p, gamma)
@@ -487,36 +435,13 @@ class ObstructionReport:
         return self.sym_kron == 0 and self.mult > 0
 
 
-def occurrence_obstruction_test(pi: Sequence[int], d: int, n: int) -> ObstructionReport:
-    """Evaluate the degree-d occurrence-obstruction data for det_n.
-
-    mult(S_pi, S^d(S^n W)) measures occurrence in the ambient coordinate
-    ring; sk^pi_{(d^n)(d^n)} bounds the coordinate ring of the det_n orbit.
-    sk < mult is a representation-theoretic obstruction; sk = 0 < mult an
-    occurrence obstruction.
-    """
-    p = normalize_partition(pi)
-    if sum(p) != d * n:
-        raise ValueError(f"|pi|={sum(p)} must equal d*n={d * n}")
-    mu = (d,) * n
-    return ObstructionReport(
-        pi=p,
-        d=d,
-        n=n,
-        mult=plethysm_mult(p, d, n),
-        kron=kronecker(p, mu, mu),
-        sym_kron=symmetric_kronecker(p, mu),
-    )
-
-
 def gct_useful_filter(pi: Sequence[int], d: int, n: int, m: int) -> bool:
     """Necessary conditions for S_pi (|pi| = dn) to be (n,m)-GCT useful.
 
     (1) l(pi) <= m+1 and (2) pi_1 >= d(n-m).
     """
     p = normalize_partition(pi)
-    if sum(p) != d * n:
-        raise ValueError(f"|pi|={sum(p)} must equal d*n={d * n}")
+    _check_degrees(p, d, n)
     if m < 0:
         raise ValueError("m must be non-negative")
     first = p[0] if p else 0

@@ -525,20 +525,3 @@ def benor_decomposition(m: int, k: int) -> ChowDecomposition:
             forms.append(tuple(row))
         terms.append((c, tuple(forms)))
     return ChowDecomposition(num_vars=v, terms=tuple(terms))
-
-
-# ---------------------------------------------------------------------------
-# Chow circuit accounting
-# ---------------------------------------------------------------------------
-
-
-def chow_circuit_size(r: int, n: int, w: int) -> int:
-    """Circuit size of an r-term Chow decomposition in w+1 essential vars.
-
-    Each of the r products of n linear forms costs n*(1+w) wires for the
-    forms plus the product/sum gates absorbed in the r term: total
-    r + n*r*(1+w).
-    """
-    if r < 0 or n < 0 or w < 0:
-        raise ValueError("arguments must be non-negative")
-    return r + n * r * (1 + w)

@@ -73,6 +73,12 @@ def test_exit_2_bad_args(capsys, tmp_path):
     code, out, err = run(capsys, "zoo", "make", "padded_elem", "3")
     assert (code, out) == (2, "")
     assert err == "gct: error: padded_elem takes 2 parameter(s), got 1\n"
+    # negative degrees are refused before any work, by all three rep commands
+    for argv in (("pleth", "4", "-2", "-2"), ("useful", "4", "-2", "-2", "0"),
+                 ("obstruct", "4", "-2", "-2")):
+        code, out, err = run(capsys, "--no-cache", "rep", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.endswith("gct: error: degrees d=-2 and n=-2 must be non-negative\n"), argv
 
 
 def test_error_line_prints_the_message(capsys):

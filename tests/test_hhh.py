@@ -9,6 +9,7 @@ the principal-ideal structure of ker h_{d,2}(C^3) over the symmetric
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -17,8 +18,8 @@ import pytest
 
 from gct import hhh
 from gct.flatten import CapacityError, exact_rank, nullspace
-from gct.poly import Polynomial, grevlex_key, monomials_of_degree
-from gct.reptheory import count_weight_multisets, dominates, plethysm_multiplicities
+from gct.poly import Polynomial, apply_diff, grevlex_key, monomials_of_degree
+from gct.reptheory import count_weight_multisets, dominates, partitions, plethysm_mult
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +347,11 @@ def test_h32_c3_kernel_is_symmetric_determinant():
     # evaluate on a split point u = (ax+by+cz)^2 pairing; must vanish
     x, y, z = (Polynomial.variable(i, 3) for i in range(3))
     u = (x + 2 * y - z) ** 2
-    from gct.poly import apply_diff
-
     pairings = {
         m: apply_diff(Polynomial.monomial(m), u).as_scalar()
         for m in monomials_of_degree(3, 2)
     }
-    total = Fraction(0)
-    for ms, c in vec.items():
-        val = c
-        for m in ms:
-            val *= pairings[m]
-        total += val
-    assert total == 0
+    assert _evaluate_on(vec, pairings) == 0
 
 
 def test_kernel_character_principal_ideal_oracle():
@@ -367,12 +360,10 @@ def test_kernel_character_principal_ideal_oracle():
     for d in (3, 4, 5, 7):
         got = hhh.kernel_character(d, 2, 3)
         shifted = {}
-        for pi, m in plethysm_multiplicities(d - 3, 2, 3).items():
-            padded = tuple(pi) + (0,) * (3 - len(pi))
-            key = tuple(p + q for p, q in zip(padded, (2, 2, 2)))
-            shifted[tuple(x for x in key if x)] = m
-        if d == 3:
-            shifted = {(2, 2, 2): 1}
+        for pi in partitions(2 * (d - 3), max_len=3):
+            padded = pi + (0,) * (3 - len(pi))
+            shifted[tuple(p + 2 for p in padded)] = plethysm_mult(pi, d - 3, 2)
+        shifted = {pi: m for pi, m in shifted.items() if m}
         assert got == shifted, d
 
 
@@ -394,12 +385,12 @@ def test_kernel_dims_sum_to_total_kernel():
 
 
 def test_weight_zero_block():
-    w = hhh.weight_zero_weight(3, 2, 3)
+    w = hhh.flattest_weight(6, 3)
     assert w == (2, 2, 2)
     block = hhh.build_hhh(3, 2, 3, w)
     assert block.weight == (2, 2, 2)
-    with pytest.raises(ValueError):
-        hhh.weight_zero_weight(3, 2, 4)
+    assert hhh.flattest_weight(6, 4) == (2, 2, 1, 1)
+    assert hhh.flattest_weight(3, 5) == (1, 1, 1, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,20 +398,92 @@ def test_weight_zero_block():
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ChowVanishingReport:
+    ok: bool
+    kernel_dim: int
+    trials: int
+    message: str
+
+
+def _evaluate_on(ms_coeffs, pairings):
+    """A vector {multiset: coeff} of S^d(S^n C^v), as a degree-d polynomial
+    on S^n C^v*, at the point whose apolarity pairings are ``pairings``."""
+    total = Fraction(0)
+    for ms, c in ms_coeffs.items():
+        val = c
+        for m in ms:
+            val *= pairings[m]
+            if val == 0:
+                break
+        total += val
+    return total
+
+
+def kernel_vanishes_on_chow(d, n, v, trials=10, seed=0, *, max_block=20_000):
+    """Oracle: ker h_{d,n} lies in I_d(Ch_n), checked on random split points.
+
+    Every kernel basis vector, viewed as a degree-d polynomial on S^n C^v*
+    via the apolarity pairing <m, u> = m(d/dy) u, must vanish on u = a
+    product of n random rational linear forms.  As a sanity check that the
+    evaluation has teeth, a random vector outside the kernel must be
+    nonzero on some trial (when the kernel is proper).
+    """
+    h = hhh.build_hhh(d, n, v, max_block=max_block)
+    kernel = nullspace(h.entries, max_columns=max_block)
+    rng = random.Random(seed)
+    monos = monomials_of_degree(v, n)
+
+    def random_chow_point():
+        u = Polynomial.one(v)
+        for _ in range(n):
+            coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(v)]
+            if not any(coeffs):
+                coeffs[rng.randrange(v)] = Fraction(1)
+            u = u * Polynomial.linear_form(coeffs)
+        return u
+
+    failures = 0
+    sanity_nonzero = False
+    for _ in range(trials):
+        u = random_chow_point()
+        pairings = {
+            m: apply_diff(Polynomial.monomial(m), u).as_scalar() for m in monos
+        }
+        for vec in kernel:
+            coeffs = {h.col_basis[i]: x for i, x in enumerate(vec) if x != 0}
+            if _evaluate_on(coeffs, pairings) != 0:
+                failures += 1
+        if len(kernel) < len(h.col_basis):
+            # a random vector; overwhelmingly not in the kernel, and its
+            # non-vanishing is only *recorded*, not required per trial
+            vec = [Fraction(rng.randint(-3, 3)) for _ in h.col_basis]
+            coeffs = {h.col_basis[i]: x for i, x in enumerate(vec) if x != 0}
+            if _evaluate_on(coeffs, pairings) != 0:
+                sanity_nonzero = True
+    ok = failures == 0 and (not kernel or sanity_nonzero or len(kernel) == len(h.col_basis))
+    msg = (
+        f"h_{{{d},{n}}} on C^{v}: kernel dim {len(kernel)}, {trials} split points, "
+        + ("all kernel evaluations zero" if failures == 0 else f"{failures} NONZERO kernel evaluations")
+        + ("; non-kernel sanity vector nonzero" if sanity_nonzero else "")
+    )
+    return ChowVanishingReport(ok=ok, kernel_dim=len(kernel), trials=trials, message=msg)
+
+
 def test_kernel_vanishes_on_chow():
-    report = hhh.kernel_vanishes_on_chow(3, 2, 3, trials=6, seed=11)
+    report = kernel_vanishes_on_chow(3, 2, 3, trials=6, seed=11)
     assert report.ok
     assert report.kernel_dim == 1
     assert "all kernel evaluations zero" in report.message
 
 
 def test_kernel_vanishes_trivially_when_injective():
-    report = hhh.kernel_vanishes_on_chow(2, 2, 2, trials=3, seed=1)
+    report = kernel_vanishes_on_chow(2, 2, 2, trials=3, seed=1)
     assert report.ok and report.kernel_dim == 0
 
 
 # ---------------------------------------------------------------------------
-# capacity and bounds
+# capacity
 # ---------------------------------------------------------------------------
 
 
@@ -440,10 +503,3 @@ def test_h55_capacity_reported_up_front():
 def test_build_hhh_validates_arguments():
     with pytest.raises(ValueError):
         hhh.build_hhh(0, 2, 2)
-
-
-def test_brion_bound():
-    assert hhh.brion_bound(3, 3) == 12
-    assert hhh.brion_bound(1, 5) == 0
-    with pytest.raises(ValueError):
-        hhh.brion_bound(0, 3)

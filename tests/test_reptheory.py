@@ -25,6 +25,18 @@ def class_size(mu):
     return factorial(sum(mu)) // rt.z_order(mu)
 
 
+def dimension(p):
+    """Number of standard Young tableaux of shape p, by the hook length
+    formula; the tests check it against chi_p at the identity."""
+    denom = 1
+    for row in rt.hook_lengths(p):
+        for h in row:
+            denom *= h
+    dim, rem = divmod(factorial(sum(p)), denom)
+    assert rem == 0
+    return dim
+
+
 # ---------------------------------------------------------------------------
 # Partitions and basic combinatorics
 # ---------------------------------------------------------------------------
@@ -89,9 +101,9 @@ def test_class_sizes_partition_the_group():
 
 def test_hook_lengths_literal():
     assert rt.hook_lengths((4, 2, 1)) == [[6, 4, 2, 1], [3, 1], [1]]
-    assert rt.dimension((4, 2, 1)) == 35
-    assert rt.dimension((1,)) == 1
-    assert rt.dimension(()) == 1
+    assert dimension((4, 2, 1)) == 35
+    assert dimension((1,)) == 1
+    assert dimension(()) == 1
 
 
 def test_schur_dimension():
@@ -139,12 +151,12 @@ def test_character_size_mismatch():
 def test_dimension_is_character_at_identity():
     for n in range(1, 7):
         for pi in rt.partitions(n):
-            assert rt.character(pi, (1,) * n) == rt.dimension(pi)
+            assert rt.character(pi, (1,) * n) == dimension(pi)
 
 
 def test_sum_of_squared_dimensions():
     for n in range(1, 9):
-        assert sum(rt.dimension(p) ** 2 for p in rt.partitions(n)) == factorial(n)
+        assert sum(dimension(p) ** 2 for p in rt.partitions(n)) == factorial(n)
 
 
 def test_character_orthogonality():
@@ -256,8 +268,8 @@ def test_kronecker_dimension_conservation():
         parts = list(rt.partitions(n))
         for pi in parts:
             for mu in parts:
-                total = sum(rt.kronecker(pi, mu, nu) * rt.dimension(nu) for nu in parts)
-                assert total == rt.dimension(pi) * rt.dimension(mu)
+                total = sum(rt.kronecker(pi, mu, nu) * dimension(nu) for nu in parts)
+                assert total == dimension(pi) * dimension(mu)
 
 
 def test_kronecker_size_mismatch():
@@ -270,13 +282,13 @@ def test_symmetric_kronecker_bounds_and_dimension():
     for n in range(2, 7):
         parts = list(rt.partitions(n))
         for mu in parts:
-            d_mu = rt.dimension(mu)
+            d_mu = dimension(mu)
             total = 0
             for pi in parts:
                 sk = rt.symmetric_kronecker(pi, mu)
                 k = rt.kronecker(pi, mu, mu)
                 assert 0 <= sk <= k
-                total += sk * rt.dimension(pi)
+                total += sk * dimension(pi)
             assert total == d_mu * (d_mu + 1) // 2
 
 
@@ -307,22 +319,50 @@ def _is_horizontal_strip(outer, inner):
     return all(inner[i] >= outer[i + 1] for i in range(len(outer) - 1))
 
 
+def lr_coeff(pi, mu, nu):
+    """Littlewood-Richardson c^pi_{mu,nu} via induced characters.
+
+    c = <chi_pi, Ind_{S_a x S_b}^{S_{a+b}} chi_mu x chi_nu>, evaluated with
+    Frobenius reciprocity as a double class sum; the Pieri tests below
+    cross-check the character machinery with it.
+    """
+    p = rt.normalize_partition(pi)
+    m = rt.normalize_partition(mu)
+    n = rt.normalize_partition(nu)
+    if sum(p) != sum(m) + sum(n):
+        raise ValueError("sizes must satisfy |pi| = |mu| + |nu|")
+    total = Fraction(0)
+    for g1 in rt.partitions(sum(m)):
+        cm = rt.character(m, g1)
+        if not cm:
+            continue
+        for g2 in rt.partitions(sum(n)):
+            cn = rt.character(n, g2)
+            if not cn:
+                continue
+            cp = rt.character(p, g1 + g2)
+            if cp:
+                total += Fraction(cm * cn * cp, rt.z_order(g1) * rt.z_order(g2))
+    assert total.denominator == 1 and total >= 0
+    return int(total)
+
+
 def test_lr_pieri_rule():
     for mu_size in range(1, 5):
         for k in range(1, 4):
             for mu in rt.partitions(mu_size):
                 for pi in rt.partitions(mu_size + k):
                     want = 1 if _is_horizontal_strip(pi, mu) else 0
-                    assert rt.lr_coeff(pi, mu, (k,)) == want
+                    assert lr_coeff(pi, mu, (k,)) == want
 
 
 def test_lr_known_value_and_symmetry():
-    assert rt.lr_coeff((3, 2, 1), (2, 1), (2, 1)) == 2
-    assert rt.lr_coeff((3, 2, 1), (2, 1), (1, 1, 1)) == 1
+    assert lr_coeff((3, 2, 1), (2, 1), (2, 1)) == 2
+    assert lr_coeff((3, 2, 1), (2, 1), (1, 1, 1)) == 1
     for pi in rt.partitions(5):
-        assert rt.lr_coeff(pi, (2, 1), (2,)) == rt.lr_coeff(pi, (2,), (2, 1))
+        assert lr_coeff(pi, (2, 1), (2,)) == lr_coeff(pi, (2,), (2, 1))
     with pytest.raises(ValueError):
-        rt.lr_coeff((3, 1), (2,), (3,))
+        lr_coeff((3, 1), (2,), (3,))
 
 
 def test_lr_dimension_conservation():
@@ -330,9 +370,9 @@ def test_lr_dimension_conservation():
     for mu in rt.partitions(3):
         for nu in rt.partitions(2):
             total = sum(
-                rt.lr_coeff(pi, mu, nu) * rt.dimension(pi) for pi in rt.partitions(5)
+                lr_coeff(pi, mu, nu) * dimension(pi) for pi in rt.partitions(5)
             )
-            assert total == comb(5, 3) * rt.dimension(mu) * rt.dimension(nu)
+            assert total == comb(5, 3) * dimension(mu) * dimension(nu)
 
 
 def test_kostka_basics():
@@ -356,7 +396,7 @@ def test_kostka_rsk_counting():
             for part in mu:
                 words //= factorial(part)
             total = sum(
-                rt.kostka(lam, mu) * rt.dimension(lam) for lam in rt.partitions(n)
+                rt.kostka(lam, mu) * dimension(lam) for lam in rt.partitions(n)
             )
             assert total == words
 
@@ -416,12 +456,33 @@ def _partitions_in_box(k, rows, cols):
     return count
 
 
+def plethysm_multiplicities(d, n, v):
+    """Oracle: all multiplicities of S_pi, l(pi) <= v, in S^d(S^n C^v).
+
+    The weight route: weight-space dimensions at the dominant weights,
+    then unitriangular Kostka inversion.  It shares no code with the
+    cycle-index route of ``plethysm_mult``, and it is far slower once dn
+    and l(pi) grow.
+    """
+    dims = {}
+    for lam in rt.partitions(d * n, max_len=v):
+        dims[lam] = rt.count_weight_multisets(d, n, v, lam + (0,) * (v - len(lam)))
+    return rt.decompose_weight_dims(dims)
+
+
+def pleth_decomposition(d, n, v):
+    """The nonzero plethysm_mult(pi, d, n) over the pi with l(pi) <= v:
+    the decomposition of S^d(S^n C^v) by the route that ships."""
+    mults = {pi: rt.plethysm_mult(pi, d, n) for pi in rt.partitions(d * n, max_len=v)}
+    return {pi: m for pi, m in mults.items() if m}
+
+
 def test_plethysm_known_decompositions():
-    assert rt.plethysm_multiplicities(2, 2, 2) == {(4,): 1, (2, 2): 1}
-    assert rt.plethysm_multiplicities(3, 2, 3) == {(6,): 1, (4, 2): 1, (2, 2, 2): 1}
-    assert rt.plethysm_multiplicities(2, 3, 2) == {(6,): 1, (4, 2): 1}
+    assert pleth_decomposition(2, 2, 2) == {(4,): 1, (2, 2): 1}
+    assert pleth_decomposition(3, 2, 3) == {(6,): 1, (4, 2): 1, (2, 2, 2): 1}
+    assert pleth_decomposition(2, 3, 2) == {(6,): 1, (4, 2): 1}
     # S^m(S^2) = sum over even partitions (Thrall)
-    got = rt.plethysm_multiplicities(4, 2, 4)
+    got = pleth_decomposition(4, 2, 4)
     assert got == {(8,): 1, (6, 2): 1, (4, 4): 1, (4, 2, 2): 1, (2, 2, 2, 2): 1}
     assert rt.plethysm_mult((3, 3, 3), 3, 3) == 0
 
@@ -430,7 +491,7 @@ def test_plethysm_cayley_sylvester():
     """mult(S_(dn-k,k), S^d(S^n C^2)) = p(k;d,n) - p(k-1;d,n)."""
     for d in range(1, 5):
         for n in range(1, 5):
-            got = rt.plethysm_multiplicities(d, n, 2)
+            got = pleth_decomposition(d, n, 2)
             for k in range(0, d * n // 2 + 1):
                 want = _partitions_in_box(k, d, n) - (
                     _partitions_in_box(k - 1, d, n) if k else 0
@@ -443,25 +504,23 @@ def test_plethysm_hermite_reciprocity():
     """S^d(S^n C^2) = S^n(S^d C^2) as GL_2 modules."""
     for d in range(1, 5):
         for n in range(1, 5):
-            assert rt.plethysm_multiplicities(d, n, 2) == rt.plethysm_multiplicities(
-                n, d, 2
-            )
+            assert pleth_decomposition(d, n, 2) == pleth_decomposition(n, d, 2)
 
 
 def test_plethysm_dimension_conservation():
     for d, n, v in [(2, 2, 2), (2, 2, 3), (3, 2, 3), (2, 3, 3), (4, 2, 3), (3, 3, 3)]:
-        mults = rt.plethysm_multiplicities(d, n, v)
+        mults = pleth_decomposition(d, n, v)
         total = sum(m * rt.schur_dimension(p, v) for p, m in mults.items())
         ambient = comb(comb(n + v - 1, n) + d - 1, d)
         assert total == ambient
 
 
 def test_plethysm_wreath_route_matches_weight_route():
-    """Force the character/wreath formula and compare with the weight route."""
+    """Evaluate the cycle-index weights by hand and compare with the oracle."""
     for d, n in [(2, 2), (3, 2), (2, 3), (3, 3)]:
         weights = rt._plethysm_cycle_weights(d, n)
         assert sum(w for _, w in weights) == 1  # total mass of the cycle index
-        by_weight = rt.plethysm_multiplicities(d, n, d * n)
+        by_weight = plethysm_multiplicities(d, n, d * n)
         for pi in rt.partitions(d * n):
             total = Fraction(0)
             for gamma, w in weights:
@@ -469,17 +528,47 @@ def test_plethysm_wreath_route_matches_weight_route():
                 if c:
                     total += w * c
             assert total.denominator == 1
-            assert by_weight.get(pi, 0) == int(total), (d, n, pi)
+            assert by_weight.get(pi, 0) == int(total) == rt.plethysm_mult(pi, d, n), (
+                d, n, pi)
+
+
+@pytest.mark.parametrize("v,max_dn", [(4, 16), (6, 10)])
+def test_plethysm_mult_matches_weight_oracle(v, max_dn):
+    """Every pi with l(pi) <= v, for every d, n >= 1 with dn <= max_dn."""
+    checked = 0
+    for d in range(1, max_dn + 1):
+        for n in range(1, max_dn // d + 1):
+            oracle = plethysm_multiplicities(d, n, v)
+            for pi in rt.partitions(d * n, max_len=v):
+                assert rt.plethysm_mult(pi, d, n) == oracle.get(pi, 0), (pi, d, n)
+                checked += 1
+    assert checked == {4: 1362, 6: 410}[v]
+
+
+def test_plethysm_mult_pinned_values():
+    # each computed by both routes
+    assert rt.plethysm_mult((4, 4, 4, 4), 4, 4) == 1
+    assert rt.plethysm_mult((6, 4, 2, 2, 1, 1), 4, 4) == 0
+    assert rt.plethysm_mult((3, 3, 2, 2, 2, 2, 1, 1), 4, 4) == 0
+    assert rt.plethysm_mult((2,) * 8, 8, 2) == 1
+    # S^0 and S^d(S^0) are the trivial module
+    assert rt.plethysm_mult((), 0, 3) == rt.plethysm_mult((), 2, 0) == 1
 
 
 def test_plethysm_mult_large_uses_wreath_and_is_consistent():
-    # dn = 18 > weight-route limit: S^2(S^9 C^2) by Hermite/Thrall
+    # dn = 18: S^2(S^9 C^2) by Hermite/Thrall
     assert rt.plethysm_mult((18,), 2, 9) == 1
     assert rt.plethysm_mult((16, 2), 2, 9) == 1
     assert rt.plethysm_mult((17, 1), 2, 9) == 0
     assert rt.plethysm_mult((14, 4), 2, 9) == 1
     with pytest.raises(ValueError):
         rt.plethysm_mult((4, 1), 2, 2)
+
+
+def test_plethysm_mult_rejects_negative_degrees():
+    for d, n in [(-2, -2), (-1, 0), (0, -1)]:
+        with pytest.raises(ValueError, match="non-negative"):
+            rt.plethysm_mult((4,) if d * n else (), d, n)
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +585,32 @@ def test_obstruction_report_properties():
     assert not rep.is_representation_obstruction and not rep.is_occurrence_obstruction
 
 
+def occurrence_obstruction_test(pi, d, n):
+    """The data of ``gct rep obstruct``, in-process.
+
+    mult(S_pi, S^d(S^n W)) measures occurrence in the ambient coordinate
+    ring; sk^pi_{(d^n)(d^n)} bounds the coordinate ring of the det_n orbit.
+    """
+    p = rt.normalize_partition(pi)
+    mu = (d,) * n
+    return rt.ObstructionReport(
+        pi=p,
+        d=d,
+        n=n,
+        mult=rt.plethysm_mult(p, d, n),
+        kron=rt.kronecker(p, mu, mu),
+        sym_kron=rt.symmetric_kronecker(p, mu),
+    )
+
+
 def test_occurrence_obstruction_test_small():
-    rep = rt.occurrence_obstruction_test((4,), 2, 2)
+    rep = occurrence_obstruction_test((4,), 2, 2)
     assert rep.mult == 1 and rep.kron >= rep.sym_kron >= 1
     assert not rep.is_representation_obstruction
-    rep = rt.occurrence_obstruction_test((2, 2), 2, 2)
+    rep = occurrence_obstruction_test((2, 2), 2, 2)
     assert rep.mult == 1 and rep.sym_kron >= 1
     with pytest.raises(ValueError):
-        rt.occurrence_obstruction_test((3, 1), 2, 3)
+        occurrence_obstruction_test((3, 1), 2, 3)
 
 
 def test_gct_useful_filter():
@@ -515,3 +622,5 @@ def test_gct_useful_filter():
         rt.gct_useful_filter((3, 1), 2, 3, 1)
     with pytest.raises(ValueError):
         rt.gct_useful_filter((6,), 2, 3, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        rt.gct_useful_filter((4,), -2, -2, 0)

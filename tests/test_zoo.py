@@ -427,9 +427,3 @@ def test_verify_det_expression_rejects_bad_shapes():
     assert not zoo.verify_det_expression(w, zoo.perm(2)).ok  # n < degree
     w = zoo.DetExpressionWitness(n=2, num_target_vars=4, entries=entries[:3])
     assert not zoo.verify_det_expression(w, zoo.perm(2)).ok  # wrong entry count
-
-
-def test_chow_circuit_size():
-    assert zoo.chow_circuit_size(1, 2, 1) == 1 + 2 * 1 * 2
-    with pytest.raises(ValueError):
-        zoo.chow_circuit_size(-1, 2, 1)
