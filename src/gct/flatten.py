@@ -64,6 +64,9 @@ def _as_rows(matrix) -> List[List[Fraction]]:
 def _integerize(rows: List[List[Fraction]]) -> List[List[int]]:
     out: List[List[int]] = []
     for row in rows:
+        if all(type(x) is int for x in row):  # already cleared: copy as is
+            out.append(list(row))
+            continue
         fracs = [Fraction(x) for x in row]
         denom_lcm = 1
         for x in fracs:

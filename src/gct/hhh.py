@@ -8,10 +8,25 @@ degree-n exponent tuples, stored as a tuple sorted in descending grevlex
     t_i of each m_i into n letters of  prod_j u_{N_j},   N_j = prod_i t_i[j],
 
 the normalization that makes the Exercise identity
-h(x_1^n ... x_d^n) = (x_1 ... x_d)^n hold on the nose.  Because summing
-over the orderings of any single row is invariant under a simultaneous
-relabeling of the n slots, the first row's ordering may be pinned, which
-the column builder exploits.
+h(x_1^n ... x_d^n) = (x_1 ... x_d)^n hold on the nose.
+
+Columns are built scaled, in integers.  A sum over all n! orderings of a
+row is invariant under a simultaneous relabeling of the n slots, so the
+first row's letters are put in one fixed order and each later row m_i runs
+over its distinct orderings only, each standing for prod_a m_i[a]! of the
+n! orderings.  The column of ms is then 1/s(ms) times an integer count,
+
+    s(ms) = prod_{i >= 2} n! / prod_a m_i[a]!,
+
+and ``hhh_column`` returns h(ms) * s(ms): for each codomain multiset, the
+number of choices of orderings of rows 2..d whose columns form it.  The
+count is a dynamic program over rows.  A state is the multiset of the n
+partial columns: how the remaining rows extend a state depends only on
+that multiset, by the same slot symmetry, so after each row the states
+are sorted and equal ones merge, adding their counts.  Scaling a column by
+the nonzero s(ms) changes neither the rank nor the kernel's dimension; x
+is in ker h exactly when D^{-1} x is in the kernel of the entries, for
+D = diag(s).
 
 h is GL(W)-equivariant, so its matrix is block diagonal with respect to
 the torus-weight grading, and permuting variables identifies blocks with
@@ -25,13 +40,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .flatten import CapacityError, exact_rank
-from .poly import Exponent, grevlex_key, monomials_of_degree
+from .poly import Exponent, monomials_of_degree
 from .reptheory import (
     Partition,
     _suffix_counts,
@@ -53,10 +69,6 @@ MAX_ENTRIES = 25_000_000
 # ---------------------------------------------------------------------------
 # Bases
 # ---------------------------------------------------------------------------
-
-
-def _canonical_multiset(monos: Sequence[Exponent]) -> Multiset:
-    return tuple(sorted(monos, key=grevlex_key))
 
 
 def multiset_basis(
@@ -116,7 +128,8 @@ def _letters(m: Exponent) -> Tuple[int, ...]:
     return tuple(a for a, e in enumerate(m) for _ in range(e))
 
 
-def _distinct_orderings(m: Exponent) -> List[Tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _distinct_orderings(m: Exponent) -> Tuple[Tuple[int, ...], ...]:
     """Distinct letter sequences with content m (multiset permutations)."""
     letters = sorted(_letters(m))
     n = len(letters)
@@ -140,47 +153,37 @@ def _distinct_orderings(m: Exponent) -> List[Tuple[int, ...]]:
                 counts[a] += 1
 
     rec()
-    return out
+    return tuple(out)
 
 
-def hhh_column(ms: Multiset, n: int, v: int) -> Dict[Multiset, Fraction]:
-    """Image of the domain basis element ``ms`` as {codomain multiset: coeff}."""
+def hhh_column(ms: Multiset, n: int, v: int) -> Dict[Multiset, int]:
+    """Image of the domain basis element ``ms``, times s(ms), as
+    {codomain multiset: integer coefficient}.
+
+    A state is the sorted tuple of the n partial columns, each column coded
+    as the integer sum of B**a over its letters a (B = d + 1 exceeds every
+    exponent); ascending codes are descending grevlex, the basis order.
+    """
     d = len(ms)
     if d == 0:
-        return {(): Fraction(1)}
-    # pin the first row's ordering; weight it 1 (slot relabeling symmetry)
-    first = _letters(ms[0])
-    rest = list(ms[1:])
-    rest_orderings = [_distinct_orderings(m) for m in rest]
-    weight_each = Fraction(1)
-    for m in rest:
-        mult = 1
-        for e in m:
-            mult *= factorial(e)
-        weight_each *= Fraction(mult, factorial(n))
-    acc: Dict[Multiset, Fraction] = {}
-
-    def emit(rows: List[Tuple[int, ...]]) -> None:
-        cols: List[List[int]] = [[0] * v for _ in range(n)]
-        for row in rows:
-            for j, a in enumerate(row):
-                cols[j][a] += 1
-        key = _canonical_multiset([tuple(c) for c in cols])
-        acc[key] = acc.get(key, Fraction(0)) + weight_each
-
-    rows: List[Tuple[int, ...]] = [first]
-
-    def rec(i: int) -> None:
-        if i == len(rest):
-            emit(rows)
-            return
-        for ordering in rest_orderings[i]:
-            rows.append(ordering)
-            rec(i + 1)
-            rows.pop()
-
-    rec(0)
-    return acc
+        return {(): 1}
+    base = d + 1
+    power = [base**a for a in range(v)]
+    states: Dict[Tuple[int, ...], int] = {tuple(sorted(power[a] for a in _letters(ms[0]))): 1}
+    for m in ms[1:]:
+        orderings = [tuple(power[a] for a in o) for o in _distinct_orderings(m)]
+        merged: Dict[Tuple[int, ...], int] = {}
+        for state, count in states.items():
+            for o in orderings:
+                key = tuple(sorted(map(add, state, o)))
+                merged[key] = merged.get(key, 0) + count
+        states = merged
+    decoded: Dict[int, Exponent] = {}
+    for state in states:
+        for code in state:
+            if code not in decoded:
+                decoded[code] = tuple(code // p % base for p in power)
+    return {tuple(decoded[c] for c in state): count for state, count in states.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +201,7 @@ class PlethysmMap:
     weight: Optional[Tuple[int, ...]]
     row_basis: Tuple[Multiset, ...]  # codomain: multisets of n degree-d monomials
     col_basis: Tuple[Multiset, ...]  # domain:   multisets of d degree-n monomials
-    entries: Tuple[Tuple[Fraction, ...], ...]
+    entries: Tuple[Tuple[int, ...], ...]  # column ms scaled by s(ms)
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -252,16 +255,10 @@ def build_hhh(
     col_basis = multiset_basis(d, n, v, w)
     row_basis = multiset_basis(n, d, v, w)
     row_index = {ms: i for i, ms in enumerate(row_basis)}
-    cols: List[List[Fraction]] = []
-    for ms in col_basis:
-        col = [Fraction(0)] * len(row_basis)
+    rows = [[0] * len(col_basis) for _ in row_basis]
+    for c, ms in enumerate(col_basis):
         for key, val in hhh_column(ms, n, v).items():
-            col[row_index[key]] = val
-        cols.append(col)
-    entries = tuple(
-        tuple(cols[c][r] for c in range(len(col_basis)))
-        for r in range(len(row_basis))
-    )
+            rows[row_index[key]][c] = val
     return PlethysmMap(
         d=d,
         n=n,
@@ -269,7 +266,7 @@ def build_hhh(
         weight=w,
         row_basis=tuple(row_basis),
         col_basis=tuple(col_basis),
-        entries=entries,
+        entries=tuple(map(tuple, rows)),
     )
 
 

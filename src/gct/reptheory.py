@@ -27,9 +27,16 @@ from functools import lru_cache
 from math import factorial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .flatten import CapacityError
 from .poly import monomials_of_degree
 
 Partition = Tuple[int, ...]
+
+#: cap on p(dn), the number of cycle types Z(S_d)[Z(S_n)] can have: dn <= 40
+MAX_CYCLE_TYPES = 40_000
+#: degrees past this are refused without counting p(dn), whose recurrence
+#: costs about dn^1.5 steps
+MAX_COUNTED_DEGREE = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +71,20 @@ def partitions(
                 yield (first,) + rest
 
     yield from rec(n, max_part, n if max_len is None else max_len)
+
+
+def _partition_count(total: int) -> int:
+    """p(total), by Euler's pentagonal-number recurrence."""
+    p = [1] + [0] * total
+    for m in range(1, total + 1):
+        acc, k = 0, 1
+        while k * (3 * k - 1) // 2 <= m:
+            g = k * (3 * k - 1) // 2
+            term = p[m - g] + (p[m - g - k] if g + k <= m else 0)
+            acc += term if k % 2 else -term
+            k += 1
+        p[m] = acc
+    return p[total]
 
 
 def conjugate(p: Partition) -> Partition:
@@ -375,7 +396,16 @@ def _plethysm_cycle_weights(d: int, n: int) -> Tuple[Tuple[Partition, Fraction],
     the outer permutation contributes cycles r*rho for the cycle type rho
     of the product of its inner permutations; summing 1/z weights over all
     choices is exactly this plethystic substitution.
+
+    There are at most p(dn) of them, and the merge runs over as many states,
+    so a p(dn) over ``MAX_CYCLE_TYPES`` is refused before any is built.
     """
+    dn = d * n
+    if dn > MAX_COUNTED_DEGREE:
+        raise CapacityError(f"plethysm S^{d}(S^{n}): degree dn", dn, MAX_COUNTED_DEGREE)
+    types = _partition_count(dn)
+    if types > MAX_CYCLE_TYPES:
+        raise CapacityError(f"plethysm S^{d}(S^{n}): p({dn}) cycle types", types, MAX_CYCLE_TYPES)
     inner = [(rho, Fraction(1, z_order(rho))) for rho in partitions(n)]
     total: Dict[Partition, Fraction] = defaultdict(Fraction)
     for nu in partitions(d):

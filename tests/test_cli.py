@@ -9,6 +9,7 @@ recomputed, and commands with file side effects must bypass the cache.
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -94,6 +95,17 @@ def test_exit_3_capacity(capsys):
     assert rec["error"] == "capacity"
     assert rec["size"] == 190131
     assert rec["size"] > rec["cap"]
+
+
+def test_large_plethysm_is_refused_up_front(capsys):
+    """p(64) = 1741630 cycle types: refused before any is merged."""
+    start = time.monotonic()
+    code, out, _ = run(capsys, "--json", "--no-cache", "rep", "pleth", "64", "8", "8")
+    elapsed = time.monotonic() - start
+    rec = json.loads(out)
+    assert (code, rec["error"], rec["size"], rec["cap"]) == (3, "capacity", 1741630, 40000)
+    assert "p(64)" in rec["context"]
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gct.flatten import (
     CapacityError,
+    _integerize,
     chow_border_lower_bound,
     exact_rank,
     exact_rank_certificate,
@@ -201,6 +202,53 @@ def test_rank_certificate_pivots_index_a_nonsingular_minor():
     assert cert.trace_digest == (
         "bd619e87e234125c763b1b3cfe19effc752fc4fd6877a1c84df7400048b52982"
     )
+
+
+def test_integerize_keeps_integer_rows():
+    rows = [(1, -2, 0), [3, 4, 6], [0, 0, 0]]
+    out = _integerize(rows)
+    assert out == [[1, -2, 0], [3, 4, 6], [0, 0, 0]]
+    assert all(type(row) is list for row in out)
+    assert all(type(x) is int for row in out for x in row)
+    out[1][0] = 99  # the elimination works in place on fresh rows
+    assert rows[1] == [3, 4, 6]
+
+
+def test_integerize_clears_denominators_of_mixed_rows():
+    h = Fraction(1, 2)
+    rows = [[1, h, 0], [Fraction(2, 3), 1, Fraction(1, 6)], [2, 4, 6], [Fraction(4), 0, 2]]
+    out = _integerize(rows)
+    assert out == [[2, 1, 0], [4, 6, 1], [2, 4, 6], [4, 0, 2]]
+    assert all(type(x) is int for row in out for x in row)
+
+
+@pytest.mark.parametrize(
+    "rows,pivot_rows,digest",
+    [
+        (
+            [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 0, Fraction(1, 2), 0, 0],
+             [0, 0, 1, Fraction(1, 2), 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]],
+            (0, 1, 3, 2, 4, 5),
+            "12788a86b950dc9a9233e2593ccec6a40c974b0f4c001bc43496ca0dbfb24fd0",
+        ),
+        (
+            [[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 0, 1]],
+            (0, 2),
+            "bd619e87e234125c763b1b3cfe19effc752fc4fd6877a1c84df7400048b52982",
+        ),
+    ],
+)
+def test_integer_rows_keep_the_pinned_certificates(rows, pivot_rows, digest):
+    """The pivots and trace digest pinned above, whichever path each row
+    takes: as written, all Fractions, and Fractions on the even rows only."""
+    for form in (
+        rows,
+        [[Fraction(x) for x in row] for row in rows],
+        [[Fraction(x) for x in row] if i % 2 == 0 else row for i, row in enumerate(rows)],
+    ):
+        cert = exact_rank_certificate(form)
+        assert cert.pivot_rows == pivot_rows
+        assert cert.trace_digest == digest
 
 
 def test_rank_capacity_cap():

@@ -5,14 +5,16 @@ characterizing identity h(l_1^n ... l_d^n) = (l_1 ... l_d)^n expanded by
 generic polynomial multiplication in "big" variables (one per monomial),
 rank duality rank h_{d,n} = rank h_{n,d}, blockwise-vs-full assembly, and
 the principal-ideal structure of ker h_{d,2}(C^3) over the symmetric
-3x3 determinant, cross-checked against gct.reptheory plethysms.
+3x3 determinant, cross-checked against gct.reptheory plethysms.  The
+state-merging column builder is checked against the leaf enumeration it
+replaced.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -70,14 +72,57 @@ def recursive_multiset_basis(count, degree, v, weight):
     return out
 
 
+def column_scale(ms, n):
+    """s(ms) = prod over the rows after the first of n! / prod_a m[a]!: the
+    integer hhh_column multiplies the column of ms by."""
+    s = 1
+    for m in ms[1:]:
+        ways = factorial(n)
+        for e in m:
+            ways //= factorial(e)
+        s *= ways
+    return s
+
+
+def enumerate_column(ms, n, v):
+    """Oracle: the column builder the state merge replaced, h(ms) exactly.
+
+    One leaf per choice of distinct orderings of rows 2..d, the first
+    row's letters in a fixed order, each leaf weighted 1/s(ms).
+    """
+
+    def letters(m):
+        return tuple(a for a, e in enumerate(m) for _ in range(e))
+
+    rest_orderings = [sorted(set(permutations(letters(m)))) for m in ms[1:]]
+    leaves = {}
+
+    def rec(i, cols):
+        if i == len(rest_orderings):
+            key = tuple(sorted(cols))  # the multiset of columns
+            leaves[key] = leaves.get(key, 0) + 1
+            return
+        for ordering in rest_orderings[i]:
+            rec(i + 1, [c[:a] + (c[a] + 1,) + c[a + 1:] for c, a in zip(cols, ordering)])
+
+    unit = [(0,) * v] * n
+    rec(0, [c[:a] + (1,) + c[a + 1:] for c, a in zip(unit, letters(ms[0]))])
+    s = column_scale(ms, n)
+    return {
+        tuple(sorted(key, key=grevlex_key)): Fraction(count, s) for key, count in leaves.items()
+    }
+
+
 def apply_map(h, coeffs):
-    """h applied to a sparse domain vector {multiset: coeff}, column by column."""
+    """h applied to a sparse domain vector {multiset: coeff}, column by
+    column, each integer column divided by its scale s(ms)."""
     out = {}
     for ms, c in coeffs.items():
         if c == 0:
             continue
+        s = column_scale(ms, h.n)
         for key, val in hhh.hhh_column(ms, h.n, h.v).items():
-            acc = out.get(key, Fraction(0)) + c * val
+            acc = out.get(key, Fraction(0)) + c * Fraction(val, s)
             if acc:
                 out[key] = acc
             else:
@@ -199,6 +244,44 @@ def test_predicted_block_size_matches_built():
         assert len(block.col_basis) == dom and len(block.row_basis) == cod
 
 
+# ---------------------------------------------------------------------------
+# the column builder against the leaf enumeration
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "d,n,v,weights,columns",
+    [
+        (3, 3, 3, hhh.dominant_weights(9, 3), 53),
+        (4, 3, 2, hhh.dominant_weights(12, 2), 20),
+        (3, 4, 3, hhh.dominant_weights(12, 3), 156),
+        (2, 5, 3, hhh.dominant_weights(10, 3), 51),
+        (3, 2, 3, hhh.dominant_weights(6, 3), 16),
+        (5, 5, 2, hhh.dominant_weights(25, 2), 126),
+        (5, 5, 5, H55_BENCH_WEIGHTS, 152),
+    ],
+)
+def test_column_is_scaled_leaf_enumeration(d, n, v, weights, columns):
+    """hhh_column(ms) = s(ms) * h(ms), with h(ms) from the old enumerator,
+    on every column of the listed blocks."""
+    seen = 0
+    for w in weights:
+        for ms in hhh.multiset_basis(d, n, v, w):
+            got = hhh.hhh_column(ms, n, v)
+            s = column_scale(ms, n)
+            want = {key: val * s for key, val in enumerate_column(ms, n, v).items()}
+            assert got == want, ms
+            assert all(type(x) is int for x in got.values()), ms
+            seen += 1
+    assert seen == columns
+
+
+def test_entries_are_python_ints():
+    for d, n, v, w in [(3, 2, 3, None), (2, 3, 2, None), (5, 5, 5, H55_BENCH_WEIGHTS[0])]:
+        block = hhh.build_hhh(d, n, v, w)
+        assert all(type(x) is int for row in block.entries for x in row), (d, n, v, w)
+
+
 def test_dominant_weights():
     ws = hhh.dominant_weights(4, 3)
     assert ws[0] == (4, 0, 0) and (2, 1, 1) in ws and (1, 1, 1) not in ws
@@ -291,10 +374,12 @@ def test_apply_matches_matrix_entries():
     vec = [Fraction(rng.randint(-4, 4)) for _ in h.col_basis]
     coeffs = {ms: c for ms, c in zip(h.col_basis, vec) if c}
     applied = apply_map(h, coeffs)
+    # entry (i, j) is h's coefficient times the column scale s(ms_j)
+    scales = [column_scale(ms, n) for ms in h.col_basis]
     rows, cols = h.shape
     for i, row_ms in enumerate(h.row_basis):
         entry = sum(
-            (h.entries[i][j] * vec[j] for j in range(cols)), Fraction(0)
+            (Fraction(h.entries[i][j], scales[j]) * vec[j] for j in range(cols)), Fraction(0)
         )
         assert applied.get(row_ms, Fraction(0)) == entry
 
@@ -340,9 +425,11 @@ def test_h32_c3_kernel_is_symmetric_determinant():
     block = hhh.build_hhh(3, 2, 3, (2, 2, 2))
     kernel = nullspace(block.entries)
     assert len(kernel) == 1
+    # a kernel vector y of the column-scaled entries gives x = diag(s) y in ker h
     vec = {
-        ms: c for ms, c in zip(block.col_basis, kernel[0]) if c
+        ms: c * column_scale(ms, 2) for ms, c in zip(block.col_basis, kernel[0]) if c
     }
+    assert apply_map(block, vec) == {}
     # det [[x^2, xy, xz], [xy, y^2, yz], [xz, yz, z^2]]-style relation:
     # evaluate on a split point u = (ax+by+cz)^2 pairing; must vanish
     x, y, z = (Polynomial.variable(i, 3) for i in range(3))
@@ -450,8 +537,12 @@ def kernel_vanishes_on_chow(d, n, v, trials=10, seed=0, *, max_block=20_000):
         pairings = {
             m: apply_diff(Polynomial.monomial(m), u).as_scalar() for m in monos
         }
-        for vec in kernel:
-            coeffs = {h.col_basis[i]: x for i, x in enumerate(vec) if x != 0}
+        for vec in kernel:  # x = diag(s) y for y in the kernel of the entries
+            coeffs = {
+                h.col_basis[i]: x * column_scale(h.col_basis[i], n)
+                for i, x in enumerate(vec)
+                if x != 0
+            }
             if _evaluate_on(coeffs, pairings) != 0:
                 failures += 1
         if len(kernel) < len(h.col_basis):

@@ -17,6 +17,7 @@ from math import comb, factorial
 import pytest
 
 from gct import reptheory as rt
+from gct.flatten import CapacityError
 from gct.poly import monomials_of_degree
 
 
@@ -563,6 +564,26 @@ def test_plethysm_mult_large_uses_wreath_and_is_consistent():
     assert rt.plethysm_mult((14, 4), 2, 9) == 1
     with pytest.raises(ValueError):
         rt.plethysm_mult((4, 1), 2, 2)
+
+
+def test_partition_count_recurrence():
+    assert [rt._partition_count(k) for k in range(31)] == [
+        sum(1 for _ in rt.partitions(k)) for k in range(31)
+    ]
+    assert [rt._partition_count(k) for k in (33, 40, 41, 64)] == [10143, 37338, 44583, 1741630]
+
+
+def test_plethysm_capacity_is_the_cycle_type_count():
+    """p(dn) over MAX_CYCLE_TYPES is refused before any cycle type is merged;
+    dn = 41 is the first degree refused."""
+    for d, n in [(41, 1), (1, 41), (8, 8)]:
+        with pytest.raises(CapacityError) as exc:
+            rt.plethysm_mult((d * n,), d, n)
+        assert exc.value.size == rt._partition_count(d * n)
+        assert exc.value.cap == rt.MAX_CYCLE_TYPES == 40_000
+    with pytest.raises(CapacityError) as exc:
+        rt.plethysm_mult((10**6,), 10**6, 1)  # p(dn) is not even counted
+    assert (exc.value.size, exc.value.cap) == (10**6, rt.MAX_COUNTED_DEGREE)
 
 
 def test_plethysm_mult_rejects_negative_degrees():
