@@ -1,20 +1,23 @@
 """Exact ranks of flattenings and the border-rank lower bounds they give.
 
-One elimination core serves rank, kernel and solve: fraction-free Bareiss
-elimination on integer rows (denominators are cleared row by row, which
-does not change the row space).  Pivots are chosen deterministically:
-leftmost available column, then the candidate row whose entry has the
-smallest absolute value (ties broken by row index).  Kernel vectors and
-solutions come from back-substitution over Q on the echelon rows.
-Everything is exact; there is no floating point fallback.
+One elimination core serves rank, kernel and solve: a sparse
+fraction-free elimination on primitive integer rows held as ``{col: int}``
+dicts (denominators are cleared and contents divided out row by row, which
+does not change the row space).  Rows wait in buckets by leading column;
+columns are taken left to right, so the pivot columns are the column rank
+profile.  A bucket's pivot is its row with the fewest nonzeros (then the
+smallest |head|, then arrival order), and only the rows of that bucket are
+updated, r -> (piv/g) r - (head/g) pivot_row with g = gcd(piv, head), an
+invertible step over Q.  Kernel vectors and solutions come from
+back-substitution over Q on the echelon rows.  Everything is exact; there
+is no floating point or modular shortcut.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, comb, gcd
+from math import ceil, comb, gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .poly import (
@@ -46,127 +49,95 @@ class CapacityError(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class RankCertificate:
-    rank: int
-    pivot_rows: Tuple[int, ...]
-    pivot_cols: Tuple[int, ...]
-    shape: Tuple[int, int]
-    trace_digest: str
+def _sparse_rows(
+    matrix, context: str, max_columns: int
+) -> Tuple[List[Dict[int, int]], int]:
+    """The width and the nonzero rows, as ``{col: int}`` primitive rows.
 
-
-def _as_rows(matrix) -> List[List[Fraction]]:
-    if isinstance(matrix, FlatteningMatrix):
-        return matrix.rows()
-    return [list(r) for r in matrix]
-
-
-def _integerize(rows: List[List[Fraction]]) -> List[List[int]]:
-    out: List[List[int]] = []
-    for row in rows:
-        if all(type(x) is int for x in row):  # already cleared: copy as is
-            out.append(list(row))
-            continue
-        fracs = [Fraction(x) for x in row]
-        denom_lcm = 1
-        for x in fracs:
-            d = x.denominator
-            denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-        out.append([int(x * denom_lcm) for x in fracs])
-    return out
-
-
-def _echelon(m: List[List[int]], n_cols: int) -> Tuple[List[int], List[int], List[int]]:
-    """Bareiss forward pass on integer rows, in place.
-
-    Returns (pivot_rows, pivot_cols, trace): each pivot's original row
-    index, its column and its value.  Afterwards ``m[r]`` is the r-th pivot
-    row, zero left of ``pivot_cols[r]``, and the rows past the rank are zero.
+    A row's denominators are cleared and its content divided out, which
+    keeps the row space.  A matrix wider than ``max_columns`` is refused.
     """
-    n_rows = len(m)
-    row_origin = list(range(n_rows))
-    pivot_rows: List[int] = []
-    pivot_cols: List[int] = []
-    trace: List[int] = []
-    r = 0
-    prev = 1
-    for col in range(n_cols):
-        if r >= n_rows:
-            break
-        best = -1
-        best_abs = None
-        for i in range(r, n_rows):
-            e = m[i][col]
-            if e:
-                a = -e if e < 0 else e
-                if best_abs is None or a < best_abs:
-                    best, best_abs = i, a
-        if best < 0:
+    rows = matrix.entries if isinstance(matrix, FlatteningMatrix) else matrix
+    n_cols = len(rows[0]) if rows else 0
+    if n_cols > max_columns:
+        raise CapacityError(context, n_cols, max_columns)
+    out: List[Dict[int, int]] = []
+    for row in rows:
+        entries = {j: x for j, x in enumerate(row) if x}
+        if not entries:
             continue
-        if best != r:
-            m[r], m[best] = m[best], m[r]
-            row_origin[r], row_origin[best] = row_origin[best], row_origin[r]
-        piv = m[r][col]
-        pivot_rows.append(row_origin[r])
-        pivot_cols.append(col)
-        trace.append(piv)
-        for i in range(r + 1, n_rows):
-            # every row below is rescaled, even those with a zero head:
-            # the exact divisions at later steps rely on it
-            head = m[i][col]
-            mi, mr = m[i], m[r]
-            if head:
-                for j in range(col + 1, n_cols):
-                    mi[j] = (mi[j] * piv - head * mr[j]) // prev
-            else:
-                for j in range(col + 1, n_cols):
-                    mi[j] = mi[j] * piv // prev
-            mi[col] = 0
-        prev = piv
-        r += 1
-    return pivot_rows, pivot_cols, trace
+        if any(type(x) is not int for x in entries.values()):
+            fracs = {j: Fraction(x) for j, x in entries.items()}
+            denom = lcm(*(x.denominator for x in fracs.values()))
+            entries = {j: x.numerator * (denom // x.denominator) for j, x in fracs.items()}
+        g = gcd(*entries.values())
+        if g > 1:
+            entries = {j: x // g for j, x in entries.items()}
+        out.append(entries)
+    return out, n_cols
+
+
+def _echelon(
+    rows: List[Dict[int, int]], n_cols: int
+) -> List[Tuple[int, Dict[int, int]]]:
+    """Sparse fraction-free forward pass, consuming ``rows``.
+
+    Returns the echelon rows as (pivot column, row), columns ascending:
+    the column rank profile of the input.
+    """
+    buckets: Dict[int, List[Dict[int, int]]] = {}
+    for row in rows:
+        buckets.setdefault(min(row), []).append(row)
+    echelon: List[Tuple[int, Dict[int, int]]] = []
+    for col in range(n_cols):
+        bucket = buckets.pop(col, None)
+        if bucket is None:
+            continue
+        # min keeps the first of equal keys: ties go to arrival order
+        prow = min(bucket, key=lambda r: (len(r), abs(r[col])))
+        piv = prow[col]
+        echelon.append((col, prow))
+        tail = [(j, y) for j, y in prow.items() if j != col]
+        for row in bucket:
+            if row is prow:
+                continue
+            head = row.pop(col)
+            g = gcd(piv, head)
+            a, b = piv // g, head // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            for j, y in tail:
+                v = row.get(j, 0) - b * y
+                if v:
+                    row[j] = v
+                else:  # v == 0 only where row held b*y
+                    del row[j]
+            if row:
+                g = gcd(*row.values())
+                if g > 1:
+                    for j in row:
+                        row[j] //= g
+                buckets.setdefault(min(row), []).append(row)
+    return echelon
 
 
 def _back_substitute(
-    m: List[List[int]], pivot_cols: List[int], x: List[Fraction]
+    echelon: List[Tuple[int, Dict[int, int]]], x: List[Fraction]
 ) -> List[Fraction]:
     """Fill ``x`` at the pivot columns so every echelon row annihilates it.
 
     The entries of ``x`` at the other columns are fixed by the caller.
     """
-    n = len(x)
-    for r in range(len(pivot_cols) - 1, -1, -1):
-        pc, row = pivot_cols[r], m[r]
-        s = sum(row[j] * x[j] for j in range(pc + 1, n) if x[j])
+    for pc, row in reversed(echelon):
+        s = sum(y * x[j] for j, y in row.items() if j != pc and x[j])
         x[pc] = Fraction(-s, row[pc])
     return x
 
 
-def exact_rank_certificate(matrix, *, max_columns: int = MAX_COLUMNS) -> RankCertificate:
-    """Exact rank over Q with the pivot pattern used to establish it."""
-    rows = _as_rows(matrix)
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-    if n_cols > max_columns:
-        raise CapacityError("exact_rank", n_cols, max_columns)
-    pivot_rows, pivot_cols, trace = _echelon(_integerize(rows), n_cols)
-    h = hashlib.sha256()
-    h.update(repr((n_rows, n_cols)).encode())
-    for p in trace:
-        h.update(str(p).encode())
-        h.update(b",")
-    return RankCertificate(
-        rank=len(pivot_cols),
-        pivot_rows=tuple(pivot_rows),
-        pivot_cols=tuple(pivot_cols),
-        shape=(n_rows, n_cols),
-        trace_digest=h.hexdigest(),
-    )
-
-
 def exact_rank(matrix, *, max_columns: int = MAX_COLUMNS) -> int:
-    """Exact rank over Q (deterministic; see module docstring)."""
-    return exact_rank_certificate(matrix, max_columns=max_columns).rank
+    """Exact rank over Q (see module docstring)."""
+    return len(_echelon(*_sparse_rows(matrix, "exact_rank", max_columns)))
 
 
 def nullspace(matrix, *, max_columns: int = MAX_COLUMNS) -> List[List[Fraction]]:
@@ -174,19 +145,15 @@ def nullspace(matrix, *, max_columns: int = MAX_COLUMNS) -> List[List[Fraction]]
 
     One vector per free column c: 1 at c, 0 at the other free columns.
     """
-    rows = _as_rows(matrix)
-    n_cols = len(rows[0]) if rows else 0
-    if n_cols > max_columns:
-        raise CapacityError("nullspace", n_cols, max_columns)
-    m = _integerize(rows)
-    _, pivot_cols, _ = _echelon(m, n_cols)
-    pivots = set(pivot_cols)
+    rows, n_cols = _sparse_rows(matrix, "nullspace", max_columns)
+    echelon = _echelon(rows, n_cols)
+    pivots = {pc for pc, _ in echelon}
     basis: List[List[Fraction]] = []
     for fc in range(n_cols):
         if fc not in pivots:
             v = [Fraction(0)] * n_cols
             v[fc] = Fraction(1)
-            basis.append(_back_substitute(m, pivot_cols, v))
+            basis.append(_back_substitute(echelon, v))
     return basis
 
 
@@ -199,13 +166,13 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> List[Fraction]:
     if len(rows) != len(rhs):
         raise ValueError("rhs length must match row count")
     n_cols = len(rows[0]) if rows else 0
-    m = _integerize([list(row) + [b] for row, b in zip(rows, rhs)])
-    _, pivot_cols, _ = _echelon(m, n_cols + 1)
-    if pivot_cols and pivot_cols[-1] == n_cols:
+    augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
+    echelon = _echelon(*_sparse_rows(augmented, "solve_linear", n_cols + 1))
+    if echelon and echelon[-1][0] == n_cols:
         raise ValueError("linear system is inconsistent")
     # the rhs column carries -1: a row annihilating (x, -1) reads A x = b
     x = [Fraction(0)] * n_cols + [Fraction(-1)]
-    return _back_substitute(m, pivot_cols, x)[:n_cols]
+    return _back_substitute(echelon, x)[:n_cols]
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +189,17 @@ class FlatteningBound:
     ranks: Dict[int, int] = field(default_factory=dict)
 
 
+def _catalecticant_ranks(p: Polynomial, d: int, max_columns: int) -> Dict[int, int]:
+    """rank P_{k,d-k}(p) for k = 1..d-1, eliminating only k <= d/2.
+
+    P_{d-k,k} = D1 P_{k,d-k}^T D2 with nonzero diagonal D's (both entries
+    are one coefficient of p times a ratio of factorials), so the two
+    ranks agree.
+    """
+    half = {k: exact_rank(polarize(p, k), max_columns=max_columns) for k in range(1, d // 2 + 1)}
+    return {k: half[min(k, d - k)] for k in range(1, d)}
+
+
 def waring_border_lower_bound(p: Polynomial, *, max_columns: int = MAX_COLUMNS) -> FlatteningBound:
     """max_k rank P_{k,d-k}(p): a lower bound for Waring border rank.
 
@@ -232,9 +210,7 @@ def waring_border_lower_bound(p: Polynomial, *, max_columns: int = MAX_COLUMNS) 
     d = p.degree()
     if d is None or d < 1 or not p.is_homogeneous():
         raise ValueError("need a nonzero homogeneous polynomial of degree >= 1")
-    ranks: Dict[int, int] = {}
-    for k in range(1, d):
-        ranks[k] = exact_rank(polarize(p, k), max_columns=max_columns)
+    ranks = _catalecticant_ranks(p, d, max_columns)
     if not ranks:  # degree 1: the only flattening info is the poly itself
         return FlatteningBound(bound=1, best_k=0, ranks={})
     best_k = max(ranks, key=lambda k: (ranks[k], -k))
@@ -251,12 +227,8 @@ def chow_border_lower_bound(p: Polynomial, *, max_columns: int = MAX_COLUMNS) ->
     d = p.degree()
     if d is None or d < 1 or not p.is_homogeneous():
         raise ValueError("need a nonzero homogeneous polynomial of degree >= 1")
-    ranks: Dict[int, int] = {}
-    bounds: Dict[int, int] = {}
-    for k in range(1, d):
-        rk = exact_rank(polarize(p, k), max_columns=max_columns)
-        ranks[k] = rk
-        bounds[k] = ceil(Fraction(rk, comb(d, k)))
+    ranks = _catalecticant_ranks(p, d, max_columns)
+    bounds = {k: ceil(Fraction(rk, comb(d, k))) for k, rk in ranks.items()}
     if not bounds:
         return FlatteningBound(bound=1, best_k=0, ranks={})
     best_k = max(bounds, key=lambda k: (bounds[k], -k))
@@ -292,7 +264,7 @@ def shifted_partials_dim(
     partials = [apply_diff(Polynomial.monomial(m), p) for m in diff_basis]
     for q in partials:
         for s in shift_basis:
-            col = [Fraction(0)] * len(target_basis)
+            col = [0] * len(target_basis)
             for e, c in q.terms.items():
                 col[row_index[exponent_add(e, s)]] = c
             cols.append(col)

@@ -496,7 +496,7 @@ def stabilizer_lie_dim(p: Polynomial) -> int:
                     row_keys[exps] = len(row_keys)
                 col[exps] = coeff
             columns.append(col)
-    rows = [[Fraction(0)] * (v * v) for _ in range(len(row_keys))]
+    rows = [[0] * (v * v) for _ in range(len(row_keys))]
     for cidx, col in enumerate(columns):
         for exps, coeff in col.items():
             rows[row_keys[exps]][cidx] = coeff

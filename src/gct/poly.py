@@ -462,9 +462,6 @@ class FlatteningMatrix:
     def shape(self) -> Tuple[int, int]:
         return (len(self.row_basis), len(self.col_basis))
 
-    def rows(self) -> List[List[Fraction]]:
-        return [list(r) for r in self.entries]
-
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(repr((self.num_vars, self.row_degree, self.col_degree)).encode())

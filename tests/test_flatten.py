@@ -1,27 +1,154 @@
-"""Exact linear algebra: Bareiss ranks against an independent oracle,
-nullspaces and solving against the Gauss-Jordan eliminators they
-replaced, and flattening lower bounds."""
+"""Exact linear algebra: the sparse elimination core against the Bareiss
+core it replaced and an independent Gauss oracle, nullspaces and solving
+against the Gauss-Jordan eliminators before that, and flattening lower
+bounds."""
 
+import hashlib
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from typing import List, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gct.flatten import (
     CapacityError,
-    _integerize,
+    _echelon,
+    _sparse_rows,
     chow_border_lower_bound,
     exact_rank,
-    exact_rank_certificate,
     nullspace,
     shifted_partials_dim,
     solve_linear,
     waring_border_lower_bound,
 )
 from gct.poly import Polynomial, polarize
+from gct import zoo
 from gct.zoo import chow, det, fermat
 
 from conftest import fraction_matrices, polynomials
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the former dense Bareiss core of gct.flatten
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RankCertificate:
+    rank: int
+    pivot_rows: Tuple[int, ...]
+    pivot_cols: Tuple[int, ...]
+    shape: Tuple[int, int]
+    trace_digest: str
+
+
+def _integerize(rows) -> List[List[int]]:
+    out: List[List[int]] = []
+    for row in rows:
+        if all(type(x) is int for x in row):  # already cleared: copy as is
+            out.append(list(row))
+            continue
+        fracs = [Fraction(x) for x in row]
+        denom_lcm = 1
+        for x in fracs:
+            d = x.denominator
+            denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
+        out.append([int(x * denom_lcm) for x in fracs])
+    return out
+
+
+def bareiss_echelon(m: List[List[int]], n_cols: int):
+    """Bareiss forward pass on integer rows, in place.
+
+    Returns (pivot_rows, pivot_cols, trace): each pivot's original row
+    index, its column and its value.  Pivots: leftmost available column,
+    then the candidate row whose entry has the smallest absolute value
+    (ties broken by row index).
+    """
+    n_rows = len(m)
+    row_origin = list(range(n_rows))
+    pivot_rows: List[int] = []
+    pivot_cols: List[int] = []
+    trace: List[int] = []
+    r = 0
+    prev = 1
+    for col in range(n_cols):
+        if r >= n_rows:
+            break
+        best = -1
+        best_abs = None
+        for i in range(r, n_rows):
+            e = m[i][col]
+            if e:
+                a = -e if e < 0 else e
+                if best_abs is None or a < best_abs:
+                    best, best_abs = i, a
+        if best < 0:
+            continue
+        if best != r:
+            m[r], m[best] = m[best], m[r]
+            row_origin[r], row_origin[best] = row_origin[best], row_origin[r]
+        piv = m[r][col]
+        pivot_rows.append(row_origin[r])
+        pivot_cols.append(col)
+        trace.append(piv)
+        for i in range(r + 1, n_rows):
+            # every row below is rescaled, even those with a zero head:
+            # the exact divisions at later steps rely on it
+            head = m[i][col]
+            mi, mr = m[i], m[r]
+            if head:
+                for j in range(col + 1, n_cols):
+                    mi[j] = (mi[j] * piv - head * mr[j]) // prev
+            else:
+                for j in range(col + 1, n_cols):
+                    mi[j] = mi[j] * piv // prev
+            mi[col] = 0
+        prev = piv
+        r += 1
+    return pivot_rows, pivot_cols, trace
+
+
+def exact_rank_certificate(rows) -> RankCertificate:
+    """Exact rank over Q with the Bareiss pivot pattern that established it."""
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if n_rows else 0
+    pivot_rows, pivot_cols, trace = bareiss_echelon(_integerize(rows), n_cols)
+    h = hashlib.sha256()
+    h.update(repr((n_rows, n_cols)).encode())
+    for p in trace:
+        h.update(str(p).encode())
+        h.update(b",")
+    return RankCertificate(
+        rank=len(pivot_cols),
+        pivot_rows=tuple(pivot_rows),
+        pivot_cols=tuple(pivot_cols),
+        shape=(n_rows, n_cols),
+        trace_digest=h.hexdigest(),
+    )
+
+
+def sparse_pivot_cols(rows) -> Tuple[int, ...]:
+    """The pivot columns of the library's sparse core."""
+    return tuple(col for col, _ in _echelon(*_sparse_rows(rows, "test", len(rows[0]))))
+
+
+@st.composite
+def sparse_low_rank_matrices(draw, max_size: int = 12):
+    """Mostly-zero matrices L R with thin integer factors (inner size r at
+    most min(m, n), usually below), some rows scaled by 1/k."""
+    m = draw(st.integers(1, max_size))
+    n = draw(st.integers(1, max_size))
+    r = draw(st.integers(0, min(m, n)))
+    entry = st.sampled_from([0, 0, 0, 0, 0, 0, 1, -1, 2, -3])
+    left = [[draw(entry) for _ in range(r)] for _ in range(m)]
+    right = [[draw(entry) for _ in range(n)] for _ in range(r)]
+    rows = [[sum(a * b for a, b in zip(lrow, col)) for col in zip(*right)] if r else [0] * n
+            for lrow in left]
+    scales = [draw(st.sampled_from([1, 1, 1, 2, 3])) for _ in range(m)]
+    return [[Fraction(x, s) if s > 1 else x for x in row] for row, s in zip(rows, scales)]
 
 
 def rref_rank(rows):
@@ -146,12 +273,12 @@ def test_rank_known_matrices():
 
 
 def test_rank_bareiss_zero_head_regression():
-    """Rows with a zero head must still be rescaled.
+    """The weight-graded h_{2,2} block matrix has rank 6.
 
-    This matrix (the weight-graded h_{2,2} block matrix) made a buggy
-    elimination return 4 instead of 6: skipping the zero-head rescale
-    broke the fraction-free invariant, and a later floor division
-    silently zeroed live rows.
+    It made a buggy Bareiss elimination return 4 instead of 6: skipping
+    the zero-head rescale broke the fraction-free invariant, and a later
+    floor division silently zeroed live rows.  The sparse core must get
+    it right too.
     """
     h = Fraction(1, 2)
     m = [
@@ -164,8 +291,9 @@ def test_rank_bareiss_zero_head_regression():
     ]
     assert exact_rank(m) == 6
     assert rref_rank(m) == 6
+    assert sparse_pivot_cols(m) == (0, 1, 2, 3, 4, 5)
     # literal values: pivot order and pivot values are part of the
-    # certificate, so a change of elimination order shows here
+    # oracle's certificate, so a change of its elimination order shows here
     cert = exact_rank_certificate(m)
     assert cert.pivot_rows == (0, 1, 3, 2, 4, 5)
     assert cert.pivot_cols == (0, 1, 2, 3, 4, 5)
@@ -178,6 +306,16 @@ def test_rank_bareiss_zero_head_regression():
 @settings(max_examples=150)
 def test_rank_matches_independent_elimination(rows):
     assert exact_rank(rows) == rref_rank(rows)
+
+
+@given(sparse_low_rank_matrices())
+@settings(max_examples=200)
+def test_sparse_core_matches_the_oracles_on_sparse_low_rank(rows):
+    cert = exact_rank_certificate(rows)
+    assert exact_rank(rows) == rref_rank(rows) == cert.rank
+    # the pivot columns are the column rank profile, whatever the pivot rows
+    assert sparse_pivot_cols(rows) == cert.pivot_cols
+    assert nullspace(rows) == gauss_jordan_nullspace(rows)
 
 
 @given(fraction_matrices(max_rows=4, max_cols=4))
@@ -194,7 +332,8 @@ def test_rank_certificate_pivots_index_a_nonsingular_minor():
     minor = [
         [rows[i][j] for j in cert.pivot_cols] for i in cert.pivot_rows
     ]
-    assert exact_rank(minor) == cert.rank
+    assert exact_rank(minor) == cert.rank == exact_rank(rows)
+    assert sparse_pivot_cols(rows) == cert.pivot_cols
     assert cert.trace_digest == exact_rank_certificate(rows).trace_digest
     # literal values, as in test_rank_bareiss_zero_head_regression
     assert cert.pivot_rows == (0, 2)
@@ -202,6 +341,18 @@ def test_rank_certificate_pivots_index_a_nonsingular_minor():
     assert cert.trace_digest == (
         "bd619e87e234125c763b1b3cfe19effc752fc4fd6877a1c84df7400048b52982"
     )
+
+
+def test_sparse_rows_are_primitive_integer_rows():
+    h = Fraction(1, 2)
+    rows = [[0, 0, 0], [1, h, 0], [Fraction(2, 3), 1, Fraction(1, 6)], (2, 4, 6), [0, -5, 0]]
+    out, n_cols = _sparse_rows(rows, "test", 3)
+    assert n_cols == 3
+    assert out == [{0: 2, 1: 1}, {0: 4, 1: 6, 2: 1}, {0: 1, 1: 2, 2: 3}, {1: -1}]
+    assert all(type(x) is int for row in out for x in row.values())
+    with pytest.raises(CapacityError) as err:
+        _sparse_rows(rows, "test", 2)
+    assert (err.value.context, err.value.size, err.value.cap) == ("test", 3, 2)
 
 
 def test_integerize_keeps_integer_rows():
@@ -262,6 +413,7 @@ def test_rank_capacity_cap():
 def test_rank_accepts_flattening_matrix():
     fm = polarize(det(3), 1)
     assert exact_rank(fm) == 9
+    assert nullspace(fm) == []
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +514,36 @@ def test_chow_bound_det3():
     assert b.bound >= 3
     for k, r in b.ranks.items():
         assert r <= comb(9 + k - 1, k)
+
+
+ZOO_CASES = [
+    ("det", (4,)), ("perm", (4,)), ("imm", (2, 4)), ("elem", (6, 4)), ("chow", (5,)),
+    ("fermat", (4, 3)), ("sumprod", (4, 2)), ("pascal_det", (2,)), ("p_lambda", (3,)),
+    ("discriminant", ()), ("padded_elem", (4, 2)),
+]
+
+
+@pytest.mark.parametrize("name,params", ZOO_CASES)
+def test_catalecticant_ranks_are_symmetric_in_k(name, params):
+    """rank P_{k,d-k} = rank P_{d-k,k}, which lets the bounds eliminate
+    only k <= d/2; their ranks dicts still list every k."""
+    p = zoo.make(name, *params)
+    d = p.degree()
+    ranks = {k: exact_rank(polarize(p, k)) for k in range(1, d)}
+    for k in range(1, d):
+        assert ranks[k] == ranks[d - k]
+    waring = waring_border_lower_bound(p).ranks
+    assert waring == ranks and list(waring) == list(range(1, d))
+    assert chow_border_lower_bound(p).ranks == ranks
+
+
+@given(polynomials(max_vars=3, max_terms=6, homogeneous_degree=5))
+@settings(max_examples=40)
+def test_catalecticant_rank_symmetry_on_random_quintics(p):
+    if p.is_zero():
+        return
+    for k in range(1, 5):
+        assert exact_rank(polarize(p, k)) == exact_rank(polarize(p, 5 - k))
 
 
 def test_waring_bound_rejects_inhomogeneous():
