@@ -9,11 +9,12 @@ multiplicity one,
     (12,5,4,3,1)  (11,5,4,4,1)  (10,8,4,2,1)  (9,7,6,3)
 
 The sl-weight-zero block alone is 190131 x 190131, far beyond the
-default exact-elimination caps, so out of the box this script reports
+elimination width cap ``gct.flatten.MAX_COLUMNS``, so this script reports
 the predicted block sizes and the capacity refusal honestly instead of
-silently skipping.  Caps can be raised with --max-elim/--max-block to
-push the attempt as far as the hardware allows, and --weight runs a
-single dominant-weight block (many are individually feasible).
+silently skipping.  --weight runs a single dominant-weight block (many
+are individually feasible).
+
+Usage:  python3 scripts/run_h55_kernel.py [--weight W]
 """
 
 import argparse
@@ -21,7 +22,7 @@ import sys
 import time
 
 from gct import hhh
-from gct.flatten import CapacityError
+from gct.flatten import MAX_COLUMNS, CapacityError
 
 EXPECTED_KERNEL = [
     (14, 7, 2, 2),
@@ -37,6 +38,14 @@ EXPECTED_KERNEL = [
 D = N = V = 5
 
 
+def admitted(dom: int, cod: int) -> bool:
+    try:
+        hhh.check_block_capacity("plan", dom, cod)
+    except CapacityError:
+        return False
+    return True
+
+
 def print_plan() -> None:
     sizes = []
     for w in hhh.dominant_weights(D * N, V):
@@ -47,16 +56,12 @@ def print_plan() -> None:
     print(f"{len(sizes)} nonzero dominant-weight blocks; largest five:")
     for _, w, dom, cod in sizes[:5]:
         print(f"  weight {w}: domain {dom}, codomain {cod}")
-    feasible = sum(1 for s, *_ in sizes if s <= hhh.MAX_ELIM)
-    print(f"{feasible} blocks fit the default elimination cap ({hhh.MAX_ELIM})")
+    feasible = sum(1 for _, _, dom, cod in sizes if admitted(dom, cod))
+    print(f"{feasible} blocks fit the elimination cap ({MAX_COLUMNS})")
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--max-elim", type=int, default=hhh.MAX_ELIM,
-                    help=f"elimination width cap (default {hhh.MAX_ELIM})")
-    ap.add_argument("--max-block", type=int, default=hhh.MAX_BLOCK,
-                    help=f"block basis-size cap (default {hhh.MAX_BLOCK})")
     ap.add_argument("--weight", metavar="W",
                     help="attempt a single dominant weight, comma separated "
                          "(e.g. 21,1,1,1,1)")
@@ -68,8 +73,8 @@ def main(argv=None) -> int:
         w = tuple(int(x) for x in args.weight.split(","))
         t0 = time.monotonic()
         try:
-            block = hhh.build_hhh(D, N, V, w, max_block=args.max_block)
-            rank = block.rank(max_columns=args.max_elim)
+            block = hhh.build_hhh(D, N, V, w)
+            rank = block.rank()
             dom = len(block.col_basis)
             print(f"weight {w}: domain {dom}, rank {rank}, "
                   f"kernel {dom - rank}  ({time.monotonic() - t0:.1f}s)")
@@ -80,9 +85,7 @@ def main(argv=None) -> int:
 
     t0 = time.monotonic()
     try:
-        char = hhh.kernel_character(
-            D, N, V, max_block=args.max_block, max_elim=args.max_elim
-        )
+        char = hhh.kernel_character(D, N, V)
     except CapacityError as exc:
         print(f"capacity: {exc}")
         print("expected kernel (Ikenmeyer--Mkrtchyan), multiplicity one each:")

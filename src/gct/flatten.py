@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, comb, gcd, lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import (
     FlatteningMatrix,
@@ -29,7 +29,8 @@ from .poly import (
     polarize,
 )
 
-#: Reject eliminations wider than this unless the caller raises the cap.
+#: Reject eliminations wider than this; read at call time, so it is the
+#: one width cap of the package (``gct.hhh`` sizes its blocks by it too).
 MAX_COLUMNS = 5000
 
 
@@ -50,17 +51,19 @@ class CapacityError(RuntimeError):
 
 
 def _sparse_rows(
-    matrix, context: str, max_columns: int
+    matrix, context: str, max_columns: Optional[int] = None
 ) -> Tuple[List[Dict[int, int]], int]:
     """The width and the nonzero rows, as ``{col: int}`` primitive rows.
 
     A row's denominators are cleared and its content divided out, which
-    keeps the row space.  A matrix wider than ``max_columns`` is refused.
+    keeps the row space.  A matrix wider than ``max_columns`` (by default
+    ``MAX_COLUMNS``) is refused.
     """
     rows = matrix.entries if isinstance(matrix, FlatteningMatrix) else matrix
     n_cols = len(rows[0]) if rows else 0
-    if n_cols > max_columns:
-        raise CapacityError(context, n_cols, max_columns)
+    cap = MAX_COLUMNS if max_columns is None else max_columns
+    if n_cols > cap:
+        raise CapacityError(context, n_cols, cap)
     out: List[Dict[int, int]] = []
     for row in rows:
         entries = {j: x for j, x in enumerate(row) if x}
@@ -135,17 +138,18 @@ def _back_substitute(
     return x
 
 
-def exact_rank(matrix, *, max_columns: int = MAX_COLUMNS) -> int:
-    """Exact rank over Q (see module docstring)."""
+def exact_rank(matrix, *, max_columns: Optional[int] = None) -> int:
+    """Exact rank over Q (see module docstring); ``max_columns`` overrides
+    the width cap ``MAX_COLUMNS``."""
     return len(_echelon(*_sparse_rows(matrix, "exact_rank", max_columns)))
 
 
-def nullspace(matrix, *, max_columns: int = MAX_COLUMNS) -> List[List[Fraction]]:
+def nullspace(matrix) -> List[List[Fraction]]:
     """Exact basis of the right kernel {v : M v = 0}.
 
     One vector per free column c: 1 at c, 0 at the other free columns.
     """
-    rows, n_cols = _sparse_rows(matrix, "nullspace", max_columns)
+    rows, n_cols = _sparse_rows(matrix, "nullspace")
     echelon = _echelon(rows, n_cols)
     pivots = {pc for pc, _ in echelon}
     basis: List[List[Fraction]] = []
@@ -189,18 +193,18 @@ class FlatteningBound:
     ranks: Dict[int, int] = field(default_factory=dict)
 
 
-def _catalecticant_ranks(p: Polynomial, d: int, max_columns: int) -> Dict[int, int]:
+def _catalecticant_ranks(p: Polynomial, d: int) -> Dict[int, int]:
     """rank P_{k,d-k}(p) for k = 1..d-1, eliminating only k <= d/2.
 
     P_{d-k,k} = D1 P_{k,d-k}^T D2 with nonzero diagonal D's (both entries
     are one coefficient of p times a ratio of factorials), so the two
     ranks agree.
     """
-    half = {k: exact_rank(polarize(p, k), max_columns=max_columns) for k in range(1, d // 2 + 1)}
+    half = {k: exact_rank(polarize(p, k)) for k in range(1, d // 2 + 1)}
     return {k: half[min(k, d - k)] for k in range(1, d)}
 
 
-def waring_border_lower_bound(p: Polynomial, *, max_columns: int = MAX_COLUMNS) -> FlatteningBound:
+def waring_border_lower_bound(p: Polynomial) -> FlatteningBound:
     """max_k rank P_{k,d-k}(p): a lower bound for Waring border rank.
 
     Rank-one points (powers of linear forms) have all catalecticants of
@@ -210,14 +214,14 @@ def waring_border_lower_bound(p: Polynomial, *, max_columns: int = MAX_COLUMNS) 
     d = p.degree()
     if d is None or d < 1 or not p.is_homogeneous():
         raise ValueError("need a nonzero homogeneous polynomial of degree >= 1")
-    ranks = _catalecticant_ranks(p, d, max_columns)
+    ranks = _catalecticant_ranks(p, d)
     if not ranks:  # degree 1: the only flattening info is the poly itself
         return FlatteningBound(bound=1, best_k=0, ranks={})
     best_k = max(ranks, key=lambda k: (ranks[k], -k))
     return FlatteningBound(bound=ranks[best_k], best_k=best_k, ranks=ranks)
 
 
-def chow_border_lower_bound(p: Polynomial, *, max_columns: int = MAX_COLUMNS) -> FlatteningBound:
+def chow_border_lower_bound(p: Polynomial) -> FlatteningBound:
     """max_k ceil(rank P_{k,d-k}(p) / C(d,k)): Chow border rank bound.
 
     A product of d linear forms has catalecticant rank exactly C(d,k)
@@ -227,7 +231,7 @@ def chow_border_lower_bound(p: Polynomial, *, max_columns: int = MAX_COLUMNS) ->
     d = p.degree()
     if d is None or d < 1 or not p.is_homogeneous():
         raise ValueError("need a nonzero homogeneous polynomial of degree >= 1")
-    ranks = _catalecticant_ranks(p, d, max_columns)
+    ranks = _catalecticant_ranks(p, d)
     bounds = {k: ceil(Fraction(rk, comb(d, k))) for k, rk in ranks.items()}
     if not bounds:
         return FlatteningBound(bound=1, best_k=0, ranks={})
@@ -235,9 +239,7 @@ def chow_border_lower_bound(p: Polynomial, *, max_columns: int = MAX_COLUMNS) ->
     return FlatteningBound(bound=bounds[best_k], best_k=best_k, ranks=ranks)
 
 
-def shifted_partials_dim(
-    p: Polynomial, k: int, shift: int, *, max_columns: int = MAX_COLUMNS
-) -> int:
+def shifted_partials_dim(p: Polynomial, k: int, shift: int) -> int:
     """dim of the shifted partial space  span{ m'' * d^{m'} p }.
 
     ``m'`` ranges over degree-k monomials, ``m''`` over degree-``shift``
@@ -254,12 +256,13 @@ def shifted_partials_dim(
     diff_basis = monomials_of_degree(v, k)
     shift_basis = monomials_of_degree(v, shift)
     n_cols = len(diff_basis) * len(shift_basis)
-    if n_cols > max_columns:
-        raise CapacityError("shifted_partials_dim", n_cols, max_columns)
+    if n_cols > MAX_COLUMNS:
+        raise CapacityError("shifted_partials_dim", n_cols, MAX_COLUMNS)
     target_basis = monomials_of_degree(v, d - k + shift)
     row_index = {e: i for i, e in enumerate(target_basis)}
     # columns as rows of the transpose: rank is the same and assembling
-    # row-by-row keeps this allocation-friendly
+    # row-by-row keeps this allocation-friendly; the n_cols checked above
+    # are its rows, so its width is not capped again
     cols: List[List[Fraction]] = []
     partials = [apply_diff(Polynomial.monomial(m), p) for m in diff_basis]
     for q in partials:
@@ -268,4 +271,4 @@ def shifted_partials_dim(
             for e, c in q.terms.items():
                 col[row_index[exponent_add(e, s)]] = c
             cols.append(col)
-    return exact_rank(cols, max_columns=max(max_columns, len(target_basis)))
+    return exact_rank(cols, max_columns=len(target_basis))

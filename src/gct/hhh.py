@@ -33,7 +33,12 @@ the torus-weight grading, and permuting variables identifies blocks with
 permuted weights; ranks are therefore computed dominant-weight by
 dominant-weight and summed with orbit multiplicities.  This is an exact
 identity, not an approximation; a test checks it against the assembled
-full matrix on small cases.
+full matrix on small cases.  Only weight blocks are ever built.
+
+One capacity rule admits a block, on its predicted sizes and before
+either basis is listed (``check_block_capacity``): its domain, the width
+elimination pays for, is at most ``flatten.MAX_COLUMNS``, and its dense
+size domain x codomain at most ``MAX_COLUMNS**2``.
 """
 
 from __future__ import annotations
@@ -41,15 +46,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import comb, factorial
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from . import flatten
 from .flatten import CapacityError, exact_rank
-from .poly import Exponent, monomials_of_degree
+from .poly import Exponent
 from .reptheory import (
     Partition,
+    _monomials,
     _suffix_counts,
     count_weight_multisets,
     decompose_weight_dims,
@@ -58,31 +64,20 @@ from .reptheory import (
 
 Multiset = Tuple[Exponent, ...]
 
-#: default cap on the basis size of any single weight block
-MAX_BLOCK = 200_000
-#: default cap on the width of blocks that are actually eliminated
-MAX_ELIM = 5000
-#: cap on the number of matrix entries build_hhh will materialize
-MAX_ENTRIES = 25_000_000
-
 
 # ---------------------------------------------------------------------------
 # Bases
 # ---------------------------------------------------------------------------
 
 
-def multiset_basis(
-    count: int, degree: int, v: int, weight: Optional[Sequence[int]] = None
-) -> List[Multiset]:
-    """All multisets of ``count`` degree-``degree`` monomials in v vars,
-    optionally restricted to a total exponent vector ``weight``.
+def multiset_basis(count: int, degree: int, v: int, weight: Sequence[int]) -> List[Multiset]:
+    """All multisets of ``count`` degree-``degree`` monomials in v vars with
+    total exponent vector ``weight``.
 
-    A restricted basis is listed by walking ``count_weight_multisets``'
-    suffix-count table, entering only nonempty branches.
+    The basis is listed by walking ``count_weight_multisets``' suffix-count
+    table, entering only nonempty branches.
     """
-    monos = monomials_of_degree(v, degree)
-    if weight is None:
-        return list(combinations_with_replacement(monos, count))
+    monos = _monomials(v, degree)
     if not count_weight_multisets(count, degree, v, weight):  # validates weight
         return []
     out: List[Multiset] = []
@@ -117,6 +112,18 @@ def predicted_block_size(d: int, n: int, v: int, weight: Sequence[int]) -> Tuple
         count_weight_multisets(d, n, v, w),
         count_weight_multisets(n, d, v, w),
     )
+
+
+def check_block_capacity(context: str, dom: int, cod: int) -> None:
+    """Refuse a block of ``dom`` columns and ``cod`` rows that cannot be
+    finished: wider than ``flatten.MAX_COLUMNS``, the width elimination
+    pays for, or denser than ``MAX_COLUMNS**2`` entries.  The cap is read
+    at call time."""
+    cap = flatten.MAX_COLUMNS
+    if dom > cap:
+        raise CapacityError(context, dom, cap)
+    if dom * cod > cap * cap:
+        raise CapacityError(f"{context} entries", dom * cod, cap * cap)
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +200,12 @@ def hhh_column(ms: Multiset, n: int, v: int) -> Dict[Multiset, int]:
 
 @dataclass(frozen=True)
 class PlethysmMap:
-    """h_{d,n} on C^v, assembled on explicit bases (optionally one weight)."""
+    """One weight block of h_{d,n} on C^v, assembled on explicit bases."""
 
     d: int
     n: int
     v: int
-    weight: Optional[Tuple[int, ...]]
+    weight: Tuple[int, ...]
     row_basis: Tuple[Multiset, ...]  # codomain: multisets of n degree-d monomials
     col_basis: Tuple[Multiset, ...]  # domain:   multisets of d degree-n monomials
     entries: Tuple[Tuple[int, ...], ...]  # column ms scaled by s(ms)
@@ -207,8 +214,8 @@ class PlethysmMap:
     def shape(self) -> Tuple[int, int]:
         return (len(self.row_basis), len(self.col_basis))
 
-    def rank(self, *, max_columns: int = MAX_ELIM) -> int:
-        return exact_rank(self.entries, max_columns=max_columns)
+    def rank(self) -> int:
+        return exact_rank(self.entries)
 
 
 def sym_sym_dim(outer: int, inner: int, v: int) -> int:
@@ -216,42 +223,16 @@ def sym_sym_dim(outer: int, inner: int, v: int) -> int:
     return comb(comb(inner + v - 1, inner) + outer - 1, outer)
 
 
-def build_hhh(
-    d: int,
-    n: int,
-    v: int,
-    weight: Optional[Sequence[int]] = None,
-    *,
-    max_block: int = MAX_BLOCK,
-) -> PlethysmMap:
-    """Assemble h_{d,n} on C^v (the full map, or one weight block).
+def build_hhh(d: int, n: int, v: int, weight: Sequence[int]) -> PlethysmMap:
+    """Assemble the ``weight`` block of h_{d,n} on C^v.
 
-    Sizes are predicted before any basis is materialized; a block larger
-    than ``max_block`` raises CapacityError.
+    ``check_block_capacity`` runs on the predicted sizes before either
+    basis is listed.
     """
     if d < 1 or n < 1 or v < 1:
         raise ValueError("d, n, v must be positive")
-    if weight is not None:
-        w = tuple(int(x) for x in weight)
-        dom_size, cod_size = predicted_block_size(d, n, v, w)
-        if max(dom_size, cod_size) > max_block:
-            raise CapacityError(
-                f"h_{{{d},{n}}} on C^{v}, weight {w}", max(dom_size, cod_size), max_block
-            )
-    else:
-        w = None
-        dom_size = sym_sym_dim(d, n, v)
-        cod_size = sym_sym_dim(n, d, v)
-        if max(dom_size, cod_size) > max_block:
-            raise CapacityError(
-                f"h_{{{d},{n}}} on C^{v} (full)", max(dom_size, cod_size), max_block
-            )
-    if dom_size * cod_size > MAX_ENTRIES:
-        raise CapacityError(
-            f"h_{{{d},{n}}} on C^{v}{f', weight {w}' if w else ''} entries",
-            dom_size * cod_size,
-            MAX_ENTRIES,
-        )
+    w = tuple(int(x) for x in weight)
+    check_block_capacity(f"h_{{{d},{n}}} on C^{v}, weight {w}", *predicted_block_size(d, n, v, w))
     col_basis = multiset_basis(d, n, v, w)
     row_basis = multiset_basis(n, d, v, w)
     row_index = {ms: i for i, ms in enumerate(row_basis)}
@@ -298,27 +279,12 @@ def kernel_dimension(dims: Dict[Partition, int], v: int) -> int:
     return total
 
 
-def hhh_rank(
-    d: int,
-    n: int,
-    v: int,
-    *,
-    max_block: int = MAX_BLOCK,
-    max_elim: int = MAX_ELIM,
-) -> int:
+def hhh_rank(d: int, n: int, v: int) -> int:
     """Exact rank of h_{d,n} on C^v: dim S^d(S^n C^v) minus the kernel."""
-    dims = kernel_dims_by_weight(d, n, v, max_block=max_block, max_elim=max_elim)
-    return sym_sym_dim(d, n, v) - kernel_dimension(dims, v)
+    return sym_sym_dim(d, n, v) - kernel_dimension(kernel_dims_by_weight(d, n, v), v)
 
 
-def kernel_dims_by_weight(
-    d: int,
-    n: int,
-    v: int,
-    *,
-    max_block: int = MAX_BLOCK,
-    max_elim: int = MAX_ELIM,
-) -> Dict[Partition, int]:
+def kernel_dims_by_weight(d: int, n: int, v: int) -> Dict[Partition, int]:
     """dim ker(h_{d,n}) restricted to each dominant weight of dn.
 
     Oversized blocks are refused before any is built, from one count: the
@@ -330,32 +296,22 @@ def kernel_dims_by_weight(
     if d < 1 or n < 1 or v < 1:
         raise ValueError("d, n, v must be positive")
     flattest = flattest_weight(d * n, v)
-    largest = max(predicted_block_size(d, n, v, flattest))
-    cap = min(max_block, max_elim)
-    if largest > cap:
-        raise CapacityError(f"h_{{{d},{n}}} on C^{v}, dominant weight {flattest}", largest, cap)
+    check_block_capacity(
+        f"h_{{{d},{n}}} on C^{v}, dominant weight {flattest}",
+        *predicted_block_size(d, n, v, flattest),
+    )
     out: Dict[Partition, int] = {}
     for w in dominant_weights(d * n, v):
-        block = build_hhh(d, n, v, w, max_block=max_block)
-        out[tuple(x for x in w if x)] = block.shape[1] - block.rank(max_columns=max_elim)
+        block = build_hhh(d, n, v, w)
+        out[tuple(x for x in w if x)] = block.shape[1] - block.rank()
     return out
 
 
-def kernel_character(
-    d: int,
-    n: int,
-    v: int,
-    *,
-    max_block: int = MAX_BLOCK,
-    max_elim: int = MAX_ELIM,
-) -> Dict[Partition, int]:
+def kernel_character(d: int, n: int, v: int) -> Dict[Partition, int]:
     """Multiplicities of S_pi in ker h_{d,n} on C^v (nonzero entries only).
 
     ker h_{d,n} = I_d(Ch_n(C^v*)), the degree-d ideal of the Chow variety.
     Computed from per-weight kernel dimensions by unitriangular Kostka
     inversion.
     """
-    dims = kernel_dims_by_weight(
-        d, n, v, max_block=max_block, max_elim=max_elim
-    )
-    return decompose_weight_dims(dims)
+    return decompose_weight_dims(kernel_dims_by_weight(d, n, v))

@@ -250,7 +250,7 @@ def alon_tarsi_count_reduced(n: int) -> ATCount:
 # ---------------------------------------------------------------------------
 
 
-def pairing_perm_det(n: int, *, cap: int = MAX_PAIRING_PERM):
+def pairing_perm_det(n: int):
     """The scalar <perm_n^n, det_n^n> under the differential pairing.
 
     Nonvanishing for even n is equivalent to the Alon--Tarsi conjecture
@@ -258,20 +258,20 @@ def pairing_perm_det(n: int, *, cap: int = MAX_PAIRING_PERM):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > cap:
-        raise CapacityError("pairing_perm_det", n, cap)
+    if n > MAX_PAIRING_PERM:
+        raise CapacityError("pairing_perm_det", n, MAX_PAIRING_PERM)
     p = perm(n) ** n
     d = det(n) ** n
     return apply_diff(p, d).as_scalar()
 
 
-def pairing_allvars_det(n: int, *, cap: int = MAX_PAIRING_ALLVARS):
+def pairing_allvars_det(n: int):
     """The scalar <prod_{ij} x_ij, det_n^n>: the all-ones coefficient of
     det_n^n, extracted by iterated differentiation."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > cap:
-        raise CapacityError("pairing_allvars_det", n, cap)
+    if n > MAX_PAIRING_ALLVARS:
+        raise CapacityError("pairing_allvars_det", n, MAX_PAIRING_ALLVARS)
     d = det(n) ** n
     allvars = Polynomial.monomial((1,) * (n * n))
     return apply_diff(allvars, d).as_scalar()

@@ -451,24 +451,13 @@ class FlatteningMatrix:
     """
 
     num_vars: int
-    row_degree: int
-    col_degree: int
     row_basis: Tuple[Exponent, ...]
     col_basis: Tuple[Exponent, ...]
     entries: Tuple[Tuple[Fraction, ...], ...]
-    source_digest: str = ""
 
     @property
     def shape(self) -> Tuple[int, int]:
         return (len(self.row_basis), len(self.col_basis))
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(repr((self.num_vars, self.row_degree, self.col_degree)).encode())
-        for row in self.entries:
-            h.update(";".join(str(c) for c in row).encode())
-            h.update(b"\n")
-        return h.hexdigest()
 
 
 def polarize(p: Polynomial, k: int) -> FlatteningMatrix:
@@ -501,12 +490,9 @@ def polarize(p: Polynomial, k: int) -> FlatteningMatrix:
     )
     return FlatteningMatrix(
         num_vars=v,
-        row_degree=d - k,
-        col_degree=k,
         row_basis=tuple(row_basis),
         col_basis=tuple(col_basis),
         entries=entries,
-        source_digest=poly_digest(p),
     )
 
 

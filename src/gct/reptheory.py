@@ -340,6 +340,11 @@ def _monomials(v: int, degree: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(monomials_of_degree(v, degree))
 
 
+@lru_cache(maxsize=None)
+def _monomial_index(v: int, degree: int) -> Dict[Tuple[int, ...], int]:
+    return {m: i for i, m in enumerate(_monomials(v, degree))}
+
+
 def _suffix_counts(degree: int, v: int, count: int, rem: Tuple[int, ...]) -> List[int]:
     """Entry i: the number of ``count``-multisets of monomials_of_degree(v,
     degree)[i:] with column sums ``rem`` (which sums to count * degree).
@@ -354,6 +359,9 @@ def _suffix_counts(degree: int, v: int, count: int, rem: Tuple[int, ...]) -> Lis
     monos = _monomials(v, degree)
     if count == 0:  # then rem is zero
         out = [1] * (len(monos) + 1)
+    elif count == 1:  # rem is one monomial: counted while it is still free
+        i = _monomial_index(v, degree)[rem]
+        out = [1] * (i + 1) + [0] * (len(monos) - i)
     else:
         out = [0] * (len(monos) + 1)
         for i in range(len(monos) - 1, -1, -1):

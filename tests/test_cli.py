@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from gct import cli
+from gct import cli, hhh
 from gct.poly import Polynomial, loads
 
 
@@ -95,6 +95,33 @@ def test_exit_3_capacity(capsys):
     assert rec["error"] == "capacity"
     assert rec["size"] == 190131
     assert rec["size"] > rec["cap"]
+
+
+@pytest.mark.parametrize(
+    "argv,size",
+    [
+        (("hhh", "kernel", "8", "2", "8", "--weight", "4,3,2,2,2,1,1,1"), 5575),
+        (("hhh", "rank", "5", "4", "5", "--weight", "8,4,3,3,2"), 5868),
+        (("hhh", "kernel", "6", "3", "6", "--weight", "7,3,3,2,2,1"), 5350),
+    ],
+)
+def test_wide_weight_block_is_refused_before_any_basis(capsys, monkeypatch, argv, size):
+    """A --weight block wider than the elimination cap is refused from its
+    predicted size: no basis is listed and no column is built."""
+
+    def forbidden(*args):
+        raise AssertionError("a refused block was built")
+
+    monkeypatch.setattr(hhh, "multiset_basis", forbidden)
+    monkeypatch.setattr(hhh, "hhh_column", forbidden)
+    start = time.monotonic()
+    code, out, _ = run(capsys, "--json", "--no-cache", *argv)
+    elapsed = time.monotonic() - start
+    rec = json.loads(out)
+    assert (code, rec["error"], rec["size"], rec["cap"]) == (3, "capacity", size, 5000)
+    d, n, v, w = argv[2], argv[3], argv[4], argv[6]
+    assert rec["context"] == f"h_{{{d},{n}}} on C^{v}, weight ({w.replace(',', ', ')})"
+    assert elapsed < 1.0
 
 
 def test_large_plethysm_is_refused_up_front(capsys):
@@ -493,6 +520,7 @@ GOLDEN = (
     ("capacity-latin", ("latin", "count", "7")),
     ("capacity-hhh-kernel", ("hhh", "kernel", "6", "3", "6")),
     ("capacity-hhh-rank", ("hhh", "rank", "5", "5", "5")),
+    ("capacity-hhh-kernel-weight", ("hhh", "kernel", "8", "2", "8", "--weight", "4,3,2,2,2,1,1,1")),
     ("bad-group", ("no-such-group",)),
     ("bad-partition", ("rep", "char", "abc", "1,1")),
     ("bad-file", ("flatten", "rank", "missing.json")),
@@ -501,7 +529,8 @@ GOLDEN = (
 
 #: id -> (exit code, SHA-256 of stdout, SHA-256 of stdout under --json),
 #: recorded from the hand-built parser that preceded the command table; the
-#: two h_{d,n} refusals from the plan that counted every dominant weight
+#: two h_{d,n} refusals from the plan that counted every dominant weight, and
+#: the --weight refusal from the capacity rule that runs before any basis
 GOLDEN_STDOUT = {
     "zoo-make": (
         0,
@@ -697,6 +726,11 @@ GOLDEN_STDOUT = {
         3,
         "3dd9de077207ead5a371b45730c21fee362854d2ada4bf400a08351b52e3e8e6",
         "eb84d1476a4b735a992fec09fe3f6f75e0d2c5eb478c0f7c4afbb1fd6a1785b9",
+    ),
+    "capacity-hhh-kernel-weight": (
+        3,
+        "70fd5156479d8c17e6aab75c2f478aa891d8caa364bef41a6e4fbf3da354a80e",
+        "e9f0d375d2407a12eef840eb6e7fa0625d6dedf1340b8cdbdd8956832c1cd7de",
     ),
     "bad-group": (
         2,

@@ -24,7 +24,7 @@ from gct.flatten import (
     waring_border_lower_bound,
 )
 from gct.poly import Polynomial, polarize
-from gct import zoo
+from gct import flatten, zoo
 from gct.zoo import chow, det, fermat
 
 from conftest import fraction_matrices, polynomials
@@ -581,6 +581,7 @@ def test_shifted_partials_known_value():
     assert dim == len(monos)
 
 
-def test_shifted_partials_capacity():
+def test_shifted_partials_capacity(monkeypatch):
+    monkeypatch.setattr(flatten, "MAX_COLUMNS", 3)
     with pytest.raises(CapacityError):
-        shifted_partials_dim(det(3), 1, 1, max_columns=3)
+        shifted_partials_dim(det(3), 1, 1)

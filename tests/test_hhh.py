@@ -7,18 +7,19 @@ rank duality rank h_{d,n} = rank h_{n,d}, blockwise-vs-full assembly, and
 the principal-ideal structure of ker h_{d,2}(C^3) over the symmetric
 3x3 determinant, cross-checked against gct.reptheory plethysms.  The
 state-merging column builder is checked against the leaf enumeration it
-replaced.
+replaced, and the weight blocks against the full map assembled here.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import comb, factorial
+from typing import Tuple
 
 import pytest
 
-from gct import hhh
+from gct import flatten, hhh
 from gct.flatten import CapacityError, exact_rank, nullspace
 from gct.poly import Polynomial, apply_diff, grevlex_key, monomials_of_degree
 from gct.reptheory import count_weight_multisets, dominates, partitions, plethysm_mult
@@ -36,6 +37,40 @@ def weight_of_multiset(ms, v):
         for a, e in enumerate(m):
             w[a] += e
     return tuple(w)
+
+
+def full_multiset_basis(count, degree, v):
+    """Every multiset of ``count`` degree-``degree`` monomials, unrestricted."""
+    return list(combinations_with_replacement(monomials_of_degree(v, degree), count))
+
+
+@dataclass(frozen=True)
+class FullMap:
+    """h_{d,n} on all of S^d(S^n C^v), on the unrestricted bases."""
+
+    d: int
+    n: int
+    v: int
+    row_basis: Tuple[tuple, ...]
+    col_basis: Tuple[tuple, ...]
+    entries: Tuple[Tuple[int, ...], ...]
+
+    @property
+    def shape(self):
+        return (len(self.row_basis), len(self.col_basis))
+
+
+def full_hhh(d, n, v):
+    """Oracle: the full map, column by column from ``hhh_column``; the
+    library builds only weight blocks."""
+    col_basis = full_multiset_basis(d, n, v)
+    row_basis = full_multiset_basis(n, d, v)
+    row_index = {ms: i for i, ms in enumerate(row_basis)}
+    rows = [[0] * len(col_basis) for _ in row_basis]
+    for c, ms in enumerate(col_basis):
+        for key, val in hhh.hhh_column(ms, n, v).items():
+            rows[row_index[key]][c] = val
+    return FullMap(d, n, v, tuple(row_basis), tuple(col_basis), tuple(map(tuple, rows)))
 
 
 def recursive_multiset_basis(count, degree, v, weight):
@@ -175,11 +210,14 @@ def symmetric_product(forms, degree):
 
 
 def test_multiset_basis_counts():
+    """The weight bases partition the full basis, each multiset sorted."""
     for count, degree, v in [(2, 2, 2), (3, 2, 2), (2, 3, 3), (3, 3, 2)]:
-        basis = hhh.multiset_basis(count, degree, v)
+        full = full_multiset_basis(count, degree, v)
         n_monos = comb(v + degree - 1, degree)
-        assert len(basis) == comb(n_monos + count - 1, count)
-        assert len(set(basis)) == len(basis)
+        assert len(full) == comb(n_monos + count - 1, count)
+        weights = {weight_of_multiset(ms, v) for ms in full}
+        basis = [ms for w in sorted(weights) for ms in hhh.multiset_basis(count, degree, v, w)]
+        assert sorted(basis) == sorted(full)
         for ms in basis:
             assert len(ms) == count
             assert list(ms) == sorted(ms, key=grevlex_key)
@@ -188,7 +226,7 @@ def test_multiset_basis_counts():
 
 def test_multiset_basis_weight_restriction():
     d, n, v = 3, 2, 3
-    full = hhh.multiset_basis(d, n, v)
+    full = full_multiset_basis(d, n, v)
     for weight in [(2, 2, 2), (3, 2, 1), (6, 0, 0), (4, 1, 1)]:
         got = hhh.multiset_basis(d, n, v, weight)
         want = [ms for ms in full if weight_of_multiset(ms, v) == weight]
@@ -277,7 +315,7 @@ def test_column_is_scaled_leaf_enumeration(d, n, v, weights, columns):
 
 
 def test_entries_are_python_ints():
-    for d, n, v, w in [(3, 2, 3, None), (2, 3, 2, None), (5, 5, 5, H55_BENCH_WEIGHTS[0])]:
+    for d, n, v, w in [(3, 2, 3, (2, 2, 2)), (2, 3, 2, (3, 3)), (5, 5, 5, H55_BENCH_WEIGHTS[0])]:
         block = hhh.build_hhh(d, n, v, w)
         assert all(type(x) is int for row in block.entries for x in row), (d, n, v, w)
 
@@ -329,12 +367,41 @@ def test_refusal_counts_only_the_flattest_weight(monkeypatch):
         hhh.hhh_rank(5, 5, 5)
     assert calls == [(5,) * 5]
     calls.clear()
+    monkeypatch.setattr(flatten, "MAX_COLUMNS", 5)
     with pytest.raises(CapacityError) as exc:  # dn = 6 = 1*4 + 2
-        hhh.kernel_character(3, 2, 4, max_elim=5)
+        hhh.kernel_character(3, 2, 4)
     assert calls == [(2, 2, 1, 1)]
     assert (exc.value.size, exc.value.cap) == (6, 5)
     with pytest.raises(ValueError):
         hhh.hhh_rank(2, 2, 0)
+
+
+def test_capacity_rule_caps_the_domain_and_the_dense_size(monkeypatch):
+    """With the width cap at 14: a 17-wide block is refused, a 10-wide block
+    with 17 rows is admitted, and a 14-wide block with 25 rows is refused
+    for its 350 > 14**2 entries, each from predicted sizes only."""
+    w = (2, 2, 2, 2)
+    assert hhh.predicted_block_size(4, 2, 4, w) == (17, 10)
+    assert hhh.predicted_block_size(2, 4, 4, w) == (10, 17)
+    assert hhh.predicted_block_size(2, 5, 4, (3, 3, 2, 2)) == (14, 25)
+    ranks = {(2, 4): hhh.build_hhh(2, 4, 4, w).rank(), (4, 2): hhh.build_hhh(4, 2, 4, w).rank()}
+    dims = hhh.kernel_dims_by_weight(2, 4, 4)
+    monkeypatch.setattr(flatten, "MAX_COLUMNS", 14)
+    with pytest.raises(CapacityError) as exc:
+        hhh.build_hhh(4, 2, 4, w)
+    assert (exc.value.size, exc.value.cap) == (17, 14)
+    assert exc.value.context == "h_{4,2} on C^4, weight (2, 2, 2, 2)"
+    with pytest.raises(CapacityError) as exc:
+        hhh.hhh_rank(4, 2, 4)
+    assert (exc.value.size, exc.value.cap) == (17, 14)
+    block = hhh.build_hhh(2, 4, 4, w)
+    assert block.shape == (17, 10)
+    assert block.rank() == ranks[(2, 4)] == ranks[(4, 2)]
+    assert hhh.kernel_dims_by_weight(2, 4, 4) == dims
+    with pytest.raises(CapacityError) as exc:
+        hhh.build_hhh(2, 5, 4, (3, 3, 2, 2))
+    assert (exc.value.size, exc.value.cap) == (350, 196)
+    assert exc.value.context == "h_{2,5} on C^4, weight (3, 3, 2, 2) entries"
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +423,7 @@ def _random_linear_forms(v, count, rng):
 def test_characterizing_identity_on_split_points(d, n, v):
     """h_{d,n}(l_1^n * ... * l_d^n) = (l_1 * ... * l_d)^n, exactly."""
     rng = random.Random(1000 * d + 10 * n + v)
-    h = hhh.build_hhh(d, n, v)
+    h = full_hhh(d, n, v)
     for _ in range(5):
         ls = _random_linear_forms(v, d, rng)
         domain_vec = symmetric_product([l**n for l in ls], n)
@@ -369,7 +436,7 @@ def test_characterizing_identity_on_split_points(d, n, v):
 
 def test_apply_matches_matrix_entries():
     d, n, v = 3, 2, 2
-    h = hhh.build_hhh(d, n, v)
+    h = full_hhh(d, n, v)
     rng = random.Random(5)
     vec = [Fraction(rng.randint(-4, 4)) for _ in h.col_basis]
     coeffs = {ms: c for ms, c in zip(h.col_basis, vec) if c}
@@ -405,14 +472,27 @@ def test_rank_duality():
 
 def test_blockwise_equals_full_rank():
     for d, n, v in [(2, 2, 2), (2, 3, 2), (3, 2, 3), (2, 2, 3)]:
-        full = hhh.build_hhh(d, n, v)
+        full = full_hhh(d, n, v)
         assert exact_rank(full.entries) == hhh.hhh_rank(d, n, v)
 
 
+def test_blocks_are_restrictions_of_the_full_map():
+    for d, n, v in [(2, 2, 2), (3, 2, 3), (2, 3, 3)]:
+        full = full_hhh(d, n, v)
+        row = {ms: r for r, ms in enumerate(full.row_basis)}
+        col = {ms: c for c, ms in enumerate(full.col_basis)}
+        for w in hhh.dominant_weights(d * n, v):
+            block = hhh.build_hhh(d, n, v, w)
+            assert block.entries == tuple(
+                tuple(full.entries[row[r]][col[c]] for c in block.col_basis)
+                for r in block.row_basis
+            ), (d, n, v, w)
+
+
 def test_h22_c2_rank_literal():
-    h = hhh.build_hhh(2, 2, 2)
+    h = full_hhh(2, 2, 2)
     assert h.shape == (6, 6)
-    assert h.rank() == 6
+    assert exact_rank(h.entries) == 6
 
 
 def test_h32_c3_kernel_is_symmetric_determinant():
@@ -463,7 +543,7 @@ def test_kernel_dims_sum_to_total_kernel():
             total += len(set(permutations(padded))) * k
         assert hhh.kernel_dimension(dims, v) == total
         domain_dim = comb(comb(n + v - 1, n) + d - 1, d)
-        assert total == domain_dim - exact_rank(hhh.build_hhh(d, n, v).entries)
+        assert total == domain_dim - exact_rank(full_hhh(d, n, v).entries)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +587,7 @@ def _evaluate_on(ms_coeffs, pairings):
     return total
 
 
-def kernel_vanishes_on_chow(d, n, v, trials=10, seed=0, *, max_block=20_000):
+def kernel_vanishes_on_chow(d, n, v, trials=10, seed=0):
     """Oracle: ker h_{d,n} lies in I_d(Ch_n), checked on random split points.
 
     Every kernel basis vector, viewed as a degree-d polynomial on S^n C^v*
@@ -516,8 +596,8 @@ def kernel_vanishes_on_chow(d, n, v, trials=10, seed=0, *, max_block=20_000):
     evaluation has teeth, a random vector outside the kernel must be
     nonzero on some trial (when the kernel is proper).
     """
-    h = hhh.build_hhh(d, n, v, max_block=max_block)
-    kernel = nullspace(h.entries, max_columns=max_block)
+    h = full_hhh(d, n, v)
+    kernel = nullspace(h.entries)
     rng = random.Random(seed)
     monos = monomials_of_degree(v, n)
 
@@ -593,4 +673,4 @@ def test_h55_capacity_reported_up_front():
 
 def test_build_hhh_validates_arguments():
     with pytest.raises(ValueError):
-        hhh.build_hhh(0, 2, 2)
+        hhh.build_hhh(0, 2, 2, (0, 0))

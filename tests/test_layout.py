@@ -1,5 +1,6 @@
 """Layout guard: the library holds no function or class that only the
-tests call.  A name that only tests need belongs in the tests."""
+tests call, and no keyword option that only the tests set.  A name that
+only tests need belongs in the tests."""
 
 import ast
 import re
@@ -75,3 +76,28 @@ def test_every_library_name_has_a_src_caller():
     orphans = unreachable_public_names()
     assert not orphans, f"called only from outside src/gct: {', '.join(orphans)}"
 
+
+def _callee(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def unset_keyword_parameters():
+    """Keyword-only parameters of public functions and methods of src/gct
+    that no call under src/gct passes by name, as sorted
+    "module.function(parameter)" strings.  A call counts when its callee's
+    name (bare or as an attribute) is the function's name."""
+    passed, params = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                passed.update((_callee(node), kw.arg) for kw in node.keywords if kw.arg)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not node.name.startswith("_"):
+                    params.extend((path.stem, node.name, a.arg) for a in node.args.kwonlyargs)
+    return sorted(f"{m}.{f}({a})" for m, f, a in params if (f, a) not in passed)
+
+
+def test_every_keyword_option_has_a_src_caller():
+    unset = unset_keyword_parameters()
+    assert not unset, f"keyword options no call in src/gct sets: {', '.join(unset)}"

@@ -251,13 +251,6 @@ def test_polarize_rejects_bad_input():
         polarize(Polynomial.monomial((2, 0)), 5)
 
 
-def test_flattening_digest_depends_on_entries():
-    p = Polynomial.monomial((2, 1))
-    q = Polynomial.monomial((1, 2))
-    assert polarize(p, 1).digest() != polarize(q, 1).digest()
-    assert polarize(p, 1).digest() == polarize(p, 1).digest()
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
