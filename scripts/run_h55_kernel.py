@@ -9,7 +9,7 @@ multiplicity one,
     (12,5,4,3,1)  (11,5,4,4,1)  (10,8,4,2,1)  (9,7,6,3)
 
 The sl-weight-zero block alone is 190131 x 190131, far beyond the
-elimination width cap ``gct.flatten.MAX_COLUMNS``, so this script reports
+capacity rule ``gct.flatten.check_capacity``, so this script reports
 the predicted block sizes and the capacity refusal honestly instead of
 silently skipping.  --weight runs a single dominant-weight block (many
 are individually feasible).
@@ -22,7 +22,7 @@ import sys
 import time
 
 from gct import hhh
-from gct.flatten import MAX_COLUMNS, CapacityError
+from gct.flatten import MAX_COLUMNS, CapacityError, check_capacity
 
 EXPECTED_KERNEL = [
     (14, 7, 2, 2),
@@ -40,7 +40,7 @@ D = N = V = 5
 
 def admitted(dom: int, cod: int) -> bool:
     try:
-        hhh.check_block_capacity("plan", dom, cod)
+        check_capacity("plan", dom, cod)
     except CapacityError:
         return False
     return True

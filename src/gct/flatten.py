@@ -11,6 +11,14 @@ updated, r -> (piv/g) r - (head/g) pivot_row with g = gcd(piv, head), an
 invertible step over Q.  Kernel vectors and solutions come from
 back-substitution over Q on the echelon rows.  Everything is exact; there
 is no floating point or modular shortcut.
+
+One capacity rule decides whether an elimination can finish
+(``check_capacity``): a span of ``width`` vectors in a ``height``-dimensional
+space is admitted when ``width`` is at most ``MAX_COLUMNS`` and its dense
+size ``width * height`` at most ``MAX_COLUMNS**2``.  Every builder of the
+package (catalecticants, shifted partials, the stabilizer system, h_{d,n}
+blocks) applies it to exact predicted sizes before building anything, and
+the core applies it again to whatever matrix it receives.
 """
 
 from __future__ import annotations
@@ -18,19 +26,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, comb, gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .poly import (
     FlatteningMatrix,
     Polynomial,
     apply_diff,
     exponent_add,
+    monomial_count,
     monomials_of_degree,
     polarize,
 )
 
-#: Reject eliminations wider than this; read at call time, so it is the
-#: one width cap of the package (``gct.hhh`` sizes its blocks by it too).
+#: The width cap of ``check_capacity``; read at call time.
 MAX_COLUMNS = 5000
 
 
@@ -50,20 +58,26 @@ class CapacityError(RuntimeError):
         self.cap = cap
 
 
-def _sparse_rows(
-    matrix, context: str, max_columns: Optional[int] = None
-) -> Tuple[List[Dict[int, int]], int]:
+def check_capacity(context: str, width: int, height: int) -> None:
+    """Refuse a span of ``width`` vectors in a ``height``-dimensional space
+    that elimination cannot finish: wider than ``MAX_COLUMNS``, or denser
+    than ``MAX_COLUMNS**2`` entries."""
+    cap = MAX_COLUMNS
+    if width > cap:
+        raise CapacityError(context, width, cap)
+    if width * height > cap * cap:
+        raise CapacityError(f"{context} entries", width * height, cap * cap)
+
+
+def _sparse_rows(matrix, context: str) -> Tuple[List[Dict[int, int]], int]:
     """The width and the nonzero rows, as ``{col: int}`` primitive rows.
 
     A row's denominators are cleared and its content divided out, which
-    keeps the row space.  A matrix wider than ``max_columns`` (by default
-    ``MAX_COLUMNS``) is refused.
+    keeps the row space.  The matrix passes ``check_capacity`` first.
     """
     rows = matrix.entries if isinstance(matrix, FlatteningMatrix) else matrix
     n_cols = len(rows[0]) if rows else 0
-    cap = MAX_COLUMNS if max_columns is None else max_columns
-    if n_cols > cap:
-        raise CapacityError(context, n_cols, cap)
+    check_capacity(context, n_cols, len(rows))
     out: List[Dict[int, int]] = []
     for row in rows:
         entries = {j: x for j, x in enumerate(row) if x}
@@ -138,10 +152,9 @@ def _back_substitute(
     return x
 
 
-def exact_rank(matrix, *, max_columns: Optional[int] = None) -> int:
-    """Exact rank over Q (see module docstring); ``max_columns`` overrides
-    the width cap ``MAX_COLUMNS``."""
-    return len(_echelon(*_sparse_rows(matrix, "exact_rank", max_columns)))
+def exact_rank(matrix) -> int:
+    """Exact rank over Q (see module docstring)."""
+    return len(_echelon(*_sparse_rows(matrix, "exact_rank")))
 
 
 def nullspace(matrix) -> List[List[Fraction]]:
@@ -171,7 +184,7 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> List[Fraction]:
         raise ValueError("rhs length must match row count")
     n_cols = len(rows[0]) if rows else 0
     augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
-    echelon = _echelon(*_sparse_rows(augmented, "solve_linear", n_cols + 1))
+    echelon = _echelon(*_sparse_rows(augmented, "solve_linear"))
     if echelon and echelon[-1][0] == n_cols:
         raise ValueError("linear system is inconsistent")
     # the rhs column carries -1: a row annihilating (x, -1) reads A x = b
@@ -198,9 +211,11 @@ def _catalecticant_ranks(p: Polynomial, d: int) -> Dict[int, int]:
 
     P_{d-k,k} = D1 P_{k,d-k}^T D2 with nonzero diagonal D's (both entries
     are one coefficient of p times a ratio of factorials), so the two
-    ranks agree.
+    ranks agree.  k = d//2 goes first: the monomial counts C(v-1+k, k) are
+    log-concave in k, so it is the widest and the densest, and a refusal
+    comes before any smaller one is eliminated.
     """
-    half = {k: exact_rank(polarize(p, k)) for k in range(1, d // 2 + 1)}
+    half = {k: exact_rank(polarize(p, k)) for k in range(d // 2, 0, -1)}
     return {k: half[min(k, d - k)] for k in range(1, d)}
 
 
@@ -253,22 +268,21 @@ def shifted_partials_dim(p: Polynomial, k: int, shift: int) -> int:
     if shift < 0:
         raise ValueError("shift must be non-negative")
     v = p.num_vars
-    diff_basis = monomials_of_degree(v, k)
+    # one column per product m'' * d^{m'} p, as in every other builder
+    width = monomial_count(v, k) * monomial_count(v, shift)
+    check_capacity(
+        f"shifted partials (k={k}, shift={shift}) on C^{v}",
+        width,
+        monomial_count(v, d - k + shift),
+    )
     shift_basis = monomials_of_degree(v, shift)
-    n_cols = len(diff_basis) * len(shift_basis)
-    if n_cols > MAX_COLUMNS:
-        raise CapacityError("shifted_partials_dim", n_cols, MAX_COLUMNS)
-    target_basis = monomials_of_degree(v, d - k + shift)
-    row_index = {e: i for i, e in enumerate(target_basis)}
-    # columns as rows of the transpose: rank is the same and assembling
-    # row-by-row keeps this allocation-friendly; the n_cols checked above
-    # are its rows, so its width is not capped again
-    cols: List[List[Fraction]] = []
-    partials = [apply_diff(Polynomial.monomial(m), p) for m in diff_basis]
-    for q in partials:
+    row_index = {e: i for i, e in enumerate(monomials_of_degree(v, d - k + shift))}
+    rows = [[0] * width for _ in row_index]
+    c = 0
+    for m in monomials_of_degree(v, k):
+        q = apply_diff(Polynomial.monomial(m), p)
         for s in shift_basis:
-            col = [0] * len(target_basis)
-            for e, c in q.terms.items():
-                col[row_index[exponent_add(e, s)]] = c
-            cols.append(col)
-    return exact_rank(cols, max_columns=len(target_basis))
+            for e, coeff in q.terms.items():
+                rows[row_index[exponent_add(e, s)]][c] = coeff
+            c += 1
+    return exact_rank(rows)

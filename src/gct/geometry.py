@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .flatten import CapacityError, exact_rank, solve_linear
+from .flatten import CapacityError, check_capacity, exact_rank, solve_linear
 from .poly import (
     Polynomial,
     apply_diff,
@@ -55,33 +55,11 @@ class PolyMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def is_symmetric(self) -> bool:
-        n = self.size
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-
-    def trace(self) -> Polynomial:
-        t = Polynomial.zero(self.num_vars)
-        for i in range(self.size):
-            t = t + self.entries[i][i]
-        return t
-
     def evaluate(self, point: Sequence) -> List[List[Fraction]]:
         """Scalar matrix obtained by evaluating every entry at ``point``."""
         return [
             [p.evaluate(point) for p in row] for row in self.entries
         ]
-
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "PolyMatrix":
-        return PolyMatrix(
-            self.num_vars,
-            tuple(
-                tuple(self.entries[i][j] for j in cols) for i in rows
-            ),
-        )
 
 
 def hessian(p: Polynomial) -> PolyMatrix:
@@ -496,10 +474,11 @@ def stabilizer_lie_dim(p: Polynomial) -> int:
                     row_keys[exps] = len(row_keys)
                 col[exps] = coeff
             columns.append(col)
+    if not row_keys:
+        return v * v
+    check_capacity(f"stabilizer of a form in gl_{v}", v * v, len(row_keys))
     rows = [[0] * (v * v) for _ in range(len(row_keys))]
     for cidx, col in enumerate(columns):
         for exps, coeff in col.items():
             rows[row_keys[exps]][cidx] = coeff
-    if not rows:
-        return v * v
     return v * v - exact_rank(rows)

@@ -35,10 +35,10 @@ dominant-weight and summed with orbit multiplicities.  This is an exact
 identity, not an approximation; a test checks it against the assembled
 full matrix on small cases.  Only weight blocks are ever built.
 
-One capacity rule admits a block, on its predicted sizes and before
-either basis is listed (``check_block_capacity``): its domain, the width
-elimination pays for, is at most ``flatten.MAX_COLUMNS``, and its dense
-size domain x codomain at most ``MAX_COLUMNS**2``.
+A block is admitted by the capacity rule of the package,
+``flatten.check_capacity``, on its predicted sizes and before either basis
+is listed: its domain is the width elimination pays for, its codomain the
+height.
 """
 
 from __future__ import annotations
@@ -46,13 +46,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from operator import add
 from typing import Dict, List, Sequence, Tuple
 
-from . import flatten
-from .flatten import CapacityError, exact_rank
-from .poly import Exponent
+from .flatten import check_capacity, exact_rank
+from .poly import Exponent, monomial_count
 from .reptheory import (
     Partition,
     _monomials,
@@ -112,18 +111,6 @@ def predicted_block_size(d: int, n: int, v: int, weight: Sequence[int]) -> Tuple
         count_weight_multisets(d, n, v, w),
         count_weight_multisets(n, d, v, w),
     )
-
-
-def check_block_capacity(context: str, dom: int, cod: int) -> None:
-    """Refuse a block of ``dom`` columns and ``cod`` rows that cannot be
-    finished: wider than ``flatten.MAX_COLUMNS``, the width elimination
-    pays for, or denser than ``MAX_COLUMNS**2`` entries.  The cap is read
-    at call time."""
-    cap = flatten.MAX_COLUMNS
-    if dom > cap:
-        raise CapacityError(context, dom, cap)
-    if dom * cod > cap * cap:
-        raise CapacityError(f"{context} entries", dom * cod, cap * cap)
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +207,19 @@ class PlethysmMap:
 
 def sym_sym_dim(outer: int, inner: int, v: int) -> int:
     """dim S^outer(S^inner C^v)."""
-    return comb(comb(inner + v - 1, inner) + outer - 1, outer)
+    return monomial_count(monomial_count(v, inner), outer)
 
 
 def build_hhh(d: int, n: int, v: int, weight: Sequence[int]) -> PlethysmMap:
     """Assemble the ``weight`` block of h_{d,n} on C^v.
 
-    ``check_block_capacity`` runs on the predicted sizes before either
-    basis is listed.
+    ``check_capacity`` runs on the predicted sizes before either basis is
+    listed.
     """
     if d < 1 or n < 1 or v < 1:
         raise ValueError("d, n, v must be positive")
     w = tuple(int(x) for x in weight)
-    check_block_capacity(f"h_{{{d},{n}}} on C^{v}, weight {w}", *predicted_block_size(d, n, v, w))
+    check_capacity(f"h_{{{d},{n}}} on C^{v}, weight {w}", *predicted_block_size(d, n, v, w))
     col_basis = multiset_basis(d, n, v, w)
     row_basis = multiset_basis(n, d, v, w)
     row_index = {ms: i for i, ms in enumerate(row_basis)}
@@ -296,7 +283,7 @@ def kernel_dims_by_weight(d: int, n: int, v: int) -> Dict[Partition, int]:
     if d < 1 or n < 1 or v < 1:
         raise ValueError("d, n, v must be positive")
     flattest = flattest_weight(d * n, v)
-    check_block_capacity(
+    check_capacity(
         f"h_{{{d},{n}}} on C^{v}, dominant weight {flattest}",
         *predicted_block_size(d, n, v, flattest),
     )

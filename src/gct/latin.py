@@ -34,47 +34,6 @@ MAX_PAIRING_PERM = 3
 MAX_PAIRING_ALLVARS = 4
 
 
-def is_latin_square(square: Sequence[Sequence[int]]) -> bool:
-    n = len(square)
-    want = list(range(1, n + 1))
-    for row in square:
-        if sorted(row) != want:
-            return False
-    for j in range(n):
-        if sorted(row[j] for row in square) != want:
-            return False
-    return True
-
-
-def _require_latin(square: Sequence[Sequence[int]]) -> Square:
-    sq = tuple(tuple(int(x) for x in row) for row in square)
-    if not is_latin_square(sq):
-        raise ValueError("not a Latin square")
-    return sq
-
-
-def row_sign(square: Sequence[Sequence[int]]) -> int:
-    sq = _require_latin(square)
-    s = 1
-    for row in sq:
-        s *= perm_sign(row)
-    return s
-
-
-def column_sign(square: Sequence[Sequence[int]]) -> int:
-    """Product of the n column-permutation signs."""
-    sq = _require_latin(square)
-    s = 1
-    for j in range(len(sq)):
-        s *= perm_sign([row[j] for row in sq])
-    return s
-
-
-def sign(square: Sequence[Sequence[int]]) -> int:
-    """Product of all 2n row and column permutation signs."""
-    return row_sign(square) * column_sign(square)
-
-
 # ---------------------------------------------------------------------------
 # Completion of partial squares
 # ---------------------------------------------------------------------------

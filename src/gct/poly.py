@@ -60,6 +60,13 @@ def monomials_of_degree(num_vars: int, degree: int) -> List[Exponent]:
     return out
 
 
+def monomial_count(num_vars: int, degree: int) -> int:
+    """len(monomials_of_degree(num_vars, degree)), without listing them."""
+    if num_vars == 0:
+        return int(degree == 0)
+    return comb(num_vars + degree - 1, degree)
+
+
 def exponent_add(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -331,39 +338,6 @@ class LinearSubstitution:
                 raise ValueError("matrix rows must have num_vars_out entries")
         object.__setattr__(self, "matrix", rows)
 
-    @staticmethod
-    def identity(num_vars: int) -> "LinearSubstitution":
-        rows = tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(num_vars))
-            for i in range(num_vars)
-        )
-        return LinearSubstitution(num_vars, num_vars, rows)
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "LinearSubstitution":
-        rows_t = tuple(tuple(Fraction(c) for c in r) for r in rows)
-        n_out = len(rows_t[0]) if rows_t else 0
-        return LinearSubstitution(len(rows_t), n_out, rows_t)
-
-    def compose(self, inner: "LinearSubstitution") -> "LinearSubstitution":
-        """Substitution equivalent to applying self, then ``inner``.
-
-        ``substitute(substitute(p, self), inner) == substitute(p, self.compose(inner))``.
-        """
-        if self.num_vars_out != inner.num_vars_in:
-            raise ValueError("arity mismatch in composition")
-        rows = tuple(
-            tuple(
-                sum(
-                    (self.matrix[i][j] * inner.matrix[j][k] for j in range(self.num_vars_out)),
-                    Fraction(0),
-                )
-                for k in range(inner.num_vars_out)
-            )
-            for i in range(self.num_vars_in)
-        )
-        return LinearSubstitution(self.num_vars_in, inner.num_vars_out, rows)
-
 
 def substitute(p: Polynomial, sub: LinearSubstitution) -> Polynomial:
     """Apply a linear substitution to every variable of ``p``."""
@@ -464,8 +438,12 @@ def polarize(p: Polynomial, k: int) -> FlatteningMatrix:
     """Catalecticant P_{k,d-k}: column for monomial m is apply_diff(m, p).
 
     ``p`` must be homogeneous of degree d; any 0 <= k <= d is accepted,
-    the informative range being 1..d-1.
+    the informative range being 1..d-1.  The capacity rule of
+    ``gct.flatten`` runs on the basis sizes before either basis is listed;
+    zero entries are int 0.
     """
+    from .flatten import check_capacity  # flatten imports this module
+
     if p.is_zero():
         raise ValueError("polarize requires a nonzero polynomial")
     if not p.is_homogeneous():
@@ -474,25 +452,21 @@ def polarize(p: Polynomial, k: int) -> FlatteningMatrix:
     if not 0 <= k <= d:
         raise ValueError(f"polarization order k={k} out of range for degree {d}")
     v = p.num_vars
+    check_capacity(
+        f"catalecticant P_{{{k},{d - k}}} on C^{v}", monomial_count(v, k), monomial_count(v, d - k)
+    )
     col_basis = monomials_of_degree(v, k)
     row_basis = monomials_of_degree(v, d - k)
     row_index = {e: i for i, e in enumerate(row_basis)}
-    cols: List[List[Fraction]] = []
-    for m in col_basis:
-        q = apply_diff(Polynomial.monomial(m), p)
-        col = [Fraction(0)] * len(row_basis)
-        for e, c in q.terms.items():
-            col[row_index[e]] = c
-        cols.append(col)
-    entries = tuple(
-        tuple(cols[c][r] for c in range(len(col_basis)))
-        for r in range(len(row_basis))
-    )
+    rows = [[0] * len(col_basis) for _ in row_basis]
+    for c, m in enumerate(col_basis):
+        for e, coeff in apply_diff(Polynomial.monomial(m), p).terms.items():
+            rows[row_index[e]][c] = coeff
     return FlatteningMatrix(
         num_vars=v,
         row_basis=tuple(row_basis),
         col_basis=tuple(col_basis),
-        entries=entries,
+        entries=tuple(map(tuple, rows)),
     )
 
 

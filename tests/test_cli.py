@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from gct import cli, hhh
+from gct import cli, hhh, poly
 from gct.poly import Polynomial, loads
 
 
@@ -133,6 +133,48 @@ def test_large_plethysm_is_refused_up_front(capsys):
     assert (code, rec["error"], rec["size"], rec["cap"]) == (3, "capacity", 1741630, 40000)
     assert "p(64)" in rec["context"]
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("command", ["rank", "waring-lb", "chow-lb"])
+def test_wide_catalecticant_is_refused_before_any_column(capsys, monkeypatch, tmp_path, command):
+    """P_{3,3} of a sextic on C^31 is C(33,3) = 5456 wide: refused from the
+    monomial counts before any partial derivative is taken."""
+    path = str(tmp_path / "fermat6_31.json")
+    assert run(capsys, "zoo", "make", "fermat", "6", "31", "-o", path)[0] == 0
+
+    def forbidden(*args):
+        raise AssertionError("a refused catalecticant was built")
+
+    monkeypatch.setattr(poly, "apply_diff", forbidden)
+    start = time.monotonic()
+    code, out, _ = run(capsys, "--json", "--no-cache", "flatten", command, path)
+    elapsed = time.monotonic() - start
+    rec = json.loads(out)
+    assert (code, rec["error"], rec["size"], rec["cap"]) == (3, "capacity", 5456, 5000)
+    assert rec["context"] == "catalecticant P_{3,3} on C^31"
+    assert elapsed < 1.0
+
+
+def test_widest_admitted_catalecticant(capsys, tmp_path):
+    """On C^25 the middle catalecticant is C(27,3) = 2925 wide and square."""
+    path = str(tmp_path / "fermat6_25.json")
+    assert run(capsys, "zoo", "make", "fermat", "6", "25", "-o", path)[0] == 0
+    code, out, _ = run(capsys, "--json", "--no-cache", "flatten", "rank", path)
+    rec = json.loads(out)
+    assert (code, rec["rank"], rec["shape"]) == (0, 25, [2925, 2925])
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [(("flatten", "rank"), "rank"), (("flatten", "shifted", "--k", "0", "--l", "0"), "dimension")],
+)
+def test_constant_in_zero_variables_spans_one_dimension(capsys, tmp_path, argv, field):
+    """The one monomial of degree 0 in no variables is 1: rank 1, not a
+    usage error."""
+    path = tmp_path / "const.json"
+    path.write_text(json.dumps({"num_vars": 0, "terms": [{"coeff": "5", "exps": []}]}))
+    code, out, _ = run(capsys, "--json", *argv[:2], str(path), *argv[2:])
+    assert (code, json.loads(out)[field]) == (0, 1)
 
 
 @pytest.mark.parametrize(
@@ -476,6 +518,7 @@ GOLDEN_FILES = (
     ("zoo", "make", "det", "3", "-o", "det3.json"),
     ("zoo", "make", "chow", "3", "-o", "chow3.json"),
     ("zoo", "witness", "fischer", "3", "-o", "fischer3.json"),
+    ("zoo", "make", "fermat", "6", "31", "-o", "fermat6_31.json"),
 )
 
 #: (id, argv): every leaf command at least once, a capacity refusal (exit 3)
@@ -521,6 +564,7 @@ GOLDEN = (
     ("capacity-hhh-kernel", ("hhh", "kernel", "6", "3", "6")),
     ("capacity-hhh-rank", ("hhh", "rank", "5", "5", "5")),
     ("capacity-hhh-kernel-weight", ("hhh", "kernel", "8", "2", "8", "--weight", "4,3,2,2,2,1,1,1")),
+    ("capacity-flatten-waring-lb", ("flatten", "waring-lb", "fermat6_31.json")),
     ("bad-group", ("no-such-group",)),
     ("bad-partition", ("rep", "char", "abc", "1,1")),
     ("bad-file", ("flatten", "rank", "missing.json")),
@@ -530,7 +574,8 @@ GOLDEN = (
 #: id -> (exit code, SHA-256 of stdout, SHA-256 of stdout under --json),
 #: recorded from the hand-built parser that preceded the command table; the
 #: two h_{d,n} refusals from the plan that counted every dominant weight, and
-#: the --weight refusal from the capacity rule that runs before any basis
+#: the --weight refusal from the capacity rule that runs before any basis,
+#: and the catalecticant refusal from the same rule, now owned by gct.flatten
 GOLDEN_STDOUT = {
     "zoo-make": (
         0,
@@ -731,6 +776,11 @@ GOLDEN_STDOUT = {
         3,
         "70fd5156479d8c17e6aab75c2f478aa891d8caa364bef41a6e4fbf3da354a80e",
         "e9f0d375d2407a12eef840eb6e7fa0625d6dedf1340b8cdbdd8956832c1cd7de",
+    ),
+    "capacity-flatten-waring-lb": (
+        3,
+        "b51fc87cf1fbfe67e4c5a00116870df36eb5c71eb413e956a63a468ffda888b5",
+        "520e51977ebc48f3abd8b0aea8268a872c3e4c127328abe7434265705a114649",
     ),
     "bad-group": (
         2,

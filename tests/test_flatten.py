@@ -132,7 +132,7 @@ def exact_rank_certificate(rows) -> RankCertificate:
 
 def sparse_pivot_cols(rows) -> Tuple[int, ...]:
     """The pivot columns of the library's sparse core."""
-    return tuple(col for col, _ in _echelon(*_sparse_rows(rows, "test", len(rows[0]))))
+    return tuple(col for col, _ in _echelon(*_sparse_rows(rows, "test")))
 
 
 @st.composite
@@ -343,15 +343,16 @@ def test_rank_certificate_pivots_index_a_nonsingular_minor():
     )
 
 
-def test_sparse_rows_are_primitive_integer_rows():
+def test_sparse_rows_are_primitive_integer_rows(monkeypatch):
     h = Fraction(1, 2)
     rows = [[0, 0, 0], [1, h, 0], [Fraction(2, 3), 1, Fraction(1, 6)], (2, 4, 6), [0, -5, 0]]
-    out, n_cols = _sparse_rows(rows, "test", 3)
+    out, n_cols = _sparse_rows(rows, "test")
     assert n_cols == 3
     assert out == [{0: 2, 1: 1}, {0: 4, 1: 6, 2: 1}, {0: 1, 1: 2, 2: 3}, {1: -1}]
     assert all(type(x) is int for row in out for x in row.values())
+    monkeypatch.setattr(flatten, "MAX_COLUMNS", 2)
     with pytest.raises(CapacityError) as err:
-        _sparse_rows(rows, "test", 2)
+        _sparse_rows(rows, "test")
     assert (err.value.context, err.value.size, err.value.cap) == ("test", 3, 2)
 
 
@@ -402,10 +403,11 @@ def test_integer_rows_keep_the_pinned_certificates(rows, pivot_rows, digest):
         assert cert.trace_digest == digest
 
 
-def test_rank_capacity_cap():
+def test_rank_capacity_cap(monkeypatch):
     wide = [[0] * 10]
+    monkeypatch.setattr(flatten, "MAX_COLUMNS", 5)
     with pytest.raises(CapacityError) as err:
-        exact_rank(wide, max_columns=5)
+        exact_rank(wide)
     assert err.value.size == 10
     assert err.value.cap == 5
 
@@ -585,3 +587,25 @@ def test_shifted_partials_capacity(monkeypatch):
     monkeypatch.setattr(flatten, "MAX_COLUMNS", 3)
     with pytest.raises(CapacityError):
         shifted_partials_dim(det(3), 1, 1)
+
+
+@pytest.mark.parametrize(
+    "cap,context,size",
+    [(80, "", 81), (100, " entries", 81 * 165)],
+    ids=["width", "dense"],
+)
+def test_shifted_partials_refused_by_each_clause(monkeypatch, cap, context, size):
+    """k = shift = 1 on det_3: 81 products in the 165 cubics of C^9.  The
+    width clause refuses 81 columns over a cap of 80; the dense clause
+    refuses 81 x 165 entries over 100**2.  No partial is taken first."""
+    assert shifted_partials_dim(det(3), 1, 1) == 65
+
+    def forbidden(*args):
+        raise AssertionError("a refused span was built")
+
+    monkeypatch.setattr(flatten, "MAX_COLUMNS", cap)
+    monkeypatch.setattr(flatten, "apply_diff", forbidden)
+    with pytest.raises(CapacityError) as err:
+        shifted_partials_dim(det(3), 1, 1)
+    assert err.value.context == "shifted partials (k=1, shift=1) on C^9" + context
+    assert (err.value.size, err.value.cap) == (size, cap if not context else cap * cap)

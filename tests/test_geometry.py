@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings
 
-from gct import geometry as geo
+from gct import flatten, geometry as geo
 from gct.flatten import CapacityError, exact_rank
 from gct.poly import Polynomial, apply_diff
 from gct.zoo import chow, det, discriminant, fermat, p_lambda, perm
@@ -106,14 +106,29 @@ def test_polymatrix_validation():
         geo.PolyMatrix(2, ((x, Polynomial.one(3)), (x, x)))  # arity clash
 
 
+def is_symmetric(m):
+    return all(m.entries[i][j] == m.entries[j][i] for i in range(m.size) for j in range(i))
+
+
+def trace(m):
+    t = Polynomial.zero(m.num_vars)
+    for i in range(m.size):
+        t = t + m.entries[i][i]
+    return t
+
+
+def submatrix(m, rows, cols):
+    return geo.PolyMatrix(m.num_vars, tuple(tuple(m.entries[i][j] for j in cols) for i in rows))
+
+
 def test_polymatrix_evaluate_submatrix_trace():
     h = geo.hessian(det(2))
-    assert h.size == 4 and h.is_symmetric()
-    assert h.trace() == Polynomial.zero(4)
+    assert h.size == 4 and is_symmetric(h)
+    assert trace(h) == Polynomial.zero(4)
     point = [Fraction(1), Fraction(2), Fraction(3), Fraction(4)]
     vals = h.evaluate(point)
     assert vals[0][3] == 1 and vals[1][2] == -1
-    sub = h.submatrix((0, 3), (0, 3))
+    sub = submatrix(h, (0, 3), (0, 3))
     assert sub.size == 2 and sub.entries[0][1] == h.entries[0][3]
 
 
@@ -399,6 +414,29 @@ def test_stabilizer_dims_classical():
 
 def test_stabilizer_dim_p_lambda():
     assert geo.stabilizer_lie_dim(p_lambda(3)) == 17
+
+
+@pytest.mark.parametrize(
+    "cap,context,size", [(80, "", 81), (90, " entries", 81 * 114)], ids=["width", "dense"]
+)
+def test_stabilizer_refused_by_each_clause(monkeypatch, cap, context, size):
+    """det_3: 81 unknowns X_ij and 114 monomials x_i dP/dx_j.  The width
+    clause refuses 81 columns over a cap of 80; the dense clause refuses
+    81 x 114 entries over 90**2, before the dense rows exist."""
+
+    def forbidden(*args):
+        raise AssertionError("a refused system was eliminated")
+
+    monkeypatch.setattr(flatten, "MAX_COLUMNS", cap)
+    monkeypatch.setattr(geo, "exact_rank", forbidden)
+    with pytest.raises(CapacityError) as err:
+        geo.stabilizer_lie_dim(det(3))
+    assert err.value.context == "stabilizer of a form in gl_9" + context
+    assert (err.value.size, err.value.cap) == (size, cap if not context else cap * cap)
+
+
+def test_stabilizer_of_a_constant_is_everything():
+    assert geo.stabilizer_lie_dim(Polynomial.constant(3, 5)) == 9
 
 
 def test_stabilizer_dim_det2():

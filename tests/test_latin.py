@@ -5,8 +5,8 @@ relabeling, row permutation, transposition), the counts by the classical
 L(n) = 1, 2, 12, 576, 161280, by reduced-vs-exhaustive agreement and by
 the all-branches reduced sum (the oracle of the orbit-weighted counter),
 and the differential pairings by the Latin-square expansion oracle.  The
-exhaustive enumeration oracles live here, not in gct.latin: no command
-needs them.
+exhaustive enumeration oracles and the sign functions of a single square
+live here, not in gct.latin: no command needs them.
 """
 
 from itertools import permutations
@@ -94,6 +94,47 @@ def transpose(square):
 # ---------------------------------------------------------------------------
 
 
+def is_latin_square(square):
+    n = len(square)
+    want = list(range(1, n + 1))
+    for row in square:
+        if sorted(row) != want:
+            return False
+    for j in range(n):
+        if sorted(row[j] for row in square) != want:
+            return False
+    return True
+
+
+def require_latin(square):
+    sq = tuple(tuple(int(x) for x in row) for row in square)
+    if not is_latin_square(sq):
+        raise ValueError("not a Latin square")
+    return sq
+
+
+def row_sign(square):
+    """Product of the n row-permutation signs."""
+    s = 1
+    for row in require_latin(square):
+        s *= latin.perm_sign(row)
+    return s
+
+
+def column_sign(square):
+    """Product of the n column-permutation signs."""
+    sq = require_latin(square)
+    s = 1
+    for j in range(len(sq)):
+        s *= latin.perm_sign([row[j] for row in sq])
+    return s
+
+
+def sign(square):
+    """Product of all 2n row and column permutation signs."""
+    return row_sign(square) * column_sign(square)
+
+
 def cycle_sign(perm):
     """Sign of a permutation of 0..n-1 from its cycle structure."""
     sign = 1
@@ -119,54 +160,54 @@ def test_perm_sign_matches_cycle_oracle():
 
 
 def test_is_latin_square():
-    assert latin.is_latin_square(((1, 2), (2, 1)))
-    assert not latin.is_latin_square(((1, 2), (1, 2)))  # column repeats
-    assert not latin.is_latin_square(((1, 1), (2, 2)))  # row repeats
-    assert latin.is_latin_square(())
+    assert is_latin_square(((1, 2), (2, 1)))
+    assert not is_latin_square(((1, 2), (1, 2)))  # column repeats
+    assert not is_latin_square(((1, 1), (2, 2)))  # row repeats
+    assert is_latin_square(())
 
 
 def test_sign_factorizations():
     for sq in SQUARES_3:
-        assert latin.sign(sq) == latin.row_sign(sq) * latin.column_sign(sq)
-        assert latin.sign(sq) in (1, -1)
+        assert sign(sq) == row_sign(sq) * column_sign(sq)
+        assert sign(sq) in (1, -1)
 
 
 @given(st.permutations(list(range(1, 4))), st.sampled_from(SQUARES_3))
 def test_symbol_relabel_laws_n3(sigma, sq):
     s = latin.perm_sign(sigma)
     new = relabel(sq, sigma)
-    assert latin.is_latin_square(new)
+    assert is_latin_square(new)
     # n = 3 odd: row and column signs each pick up sgn(sigma)^3 = sgn(sigma)
-    assert latin.row_sign(new) == s * latin.row_sign(sq)
-    assert latin.column_sign(new) == s * latin.column_sign(sq)
-    assert latin.sign(new) == latin.sign(sq)
+    assert row_sign(new) == s * row_sign(sq)
+    assert column_sign(new) == s * column_sign(sq)
+    assert sign(new) == sign(sq)
 
 
 @given(st.permutations(list(range(3))), st.sampled_from(SQUARES_3))
 def test_row_permutation_laws_n3(sigma, sq):
     s = latin.perm_sign(sigma)
     new = reorder_rows(sq, sigma)
-    assert latin.row_sign(new) == latin.row_sign(sq)  # same multiset of rows
+    assert row_sign(new) == row_sign(sq)  # same multiset of rows
     # each of the 3 column words is composed with sigma^{-1}
-    assert latin.column_sign(new) == s**3 * latin.column_sign(sq)
-    assert latin.sign(new) == s * latin.sign(sq)
+    assert column_sign(new) == s**3 * column_sign(sq)
+    assert sign(new) == s * sign(sq)
 
 
 def test_row_swap_flips_column_sign_even_n():
     sq4 = next(enumerate_latin_squares(4))
     swapped = reorder_rows(sq4, (1, 0, 2, 3))
     # (-1)^4 = +1: column sign is invariant under a row swap for even n
-    assert latin.column_sign(swapped) == latin.column_sign(sq4)
-    assert latin.sign(swapped) == latin.sign(sq4)
+    assert column_sign(swapped) == column_sign(sq4)
+    assert sign(swapped) == sign(sq4)
 
 
 def test_transpose_swaps_row_and_column_signs():
     for sq in SQUARES_3:
         t = transpose(sq)
-        assert latin.is_latin_square(t)
-        assert latin.row_sign(t) == latin.column_sign(sq)
-        assert latin.column_sign(t) == latin.row_sign(sq)
-        assert latin.sign(t) == latin.sign(sq)
+        assert is_latin_square(t)
+        assert row_sign(t) == column_sign(sq)
+        assert column_sign(t) == row_sign(sq)
+        assert sign(t) == sign(sq)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +220,7 @@ def test_latin_square_counts():
         squares = list(enumerate_latin_squares(n))
         assert len(squares) == want
         assert len(set(squares)) == want
-        assert all(latin.is_latin_square(sq) for sq in squares)
+        assert all(is_latin_square(sq) for sq in squares)
 
 
 def test_enumeration_cap():

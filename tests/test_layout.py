@@ -1,5 +1,5 @@
-"""Layout guard: the library holds no function or class that only the
-tests call, and no keyword option that only the tests set.  A name that
+"""Layout guard: the library holds no function, class or method that only
+the tests call, and no keyword option that only the tests set.  A name that
 only tests need belongs in the tests."""
 
 import ast
@@ -28,18 +28,54 @@ def _traced_names():
     raise AssertionError("bench/tracer.py defines no TARGETS")
 
 
-def _used_names(node):
-    """Every name a piece of code uses, bare or as an attribute."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
-def unreachable_public_names():
-    """Public top-level functions and classes of src/gct that no code under
-    src/gct reaches, as sorted "module.name" strings.
+def _bound_names(fn):
+    """The names a function binds itself: its parameters, the targets it
+    assigns, the handlers it names and the functions and classes it defines.
+    Nested scopes are not entered (their own bindings are theirs), and a
+    ``global`` declaration keeps a name global."""
+    args = fn.args
+    names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+    names.update(a.arg for a in (args.vararg, args.kwarg) if a)
+    declared_global = set()
+    todo = [fn.body] if isinstance(fn, ast.Lambda) else list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, ast.Global):
+            declared_global.update(node.names)
+        todo.extend(ast.iter_child_nodes(node))
+    return names - declared_global
+
+
+def _used_names(node, local=frozenset()):
+    """Every name a piece of code reads, bare or as an attribute.  A bare
+    name that an enclosing function binds is that function's own (a local
+    ``sign`` is not a use of ``latin.sign``)."""
+    if isinstance(node, _SCOPES):
+        local = local | _bound_names(node)
+    if isinstance(node, ast.Name):
+        if isinstance(node.ctx, ast.Load) and node.id not in local:
+            yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _used_names(child, local)
+
+
+def unreachable_names():
+    """Top-level functions and classes of src/gct, public or private, that no
+    code under src/gct reaches, as sorted "module.name" strings.
 
     Module-level statements and the names looked up by name only (the
     ``COMMANDS`` handlers, the ``_SCHEMES`` constructors, the console entry
@@ -52,13 +88,12 @@ def unreachable_public_names():
         roots.update(f"cmd_{group}_{name}".replace("-", "_") for name in commands)
     roots.update(f"{scheme}_decomposition" for scheme in cli._SCHEMES)
     bodies = {}  # name -> the top-level definitions of that name
-    public = []
+    defined = []
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 bodies.setdefault(stmt.name, []).append(stmt)
-                if not stmt.name.startswith("_"):
-                    public.append((path.stem, stmt.name))
+                defined.append((path.stem, stmt.name))
             else:
                 roots.update(_used_names(stmt))
     reached, todo = set(), list(roots)
@@ -69,12 +104,35 @@ def unreachable_public_names():
         reached.add(name)
         for stmt in bodies.get(name, ()):
             todo.extend(_used_names(stmt))
-    return sorted(f"{module}.{name}" for module, name in public if name not in reached)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in reached)
 
 
 def test_every_library_name_has_a_src_caller():
-    orphans = unreachable_public_names()
+    orphans = unreachable_names()
     assert not orphans, f"called only from outside src/gct: {', '.join(orphans)}"
+
+
+def unaccessed_methods():
+    """Methods of src/gct classes, dunders aside, whose name no attribute
+    access under src/gct spells, as sorted "module.Class.method" strings."""
+    accessed, methods = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                accessed.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                methods.extend(
+                    (path.stem, node.name, stmt.name)
+                    for stmt in node.body
+                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+                )
+    return sorted(f"{m}.{c}.{f}" for m, c, f in methods if f not in accessed)
+
+
+def test_every_library_method_has_a_src_caller():
+    unused = unaccessed_methods()
+    assert not unused, f"methods called only from outside src/gct: {', '.join(unused)}"
 
 
 def _callee(call):
