@@ -459,20 +459,23 @@ def stabilizer_lie_dim(p: Polynomial) -> int:
     if not p.is_homogeneous():
         raise ValueError("stabilizer_lie_dim requires a homogeneous polynomial")
     v = p.num_vars
-    partials = [
-        apply_diff(Polynomial.variable(j, v), p) for j in range(v)
+    # rows indexed by the monomials of the x_i dP/dx_j, whose terms are the
+    # c e_j x^(e - delta_j + delta_i) of P's terms c x^e with e_j >= 1, in
+    # P's grevlex order (a common shift keeps the order)
+    terms = p.sorted_terms()
+    lowered = [
+        [(e[:j] + (e[j] - 1,) + e[j + 1 :], c * e[j]) for e, c in terms if e[j]]
+        for j in range(v)
     ]
-    # rows indexed by monomials appearing in any x_i * dP/dx_j
     columns: List[Dict[Tuple[int, ...], Fraction]] = []
     row_keys: Dict[Tuple[int, ...], int] = {}
     for i in range(v):
         for j in range(v):
-            prod = Polynomial.variable(i, v) * partials[j]
             col: Dict[Tuple[int, ...], Fraction] = {}
-            for exps, coeff in prod.sorted_terms():
-                if exps not in row_keys:
-                    row_keys[exps] = len(row_keys)
-                col[exps] = coeff
+            for low, coeff in lowered[j]:
+                key = low[:i] + (low[i] + 1,) + low[i + 1 :]
+                row_keys.setdefault(key, len(row_keys))
+                col[key] = coeff
             columns.append(col)
     if not row_keys:
         return v * v

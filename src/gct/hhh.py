@@ -298,7 +298,7 @@ def kernel_character(d: int, n: int, v: int) -> Dict[Partition, int]:
     """Multiplicities of S_pi in ker h_{d,n} on C^v (nonzero entries only).
 
     ker h_{d,n} = I_d(Ch_n(C^v*)), the degree-d ideal of the Chow variety.
-    Computed from per-weight kernel dimensions by unitriangular Kostka
-    inversion.
+    Computed from per-weight kernel dimensions by Weyl's character formula
+    (``reptheory.decompose_weight_dims``).
     """
     return decompose_weight_dims(kernel_dims_by_weight(d, n, v))

@@ -21,8 +21,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from math import comb
+from typing import Dict, List, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 Scalar = Fraction

@@ -12,10 +12,12 @@ the weight route (count multisets of d degree-n monomials with prescribed
 column sums, then invert the unitriangular Kostka matrix) on every pi
 with l(pi) <= 4 for dn <= 16 and every pi with l(pi) <= 6 for dn <= 10.
 
-That route's pieces stay here because ``gct.hhh`` sizes and decomposes
-its weight blocks with them: the counts come from one memoized table of
-suffix counts (``_suffix_counts``), at most d calls deep, and
-``gct.hhh.multiset_basis`` lists the same multisets by walking it.
+``gct.hhh`` sizes its weight blocks with one memoized table of suffix
+counts (``_suffix_counts``), at most d calls deep, which
+``gct.hhh.multiset_basis`` walks to list the same multisets, and turns
+kernel dimensions into multiplicities by Weyl's character formula
+(``decompose_weight_dims``); ``schur_dimension`` is Weyl's dimension
+formula.  The tests keep Kostka inversion and hook-content as oracles.
 """
 
 from __future__ import annotations
@@ -87,25 +89,6 @@ def _partition_count(total: int) -> int:
     return p[total]
 
 
-def conjugate(p: Partition) -> Partition:
-    if not p:
-        return ()
-    return tuple(sum(1 for part in p if part > j) for j in range(p[0]))
-
-
-def dominates(a: Partition, b: Partition) -> bool:
-    """True iff |a| = |b| and a's partial sums are >= b's everywhere."""
-    if sum(a) != sum(b):
-        return False
-    acc_a = acc_b = 0
-    for i in range(max(len(a), len(b))):
-        acc_a += a[i] if i < len(a) else 0
-        acc_b += b[i] if i < len(b) else 0
-        if acc_a < acc_b:
-            return False
-    return True
-
-
 def z_order(mu: Partition) -> int:
     """|centralizer| of the class mu: prod t^{m_t} m_t!."""
     counts: Dict[int, int] = {}
@@ -117,24 +100,18 @@ def z_order(mu: Partition) -> int:
     return z
 
 
-def hook_lengths(p: Partition) -> List[List[int]]:
-    conj = conjugate(p)
-    return [
-        [p[i] - j + conj[j] - i - 1 for j in range(p[i])] for i in range(len(p))
-    ]
-
-
 def schur_dimension(p: Partition, k: int) -> int:
-    """dim S_p(C^k), by the hook-content formula (0 when l(p) > k)."""
+    """dim S_p(C^k), by Weyl's dimension formula (0 when l(p) > k): the
+    product over i < j <= k of (p_i - p_j + j - i)/(j - i), p padded with
+    zeros; a factor with both rows past l(p) is 1."""
     if len(p) > k:
         return 0
-    num = 1
-    denom = 1
-    hooks = hook_lengths(p)
+    lam = tuple(p) + (0,) * (k - len(p))
+    num = denom = 1
     for i in range(len(p)):
-        for j in range(p[i]):
-            num *= k + j - i
-            denom *= hooks[i][j]
+        for j in range(i + 1, k):
+            num *= lam[i] - lam[j] + j - i
+            denom *= j - i
     dim, rem = divmod(num, denom)
     assert rem == 0
     return dim
@@ -259,69 +236,49 @@ def symmetric_kronecker(pi: Sequence[int], mu: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Kostka numbers
+# Multiplicities from weight-space dimensions
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def kostka(shape: Partition, content: Partition) -> int:
-    """K_{shape,content}: semistandard tableaux of the given shape/content.
-
-    Both arguments must be partitions (content weakly decreasing; Kostka
-    numbers are invariant under permuting the content, so callers with
-    composition content should sort it first).  Recursion peels the cells
-    of the largest letter, which always form a horizontal strip.
-    """
-    if sum(shape) != sum(content):
-        return 0
-    if not content:
-        return 1 if not shape else 0
-    strip = content[-1]
-    rest = content[:-1]
-    total = 0
-    r = len(shape)
-
-    def strips(i: int, budget: int, prev_new: int, acc: List[int]):
-        nonlocal total
-        if i == r:
-            if budget == 0:
-                new_shape = tuple(p for p in acc if p > 0)
-                total += kostka(new_shape, rest)
-            return
-        below = shape[i + 1] if i + 1 < r else 0
-        # new row length must stay a partition (<= prev row's new length)
-        # and removal must be a horizontal strip (new >= next old row)
-        low = max(below, shape[i] - budget)
-        high = min(shape[i], prev_new)
-        for new_len in range(high, low - 1, -1):
-            acc.append(new_len)
-            strips(i + 1, budget - (shape[i] - new_len), new_len, acc)
-            acc.pop()
-
-    strips(0, strip, shape[0] if shape else 0, [])
-    return total
-
-
 def decompose_weight_dims(dims: Dict[Partition, int]) -> Dict[Partition, int]:
-    """Invert  dim(lambda) = sum_pi mult_pi K_{pi,lambda}  for mult.
+    """Multiplicities of the S_lam in a polynomial GL-module, from the
+    dimensions ``dims`` of its dominant weight spaces (missing keys are 0),
+    by Weyl's character formula on GL_l, l = l(lam):
 
-    ``dims`` must contain every dominant weight with a nonzero weight-space
-    dimension (missing keys are treated as 0).  Processes weights down the
-    lexicographic order, which refines dominance, so the Kostka system is
-    unitriangular.  Returns only the nonzero multiplicities.
+        mult_lam = sum_{sigma in S_l} sgn(sigma) dims[lam + rho - sigma rho].
+
+    Restricted to GL_l the module keeps every S_pi with l(pi) <= l and its
+    weight spaces on the first l coordinates, and its character times a_rho
+    is sum_pi mult_pi a_{pi+rho}, where only a_{lam+rho} has the strictly
+    decreasing exponent lam + rho.  Entry i of the weight is
+    lam_i - i + sigma(i), read at its sorted nonzero parts, so every weight
+    read dominates lam.  Rows are filled from the last up, where lam_i is
+    smallest, skipping each sigma(i) that makes an entry negative.  Every
+    key is decomposed, zero dimensions included; returns only the nonzero
+    multiplicities.
     """
+
+    def alternant(lam: Partition, free: Tuple[int, ...], below: Tuple[int, ...]) -> int:
+        """sgn(sigma) dims[weight], summed over the ways to fill rows 0..i of
+        sigma, i = len(free) - 1, with the values ``free`` (ascending);
+        ``below`` holds the weight entries of rows i+1 on."""
+        i = len(free) - 1
+        if i < 0:
+            return dims.get(tuple(sorted(filter(None, below), reverse=True)), 0)
+        total = 0
+        for k, s in enumerate(free):
+            if lam[i] - i + s >= 0:
+                term = alternant(lam, free[:k] + free[k + 1 :], (lam[i] - i + s,) + below)
+                total += -term if (s - k) % 2 else term  # rows below took s - k smaller values
+        return total
+
     mults: Dict[Partition, int] = {}
     for lam in sorted(dims, reverse=True):
-        acc = dims[lam]
-        for pi, m in mults.items():
-            if m and pi != lam and dominates(pi, lam):
-                acc -= m * kostka(pi, lam)
-        if acc < 0:
-            raise ArithmeticError(
-                f"negative multiplicity {acc} at {lam}: inconsistent weight dims"
-            )
-        if acc:
-            mults[lam] = acc
+        m = alternant(lam, tuple(range(len(lam))), ())
+        if m < 0:
+            raise ArithmeticError(f"negative multiplicity {m} at {lam}: inconsistent weight dims")
+        if m:
+            mults[lam] = m
     return mults
 
 

@@ -155,6 +155,21 @@ def test_wide_catalecticant_is_refused_before_any_column(capsys, monkeypatch, tm
     assert elapsed < 1.0
 
 
+def test_stabilizer_of_det6_is_refused_before_any_product(capsys, monkeypatch):
+    """det_6: 1296 unknowns X_ij by the 130320 monomials of the x_i dP/dx_j,
+    over the dense clause.  The columns come from P's terms, so no product
+    x_i * dP/dx_j is formed on the way to the refusal."""
+
+    def forbidden(*args):
+        raise AssertionError("a polynomial product was formed")
+
+    monkeypatch.setattr(poly.Polynomial, "__mul__", forbidden)
+    code, out, _ = run(capsys, "--json", "--no-cache", "geo", "stab", "det", "6")
+    rec = json.loads(out)
+    assert (code, rec["error"], rec["size"], rec["cap"]) == (3, "capacity", 1296 * 130320, 5000**2)
+    assert rec["context"] == "stabilizer of a form in gl_36 entries"
+
+
 def test_widest_admitted_catalecticant(capsys, tmp_path):
     """On C^25 the middle catalecticant is C(27,3) = 2925 wide and square."""
     path = str(tmp_path / "fermat6_25.json")

@@ -22,7 +22,8 @@ import pytest
 from gct import flatten, hhh
 from gct.flatten import CapacityError, exact_rank, nullspace
 from gct.poly import Polynomial, apply_diff, grevlex_key, monomials_of_degree
-from gct.reptheory import count_weight_multisets, dominates, partitions, plethysm_mult
+from gct.reptheory import count_weight_multisets, partitions, plethysm_mult
+from test_reptheory import dominates
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Layout guard: the library holds no function, class or method that only
-the tests call, and no keyword option that only the tests set.  A name that
-only tests need belongs in the tests."""
+the tests call, no keyword option that only the tests set, and no import
+that its module never reads.  A name that only tests need belongs in the
+tests."""
 
 import ast
 import re
@@ -159,3 +160,31 @@ def unset_keyword_parameters():
 def test_every_keyword_option_has_a_src_caller():
     unset = unset_keyword_parameters()
     assert not unset, f"keyword options no call in src/gct sets: {', '.join(unset)}"
+
+
+def unread_imports():
+    """Names bound by a module-level import of a src/gct module that the
+    module itself never reads, as sorted "module.name" strings.  ``from
+    __future__`` imports are directives, not names."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for stmt in tree.body
+            if isinstance(stmt, (ast.Import, ast.ImportFrom))
+            and getattr(stmt, "module", None) != "__future__"
+            for alias in stmt.names
+        ]
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread.extend(f"{path.stem}.{name}" for name in imported if name not in read)
+    return sorted(unread)
+
+
+def test_every_import_is_read():
+    unread = unread_imports()
+    assert not unread, f"imported but never read: {', '.join(unread)}"

@@ -1,22 +1,28 @@
 """Tests for gct.reptheory.
 
 The heavy machinery (Murnaghan--Nakayama characters, Kronecker sums,
-Kostka inversion, plethysm) is validated against classical identities
+weight-dimension decomposition, plethysm) is validated against classical identities
 that are computed here by independent elementary means: hard-coded S_3
 and S_4 character tables, column orthogonality, sum-of-squares = n!,
 Frobenius--Schur indicators, RSK counting for Kostka numbers, the
 Cayley--Sylvester partitions-in-a-box formula for sl_2 plethysms, and
 dimension conservation under the Schur-functor decomposition.
+
+The algorithms the library replaced live here as oracles: Kostka numbers
+and their unitriangular inversion (for Weyl's character formula in
+``decompose_weight_dims``), and hook lengths with the hook-content
+formula (for Weyl's dimension formula in ``schur_dimension``).
 """
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from math import comb, factorial
 
 import pytest
 
-from gct import reptheory as rt
+from gct import hhh, reptheory as rt
 from gct.flatten import CapacityError
 from gct.poly import monomials_of_degree
 
@@ -26,11 +32,116 @@ def class_size(mu):
     return factorial(sum(mu)) // rt.z_order(mu)
 
 
+def conjugate(p):
+    if not p:
+        return ()
+    return tuple(sum(1 for part in p if part > j) for j in range(p[0]))
+
+
+def dominates(a, b):
+    """True iff |a| = |b| and a's partial sums are >= b's everywhere."""
+    if sum(a) != sum(b):
+        return False
+    acc_a = acc_b = 0
+    for i in range(max(len(a), len(b))):
+        acc_a += a[i] if i < len(a) else 0
+        acc_b += b[i] if i < len(b) else 0
+        if acc_a < acc_b:
+            return False
+    return True
+
+
+def hook_lengths(p):
+    conj = conjugate(p)
+    return [
+        [p[i] - j + conj[j] - i - 1 for j in range(p[i])] for i in range(len(p))
+    ]
+
+
+def hook_content_dimension(p, k):
+    """Oracle: dim S_p(C^k) by the hook-content formula (0 when l(p) > k)."""
+    if len(p) > k:
+        return 0
+    num = 1
+    denom = 1
+    hooks = hook_lengths(p)
+    for i in range(len(p)):
+        for j in range(p[i]):
+            num *= k + j - i
+            denom *= hooks[i][j]
+    dim, rem = divmod(num, denom)
+    assert rem == 0
+    return dim
+
+
+@lru_cache(maxsize=None)
+def kostka(shape, content):
+    """K_{shape,content}: semistandard tableaux of the given shape/content.
+
+    Both arguments must be partitions (content weakly decreasing; Kostka
+    numbers are invariant under permuting the content, so callers with
+    composition content should sort it first).  Recursion peels the cells
+    of the largest letter, which always form a horizontal strip.
+    """
+    if sum(shape) != sum(content):
+        return 0
+    if not content:
+        return 1 if not shape else 0
+    strip = content[-1]
+    rest = content[:-1]
+    total = 0
+    r = len(shape)
+
+    def strips(i, budget, prev_new, acc):
+        nonlocal total
+        if i == r:
+            if budget == 0:
+                new_shape = tuple(p for p in acc if p > 0)
+                total += kostka(new_shape, rest)
+            return
+        below = shape[i + 1] if i + 1 < r else 0
+        # new row length must stay a partition (<= prev row's new length)
+        # and removal must be a horizontal strip (new >= next old row)
+        low = max(below, shape[i] - budget)
+        high = min(shape[i], prev_new)
+        for new_len in range(high, low - 1, -1):
+            acc.append(new_len)
+            strips(i + 1, budget - (shape[i] - new_len), new_len, acc)
+            acc.pop()
+
+    strips(0, strip, shape[0] if shape else 0, [])
+    return total
+
+
+def kostka_inversion(dims):
+    """Oracle for ``decompose_weight_dims``: invert
+    dim(lambda) = sum_pi mult_pi K_{pi,lambda} for mult.
+
+    Processes the keys down the lexicographic order, which refines
+    dominance, so the Kostka system is unitriangular; a missing key counts
+    as dimension 0 and gets no multiplicity.  Returns only the nonzero
+    multiplicities.
+    """
+    mults = {}
+    for lam in sorted(dims, reverse=True):
+        acc = dims[lam]
+        for pi, m in mults.items():
+            if m and pi != lam and dominates(pi, lam):
+                acc -= m * kostka(pi, lam)
+        if acc < 0:
+            raise ArithmeticError(
+                f"negative multiplicity {acc} at {lam}: inconsistent weight dims"
+            )
+        if acc:
+            mults[lam] = acc
+    return mults
+
+
 def dimension(p):
     """Number of standard Young tableaux of shape p, by the hook length
     formula; the tests check it against chi_p at the identity."""
     denom = 1
-    for row in rt.hook_lengths(p):
+    for row in hook_lengths(p):
         for h in row:
             denom *= h
     dim, rem = divmod(factorial(sum(p)), denom)
@@ -74,22 +185,22 @@ def test_normalize_partition():
 
 
 def test_conjugate():
-    assert rt.conjugate((4, 2, 1)) == (3, 2, 1, 1)
-    assert rt.conjugate(()) == ()
+    assert conjugate((4, 2, 1)) == (3, 2, 1, 1)
+    assert conjugate(()) == ()
     for n in range(0, 9):
         for p in rt.partitions(n):
-            assert rt.conjugate(rt.conjugate(p)) == p
-            assert sum(rt.conjugate(p)) == n
+            assert conjugate(conjugate(p)) == p
+            assert sum(conjugate(p)) == n
 
 
 def test_dominance():
-    assert rt.dominates((3, 1), (2, 2))
-    assert not rt.dominates((2, 2), (3, 1))
-    assert not rt.dominates((3,), (2, 2))  # different sizes
+    assert dominates((3, 1), (2, 2))
+    assert not dominates((2, 2), (3, 1))
+    assert not dominates((3,), (2, 2))  # different sizes
     for p in rt.partitions(6):
-        assert rt.dominates((6,), p)
-        assert rt.dominates(p, (1,) * 6)
-        assert rt.dominates(p, p)
+        assert dominates((6,), p)
+        assert dominates(p, (1,) * 6)
+        assert dominates(p, p)
 
 
 def test_class_sizes_partition_the_group():
@@ -101,7 +212,7 @@ def test_class_sizes_partition_the_group():
 
 
 def test_hook_lengths_literal():
-    assert rt.hook_lengths((4, 2, 1)) == [[6, 4, 2, 1], [3, 1], [1]]
+    assert hook_lengths((4, 2, 1)) == [[6, 4, 2, 1], [3, 1], [1]]
     assert dimension((4, 2, 1)) == 35
     assert dimension((1,)) == 1
     assert dimension(()) == 1
@@ -115,6 +226,20 @@ def test_schur_dimension():
             assert rt.schur_dimension((1,) * k, v) == comb(v, k)
     assert rt.schur_dimension((2, 2), 3) == 6
     assert rt.schur_dimension((3, 2, 1), 2) == 0  # too many rows
+
+
+def test_schur_dimension_matches_hook_content():
+    """Weyl's dimension formula against the hook-content oracle on every
+    partition of at most 12 and every k <= 8; l(p) > k gives 0."""
+    checked = 0
+    for size in range(13):
+        for p in rt.partitions(size):
+            for k in range(9):
+                dim = rt.schur_dimension(p, k)
+                assert dim == hook_content_dimension(p, k), (p, k)
+                assert (dim == 0) == (len(p) > k), (p, k)
+                checked += 1
+    assert checked == 272 * 9
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +302,7 @@ def test_conjugate_twists_by_sign():
         sign = {mu: (-1) ** (n - len(mu)) for mu in rt.partitions(n)}
         for pi in rt.partitions(n):
             for mu in rt.partitions(n):
-                assert rt.character(rt.conjugate(pi), mu) == sign[mu] * rt.character(
+                assert rt.character(conjugate(pi), mu) == sign[mu] * rt.character(
                     pi, mu
                 )
 
@@ -244,7 +369,7 @@ def test_kronecker_small_identities():
                 # tensoring with the trivial / sign representations
                 assert rt.kronecker(pi, mu, (n,)) == (1 if pi == mu else 0)
                 assert rt.kronecker(pi, mu, (1,) * n) == (
-                    1 if pi == rt.conjugate(mu) else 0
+                    1 if pi == conjugate(mu) else 0
                 )
 
 
@@ -377,14 +502,14 @@ def test_lr_dimension_conservation():
 
 
 def test_kostka_basics():
-    assert rt.kostka((2, 1), (1, 1, 1)) == 2
-    assert rt.kostka((3, 1), (2, 1, 1)) == 2
+    assert kostka((2, 1), (1, 1, 1)) == 2
+    assert kostka((3, 1), (2, 1, 1)) == 2
     for n in range(1, 7):
         for lam in rt.partitions(n):
             for mu in rt.partitions(n):
-                k = rt.kostka(lam, mu)
+                k = kostka(lam, mu)
                 assert k >= 0
-                assert (k > 0) == rt.dominates(lam, mu)
+                assert (k > 0) == dominates(lam, mu)
                 if lam == mu:
                     assert k == 1
 
@@ -397,7 +522,7 @@ def test_kostka_rsk_counting():
             for part in mu:
                 words //= factorial(part)
             total = sum(
-                rt.kostka(lam, mu) * dimension(lam) for lam in rt.partitions(n)
+                kostka(lam, mu) * dimension(lam) for lam in rt.partitions(n)
             )
             assert total == words
 
@@ -409,15 +534,56 @@ def test_kostka_rsk_counting():
 
 def test_decompose_weight_dims_roundtrip():
     rng = random.Random(7)
-    for n in (3, 4, 5, 6):
+    for n in (3, 4, 5, 6, 12):
         parts = list(rt.partitions(n))
         mults = {p: rng.randrange(0, 4) for p in parts}
         dims = {
-            lam: sum(m * rt.kostka(pi, lam) for pi, m in mults.items() if m)
+            lam: sum(m * kostka(pi, lam) for pi, m in mults.items() if m)
             for lam in parts
         }
         recovered = rt.decompose_weight_dims(dims)
         assert recovered == {p: m for p, m in mults.items() if m}
+
+
+def _decompose_both_ways(dims):
+    """``decompose_weight_dims`` and the Kostka oracle on ``dims``: each
+    gives its dict, or its ArithmeticError message."""
+    out = []
+    for decompose in (rt.decompose_weight_dims, kostka_inversion):
+        try:
+            out.append(decompose(dims))
+        except ArithmeticError as err:
+            out.append(str(err))
+    return out
+
+
+def test_decompose_matches_kostka_oracle():
+    """Seeded arbitrary integer dims, zero and negative values included,
+    give the same multiplicities, or the same refusal at the same weight,
+    by Weyl's formula and by Kostka inversion.
+
+    The keys are the upper set of a random floor among the partitions of
+    n <= 10 with at most 6 parts, so every other weight is missing.  Weyl's
+    formula at a key reads only weights that dominate it, and the oracle
+    needs only the multiplicities above it.  Below a missing weight the
+    two differ by design: the oracle gives a missing key no multiplicity,
+    while Weyl's formula reads its dimension as 0.
+    """
+    rng = random.Random(20261018)
+    raised = 0
+    for _ in range(1500):
+        n = rng.randrange(0, 11)
+        parts = list(rt.partitions(n, max_len=6))
+        floor = rng.choice(parts)
+        dims = {p: rng.randrange(-2, 6) for p in parts if dominates(p, floor)}
+        weyl, oracle = _decompose_both_ways(dims)
+        assert weyl == oracle, dims
+        raised += isinstance(weyl, str)
+    assert raised == 1063  # of 1500; the other 437 decompose
+    for d, n, v in [(6, 3, 3), (5, 3, 4), (4, 3, 5), (4, 2, 8)]:
+        dims = hhh.kernel_dims_by_weight(d, n, v)
+        weyl, oracle = _decompose_both_ways(dims)
+        assert weyl == oracle and weyl, (d, n, v)
 
 
 def test_decompose_weight_dims_rejects_inconsistent():
@@ -468,7 +634,7 @@ def plethysm_multiplicities(d, n, v):
     dims = {}
     for lam in rt.partitions(d * n, max_len=v):
         dims[lam] = rt.count_weight_multisets(d, n, v, lam + (0,) * (v - len(lam)))
-    return rt.decompose_weight_dims(dims)
+    return kostka_inversion(dims)
 
 
 def pleth_decomposition(d, n, v):
