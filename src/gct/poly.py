@@ -4,7 +4,12 @@ Conventions used throughout the package:
 
 * A polynomial in ``v`` variables is a sparse dictionary mapping exponent
   tuples (length ``v``, non-negative ints) to nonzero ``Fraction``
-  coefficients.  All arithmetic is exact; there are no floats anywhere.
+  coefficients.  Coefficients are ``Fraction`` at the interface: the
+  public constructors and ``scale`` take ints and Fractions and refuse a
+  float or any other non-rational with ``TypeError``.  Products and
+  derivatives run on integer numerators over one common denominator per
+  operand, divided out once per result term; sums add the Fractions of
+  shared monomials only.  All arithmetic is exact; there are no floats.
 * Monomials are ordered by *graded reverse lexicographic* order (grevlex),
   descending, with ``x1 > x2 > ... > xv``.  Every basis enumeration,
   serialization, and elimination in the package uses this single global
@@ -21,7 +26,9 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, perm
+from numbers import Rational
+from operator import add, sub
 from typing import Dict, List, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
@@ -67,6 +74,19 @@ def monomial_count(num_vars: int, degree: int) -> int:
     return comb(num_vars + degree - 1, degree)
 
 
+def _rational(c) -> Fraction:
+    """``c`` as a Fraction; a float or any other non-rational is a TypeError."""
+    if not isinstance(c, Rational):
+        raise TypeError(f"coefficient {c!r} is not a rational number")
+    return Fraction(c)
+
+
+def _numerators(terms: Dict[Exponent, Fraction]) -> Tuple[int, List[Tuple[Exponent, int]]]:
+    """(L, [(e, c * L)]): the coefficients as ints over the lcm L of their denominators."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+
+
 def exponent_add(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -103,11 +123,23 @@ class Polynomial:
                 raise ValueError(f"exponent {exps!r} has wrong arity (want {num_vars})")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps!r}")
-            c = Fraction(coeff)
+            c = _rational(coeff)
             if c != 0:
                 clean[tuple(exps)] = c
         self.num_vars = num_vars
         self.terms = clean
+
+    @staticmethod
+    def _trusted(num_vars: int, terms: Dict[Exponent, Fraction]) -> "Polynomial":
+        """No checks: ``terms`` already maps valid exponents to nonzero Fractions."""
+        p = object.__new__(Polynomial)
+        p.num_vars, p.terms = num_vars, terms
+        return p
+
+    @staticmethod
+    def _over(num_vars: int, acc: Dict[Exponent, int], den: int) -> "Polynomial":
+        """The polynomial sum acc[e]/den x^e, zero numerators dropped."""
+        return Polynomial._trusted(num_vars, {e: Fraction(c, den) for e, c in acc.items() if c})
 
     # -- constructors ------------------------------------------------------
 
@@ -117,7 +149,7 @@ class Polynomial:
 
     @staticmethod
     def constant(num_vars: int, c) -> "Polynomial":
-        return Polynomial(num_vars, {(0,) * num_vars: Fraction(c)})
+        return Polynomial(num_vars, {(0,) * num_vars: c})
 
     @staticmethod
     def one(num_vars: int) -> "Polynomial":
@@ -133,7 +165,7 @@ class Polynomial:
 
     @staticmethod
     def monomial(exps: Sequence[int], coeff=1) -> "Polynomial":
-        return Polynomial(len(exps), {tuple(exps): Fraction(coeff)})
+        return Polynomial(len(exps), {tuple(exps): coeff})
 
     @staticmethod
     def linear_form(coeffs: Sequence) -> "Polynomial":
@@ -141,7 +173,7 @@ class Polynomial:
         v = len(coeffs)
         terms: Dict[Exponent, Fraction] = {}
         for i, c in enumerate(coeffs):
-            c = Fraction(c)
+            c = _rational(c)
             if c != 0:
                 e = [0] * v
                 e[i] = 1
@@ -201,49 +233,43 @@ class Polynomial:
         self._check_compatible(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            acc = terms.get(e, Fraction(0)) + c
-            if acc:
-                terms[e] = acc
-            else:
-                terms.pop(e, None)
-        return Polynomial(self.num_vars, terms)
+            s = terms.get(e, 0) + c
+            if s:
+                terms[e] = s
+            else:  # s == 0 only where self held -c
+                del terms[e]
+        return Polynomial._trusted(self.num_vars, terms)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if not isinstance(other, Polynomial):
+            return self.scale(other) if isinstance(other, Rational) else NotImplemented
         self._check_compatible(other)
-        # iterate over the smaller operand's terms in the outer loop
-        a, b = self.terms, other.terms
+        # integer numerators over each operand's lcm; one division per term
+        da, a = _numerators(self.terms)
+        db, b = _numerators(other.terms)
         if len(a) > len(b):
             a, b = b, a
-        acc: Dict[Exponent, Fraction] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                prev = acc.get(e)
-                if prev is None:
-                    acc[e] = c1 * c2
-                else:
-                    s = prev + c1 * c2
-                    if s:
-                        acc[e] = s
-                    else:
-                        del acc[e]
-        return Polynomial(self.num_vars, acc)
+        acc: Dict[Exponent, int] = {}
+        get = acc.get
+        for e1, c1 in a:
+            for e2, c2 in b:
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + c1 * c2
+        return Polynomial._over(self.num_vars, acc, da * db)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _rational(c)
         if c == 0:
             return Polynomial.zero(self.num_vars)
-        return Polynomial(self.num_vars, {e: c * v for e, v in self.terms.items()})
+        return Polynomial._trusted(self.num_vars, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -379,35 +405,21 @@ def apply_diff(op: Polynomial, target: Polynomial) -> Polynomial:
     """
     if op.num_vars != target.num_vars:
         raise ValueError("operator and target arities differ")
-    acc: Dict[Exponent, Fraction] = {}
-    for e_op, c_op in op.terms.items():
-        for e_t, c_t in target.terms.items():
-            factor = 1
-            ok = True
+    d_op, op_terms = _numerators(op.terms)
+    d_t, t_terms = _numerators(target.terms)
+    acc: Dict[Exponent, int] = {}
+    for e_op, c_op in op_terms:
+        for e_t, c_t in t_terms:
+            c = c_op * c_t
             for k_op, k_t in zip(e_op, e_t):
                 if k_op > k_t:
-                    ok = False
                     break
                 if k_op:
-                    # falling factorial k_t * (k_t-1) * ... * (k_t-k_op+1)
-                    f = 1
-                    for j in range(k_op):
-                        f *= k_t - j
-                    factor *= f
-            if not ok:
-                continue
-            e = tuple(k_t - k_op for k_op, k_t in zip(e_op, e_t))
-            add = c_op * c_t * factor
-            prev = acc.get(e)
-            if prev is None:
-                acc[e] = add
+                    c *= perm(k_t, k_op)  # falling factorial k_t (k_t-1) ... (k_t-k_op+1)
             else:
-                s = prev + add
-                if s:
-                    acc[e] = s
-                else:
-                    del acc[e]
-    return Polynomial(op.num_vars, acc)
+                e = tuple(map(sub, e_t, e_op))
+                acc[e] = acc.get(e, 0) + c
+    return Polynomial._over(op.num_vars, acc, d_op * d_t)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +452,7 @@ def polarize(p: Polynomial, k: int) -> FlatteningMatrix:
     ``p`` must be homogeneous of degree d; any 0 <= k <= d is accepted,
     the informative range being 1..d-1.  The capacity rule of
     ``gct.flatten`` runs on the basis sizes before either basis is listed;
-    zero entries are int 0.
+    integral entries, zeros included, are ints.
     """
     from .flatten import check_capacity  # flatten imports this module
 
@@ -461,7 +473,7 @@ def polarize(p: Polynomial, k: int) -> FlatteningMatrix:
     rows = [[0] * len(col_basis) for _ in row_basis]
     for c, m in enumerate(col_basis):
         for e, coeff in apply_diff(Polynomial.monomial(m), p).terms.items():
-            rows[row_index[e]][c] = coeff
+            rows[row_index[e]][c] = coeff.numerator if coeff.denominator == 1 else coeff
     return FlatteningMatrix(
         num_vars=v,
         row_basis=tuple(row_basis),

@@ -3,7 +3,7 @@
 Partitions are tuples of weakly decreasing positive ints.  Characters are
 computed by the Murnaghan--Nakayama rule on beta-sets (first-column hook
 lengths) with global memoization; all inner products run over cycle types
-with exact rational 1/z_mu weights.
+in ints, with weights N!/z_mu, and end in one exact division by N!.
 
 Plethysm multiplicities mult(S_pi, S^d(S^n V)) come from the plethysm of
 cycle indices Z(S_d)[Z(S_n)] = sum_gamma w_gamma p_gamma, evaluated as
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -185,7 +184,7 @@ def square_cycle_type(mu: Partition) -> Partition:
             parts.append(t)
         else:
             parts.extend((t // 2, t // 2))
-    return normalize_partition(parts)
+    return tuple(sorted(parts, reverse=True))
 
 
 def kronecker(pi: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
@@ -195,7 +194,8 @@ def kronecker(pi: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
     n = normalize_partition(nu)
     if not (sum(p) == sum(m) == sum(n)):
         raise ValueError("all three partitions must have the same size")
-    total = Fraction(0)
+    order = factorial(sum(p))
+    total = 0  # order * k: chi chi chi summed with the class sizes order/z
     for gamma in partitions(sum(p)):
         cp = _mn(p, gamma)
         if not cp:
@@ -206,9 +206,10 @@ def kronecker(pi: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
         cn = _mn(n, gamma)
         if not cn:
             continue
-        total += Fraction(cp * cm * cn, z_order(gamma))
-    assert total.denominator == 1 and total >= 0
-    return int(total)
+        total += cp * cm * cn * (order // z_order(gamma))
+    k, rem = divmod(total, order)
+    assert rem == 0 and k >= 0
+    return k
 
 
 def symmetric_kronecker(pi: Sequence[int], mu: Sequence[int]) -> int:
@@ -220,7 +221,8 @@ def symmetric_kronecker(pi: Sequence[int], mu: Sequence[int]) -> int:
     m = normalize_partition(mu)
     if sum(p) != sum(m):
         raise ValueError("partitions must have the same size")
-    total = Fraction(0)
+    order = factorial(sum(p))
+    total = 0  # 2 * order * sk
     for gamma in partitions(sum(p)):
         cp = _mn(p, gamma)
         if not cp:
@@ -229,10 +231,10 @@ def symmetric_kronecker(pi: Sequence[int], mu: Sequence[int]) -> int:
         cm_sq = _mn(m, square_cycle_type(gamma))
         val = cm * cm + cm_sq
         if val:
-            total += Fraction(cp * val, z_order(gamma))
-    total = total / 2
-    assert total.denominator == 1 and total >= 0
-    return int(total)
+            total += cp * val * (order // z_order(gamma))
+    sk, rem = divmod(total, 2 * order)
+    assert rem == 0 and sk >= 0
+    return sk
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +356,15 @@ def count_weight_multisets(d: int, n: int, v: int, weight: Sequence[int]) -> int
 
 
 @lru_cache(maxsize=None)
-def _plethysm_cycle_weights(d: int, n: int) -> Tuple[Tuple[Partition, Fraction], ...]:
-    """Z(S_d)[Z(S_n)] = sum_gamma w_gamma p_gamma, as (gamma, w) pairs.
+def _plethysm_cycle_weights(d: int, n: int) -> Tuple[Tuple[Partition, int], ...]:
+    """Z(S_d)[Z(S_n)] = sum_gamma w_gamma p_gamma, as (gamma, d! (n!)^d w)
+    pairs: integer weights over the common denominator d! (n!)^d.
 
     An element of the wreath product S_n wr S_d over a cycle of length r of
     the outer permutation contributes cycles r*rho for the cycle type rho
     of the product of its inner permutations; summing 1/z weights over all
-    choices is exactly this plethystic substitution.
+    choices is exactly this plethystic substitution.  In ints: an outer
+    class nu weighs d!/z_nu (n!)^(d - l(nu)), each inner rho n!/z_rho.
 
     There are at most p(dn) of them, and the merge runs over as many states,
     so a p(dn) over ``MAX_CYCLE_TYPES`` is refused before any is built.
@@ -371,16 +375,16 @@ def _plethysm_cycle_weights(d: int, n: int) -> Tuple[Tuple[Partition, Fraction],
     types = _partition_count(dn)
     if types > MAX_CYCLE_TYPES:
         raise CapacityError(f"plethysm S^{d}(S^{n}): p({dn}) cycle types", types, MAX_CYCLE_TYPES)
-    inner = [(rho, Fraction(1, z_order(rho))) for rho in partitions(n)]
-    total: Dict[Partition, Fraction] = defaultdict(Fraction)
+    inner = [(rho, factorial(n) // z_order(rho)) for rho in partitions(n)]
+    total: Dict[Partition, int] = defaultdict(int)
     for nu in partitions(d):
-        states: Dict[Partition, Fraction] = {(): Fraction(1, z_order(nu))}
+        states = {(): factorial(d) // z_order(nu) * factorial(n) ** (d - len(nu))}
         for r in nu:
-            new_states: Dict[Partition, Fraction] = defaultdict(Fraction)
+            new_states: Dict[Partition, int] = defaultdict(int)
             for acc, w in states.items():
                 for rho, wr in inner:
-                    t = normalize_partition(acc + tuple(r * s for s in rho))
-                    new_states[t] += w * wr
+                    t = acc + tuple(r * s for s in rho)
+                    new_states[tuple(sorted(t, reverse=True))] += w * wr
             states = new_states
         for t, w in states.items():
             total[t] += w
@@ -398,13 +402,14 @@ def plethysm_mult(pi: Sequence[int], d: int, n: int) -> int:
     """mult(S_pi, S^d(S^n V)) for any V with dim >= l(pi); exact."""
     p = normalize_partition(pi)
     _check_degrees(p, d, n)
-    total = Fraction(0)
+    total = 0
     for gamma, w in _plethysm_cycle_weights(d, n):
         c = _mn(p, gamma)
         if c:
             total += w * c
-    assert total.denominator == 1 and total >= 0
-    return int(total)
+    mult, rem = divmod(total, factorial(d) * factorial(n) ** d)
+    assert rem == 0 and mult >= 0
+    return mult
 
 
 # ---------------------------------------------------------------------------

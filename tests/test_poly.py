@@ -122,6 +122,107 @@ def test_pow_matches_repeated_multiplication(p, k):
     assert p**k == direct
 
 
+# ---------------------------------------------------------------------------
+# The integer kernels against the Fraction loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def mul_oracle(p, q):
+    """p * q, summed term by term in Fractions."""
+    acc = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = acc.get(e, Fraction(0)) + c1 * c2
+            if s:
+                acc[e] = s
+            else:
+                acc.pop(e, None)
+    return Polynomial(p.num_vars, acc)
+
+
+def apply_diff_oracle(op, target):
+    """apply_diff with each falling factorial multiplied out, in Fractions."""
+    acc = {}
+    for e_op, c_op in op.terms.items():
+        for e_t, c_t in target.terms.items():
+            if any(k_op > k_t for k_op, k_t in zip(e_op, e_t)):
+                continue
+            factor = 1
+            for k_op, k_t in zip(e_op, e_t):
+                for j in range(k_op):
+                    factor *= k_t - j
+            e = tuple(k_t - k_op for k_op, k_t in zip(e_op, e_t))
+            s = acc.get(e, Fraction(0)) + c_op * c_t * factor
+            if s:
+                acc[e] = s
+            else:
+                acc.pop(e, None)
+    return Polynomial(op.num_vars, acc)
+
+
+def assert_same_terms(got, want):
+    assert got.terms == want.terms
+    assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+
+
+@given(poly_triples())
+def test_kernels_match_the_fraction_oracles(ps):
+    """Mixed denominators (1..6), cross terms that cancel to zero inside one
+    product ((p+q)(p-q) loses pq - qp), and zero operands and results."""
+    p, q, r = ps
+    zero = Polynomial.zero(p.num_vars)
+    for a, b in [(p, q), (p + q, p - q), (p, zero), (zero, r), (q - q, p), (r, r)]:
+        assert_same_terms(a * b, mul_oracle(a, b))
+        assert_same_terms(apply_diff(a, b), apply_diff_oracle(a, b))
+        sums = {e: a.coefficient(e) + b.coefficient(e) for e in {**a.terms, **b.terms}}
+        assert_same_terms(a + b, Polynomial(a.num_vars, sums))
+        assert_same_terms(-a, Polynomial(a.num_vars, {e: -c for e, c in a.terms.items()}))
+    # a second-order operator on a product with cancelled cross terms
+    x = Polynomial.variable(0, p.num_vars)
+    op = (x * x).scale(Fraction(1, 6)) - p.scale(Fraction(5, 4))
+    assert_same_terms(apply_diff(op, (p + r) * (p - r)), apply_diff_oracle(op, (p + r) * (p - r)))
+
+
+def test_kernel_cancels_to_the_zero_polynomial():
+    x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    p = x.scale(Fraction(1, 3)) + y.scale(Fraction(1, 2))
+    q = x.scale(Fraction(3, 2)) - y.scale(Fraction(9, 4))
+    assert_same_terms(p * q, mul_oracle(p, q))  # the xy terms cancel: 3/4 - 3/4
+    assert (p * q).coefficient((1, 1)) == 0
+    assert (p * x - x * p).terms == {}
+    assert apply_diff(x * y, x * x + y).terms == {}
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.1, complex(1, 0), "1/2", float("nan")])
+def test_non_rational_scalars_are_refused(bad):
+    """A float would enter the integer kernel as a binary fraction (0.1 as
+    3602879701896397/2^55); every public way in refuses it."""
+    p = Polynomial.variable(0, 1)
+    with pytest.raises(TypeError, match="not a rational"):
+        Polynomial(1, {(1,): bad})
+    with pytest.raises(TypeError, match="not a rational"):
+        Polynomial.constant(1, bad)
+    with pytest.raises(TypeError, match="not a rational"):
+        Polynomial.monomial((1,), bad)
+    with pytest.raises(TypeError, match="not a rational"):
+        Polynomial.linear_form([1, bad])
+    with pytest.raises(TypeError, match="not a rational"):
+        p.scale(bad)
+    assert p.__mul__(bad) is NotImplemented
+    with pytest.raises(TypeError):
+        p * bad
+    with pytest.raises(TypeError):
+        bad * p
+
+
+def test_rational_scalars_are_taken_as_fractions():
+    p = Polynomial(1, {(1,): True, (2,): 3, (0,): Fraction(1, 2)})
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert (p * 2).terms == (2 * p).terms == p.scale(Fraction(2)).terms
+    assert (p * Fraction(1, 2)).coefficient((0,)) == Fraction(1, 4)
+
+
 def test_constructors_and_validation():
     x = Polynomial.variable(0, 2)
     y = Polynomial.variable(1, 2)
@@ -268,6 +369,16 @@ def test_polarize_shape_and_entries():
     col_y = [row[1] for row in fm.entries]
     assert col_x == [0, 2, 0]
     assert col_y == [1, 0, 0]
+
+
+def test_polarize_entries_are_ints_where_integral():
+    """Integral entries are ints, so elimination needs no denominators;
+    the rest stay Fractions."""
+    p = Polynomial(2, {(2, 1): Fraction(3), (0, 3): Fraction(1, 2)})
+    entries = [x for row in polarize(p, 1).entries for x in row]
+    assert sorted({type(x).__name__ for x in entries}) == ["Fraction", "int"]
+    assert all(type(x) is int for x in entries if Fraction(x).denominator == 1)
+    assert Fraction(3, 2) in entries  # d/dy of y^3/2
 
 
 def test_polarize_rejects_bad_input():

@@ -361,6 +361,50 @@ def test_frobenius_schur_indicator_is_one():
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def cycle_classes(n):
+    """(gamma, z_gamma) for every cycle type gamma of S_n."""
+    return tuple((gamma, rt.z_order(gamma)) for gamma in rt.partitions(n))
+
+
+def kronecker_oracle(pi, mu, nu):
+    """k_{pi,mu,nu} = sum_gamma chi_pi chi_mu chi_nu / z_gamma, in Fractions."""
+    total = Fraction(0)
+    for gamma, z in cycle_classes(sum(pi)):
+        total += Fraction(rt._mn(pi, gamma) * rt._mn(mu, gamma) * rt._mn(nu, gamma), z)
+    assert total.denominator == 1 and total >= 0
+    return int(total)
+
+
+def symmetric_kronecker_oracle(pi, mu):
+    """sk^pi_{mu,mu} = (1/2) sum_gamma chi_pi (chi_mu^2 + chi_mu(gamma^2)) / z_gamma."""
+    total = Fraction(0)
+    for gamma, z in cycle_classes(sum(pi)):
+        val = rt._mn(mu, gamma) ** 2 + rt._mn(mu, rt.square_cycle_type(gamma))
+        total += Fraction(rt._mn(pi, gamma) * val, z)
+    total /= 2
+    assert total.denominator == 1 and total >= 0
+    return int(total)
+
+
+def test_kronecker_sums_match_the_fraction_oracles():
+    """Every triple (pairs for sk) of partitions of N <= 8.  The oracle's
+    sum is the same in every order of its arguments, so it runs once per
+    multiset and the library once per ordered triple."""
+    checked = 0
+    for n in range(9):
+        parts = list(rt.partitions(n))
+        for pi in parts:
+            for mu in parts:
+                assert rt.symmetric_kronecker(pi, mu) == symmetric_kronecker_oracle(pi, mu)
+        for triple in combinations_with_replacement(parts, 3):
+            want = kronecker_oracle(*triple)
+            for pi, mu, nu in set(permutations(triple)):
+                assert rt.kronecker(pi, mu, nu) == want, (pi, mu, nu)
+                checked += 1
+    assert checked == sum(len(list(rt.partitions(n))) ** 3 for n in range(9)) == 15859
+
+
 def test_kronecker_small_identities():
     for n in range(1, 7):
         parts = list(rt.partitions(n))
@@ -644,6 +688,46 @@ def pleth_decomposition(d, n, v):
     return {pi: m for pi, m in mults.items() if m}
 
 
+def plethysm_cycle_weights_oracle(d, n):
+    """Z(S_d)[Z(S_n)] as sorted (gamma, w) pairs with Fraction weights."""
+    inner = [(rho, Fraction(1, rt.z_order(rho))) for rho in rt.partitions(n)]
+    total = {}
+    for nu in rt.partitions(d):
+        states = {(): Fraction(1, rt.z_order(nu))}
+        for r in nu:
+            new_states = {}
+            for acc, w in states.items():
+                for rho, wr in inner:
+                    t = rt.normalize_partition(acc + tuple(r * s for s in rho))
+                    new_states[t] = new_states.get(t, Fraction(0)) + w * wr
+            states = new_states
+        for t, w in states.items():
+            total[t] = total.get(t, Fraction(0)) + w
+    return tuple(sorted(total.items()))
+
+
+def scaled_cycle_weights(d, n):
+    """``_plethysm_cycle_weights`` with its common denominator divided out."""
+    scale = factorial(d) * factorial(n) ** d
+    return tuple((gamma, Fraction(w, scale)) for gamma, w in rt._plethysm_cycle_weights(d, n))
+
+
+def plethysm_mult_oracle(pi, d, n):
+    total = sum(w * rt._mn(pi, gamma) for gamma, w in plethysm_cycle_weights_oracle(d, n))
+    assert total.denominator == 1 and total >= 0
+    return int(total)
+
+
+def test_cycle_weights_match_the_fraction_oracle():
+    """Every (d, n) with dn <= 16, d = 0 and n = 0 included."""
+    pairs = [(d, n) for d in range(17) for n in range(17) if d * n <= 16]
+    for d, n in pairs:
+        weights = rt._plethysm_cycle_weights(d, n)
+        assert all(type(w) is int and w > 0 for _, w in weights)
+        assert scaled_cycle_weights(d, n) == plethysm_cycle_weights_oracle(d, n), (d, n)
+    assert len(pairs) == 83
+
+
 def test_plethysm_known_decompositions():
     assert pleth_decomposition(2, 2, 2) == {(4,): 1, (2, 2): 1}
     assert pleth_decomposition(3, 2, 3) == {(6,): 1, (4, 2): 1, (2, 2, 2): 1}
@@ -685,7 +769,7 @@ def test_plethysm_dimension_conservation():
 def test_plethysm_wreath_route_matches_weight_route():
     """Evaluate the cycle-index weights by hand and compare with the oracle."""
     for d, n in [(2, 2), (3, 2), (2, 3), (3, 3)]:
-        weights = rt._plethysm_cycle_weights(d, n)
+        weights = scaled_cycle_weights(d, n)
         assert sum(w for _, w in weights) == 1  # total mass of the cycle index
         by_weight = plethysm_multiplicities(d, n, d * n)
         for pi in rt.partitions(d * n):
@@ -798,6 +882,16 @@ def test_occurrence_obstruction_test_small():
     assert rep.mult == 1 and rep.sym_kron >= 1
     with pytest.raises(ValueError):
         occurrence_obstruction_test((3, 1), 2, 3)
+
+
+@pytest.mark.parametrize("pi,d", [((9, 9, 2, 2, 2, 2, 2, 2), 10), ((11, 11, 2, 2, 2, 2, 2, 1), 11)])
+def test_obstruction_data_match_the_fraction_oracles(pi, d):
+    """The two ``rep obstruct`` cases of acceptance criterion 14."""
+    mu = (d,) * 3
+    rep = occurrence_obstruction_test(pi, d, 3)
+    assert rep.mult == plethysm_mult_oracle(pi, d, 3) == 1
+    assert rep.kron == kronecker_oracle(pi, mu, mu)
+    assert rep.sym_kron == symmetric_kronecker_oracle(pi, mu) == 0
 
 
 def test_gct_useful_filter():
