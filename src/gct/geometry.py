@@ -2,10 +2,8 @@
 matrices, divisibility identities, the Cayley identity, dual-variety
 dimension probes, and stabilizer Lie algebra dimensions.
 
-Determinants of polynomial matrices are computed division-free by dynamic
-programming over column subsets (Laplace expansion shared across rows),
-so every intermediate object is a genuine minor.  Divisibility claims are
-certified by exact multivariate division: for f = g*q over an integral
+Minors and determinants come from ``gct.poly.det_polymatrix``.
+Divisibility claims are certified by exact multivariate division: for f = g*q over an integral
 domain the greedy leading-term division loop in the global monomial order
 terminates with remainder zero, because LT(f) = LT(g)LT(q) at every step.
 """
@@ -21,8 +19,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .flatten import CapacityError, check_capacity, exact_rank, solve_linear
 from .poly import (
+    PolyMatrix,
     Polynomial,
     apply_diff,
+    det_polymatrix,
     divides,
     exponent_add,
     exponent_sub,
@@ -31,35 +31,8 @@ from .poly import (
 from .zoo import det, discriminant
 
 # ---------------------------------------------------------------------------
-# Polynomial matrices
+# Hessians, characteristic coefficients, compounds
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PolyMatrix:
-    """A square matrix of polynomials over a shared variable space."""
-
-    num_vars: int
-    entries: Tuple[Tuple[Polynomial, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.entries)
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            for p in row:
-                if p.num_vars != self.num_vars:
-                    raise ValueError("entries must share the variable space")
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def evaluate(self, point: Sequence) -> List[List[Fraction]]:
-        """Scalar matrix obtained by evaluating every entry at ``point``."""
-        return [
-            [p.evaluate(point) for p in row] for row in self.entries
-        ]
 
 
 def hessian(p: Polynomial) -> PolyMatrix:
@@ -80,47 +53,6 @@ def hessian(p: Polynomial) -> PolyMatrix:
             row.append(apply_diff(Polynomial.monomial(tuple(op)), p))
         rows.append(tuple(row))
     return PolyMatrix(v, tuple(rows))
-
-
-def det_polymatrix(m: PolyMatrix, rows: Optional[Sequence[int]] = None,
-                   cols: Optional[Sequence[int]] = None) -> Polynomial:
-    """Determinant of (a submatrix of) a polynomial matrix, division-free.
-
-    Dynamic programming over column subsets: level i holds the minors on
-    rows[:i] and every i-subset of cols, so the full determinant costs
-    sum_i C(k,i)*i polynomial multiplications instead of k!.
-    """
-    if rows is None:
-        rows = range(m.size)
-    if cols is None:
-        cols = range(m.size)
-    rows = list(rows)
-    cols = list(cols)
-    k = len(rows)
-    if k != len(cols):
-        raise ValueError("determinant needs a square selection")
-    if k == 0:
-        return Polynomial.one(m.num_vars)
-    # minors[frozen subset of col positions] at the current level
-    minors: Dict[Tuple[int, ...], Polynomial] = {(): Polynomial.one(m.num_vars)}
-    for i, ri in enumerate(rows):
-        nxt: Dict[Tuple[int, ...], Polynomial] = {}
-        for subset in combinations(range(k), i + 1):
-            acc = Polynomial.zero(m.num_vars)
-            for pos, cj in enumerate(subset):
-                entry = m.entries[ri][cols[cj]]
-                if entry.is_zero():
-                    continue
-                rest = subset[:pos] + subset[pos + 1 :]
-                sub = minors[rest]
-                if sub.is_zero():
-                    continue
-                term = entry * sub
-                # Laplace along the last row: sign (-1)^{i+pos}
-                acc = acc + term if (i + pos) % 2 == 0 else acc - term
-            nxt[subset] = acc
-        minors = nxt
-    return minors[tuple(range(k))]
 
 
 def cp_coefficient(m: PolyMatrix, s: int) -> Polynomial:

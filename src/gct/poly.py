@@ -5,8 +5,10 @@ Conventions used throughout the package:
 * A polynomial in ``v`` variables is a sparse dictionary mapping exponent
   tuples (length ``v``, non-negative ints) to nonzero ``Fraction``
   coefficients.  Coefficients are ``Fraction`` at the interface: the
-  public constructors and ``scale`` take ints and Fractions and refuse a
-  float or any other non-rational with ``TypeError``.  Products and
+  public constructors, ``scale`` and ``evaluate`` take ints and Fractions
+  and refuse a float or any other non-rational with ``TypeError``, as the
+  arithmetic operators refuse any operand but a Polynomial (or, for ``*``,
+  a rational scalar).  Products and
   derivatives run on integer numerators over one common denominator per
   operand, divided out once per result term; sums add the Fractions of
   shared monomials only.  All arithmetic is exact; there are no floats.
@@ -18,6 +20,10 @@ Conventions used throughout the package:
   normalization).  This is what makes the classical Cayley identity
   ``det_n(d/dx) det_n(x)^{s+1} = (s+n)!/s! det_n(x)^s`` hold with the
   stated constant.
+* Determinants of polynomial matrices (``det_polymatrix``) are computed
+  division-free by dynamic programming over column subsets (Laplace
+  expansion shared across rows), so every intermediate object is a
+  genuine minor and a k x k determinant costs about 2^k k products, not k!.
 """
 
 from __future__ import annotations
@@ -26,13 +32,13 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, lcm, perm
 from numbers import Rational
 from operator import add, sub
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
-Scalar = Fraction
 
 # ---------------------------------------------------------------------------
 # Monomial order
@@ -77,7 +83,7 @@ def monomial_count(num_vars: int, degree: int) -> int:
 def _rational(c) -> Fraction:
     """``c`` as a Fraction; a float or any other non-rational is a TypeError."""
     if not isinstance(c, Rational):
-        raise TypeError(f"coefficient {c!r} is not a rational number")
+        raise TypeError(f"scalar {c!r} is not a rational number")
     return Fraction(c)
 
 
@@ -230,6 +236,8 @@ class Polynomial:
             )
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check_compatible(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
@@ -244,6 +252,8 @@ class Polynomial:
         return Polynomial._trusted(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
@@ -300,7 +310,7 @@ class Polynomial:
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.num_vars:
             raise ValueError("point has wrong arity")
-        pt = [Fraction(x) for x in point]
+        pt = [_rational(x) for x in point]
         total = Fraction(0)
         for e, c in self.terms.items():
             val = c
@@ -337,58 +347,76 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Linear substitution
+# Polynomial matrices
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class LinearSubstitution:
-    """Linear change/embedding of variables.
+class PolyMatrix:
+    """A square matrix of polynomials over a shared variable space."""
 
-    Variable ``x_i`` of the source polynomial is replaced by the linear form
-    ``sum_j matrix[i][j] * y_j`` in ``num_vars_out`` output variables.
-    """
-
-    num_vars_in: int
-    num_vars_out: int
-    matrix: Tuple[Tuple[Fraction, ...], ...]
+    num_vars: int
+    entries: Tuple[Tuple[Polynomial, ...], ...]
 
     def __post_init__(self):
-        if len(self.matrix) != self.num_vars_in:
-            raise ValueError("matrix must have num_vars_in rows")
-        rows = tuple(
-            tuple(Fraction(c) for c in row) for row in self.matrix
-        )
-        for row in rows:
-            if len(row) != self.num_vars_out:
-                raise ValueError("matrix rows must have num_vars_out entries")
-        object.__setattr__(self, "matrix", rows)
+        n = len(self.entries)
+        for row in self.entries:
+            if len(row) != n:
+                raise ValueError("matrix must be square")
+            for p in row:
+                if p.num_vars != self.num_vars:
+                    raise ValueError("entries must share the variable space")
+
+    @property
+    def size(self) -> int:
+        return len(self.entries)
+
+    def evaluate(self, point: Sequence) -> List[List[Fraction]]:
+        """Scalar matrix obtained by evaluating every entry at ``point``."""
+        return [
+            [p.evaluate(point) for p in row] for row in self.entries
+        ]
 
 
-def substitute(p: Polynomial, sub: LinearSubstitution) -> Polynomial:
-    """Apply a linear substitution to every variable of ``p``."""
-    if p.num_vars != sub.num_vars_in:
-        raise ValueError("substitution arity does not match polynomial")
-    v_out = sub.num_vars_out
-    forms = [Polynomial.linear_form(row) for row in sub.matrix]
-    power_cache: Dict[Tuple[int, int], Polynomial] = {}
+def det_polymatrix(m: PolyMatrix, rows: Optional[Sequence[int]] = None,
+                   cols: Optional[Sequence[int]] = None) -> Polynomial:
+    """Determinant of (a submatrix of) a polynomial matrix, division-free.
 
-    def form_power(i: int, k: int) -> Polynomial:
-        key = (i, k)
-        got = power_cache.get(key)
-        if got is None:
-            got = forms[i] ** k
-            power_cache[key] = got
-        return got
-
-    acc = Polynomial.zero(v_out)
-    for e, c in p.terms.items():
-        prod = Polynomial.constant(v_out, c)
-        for i, k in enumerate(e):
-            if k:
-                prod = prod * form_power(i, k)
-        acc = acc + prod
-    return acc
+    Dynamic programming over column subsets: level i holds the minors on
+    rows[:i] and every i-subset of cols, so the full determinant costs
+    sum_i C(k,i)*i polynomial multiplications instead of k!.
+    """
+    if rows is None:
+        rows = range(m.size)
+    if cols is None:
+        cols = range(m.size)
+    rows = list(rows)
+    cols = list(cols)
+    k = len(rows)
+    if k != len(cols):
+        raise ValueError("determinant needs a square selection")
+    if k == 0:
+        return Polynomial.one(m.num_vars)
+    # minors[frozen subset of col positions] at the current level
+    minors: Dict[Tuple[int, ...], Polynomial] = {(): Polynomial.one(m.num_vars)}
+    for i, ri in enumerate(rows):
+        nxt: Dict[Tuple[int, ...], Polynomial] = {}
+        for subset in combinations(range(k), i + 1):
+            acc = Polynomial.zero(m.num_vars)
+            for pos, cj in enumerate(subset):
+                entry = m.entries[ri][cols[cj]]
+                if entry.is_zero():
+                    continue
+                rest = subset[:pos] + subset[pos + 1 :]
+                minor = minors[rest]
+                if minor.is_zero():
+                    continue
+                term = entry * minor
+                # Laplace along the last row: sign (-1)^{i+pos}
+                acc = acc + term if (i + pos) % 2 == 0 else acc - term
+            nxt[subset] = acc
+        minors = nxt
+    return minors[tuple(range(k))]
 
 
 # ---------------------------------------------------------------------------

@@ -52,26 +52,37 @@ def normalize_partition(seq: Sequence[int]) -> Partition:
     return parts
 
 
-def partitions(
-    n: int, max_part: Optional[int] = None, max_len: Optional[int] = None
-) -> Iterator[Partition]:
-    """All partitions of n, lexicographically descending (largest first)."""
-    if n < 0:
+def partitions(n: int, max_len: Optional[int] = None) -> Iterator[Partition]:
+    """All partitions of n with at most ``max_len`` parts (any number by
+    default), lexicographically descending (largest first).
+
+    Each step lowers the rightmost part that can drop by one while the
+    parts after it, refilled greedily with parts no larger, still fit in
+    ``max_len``; the greedy refill is the largest completion, so the
+    order is descending.
+    """
+    slots = n if max_len is None else max_len
+    if n == 0:
+        yield ()
+    if n <= 0 or slots < 1:
         return
-    if max_part is None:
-        max_part = n
-
-    def rec(remaining: int, cap: int, slots: int) -> Iterator[Tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        if slots == 0:
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in rec(remaining - first, first, slots - 1):
-                yield (first,) + rest
-
-    yield from rec(n, max_part, n if max_len is None else max_len)
+    a = [n]
+    while True:
+        yield tuple(a)
+        i, rest = len(a), 0  # rest: sum of a[i:]
+        while True:
+            i -= 1
+            if i < 0:
+                return
+            x = a[i] - 1
+            rest += a[i]
+            if x and rest - x <= x * (slots - i - 1):
+                break
+        q, r = divmod(rest - x, x)
+        del a[i:]
+        a += [x] * (q + 1)
+        if r:
+            a.append(r)
 
 
 def _partition_count(total: int) -> int:

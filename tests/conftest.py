@@ -1,10 +1,14 @@
-"""Shared strategies and the acceptance-criteria terminal summary."""
+"""Shared strategies, the linear-substitution oracle, Grenet's witnesses and
+the acceptance-criteria terminal summary."""
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from itertools import combinations
+from typing import Dict, List, Tuple
 
 from hypothesis import HealthCheck, settings, strategies as st
 
+from gct import zoo
 from gct.poly import Polynomial
 
 settings.register_profile(
@@ -67,6 +71,98 @@ def fraction_matrices(draw, max_rows: int = 5, max_cols: int = 5):
         [draw(small_fractions(max_abs=6, max_den=4)) for _ in range(cols)]
         for _ in range(rows)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Linear substitution: the oracle for determinantal expressions, which the
+# library expands as determinants of polynomial matrices instead
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LinearSubstitution:
+    """Linear change/embedding of variables.
+
+    Variable ``x_i`` of the source polynomial is replaced by the linear form
+    ``sum_j matrix[i][j] * y_j`` in ``num_vars_out`` output variables.
+    """
+
+    num_vars_in: int
+    num_vars_out: int
+    matrix: Tuple[Tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        if len(self.matrix) != self.num_vars_in:
+            raise ValueError("matrix must have num_vars_in rows")
+        rows = tuple(
+            tuple(Fraction(c) for c in row) for row in self.matrix
+        )
+        for row in rows:
+            if len(row) != self.num_vars_out:
+                raise ValueError("matrix rows must have num_vars_out entries")
+        object.__setattr__(self, "matrix", rows)
+
+
+def substitute(p: Polynomial, sub: LinearSubstitution) -> Polynomial:
+    """Apply a linear substitution to every variable of ``p``."""
+    if p.num_vars != sub.num_vars_in:
+        raise ValueError("substitution arity does not match polynomial")
+    v_out = sub.num_vars_out
+    forms = [Polynomial.linear_form(row) for row in sub.matrix]
+    power_cache: Dict[Tuple[int, int], Polynomial] = {}
+
+    def form_power(i: int, k: int) -> Polynomial:
+        key = (i, k)
+        got = power_cache.get(key)
+        if got is None:
+            got = forms[i] ** k
+            power_cache[key] = got
+        return got
+
+    acc = Polynomial.zero(v_out)
+    for e, c in p.terms.items():
+        prod = Polynomial.constant(v_out, c)
+        for i, k in enumerate(e):
+            if k:
+                prod = prod * form_power(i, k)
+        acc = acc + prod
+    return acc
+
+
+def grenet_witness(m: int) -> "zoo.DetExpressionWitness":
+    """Grenet's (2^m - 1) x (2^m - 1) determinantal expression for perm_m.
+
+    The vertices are the subsets of [m], with the empty set and [m] merged
+    into one vertex (index 0).  The edge S -> S + {j} carries x_{|S|+1, j};
+    every other vertex carries l on the diagonal.  The only cycle covers
+    are one m-cycle through vertex 0 (a chain of subsets, so a permutation
+    of [m]) with l on the other 2^m - 1 - m vertices, so the determinant
+    is (-1)^{m-1} l^{2^m-1-m} perm_m.  The first row is negated when m is
+    even, which leaves l^{2^m-1-m} perm_m.
+    """
+    v = m * m + 1  # x_{ij} row-major, then l
+    subsets = [frozenset(c) for k in range(1, m) for c in combinations(range(m), k)]
+    index = {s: i + 1 for i, s in enumerate(subsets)}
+    index[frozenset()] = index[frozenset(range(m))] = 0
+    n = len(subsets) + 1
+    zero = (Fraction(0),) * v
+    entries = [[zero] * n for _ in range(n)]
+
+    def form(var, coeff=1):
+        row = [Fraction(0)] * v
+        row[var] = Fraction(coeff)
+        return tuple(row)
+
+    for s in [frozenset()] + subsets:
+        for j in range(m):
+            if j not in s:
+                entries[index[s]][index[s | {j}]] = form(len(s) * m + j)
+    for i in range(1, n):
+        entries[i][i] = form(m * m)
+    if m % 2 == 0:
+        entries[0] = [tuple(-c for c in f) for f in entries[0]]
+    flat = tuple(f for row in entries for f in row)
+    return zoo.DetExpressionWitness(n=n, num_target_vars=m * m, entries=flat)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ import time
 
 import pytest
 
-from gct import cli, hhh, poly
+from gct import cli, hhh, poly, zoo
 from gct.poly import Polynomial, loads
+
+from conftest import grenet_witness
 
 
 @pytest.fixture(autouse=True)
@@ -397,6 +399,61 @@ def test_witness_record_roundtrip_all_kinds(tmp_path):
         rec = cli.witness_to_record(dec)
         back = cli.witness_from_record(json.loads(json.dumps(rec)))
         assert back == dec
+
+
+def _verify_files(capsys, tmp_path, witness, m):
+    """Write ``witness`` and perm_m to files; return their paths."""
+    w_path, t_path = tmp_path / "witness.json", tmp_path / "perm.json"
+    w_path.write_text(json.dumps(cli.witness_to_record(witness)))
+    assert run(capsys, "zoo", "make", "perm", str(m), "-o", str(t_path))[0] == 0
+    return str(w_path), str(t_path)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_grenet_witness_verifies_through_the_cli(capsys, tmp_path, m):
+    """perm_3 as det_7 and perm_4 as det_15 (15! Leibniz terms, 2^15
+    subset minors)."""
+    paths = _verify_files(capsys, tmp_path, grenet_witness(m), m)
+    start = time.monotonic()
+    code, out, _ = run(capsys, "--no-cache", "zoo", "verify", *paths)
+    elapsed = time.monotonic() - start
+    assert (code, out) == (0, f"det_{2**m - 1} expression: PASS\n")
+    assert elapsed < 5.0
+
+
+def test_grenet_witness_with_a_flipped_sign_fails(capsys, tmp_path):
+    w = grenet_witness(3)
+    entries = list(w.entries)
+    entries[1] = tuple(-c for c in entries[1])  # the edge from the merged vertex to {1}
+    bad = zoo.DetExpressionWitness(w.n, w.num_target_vars, tuple(entries))
+    paths = _verify_files(capsys, tmp_path, bad, 3)
+    code, out, _ = run(capsys, "--no-cache", "zoo", "verify", *paths)
+    assert code == 1
+    assert out.startswith("det_7 expression: FAIL at monomial (")
+
+
+def test_det_expression_over_15_is_refused_before_any_expansion(capsys, monkeypatch, tmp_path):
+    """perm_4's witness with one more l on the diagonal is a valid 16 x 16
+    expression, refused from n alone."""
+    w = grenet_witness(4)
+    zero, l_form = (0,) * 17, (0,) * 16 + (1,)
+    rows = [w.entries[i * 15 : (i + 1) * 15] + (zero,) for i in range(15)]
+    rows.append((zero,) * 15 + (l_form,))
+    padded = zoo.DetExpressionWitness(16, 16, tuple(f for row in rows for f in row))
+    paths = _verify_files(capsys, tmp_path, padded, 4)
+
+    def forbidden(*args):
+        raise AssertionError("a refused det expression was expanded")
+
+    monkeypatch.setattr(zoo, "det_polymatrix", forbidden)
+    monkeypatch.setattr(zoo.Polynomial, "linear_form", forbidden)
+    start = time.monotonic()
+    code, out, _ = run(capsys, "--json", "--no-cache", "zoo", "verify", *paths)
+    elapsed = time.monotonic() - start
+    rec = json.loads(out)
+    assert (code, rec["error"], rec["size"], rec["cap"]) == (3, "capacity", 16, 15)
+    assert rec["context"] == "det_n expression n"
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 
 from gct import flatten, geometry as geo
 from gct.flatten import CapacityError, exact_rank
-from gct.poly import Polynomial, apply_diff
+from gct.poly import PolyMatrix, Polynomial, apply_diff, det_polymatrix
 from gct.zoo import chow, det, discriminant, fermat, p_lambda, perm
 
 from conftest import fraction_matrices, polynomials
@@ -101,9 +101,9 @@ def charpoly_oracle(matrix):
 def test_polymatrix_validation():
     x = Polynomial.variable(0, 2)
     with pytest.raises(ValueError):
-        geo.PolyMatrix(2, ((x, x),))  # not square
+        PolyMatrix(2, ((x, x),))  # not square
     with pytest.raises(ValueError):
-        geo.PolyMatrix(2, ((x, Polynomial.one(3)), (x, x)))  # arity clash
+        PolyMatrix(2, ((x, Polynomial.one(3)), (x, x)))  # arity clash
 
 
 def is_symmetric(m):
@@ -118,7 +118,7 @@ def trace(m):
 
 
 def submatrix(m, rows, cols):
-    return geo.PolyMatrix(m.num_vars, tuple(tuple(m.entries[i][j] for j in cols) for i in rows))
+    return PolyMatrix(m.num_vars, tuple(tuple(m.entries[i][j] for j in cols) for i in rows))
 
 
 def test_polymatrix_evaluate_submatrix_trace():
@@ -162,7 +162,7 @@ def _random_poly_matrix(v, size, rng, degree=1):
                     terms[tuple(e)] = terms.get(tuple(e), Fraction(0)) + c
             row.append(Polynomial(v, {e: c for e, c in terms.items() if c}))
         rows.append(tuple(row))
-    return geo.PolyMatrix(v, tuple(rows))
+    return PolyMatrix(v, tuple(rows))
 
 
 def test_det_polymatrix_vs_permutation_oracle():
@@ -172,13 +172,13 @@ def test_det_polymatrix_vs_permutation_oracle():
             m = _random_poly_matrix(2, size, rng)
             point = [Fraction(rng.randint(-4, 4)) for _ in range(2)]
             want = scalar_det([[e.evaluate(point) for e in row] for row in m.entries])
-            assert geo.det_polymatrix(m).evaluate(point) == want
+            assert det_polymatrix(m).evaluate(point) == want
 
 
 def test_det_polymatrix_submatrix_selection():
     # 2x2 top-left minor of the generic 3x3 matrix is x11*x22 - x12*x21
     m = geo.generic_matrix(3)
-    minor = geo.det_polymatrix(m, (0, 1), (0, 1))
+    minor = det_polymatrix(m, (0, 1), (0, 1))
     want = Polynomial(
         9,
         {
@@ -194,7 +194,7 @@ def test_det_polymatrix_submatrix_selection():
 def test_cp_coefficients_match_charpoly_oracle(matrix):
     n = min(len(matrix), len(matrix[0]))
     matrix = [row[:n] for row in matrix[:n]]
-    consts = geo.PolyMatrix(
+    consts = PolyMatrix(
         1, tuple(tuple(Polynomial.constant(1, c) for c in row) for row in matrix)
     )
     want = charpoly_oracle(matrix)
@@ -222,8 +222,8 @@ def test_compound_basics():
     assert c2.size == 3
     # Sylvester--Franke in its smallest nontrivial case:
     # det(wedge^2 A) = det(A)^{C(2,1)} = det(A)^2
-    d = geo.det_polymatrix(a)
-    assert geo.det_polymatrix(c2) == d * d
+    d = det_polymatrix(a)
+    assert det_polymatrix(c2) == d * d
     with pytest.raises(ValueError):
         geo.compound(a, 4)
 
@@ -298,7 +298,7 @@ def test_segre_identity_direct():
     """det(H(det_3)) = -2 det_3^3, computed from scratch."""
     d = det(3)
     h = geo.hessian(d)
-    lhs = geo.det_polymatrix(h)
+    lhs = det_polymatrix(h)
     rhs = Polynomial.constant(9, Fraction(-2)) * d * d * d
     assert lhs == rhs
 
@@ -316,7 +316,7 @@ def test_discriminant_identity():
     delta = discriminant()
     wrong = delta + Polynomial.monomial((2, 0, 0, 2))
     h = geo.hessian(wrong)
-    assert geo.det_polymatrix(h) != Polynomial.constant(4, Fraction(3888)) * wrong * wrong
+    assert det_polymatrix(h) != Polynomial.constant(4, Fraction(3888)) * wrong * wrong
 
 
 def test_cayley_omega_constant():

@@ -1,7 +1,7 @@
 """Layout guard: the library holds no function, class or method that only
-the tests call, no keyword option that only the tests set, and no import
-that its module never reads.  A name that only tests need belongs in the
-tests."""
+the tests call, no keyword option that only the tests set, no import
+that its module never reads, and no module-level name that no library
+code reads.  A name that only tests need belongs in the tests."""
 
 import ast
 import re
@@ -188,3 +188,37 @@ def unread_imports():
 def test_every_import_is_read():
     unread = unread_imports()
     assert not unread, f"imported but never read: {', '.join(unread)}"
+
+
+def unread_module_names():
+    """Names a module-level assignment in src/gct binds (dunders aside)
+    that no code under src/gct reads, bare or as an attribute, as sorted
+    "module.name" strings.  A read inside a function that binds the same
+    name itself is that function's own and does not count."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = {name for tree in trees.values() for name in _used_names(tree)}
+    assigned = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+                targets = [stmt.target]
+            else:
+                continue
+            assigned.extend(
+                (module, node.id)
+                for target in targets
+                for node in ast.walk(target)
+                if isinstance(node, ast.Name)
+            )
+    return sorted(
+        f"{module}.{name}"
+        for module, name in assigned
+        if name not in read and not (name.startswith("__") and name.endswith("__"))
+    )
+
+
+def test_every_module_level_name_is_read():
+    unread = unread_module_names()
+    assert not unread, f"assigned at module level but never read: {', '.join(unread)}"

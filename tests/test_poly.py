@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gct.poly import (
-    LinearSubstitution,
     Polynomial,
     apply_diff,
     divides,
@@ -21,11 +20,10 @@ from gct.poly import (
     monomials_of_degree,
     poly_digest,
     polarize,
-    substitute,
     to_record,
 )
 
-from conftest import polynomials, small_fractions
+from conftest import LinearSubstitution, polynomials, small_fractions, substitute
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +214,27 @@ def test_non_rational_scalars_are_refused(bad):
         bad * p
 
 
+@pytest.mark.parametrize("bad", [0.5, 0.1, complex(1, 0), "1/2", float("nan")])
+def test_evaluate_refuses_a_non_rational_point(bad):
+    """0.1 would be evaluated as 3602879701896397/2^55, not 1/10."""
+    with pytest.raises(TypeError, match="not a rational"):
+        Polynomial.variable(0, 1).evaluate([bad])
+    with pytest.raises(TypeError, match="not a rational"):
+        Polynomial.one(2).evaluate([1, bad])
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), 0.5, "x"])
+def test_sums_with_a_non_polynomial_are_type_errors(other):
+    """A scalar is not promoted to a constant: p + 1 is a TypeError (as
+    p * 0.5 is), not an AttributeError from inside __add__."""
+    p = Polynomial.variable(0, 1)
+    assert p.__add__(other) is NotImplemented
+    assert p.__sub__(other) is NotImplemented
+    for op in (lambda: p + other, lambda: p - other, lambda: other + p, lambda: other - p):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_rational_scalars_are_taken_as_fractions():
     p = Polynomial(1, {(1,): True, (2,): 3, (0,): Fraction(1, 2)})
     assert all(type(c) is Fraction for c in p.terms.values())
@@ -247,7 +266,7 @@ def test_leading_term_is_grevlex_first():
 
 
 # ---------------------------------------------------------------------------
-# Linear substitution
+# Linear substitution (the test oracle in conftest.py)
 # ---------------------------------------------------------------------------
 
 

@@ -10,8 +10,9 @@ dimension conservation under the Schur-functor decomposition.
 
 The algorithms the library replaced live here as oracles: Kostka numbers
 and their unitriangular inversion (for Weyl's character formula in
-``decompose_weight_dims``), and hook lengths with the hook-content
-formula (for Weyl's dimension formula in ``schur_dimension``).
+``decompose_weight_dims``), hook lengths with the hook-content
+formula (for Weyl's dimension formula in ``schur_dimension``), and the
+recursive partition generator (for the iterative ``partitions``).
 """
 
 import random
@@ -154,6 +155,33 @@ def dimension(p):
 # ---------------------------------------------------------------------------
 
 
+def partitions_oracle(n, max_len=None):
+    """The partitions of n with at most max_len parts, descending, by
+    recursion on the first part."""
+    if n < 0:
+        return
+
+    def rec(remaining, cap, slots):
+        if remaining == 0:
+            yield ()
+            return
+        if slots == 0:
+            return
+        for first in range(min(cap, remaining), 0, -1):
+            for rest in rec(remaining - first, first, slots - 1):
+                yield (first,) + rest
+
+    yield from rec(n, n, n if max_len is None else max_len)
+
+
+def test_partitions_match_the_recursive_oracle():
+    for n in range(-1, 26):
+        assert list(rt.partitions(n)) == list(partitions_oracle(n)), n
+        for max_len in range(0, max(n, 0) + 2):
+            want = list(partitions_oracle(n, max_len))
+            assert list(rt.partitions(n, max_len)) == want, (n, max_len)
+
+
 def test_partition_counts():
     known = {0: 1, 1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22, 9: 30, 10: 42}
     for n, count in known.items():
@@ -165,13 +193,10 @@ def test_partitions_are_sorted_and_filtered():
     assert parts[0] == (6,) and parts[-1] == (1,) * 6
     assert parts == sorted(parts, reverse=True)
     assert all(p == tuple(sorted(p, reverse=True)) and sum(p) == 6 for p in parts)
-    # max_part / max_len agree with brute-force filtering
+    # max_len agrees with brute-force filtering
     for n in range(0, 9):
         allp = list(rt.partitions(n))
         for bound in range(1, n + 1):
-            assert list(rt.partitions(n, max_part=bound)) == [
-                p for p in allp if p and p[0] <= bound or not p
-            ]
             assert list(rt.partitions(n, max_len=bound)) == [
                 p for p in allp if len(p) <= bound
             ]
@@ -661,10 +686,7 @@ def _partitions_in_box(k, rows, cols):
     """Number of partitions of k with at most `rows` parts, each <= cols."""
     if k == 0:
         return 1
-    count = 0
-    for p in rt.partitions(k, max_part=cols, max_len=rows):
-        count += 1
-    return count
+    return sum(1 for p in rt.partitions(k, max_len=rows) if p[0] <= cols)
 
 
 def plethysm_multiplicities(d, n, v):

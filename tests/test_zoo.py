@@ -15,9 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gct import zoo
-from gct.poly import LinearSubstitution, Polynomial, substitute
+from gct.flatten import CapacityError
+from gct.poly import PolyMatrix, Polynomial, det_polymatrix
 
-from conftest import fraction_matrices, small_fractions
+from conftest import (
+    LinearSubstitution,
+    fraction_matrices,
+    grenet_witness,
+    polynomials,
+    small_fractions,
+    substitute,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +216,6 @@ def test_pfaffian_2x2_convention():
 
 def test_pfaffian_square_is_det_4x4():
     """Pf(A)^2 = det(A) for the generic skew 4x4 matrix (Cayley)."""
-    from gct.geometry import PolyMatrix, det_polymatrix
-
     v = 6
     x = [Polynomial.variable(i, v) for i in range(v)]
     zero = Polynomial.zero(v)
@@ -427,3 +433,79 @@ def test_verify_det_expression_rejects_bad_shapes():
     assert not zoo.verify_det_expression(w, zoo.perm(2)).ok  # n < degree
     w = zoo.DetExpressionWitness(n=2, num_target_vars=4, entries=entries[:3])
     assert not zoo.verify_det_expression(w, zoo.perm(2)).ok  # wrong entry count
+
+
+def verify_det_expression_oracle(witness, target):
+    """The substitution route: det_n's n! Leibniz terms, each variable
+    replaced by its linear form (the shape checks as in the library)."""
+    if witness.num_target_vars != target.num_vars:
+        return zoo.VerificationReport(False, "det expression: target arity mismatch")
+    m = target.degree()
+    if m is None or not target.is_homogeneous():
+        return zoo.VerificationReport(False, "det expression: target must be homogeneous")
+    n = witness.n
+    if n < m:
+        return zoo.VerificationReport(False, f"det expression: n={n} smaller than degree {m}")
+    if len(witness.entries) != n * n:
+        return zoo.VerificationReport(False, "det expression: need n^2 entries")
+    v1 = target.num_vars + 1
+    got = substitute(zoo.det(n), LinearSubstitution(n * n, v1, tuple(witness.entries)))
+    want = Polynomial(v1, {e + (n - m,): c for e, c in target.terms.items()})
+    return zoo.compare_exact(got, want, f"det_{n} expression")
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 4), st.integers(1, 3), st.data())
+def test_det_expression_matches_the_substitution_oracle(n, v, data):
+    """Same verdict, message and first mismatch as the substitution route
+    on random witnesses.  The target is either drawn at random or read off
+    the witness's own determinant (a passing witness), and then possibly
+    nudged at one monomial."""
+    coeff = st.integers(-2, 2).map(Fraction)
+    entries = tuple(
+        tuple(data.draw(st.lists(coeff, min_size=v + 1, max_size=v + 1)))
+        for _ in range(n * n)
+    )
+    witness = zoo.DetExpressionWitness(n=n, num_target_vars=v, entries=entries)
+    m = data.draw(st.integers(0, n))
+    if data.draw(st.booleans()):
+        target = data.draw(polynomials(num_vars=v, homogeneous_degree=m, max_terms=4))
+    else:
+        # det with l set to 0 is homogeneous of degree n in the first v variables
+        no_l = tuple(form[:v] + (Fraction(0),) for form in entries)
+        honest = substitute(zoo.det(n), LinearSubstitution(n * n, v + 1, no_l))
+        target = Polynomial(v, {e[:v]: c for e, c in honest.terms.items()})
+        witness = zoo.DetExpressionWitness(n=n, num_target_vars=v, entries=no_l)
+    if not target.is_zero() and data.draw(st.booleans()):
+        e = data.draw(st.sampled_from(sorted(target.terms)))
+        target = target + Polynomial(v, {e: Fraction(1)})
+    want = verify_det_expression_oracle(witness, target)
+    got = zoo.verify_det_expression(witness, target)
+    assert (got.ok, got.message, got.first_mismatch) == (
+        want.ok, want.message, want.first_mismatch
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_grenet_witness_expresses_perm(m):
+    """dc(perm_m) <= 2^m - 1: Grenet's matrix verifies against perm_m."""
+    witness = grenet_witness(m)
+    assert witness.n == 2**m - 1
+    report = zoo.verify_det_expression(witness, zoo.perm(m))
+    assert report.ok, report.message
+
+
+def test_det_expression_contract_errors():
+    """A form of the wrong length and a 0 x 0 witness are usage errors;
+    a witness over 15 x 15 is refused before any polynomial is built."""
+    f = Fraction
+    short = ((f(1),) * 4,) * 4
+    with pytest.raises(ValueError):
+        zoo.verify_det_expression(zoo.DetExpressionWitness(2, 4, short), zoo.perm(2))
+    one = Polynomial.one(2)
+    with pytest.raises(ValueError):
+        zoo.verify_det_expression(zoo.DetExpressionWitness(0, 2, ()), one)
+    big = zoo.DetExpressionWitness(16, 1, ((f(0), f(1)),) * 256)
+    with pytest.raises(CapacityError) as exc:
+        zoo.verify_det_expression(big, Polynomial.variable(0, 1))
+    assert (exc.value.context, exc.value.size, exc.value.cap) == ("det_n expression n", 16, 15)
