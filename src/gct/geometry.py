@@ -21,6 +21,7 @@ from .flatten import CapacityError, check_capacity, exact_rank, solve_linear
 from .poly import (
     PolyMatrix,
     Polynomial,
+    _rational,
     apply_diff,
     det_polymatrix,
     divides,
@@ -326,8 +327,9 @@ def verify_sylvester_franke(v: int, k: int, p: int) -> bool:
 
 
 def dual_dimension_at(p: Polynomial, w: Sequence) -> int:
-    """dim Z(P)^dual = rank(H_P(w)) - 2 at a smooth rational zero w."""
-    point = [Fraction(x) for x in w]
+    """dim Z(P)^dual = rank(H_P(w)) - 2 at a smooth rational zero w; a
+    float coordinate is a TypeError."""
+    point = [_rational(x) for x in w]
     if p.evaluate(point) != 0:
         raise ValueError("w is not a zero of P")
     grad = [

@@ -1,9 +1,15 @@
 """Symmetric-group character calculus and plethysm multiplicities.
 
-Partitions are tuples of weakly decreasing positive ints.  Characters are
-computed by the Murnaghan--Nakayama rule on beta-sets (first-column hook
-lengths) with global memoization; all inner products run over cycle types
-in ints, with weights N!/z_mu, and end in one exact division by N!.
+Partitions are tuples of weakly decreasing positive ints.  Characters come
+from the Murnaghan--Nakayama rule on beta-sets coded as int bitmasks: a
+t-rim hook moves a bead down t places.  The Kronecker and plethysm sums
+read whole character columns, chi_lam at every class of S_N, each built by
+one dynamic program over (mask, largest part) whose memo lives for that
+column; a few finished columns and the class data of a few N are kept.
+``character`` strips one class's cycles off a {mask: coefficient} dict.
+All inner products run over cycle types in ints, with weights N!/z_mu,
+and end in one exact division by N!; a sum over more than ``MAX_CLASSES``
+classes is refused before any is listed.
 
 Plethysm multiplicities mult(S_pi, S^d(S^n V)) come from the plethysm of
 cycle indices Z(S_d)[Z(S_n)] = sum_gamma w_gamma p_gamma, evaluated as
@@ -26,6 +32,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import add, sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .flatten import CapacityError
@@ -35,6 +42,8 @@ Partition = Tuple[int, ...]
 
 #: cap on p(dn), the number of cycle types Z(S_d)[Z(S_n)] can have: dn <= 40
 MAX_CYCLE_TYPES = 40_000
+#: cap on p(N), the number of classes a Kronecker sum over S_N zips: N <= 51
+MAX_CLASSES = 250_000
 #: degrees past this are refused without counting p(dn), whose recurrence
 #: costs about dn^1.5 steps
 MAX_COUNTED_DEGREE = 10_000
@@ -132,50 +141,110 @@ def schur_dimension(p: Partition, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _partition_from_beta(beta_desc: Sequence[int]) -> Partition:
-    r = len(beta_desc)
-    return tuple(
-        p for p in (beta_desc[i] - (r - 1 - i) for i in range(r)) if p > 0
-    )
+def _check_class_count(context: str, total: int, cap: int) -> None:
+    """Refuse a sum over the p(total) cycle types of S_total when p(total)
+    exceeds ``cap``, before any is listed; a degree over
+    ``MAX_COUNTED_DEGREE`` is refused without counting p(total)."""
+    if total > MAX_COUNTED_DEGREE:
+        raise CapacityError(f"{context}: degree", total, MAX_COUNTED_DEGREE)
+    types = _partition_count(total)
+    if types > cap:
+        raise CapacityError(f"{context}: p({total}) cycle types", types, cap)
 
 
-@lru_cache(maxsize=None)
-def _rim_hook_removals(shape: Partition, t: int) -> Tuple[Tuple[Partition, int], ...]:
-    """All (new_shape, sign) after removing a border strip of size t."""
-    r = len(shape)
-    beta = [shape[i] + r - 1 - i for i in range(r)]
-    bset = set(beta)
-    out: List[Tuple[Partition, int]] = []
-    for b in beta:
-        nb = b - t
-        if nb >= 0 and nb not in bset:
-            between = sum(1 for x in beta if nb < x < b)
-            nbeta = sorted((x for x in beta if x != b), reverse=True)
-            nbeta.append(nb)
-            nbeta.sort(reverse=True)
-            out.append((_partition_from_beta(nbeta), -1 if between % 2 else 1))
-    return tuple(out)
+def _beta_mask(shape: Partition) -> int:
+    """The beta-set of ``shape`` as an int: a bead at lam_i + l - 1 - i for
+    each of its l parts.  The empty shape on l beads is (1 << l) - 1."""
+    mask = 0
+    for i, part in enumerate(shape):
+        mask |= 1 << (part + len(shape) - 1 - i)
+    return mask
 
 
-@lru_cache(maxsize=None)
-def _mn(shape: Partition, cycles: Partition) -> int:
-    if not cycles:
-        return 1 if not shape else 0
-    t = cycles[0]
-    rest = cycles[1:]
-    total = 0
-    for new_shape, sign in _rim_hook_removals(shape, t):
-        total += sign * _mn(new_shape, rest)
-    return total
+def _hook_removals(mask: int, t: int) -> Iterator[Tuple[int, int]]:
+    """(new mask, sign) for each t-rim hook of the shape coded by ``mask``:
+    a bead moves from b + t to an empty b, with sign (-1)^(beads between)."""
+    free = mask >> t & ~mask  # bit b: a bead at b + t, none at b
+    while free:
+        low = free & -free
+        free ^= low
+        between = mask & ((low << t) - (low << 1))
+        yield mask ^ (low << t) ^ low, -1 if between.bit_count() & 1 else 1
+
+
+class _Classes:
+    """The conjugacy classes of S_N: their cycle ``types`` in
+    ``partitions(N)`` order, the ``index`` of each, the class ``sizes``
+    N!/z, and ``fits[m][k]``, the number of partitions of m with no part
+    over k."""
+
+    def __init__(self, total: int):
+        self.types = tuple(partitions(total))
+        self.index = {gamma: i for i, gamma in enumerate(self.types)}
+        order = factorial(total)
+        self.sizes = tuple(order // z_order(gamma) for gamma in self.types)
+        self.fits = [(1,) * (total + 1)]
+        for m in range(1, total + 1):
+            row = [0]
+            for k in range(1, total + 1):
+                row.append(row[-1] + (self.fits[m - k][k] if k <= m else 0))
+            self.fits.append(tuple(row))
+
+
+_classes = lru_cache(maxsize=4)(_Classes)
+
+
+@lru_cache(maxsize=8)
+def _column(shape: Partition) -> Tuple[int, ...]:
+    """chi_shape at every cycle type of S_N, N = |shape|, in ``partitions(N)``
+    order.
+
+    col(mask, top) lists chi at the classes with no part over ``top``: the
+    block of classes whose first part is ``top`` -- the signed sum, over the
+    top-rim hooks, of col(smaller shape, top) -- then col(mask, top - 1).
+    The memo lives for this one column.
+    """
+    total = sum(shape)
+    fits = _classes(total).fits
+    memo: Dict[Tuple[int, int], List[int]] = {}
+
+    def col(mask: int, size: int, top: int) -> List[int]:
+        top = min(top, size)
+        if top == 0:
+            return [] if size else [1]
+        got = memo.get((mask, top))
+        if got is None:
+            block: Optional[List[int]] = None
+            for new, sign in _hook_removals(mask, top):
+                smaller = col(new, size - top, top)
+                if block is None:
+                    block = smaller if sign > 0 else [-x for x in smaller]
+                else:
+                    block = list(map(add if sign > 0 else sub, block, smaller))
+            if block is None:  # no top-rim hook: chi vanishes on the block
+                block = [0] * fits[size - top][top]
+            got = memo[(mask, top)] = block + col(mask, size, top - 1)
+        return got
+
+    return tuple(col(_beta_mask(shape), total, total))
 
 
 def character(pi: Sequence[int], mu: Sequence[int]) -> int:
-    """chi_pi evaluated on the class of cycle type mu (Murnaghan--Nakayama)."""
+    """chi_pi evaluated on the class of cycle type mu (Murnaghan--Nakayama):
+    mu's cycles, largest first, strip rim hooks off {beta mask: coefficient}
+    until only the empty shape can be left."""
     p = normalize_partition(pi)
     m = normalize_partition(mu)
     if sum(p) != sum(m):
         raise ValueError(f"|pi|={sum(p)} but |mu|={sum(m)}")
-    return _mn(p, m)
+    states: Dict[int, int] = {_beta_mask(p): 1}
+    for t in m:
+        nxt: Dict[int, int] = defaultdict(int)
+        for mask, c in states.items():
+            for new, sign in _hook_removals(mask, t):
+                nxt[new] += sign * c
+        states = nxt
+    return states.get((1 << len(p)) - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,20 +274,12 @@ def kronecker(pi: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
     n = normalize_partition(nu)
     if not (sum(p) == sum(m) == sum(n)):
         raise ValueError("all three partitions must have the same size")
-    order = factorial(sum(p))
-    total = 0  # order * k: chi chi chi summed with the class sizes order/z
-    for gamma in partitions(sum(p)):
-        cp = _mn(p, gamma)
-        if not cp:
-            continue
-        cm = _mn(m, gamma)
-        if not cm:
-            continue
-        cn = _mn(n, gamma)
-        if not cn:
-            continue
-        total += cp * cm * cn * (order // z_order(gamma))
-    k, rem = divmod(total, order)
+    _check_class_count("Kronecker coefficient", sum(p), MAX_CLASSES)
+    total = 0  # N! * k: chi chi chi summed with the class sizes N!/z
+    for cp, cm, cn, size in zip(_column(p), _column(m), _column(n), _classes(sum(p)).sizes):
+        if cp and cm and cn:
+            total += cp * cm * cn * size
+    k, rem = divmod(total, factorial(sum(p)))
     assert rem == 0 and k >= 0
     return k
 
@@ -232,18 +293,16 @@ def symmetric_kronecker(pi: Sequence[int], mu: Sequence[int]) -> int:
     m = normalize_partition(mu)
     if sum(p) != sum(m):
         raise ValueError("partitions must have the same size")
-    order = factorial(sum(p))
-    total = 0  # 2 * order * sk
-    for gamma in partitions(sum(p)):
-        cp = _mn(p, gamma)
-        if not cp:
-            continue
-        cm = _mn(m, gamma)
-        cm_sq = _mn(m, square_cycle_type(gamma))
-        val = cm * cm + cm_sq
-        if val:
-            total += cp * val * (order // z_order(gamma))
-    sk, rem = divmod(total, 2 * order)
+    _check_class_count("symmetric Kronecker coefficient", sum(p), MAX_CLASSES)
+    classes = _classes(sum(p))
+    col_m = _column(m)
+    total = 0  # 2 * N! * sk
+    for gamma, cp, cm, size in zip(classes.types, _column(p), col_m, classes.sizes):
+        if cp:
+            val = cm * cm + col_m[classes.index[square_cycle_type(gamma)]]
+            if val:
+                total += cp * val * size
+    sk, rem = divmod(total, 2 * factorial(sum(p)))
     assert rem == 0 and sk >= 0
     return sk
 
@@ -380,12 +439,7 @@ def _plethysm_cycle_weights(d: int, n: int) -> Tuple[Tuple[Partition, int], ...]
     There are at most p(dn) of them, and the merge runs over as many states,
     so a p(dn) over ``MAX_CYCLE_TYPES`` is refused before any is built.
     """
-    dn = d * n
-    if dn > MAX_COUNTED_DEGREE:
-        raise CapacityError(f"plethysm S^{d}(S^{n}): degree dn", dn, MAX_COUNTED_DEGREE)
-    types = _partition_count(dn)
-    if types > MAX_CYCLE_TYPES:
-        raise CapacityError(f"plethysm S^{d}(S^{n}): p({dn}) cycle types", types, MAX_CYCLE_TYPES)
+    _check_class_count(f"plethysm S^{d}(S^{n})", d * n, MAX_CYCLE_TYPES)
     inner = [(rho, factorial(n) // z_order(rho)) for rho in partitions(n)]
     total: Dict[Partition, int] = defaultdict(int)
     for nu in partitions(d):
@@ -413,9 +467,11 @@ def plethysm_mult(pi: Sequence[int], d: int, n: int) -> int:
     """mult(S_pi, S^d(S^n V)) for any V with dim >= l(pi); exact."""
     p = normalize_partition(pi)
     _check_degrees(p, d, n)
+    weights = _plethysm_cycle_weights(d, n)  # refuses before any column
+    col, index = _column(p), _classes(d * n).index
     total = 0
-    for gamma, w in _plethysm_cycle_weights(d, n):
-        c = _mn(p, gamma)
+    for gamma, w in weights:
+        c = col[index[gamma]]
         if c:
             total += w * c
     mult, rem = divmod(total, factorial(d) * factorial(n) ** d)

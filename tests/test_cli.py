@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from gct import cli, hhh, poly, zoo
+from gct import cli, hhh, poly, reptheory, zoo
 from gct.poly import Polynomial, loads
 
 from conftest import grenet_witness
@@ -135,6 +135,31 @@ def test_large_plethysm_is_refused_up_front(capsys):
     assert (code, rec["error"], rec["size"], rec["cap"]) == (3, "capacity", 1741630, 40000)
     assert "p(64)" in rec["context"]
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("command", ["kron", "skron"])
+def test_large_kronecker_sum_is_refused_before_any_column(capsys, monkeypatch, command):
+    """p(100) = 190569292 classes: refused from the count alone."""
+
+    def forbidden(*args):
+        raise AssertionError("a refused sum listed classes or built a column")
+
+    monkeypatch.setattr(reptheory, "_column", forbidden)
+    monkeypatch.setattr(reptheory, "_classes", forbidden)
+    args = ("100",) * (3 if command == "kron" else 2)
+    start = time.monotonic()
+    code, out, _ = run(capsys, "--json", "--no-cache", "rep", command, *args)
+    elapsed = time.monotonic() - start
+    rec = json.loads(out)
+    assert (code, rec["error"], rec["size"], rec["cap"]) == (3, "capacity", 190569292, 250000)
+    assert "p(100)" in rec["context"]
+    assert elapsed < 1.0
+
+
+def test_character_on_500_cycles(capsys):
+    """One state dict per cycle: no RecursionError on 500 one-cycles."""
+    code, out, _ = run(capsys, "--json", "--no-cache", "rep", "char", "500", ",".join(["1"] * 500))
+    assert (code, json.loads(out)["value"]) == (0, 1)
 
 
 @pytest.mark.parametrize("command", ["rank", "waring-lb", "chow-lb"])
@@ -637,6 +662,7 @@ GOLDEN = (
     ("capacity-hhh-rank", ("hhh", "rank", "5", "5", "5")),
     ("capacity-hhh-kernel-weight", ("hhh", "kernel", "8", "2", "8", "--weight", "4,3,2,2,2,1,1,1")),
     ("capacity-flatten-waring-lb", ("flatten", "waring-lb", "fermat6_31.json")),
+    ("capacity-kron", ("rep", "kron", "100", "100", "100")),
     ("bad-group", ("no-such-group",)),
     ("bad-partition", ("rep", "char", "abc", "1,1")),
     ("bad-file", ("flatten", "rank", "missing.json")),
@@ -647,7 +673,8 @@ GOLDEN = (
 #: recorded from the hand-built parser that preceded the command table; the
 #: two h_{d,n} refusals from the plan that counted every dominant weight, and
 #: the --weight refusal from the capacity rule that runs before any basis,
-#: and the catalecticant refusal from the same rule, now owned by gct.flatten
+#: and the catalecticant refusal from the same rule, now owned by gct.flatten;
+#: the Kronecker refusal from the p(N) cap checked before any character column
 GOLDEN_STDOUT = {
     "zoo-make": (
         0,
@@ -853,6 +880,11 @@ GOLDEN_STDOUT = {
         3,
         "b51fc87cf1fbfe67e4c5a00116870df36eb5c71eb413e956a63a468ffda888b5",
         "520e51977ebc48f3abd8b0aea8268a872c3e4c127328abe7434265705a114649",
+    ),
+    "capacity-kron": (
+        3,
+        "3c14274dba0e185ee8578fb2a021951ebc3d12efa4664a6234969893010ca743",
+        "d581a4566dfca48c0c9e3c88c9b21a2109b964e201da8cd95df05055dd6983da",
     ),
     "bad-group": (
         2,

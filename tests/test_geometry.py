@@ -387,6 +387,15 @@ def test_dual_dimension_rejects_bad_points():
         geo.dual_dimension_at(det(3), [Fraction(0)] * 9)  # singular point
 
 
+def test_dual_dimension_refuses_float_points():
+    """0.1 + 0.2 is no exact zero: a float point is refused, not rounded to
+    a binary fraction."""
+    with pytest.raises(TypeError):
+        geo.dual_dimension_at(det(2), [0.1, 0.2, 0.3, 0.6])
+    point = [Fraction(1, 10), Fraction(1, 5), Fraction(3, 10), Fraction(3, 5)]
+    assert geo.dual_dimension_at(det(2), point) == 2  # 2n - 2
+
+
 def test_sample_det_smooth_zero_properties():
     rng = random.Random(7)
     for _ in range(5):

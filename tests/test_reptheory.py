@@ -11,8 +11,10 @@ dimension conservation under the Schur-functor decomposition.
 The algorithms the library replaced live here as oracles: Kostka numbers
 and their unitriangular inversion (for Weyl's character formula in
 ``decompose_weight_dims``), hook lengths with the hook-content
-formula (for Weyl's dimension formula in ``schur_dimension``), and the
-recursive partition generator (for the iterative ``partitions``).
+formula (for Weyl's dimension formula in ``schur_dimension``), the
+recursive partition generator (for the iterative ``partitions``), and the
+memoized Murnaghan--Nakayama recursion on tuples (for the bitmask
+character columns and ``character``).
 """
 
 import random
@@ -271,6 +273,64 @@ def test_schur_dimension_matches_hook_content():
 # Characters
 # ---------------------------------------------------------------------------
 
+
+def _partition_from_beta(beta_desc):
+    r = len(beta_desc)
+    return tuple(p for p in (beta_desc[i] - (r - 1 - i) for i in range(r)) if p > 0)
+
+
+@lru_cache(maxsize=None)
+def _rim_hook_removals(shape, t):
+    """All (new_shape, sign) after removing a border strip of size t."""
+    r = len(shape)
+    beta = [shape[i] + r - 1 - i for i in range(r)]
+    bset = set(beta)
+    out = []
+    for b in beta:
+        nb = b - t
+        if nb >= 0 and nb not in bset:
+            between = sum(1 for x in beta if nb < x < b)
+            nbeta = sorted([x for x in beta if x != b] + [nb], reverse=True)
+            out.append((_partition_from_beta(nbeta), -1 if between % 2 else 1))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def mn_oracle(shape, cycles):
+    """chi_shape(cycles) by the Murnaghan--Nakayama recursion on tuples, one
+    frame per cycle: the algorithm the bitmask columns replaced."""
+    if not cycles:
+        return 1 if not shape else 0
+    return sum(sign * mn_oracle(new, cycles[1:]) for new, sign in _rim_hook_removals(shape, cycles[0]))
+
+
+#: the four shapes of the acceptance ``rep obstruct`` runs and the bench
+OBSTRUCT_SHAPES = [(9, 9, 2, 2, 2, 2, 2, 2), (10, 10, 10), (11, 11, 2, 2, 2, 2, 2, 1), (11, 11, 11)]
+
+
+def test_columns_match_the_recursion_oracle():
+    """Every (lam, gamma) with |lam| <= 12, by column and by ``character``."""
+    checked = 0
+    for n in range(13):
+        types = list(rt.partitions(n))
+        assert rt._classes(n).types == tuple(types)
+        for lam in types:
+            want = [mn_oracle(lam, gamma) for gamma in types]
+            assert list(rt._column(lam)) == want, lam
+            assert [rt.character(lam, gamma) for gamma in types] == want, lam
+            checked += len(types)
+    assert checked == sum(rt._partition_count(n) ** 2 for n in range(13)) == 12648
+
+
+@pytest.mark.parametrize("lam", OBSTRUCT_SHAPES)
+def test_obstruct_columns_match_the_recursion_oracle(lam):
+    """The full columns at N = 30 and 33, by column and by ``character``."""
+    types = rt._classes(sum(lam)).types
+    want = [mn_oracle(lam, gamma) for gamma in types]
+    assert list(rt._column(lam)) == want
+    assert [rt.character(lam, gamma) for gamma in types] == want
+
+
 S3_TABLE = {
     # chi[pi][mu]
     (3,): {(1, 1, 1): 1, (2, 1): 1, (3,): 1},
@@ -332,11 +392,24 @@ def test_conjugate_twists_by_sign():
                 )
 
 
-def test_character_cache_clear():
-    assert rt.character((3, 1), (2, 2)) == -1
-    rt._mn.cache_clear()
-    rt._rim_hook_removals.cache_clear()
-    assert rt.character((3, 1), (2, 2)) == -1
+def test_character_has_no_recursion_depth_limit():
+    """One state dict per cycle, no frame per cycle: 500 one-cycles."""
+    ones = (1,) * 500
+    assert rt.character((500,), ones) == 1
+    assert rt.character((499, 1), ones) == 499
+    assert rt.character((250, 250), ones) == comb(500, 250) // 251  # Catalan
+
+
+def test_repeated_calls_agree_and_the_column_cache_stays_bounded():
+    assert rt.character((3, 1), (2, 2)) == rt.character((3, 1), (2, 2)) == -1
+    cap = rt._column.cache_info().maxsize
+    assert cap is not None
+    first = rt.kronecker((4, 2), (3, 3), (3, 2, 1))
+    for lam in rt.partitions(7):  # 15 shapes, more than the cache holds
+        rt.kronecker(lam, lam, (7,))
+        assert rt._column.cache_info().currsize <= cap
+    assert rt.kronecker((4, 2), (3, 3), (3, 2, 1)) == first
+    assert rt._classes.cache_info().maxsize is not None
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +469,7 @@ def kronecker_oracle(pi, mu, nu):
     """k_{pi,mu,nu} = sum_gamma chi_pi chi_mu chi_nu / z_gamma, in Fractions."""
     total = Fraction(0)
     for gamma, z in cycle_classes(sum(pi)):
-        total += Fraction(rt._mn(pi, gamma) * rt._mn(mu, gamma) * rt._mn(nu, gamma), z)
+        total += Fraction(mn_oracle(pi, gamma) * mn_oracle(mu, gamma) * mn_oracle(nu, gamma), z)
     assert total.denominator == 1 and total >= 0
     return int(total)
 
@@ -405,8 +478,8 @@ def symmetric_kronecker_oracle(pi, mu):
     """sk^pi_{mu,mu} = (1/2) sum_gamma chi_pi (chi_mu^2 + chi_mu(gamma^2)) / z_gamma."""
     total = Fraction(0)
     for gamma, z in cycle_classes(sum(pi)):
-        val = rt._mn(mu, gamma) ** 2 + rt._mn(mu, rt.square_cycle_type(gamma))
-        total += Fraction(rt._mn(pi, gamma) * val, z)
+        val = mn_oracle(mu, gamma) ** 2 + mn_oracle(mu, rt.square_cycle_type(gamma))
+        total += Fraction(mn_oracle(pi, gamma) * val, z)
     total /= 2
     assert total.denominator == 1 and total >= 0
     return int(total)
@@ -735,7 +808,7 @@ def scaled_cycle_weights(d, n):
 
 
 def plethysm_mult_oracle(pi, d, n):
-    total = sum(w * rt._mn(pi, gamma) for gamma, w in plethysm_cycle_weights_oracle(d, n))
+    total = sum(w * mn_oracle(pi, gamma) for gamma, w in plethysm_cycle_weights_oracle(d, n))
     assert total.denominator == 1 and total >= 0
     return int(total)
 
@@ -855,6 +928,21 @@ def test_plethysm_capacity_is_the_cycle_type_count():
         assert exc.value.cap == rt.MAX_CYCLE_TYPES == 40_000
     with pytest.raises(CapacityError) as exc:
         rt.plethysm_mult((10**6,), 10**6, 1)  # p(dn) is not even counted
+    assert (exc.value.size, exc.value.cap) == (10**6, rt.MAX_COUNTED_DEGREE)
+
+
+def test_kronecker_capacity_is_the_class_count():
+    """p(N) over MAX_CLASSES is refused before any class is listed; N = 50
+    (p = 204226) and 51 are admitted, N = 52 is the first degree refused."""
+    assert rt._partition_count(51) <= rt.MAX_CLASSES == 250_000 < rt._partition_count(52)
+    for call in (lambda: rt.kronecker((100,), (100,), (100,)),
+                 lambda: rt.symmetric_kronecker((52,), (26, 26))):
+        with pytest.raises(CapacityError) as exc:
+            call()
+        assert exc.value.size in (rt._partition_count(100), rt._partition_count(52))
+        assert exc.value.cap == rt.MAX_CLASSES
+    with pytest.raises(CapacityError) as exc:
+        rt.kronecker((10**6,), (10**6,), (10**6,))  # p(N) is not even counted
     assert (exc.value.size, exc.value.cap) == (10**6, rt.MAX_COUNTED_DEGREE)
 
 
