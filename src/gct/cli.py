@@ -50,7 +50,6 @@ from . import zoo
 from .flatten import (
     CapacityError,
     chow_border_lower_bound,
-    exact_rank,
     shifted_partials_dim,
     waring_border_lower_bound,
 )
@@ -466,7 +465,7 @@ def cmd_flatten_rank(ns: argparse.Namespace) -> CommandResult:
         "degree": d,
         "k": k,
         "shape": fm.shape,
-        "rank": exact_rank(fm),
+        "rank": fm.rank(),
     }
     return CommandResult(record)
 

@@ -1,5 +1,13 @@
 """Exact ranks of flattenings and the border-rank lower bounds they give.
 
+One row format serves every matrix that is eliminated: a row is a
+``{column: coefficient}`` dict holding its nonzero entries only, and a
+matrix is a sequence of such rows with an explicit width.  Each builder
+(catalecticants, shifted partials, the stabilizer system, h_{d,n} blocks)
+fills these rows directly; catalecticants and h_{d,n} blocks come back as
+the one labelled matrix, ``LabelledMatrix``: row and column bases, sparse
+rows, ``shape`` and ``rank()``.
+
 One elimination core serves rank, kernel and solve: a sparse
 fraction-free elimination on primitive integer rows held as ``{col: int}``
 dicts (denominators are cleared and contents divided out row by row, which
@@ -15,10 +23,11 @@ is no floating point or modular shortcut.
 One capacity rule decides whether an elimination can finish
 (``check_capacity``): a span of ``width`` vectors in a ``height``-dimensional
 space is admitted when ``width`` is at most ``MAX_COLUMNS`` and its dense
-size ``width * height`` at most ``MAX_COLUMNS**2``.  Every builder of the
-package (catalecticants, shifted partials, the stabilizer system, h_{d,n}
-blocks) applies it to exact predicted sizes before building anything, and
-the core applies it again to whatever matrix it receives.
+size ``width * height`` at most ``MAX_COLUMNS**2``.  The dense size bounds
+the basis listed for the rows and the work of the elimination; no dense
+array is allocated.  Every builder applies the rule to exact predicted
+sizes before building anything, and the core applies it again to the
+width and row count it receives.
 """
 
 from __future__ import annotations
@@ -29,7 +38,6 @@ from math import ceil, comb, gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .poly import (
-    FlatteningMatrix,
     Polynomial,
     apply_diff,
     exponent_add,
@@ -69,18 +77,17 @@ def check_capacity(context: str, width: int, height: int) -> None:
         raise CapacityError(f"{context} entries", width * height, cap * cap)
 
 
-def _sparse_rows(matrix, context: str) -> Tuple[List[Dict[int, int]], int]:
-    """The width and the nonzero rows, as ``{col: int}`` primitive rows.
+def _sparse_rows(rows: Sequence[Dict], width: int, context: str) -> List[Dict[int, int]]:
+    """The nonzero rows as fresh ``{col: int}`` primitive rows.
 
     A row's denominators are cleared and its content divided out, which
-    keeps the row space.  The matrix passes ``check_capacity`` first.
+    keeps the row space.  The width and row count pass ``check_capacity``
+    first; only the stored entries are read.
     """
-    rows = matrix.entries if isinstance(matrix, FlatteningMatrix) else matrix
-    n_cols = len(rows[0]) if rows else 0
-    check_capacity(context, n_cols, len(rows))
+    check_capacity(context, width, len(rows))
     out: List[Dict[int, int]] = []
     for row in rows:
-        entries = {j: x for j, x in enumerate(row) if x}
+        entries = {j: x for j, x in row.items() if x}
         if not entries:
             continue
         if any(type(x) is not int for x in entries.values()):
@@ -91,7 +98,7 @@ def _sparse_rows(matrix, context: str) -> Tuple[List[Dict[int, int]], int]:
         if g > 1:
             entries = {j: x // g for j, x in entries.items()}
         out.append(entries)
-    return out, n_cols
+    return out
 
 
 def _echelon(
@@ -152,23 +159,23 @@ def _back_substitute(
     return x
 
 
-def exact_rank(matrix) -> int:
-    """Exact rank over Q (see module docstring)."""
-    return len(_echelon(*_sparse_rows(matrix, "exact_rank")))
+def exact_rank(rows: Sequence[Dict], width: int) -> int:
+    """Exact rank over Q of sparse rows of the given width (see module
+    docstring)."""
+    return len(_echelon(_sparse_rows(rows, width, "exact_rank"), width))
 
 
-def nullspace(matrix) -> List[List[Fraction]]:
-    """Exact basis of the right kernel {v : M v = 0}.
+def nullspace(rows: Sequence[Dict], width: int) -> List[List[Fraction]]:
+    """Exact basis of the right kernel {v : M v = 0} of sparse rows.
 
     One vector per free column c: 1 at c, 0 at the other free columns.
     """
-    rows, n_cols = _sparse_rows(matrix, "nullspace")
-    echelon = _echelon(rows, n_cols)
+    echelon = _echelon(_sparse_rows(rows, width, "nullspace"), width)
     pivots = {pc for pc, _ in echelon}
     basis: List[List[Fraction]] = []
-    for fc in range(n_cols):
+    for fc in range(width):
         if fc not in pivots:
-            v = [Fraction(0)] * n_cols
+            v = [Fraction(0)] * width
             v[fc] = Fraction(1)
             basis.append(_back_substitute(echelon, v))
     return basis
@@ -177,19 +184,40 @@ def nullspace(matrix) -> List[List[Fraction]]:
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> List[Fraction]:
     """One exact solution of A x = b (free variables set to 0).
 
-    Raises ValueError when the system is inconsistent.  Accepts any
-    rectangular shape; used for small exact Vandermonde-type systems.
+    Raises ValueError when the system is inconsistent.  Accepts dense rows
+    of any rectangular shape; used for small exact Vandermonde-type
+    systems.
     """
     if len(rows) != len(rhs):
         raise ValueError("rhs length must match row count")
     n_cols = len(rows[0]) if rows else 0
-    augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
-    echelon = _echelon(*_sparse_rows(augmented, "solve_linear"))
+    augmented = [dict(enumerate([*row, b])) for row, b in zip(rows, rhs)]
+    echelon = _echelon(_sparse_rows(augmented, n_cols + 1, "solve_linear"), n_cols + 1)
     if echelon and echelon[-1][0] == n_cols:
         raise ValueError("linear system is inconsistent")
     # the rhs column carries -1: a row annihilating (x, -1) reads A x = b
     x = [Fraction(0)] * n_cols + [Fraction(-1)]
     return _back_substitute(echelon, x)[:n_cols]
+
+
+@dataclass(frozen=True)
+class LabelledMatrix:
+    """A sparse matrix on labelled bases.
+
+    ``entries[r]`` is the row of ``row_basis[r]``, as ``{c: coefficient}``
+    over the nonzero entries; column ``c`` is ``col_basis[c]``.
+    """
+
+    row_basis: Tuple
+    col_basis: Tuple
+    entries: Tuple[Dict, ...]
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return (len(self.row_basis), len(self.col_basis))
+
+    def rank(self) -> int:
+        return exact_rank(self.entries, len(self.col_basis))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +243,7 @@ def _catalecticant_ranks(p: Polynomial, d: int) -> Dict[int, int]:
     log-concave in k, so it is the widest and the densest, and a refusal
     comes before any smaller one is eliminated.
     """
-    half = {k: exact_rank(polarize(p, k)) for k in range(d // 2, 0, -1)}
+    half = {k: polarize(p, k).rank() for k in range(d // 2, 0, -1)}
     return {k: half[min(k, d - k)] for k in range(1, d)}
 
 
@@ -277,7 +305,7 @@ def shifted_partials_dim(p: Polynomial, k: int, shift: int) -> int:
     )
     shift_basis = monomials_of_degree(v, shift)
     row_index = {e: i for i, e in enumerate(monomials_of_degree(v, d - k + shift))}
-    rows = [[0] * width for _ in row_index]
+    rows: List[Dict[int, Fraction]] = [{} for _ in row_index]
     c = 0
     for m in monomials_of_degree(v, k):
         q = apply_diff(Polynomial.monomial(m), p)
@@ -285,4 +313,4 @@ def shifted_partials_dim(p: Polynomial, k: int, shift: int) -> int:
             for e, coeff in q.terms.items():
                 rows[row_index[exponent_add(e, s)]][c] = coeff
             c += 1
-    return exact_rank(rows)
+    return exact_rank(rows, width)

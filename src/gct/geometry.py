@@ -338,8 +338,7 @@ def dual_dimension_at(p: Polynomial, w: Sequence) -> int:
     ]
     if not any(grad):
         raise ValueError("w is a singular point of Z(P)")
-    h = hessian(p)
-    return exact_rank(h.evaluate(point)) - 2
+    return exact_rank(hessian(p).evaluate(point), p.num_vars) - 2
 
 
 def sample_det_smooth_zero(n: int, rng) -> List[Fraction]:
@@ -348,16 +347,18 @@ def sample_det_smooth_zero(n: int, rng) -> List[Fraction]:
     diag(1,...,1,0) conjugated by a random invertible integer matrix g:
     g D g^{-1} keeps rank exactly n-1, and rank-(n-1) points are exactly
     the smooth points of {det_n = 0} (the gradient is the cofactor
-    matrix, nonzero iff some (n-1)-minor is).
+    matrix, nonzero iff some (n-1)-minor is).  A singular draw leaves some
+    g x = e_j without a solution and is drawn again.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     while True:
         g = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-        if exact_rank(g) < n:
-            continue
         basis = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
-        ginv_cols = [solve_linear(g, e) for e in basis]
+        try:
+            ginv_cols = [solve_linear(g, e) for e in basis]
+        except ValueError:
+            continue
         # w = g . diag(1,..,1,0) . g^{-1}: drop index n-1 from the sum
         point: List[Fraction] = []
         for i in range(n):
@@ -393,29 +394,21 @@ def stabilizer_lie_dim(p: Polynomial) -> int:
     if not p.is_homogeneous():
         raise ValueError("stabilizer_lie_dim requires a homogeneous polynomial")
     v = p.num_vars
-    # rows indexed by the monomials of the x_i dP/dx_j, whose terms are the
-    # c e_j x^(e - delta_j + delta_i) of P's terms c x^e with e_j >= 1, in
-    # P's grevlex order (a common shift keeps the order)
+    # rows indexed by the monomials of the x_i dP/dx_j, in first-seen order;
+    # their terms are the c e_j x^(e - delta_j + delta_i) of P's terms c x^e
+    # with e_j >= 1, in P's grevlex order (a common shift keeps the order)
     terms = p.sorted_terms()
     lowered = [
         [(e[:j] + (e[j] - 1,) + e[j + 1 :], c * e[j]) for e, c in terms if e[j]]
         for j in range(v)
     ]
-    columns: List[Dict[Tuple[int, ...], Fraction]] = []
-    row_keys: Dict[Tuple[int, ...], int] = {}
+    rows: Dict[Tuple[int, ...], Dict[int, Fraction]] = {}
     for i in range(v):
         for j in range(v):
-            col: Dict[Tuple[int, ...], Fraction] = {}
             for low, coeff in lowered[j]:
                 key = low[:i] + (low[i] + 1,) + low[i + 1 :]
-                row_keys.setdefault(key, len(row_keys))
-                col[key] = coeff
-            columns.append(col)
-    if not row_keys:
+                rows.setdefault(key, {})[i * v + j] = coeff
+    if not rows:
         return v * v
-    check_capacity(f"stabilizer of a form in gl_{v}", v * v, len(row_keys))
-    rows = [[0] * (v * v) for _ in range(len(row_keys))]
-    for cidx, col in enumerate(columns):
-        for exps, coeff in col.items():
-            rows[row_keys[exps]][cidx] = coeff
-    return v * v - exact_rank(rows)
+    check_capacity(f"stabilizer of a form in gl_{v}", v * v, len(rows))
+    return v * v - exact_rank(list(rows.values()), v * v)

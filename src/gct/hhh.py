@@ -33,7 +33,9 @@ the torus-weight grading, and permuting variables identifies blocks with
 permuted weights; ranks are therefore computed dominant-weight by
 dominant-weight and summed with orbit multiplicities.  This is an exact
 identity, not an approximation; a test checks it against the assembled
-full matrix on small cases.  Only weight blocks are ever built.
+full matrix on small cases.  Only weight blocks are ever built, each as a
+``flatten.LabelledMatrix``: codomain rows, domain columns, and sparse rows
+holding the nonzero entries only.
 
 A block is admitted by the capacity rule of the package,
 ``flatten.check_capacity``, on its predicted sizes and before either basis
@@ -44,13 +46,12 @@ height.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import add
 from typing import Dict, List, Sequence, Tuple
 
-from .flatten import check_capacity, exact_rank
+from .flatten import LabelledMatrix, check_capacity
 from .poly import Exponent, monomial_count
 from .reptheory import (
     Partition,
@@ -185,34 +186,17 @@ def hhh_column(ms: Multiset, n: int, v: int) -> Dict[Multiset, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlethysmMap:
-    """One weight block of h_{d,n} on C^v, assembled on explicit bases."""
-
-    d: int
-    n: int
-    v: int
-    weight: Tuple[int, ...]
-    row_basis: Tuple[Multiset, ...]  # codomain: multisets of n degree-d monomials
-    col_basis: Tuple[Multiset, ...]  # domain:   multisets of d degree-n monomials
-    entries: Tuple[Tuple[int, ...], ...]  # column ms scaled by s(ms)
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (len(self.row_basis), len(self.col_basis))
-
-    def rank(self) -> int:
-        return exact_rank(self.entries)
-
-
 def sym_sym_dim(outer: int, inner: int, v: int) -> int:
     """dim S^outer(S^inner C^v)."""
     return monomial_count(monomial_count(v, inner), outer)
 
 
-def build_hhh(d: int, n: int, v: int, weight: Sequence[int]) -> PlethysmMap:
+def build_hhh(d: int, n: int, v: int, weight: Sequence[int]) -> LabelledMatrix:
     """Assemble the ``weight`` block of h_{d,n} on C^v.
 
+    Rows are the codomain basis (multisets of n degree-d monomials),
+    columns the domain basis (multisets of d degree-n monomials), and
+    column ms holds ``hhh_column(ms)``, its image scaled by s(ms).
     ``check_capacity`` runs on the predicted sizes before either basis is
     listed.
     """
@@ -223,19 +207,11 @@ def build_hhh(d: int, n: int, v: int, weight: Sequence[int]) -> PlethysmMap:
     col_basis = multiset_basis(d, n, v, w)
     row_basis = multiset_basis(n, d, v, w)
     row_index = {ms: i for i, ms in enumerate(row_basis)}
-    rows = [[0] * len(col_basis) for _ in row_basis]
+    rows: List[Dict[int, int]] = [{} for _ in row_basis]
     for c, ms in enumerate(col_basis):
         for key, val in hhh_column(ms, n, v).items():
             rows[row_index[key]][c] = val
-    return PlethysmMap(
-        d=d,
-        n=n,
-        v=v,
-        weight=w,
-        row_basis=tuple(row_basis),
-        col_basis=tuple(col_basis),
-        entries=tuple(map(tuple, rows)),
-    )
+    return LabelledMatrix(tuple(row_basis), tuple(col_basis), tuple(rows))
 
 
 def dominant_weights(total: int, v: int) -> List[Tuple[int, ...]]:

@@ -20,6 +20,10 @@ Conventions used throughout the package:
   normalization).  This is what makes the classical Cayley identity
   ``det_n(d/dx) det_n(x)^{s+1} = (s+n)!/s! det_n(x)^s`` hold with the
   stated constant.
+* Matrices of scalars use the one row format of ``gct.flatten``: rows
+  ``{column: coefficient}`` holding nonzero entries only.
+  ``PolyMatrix.evaluate`` returns such rows, and ``polarize`` returns the
+  catalecticant as ``gct.flatten.LabelledMatrix``, the one labelled matrix.
 * Determinants of polynomial matrices (``det_polymatrix``) are computed
   division-free by dynamic programming over column subsets (Laplace
   expansion shared across rows), so every intermediate object is a
@@ -371,10 +375,12 @@ class PolyMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def evaluate(self, point: Sequence) -> List[List[Fraction]]:
-        """Scalar matrix obtained by evaluating every entry at ``point``."""
+    def evaluate(self, point: Sequence) -> List[Dict[int, Fraction]]:
+        """The scalar matrix of every entry at ``point``, as sparse rows
+        ``{column: nonzero value}``."""
         return [
-            [p.evaluate(point) for p in row] for row in self.entries
+            {j: x for j, x in enumerate(p.evaluate(point) for p in row) if x}
+            for row in self.entries
         ]
 
 
@@ -455,34 +461,17 @@ def apply_diff(op: Polynomial, target: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlatteningMatrix:
-    """Exact matrix of a flattening, with labeled row/column bases.
-
-    ``entries[r][c]`` is the coefficient of row-basis monomial
-    ``row_basis[r]`` in ``apply_diff(col_basis[c], source)``.  Bases are in
-    descending grevlex order.
-    """
-
-    num_vars: int
-    row_basis: Tuple[Exponent, ...]
-    col_basis: Tuple[Exponent, ...]
-    entries: Tuple[Tuple[Fraction, ...], ...]
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (len(self.row_basis), len(self.col_basis))
-
-
-def polarize(p: Polynomial, k: int) -> FlatteningMatrix:
+def polarize(p: Polynomial, k: int) -> "LabelledMatrix":
     """Catalecticant P_{k,d-k}: column for monomial m is apply_diff(m, p).
 
     ``p`` must be homogeneous of degree d; any 0 <= k <= d is accepted,
-    the informative range being 1..d-1.  The capacity rule of
-    ``gct.flatten`` runs on the basis sizes before either basis is listed;
-    integral entries, zeros included, are ints.
+    the informative range being 1..d-1.  Rows are the degree-(d-k)
+    monomials and columns the degree-k ones, both in descending grevlex,
+    and each row stores its nonzero entries only, ints where integral.
+    The capacity rule of ``gct.flatten`` runs on the basis sizes before
+    either basis is listed.
     """
-    from .flatten import check_capacity  # flatten imports this module
+    from .flatten import LabelledMatrix, check_capacity  # flatten imports this module
 
     if p.is_zero():
         raise ValueError("polarize requires a nonzero polynomial")
@@ -498,16 +487,11 @@ def polarize(p: Polynomial, k: int) -> FlatteningMatrix:
     col_basis = monomials_of_degree(v, k)
     row_basis = monomials_of_degree(v, d - k)
     row_index = {e: i for i, e in enumerate(row_basis)}
-    rows = [[0] * len(col_basis) for _ in row_basis]
+    rows: List[Dict[int, Fraction]] = [{} for _ in row_basis]
     for c, m in enumerate(col_basis):
         for e, coeff in apply_diff(Polynomial.monomial(m), p).terms.items():
             rows[row_index[e]][c] = coeff.numerator if coeff.denominator == 1 else coeff
-    return FlatteningMatrix(
-        num_vars=v,
-        row_basis=tuple(row_basis),
-        col_basis=tuple(col_basis),
-        entries=tuple(map(tuple, rows)),
-    )
+    return LabelledMatrix(tuple(row_basis), tuple(col_basis), tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Shared strategies, the linear-substitution oracle, Grenet's witnesses and
-the acceptance-criteria terminal summary."""
+"""Shared strategies, dense matrices as sparse rows, the linear-substitution
+oracle, Grenet's witnesses and the acceptance-criteria terminal summary."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,6 +61,12 @@ def polynomials(
         if c != 0:
             terms[e] = c
     return Polynomial(v, terms)
+
+
+def sparse(matrix):
+    """A dense matrix as (rows, width): ``{col: x}`` rows of its nonzero
+    entries, the form the library's elimination takes."""
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix], len(matrix[0]) if matrix else 0
 
 
 @st.composite

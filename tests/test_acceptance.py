@@ -18,7 +18,7 @@ from math import comb
 
 from gct import geometry as geo
 from gct import hhh, latin, reptheory, zoo
-from gct.flatten import CapacityError, exact_rank
+from gct.flatten import CapacityError
 from gct.poly import polarize
 
 from conftest import ACCEPTANCE_LINES
@@ -92,13 +92,13 @@ def test_criterion_04_flattening_ranks():
     for n in (3, 4):
         k = n // 2
         want = comb(n, k) ** 2
-        ok = ok and exact_rank(polarize(zoo.det(n), k)) == want
-        ok = ok and exact_rank(polarize(zoo.perm(n), k)) == want
+        ok = ok and polarize(zoo.det(n), k).rank() == want
+        ok = ok and polarize(zoo.perm(n), k).rank() == want
     # (x_1...x_n)_{k,n-k} has rank C(n,k)
     for n in range(1, 7):
         p = zoo.chow(n)
         for k in range(1, n):
-            ok = ok and exact_rank(polarize(p, k)) == comb(n, k)
+            ok = ok and polarize(p, k).rank() == comb(n, k)
     elapsed = time.monotonic() - t0
     record(
         4,

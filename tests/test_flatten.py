@@ -27,7 +27,7 @@ from gct.poly import Polynomial, polarize
 from gct import flatten, zoo
 from gct.zoo import chow, det, fermat
 
-from conftest import fraction_matrices, polynomials
+from conftest import fraction_matrices, polynomials, sparse
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,8 @@ def exact_rank_certificate(rows) -> RankCertificate:
 
 def sparse_pivot_cols(rows) -> Tuple[int, ...]:
     """The pivot columns of the library's sparse core."""
-    return tuple(col for col, _ in _echelon(*_sparse_rows(rows, "test")))
+    rows, width = sparse(rows)
+    return tuple(col for col, _ in _echelon(_sparse_rows(rows, width, "test"), width))
 
 
 @st.composite
@@ -264,12 +265,12 @@ def _solve_or_raise(solver, rows, rhs):
 
 
 def test_rank_known_matrices():
-    assert exact_rank([[1, 0], [0, 1]]) == 2
-    assert exact_rank([[0, 0], [0, 0]]) == 0
-    assert exact_rank([[1, 2, 3], [2, 4, 6], [1, 1, 1]]) == 2
+    assert exact_rank(*sparse([[1, 0], [0, 1]])) == 2
+    assert exact_rank(*sparse([[0, 0], [0, 0]])) == 0
+    assert exact_rank(*sparse([[1, 2, 3], [2, 4, 6], [1, 1, 1]])) == 2
     # rank-one outer product
     outer = [[i * j for j in range(1, 5)] for i in range(1, 4)]
-    assert exact_rank(outer) == 1
+    assert exact_rank(*sparse(outer)) == 1
 
 
 def test_rank_bareiss_zero_head_regression():
@@ -289,7 +290,7 @@ def test_rank_bareiss_zero_head_regression():
         [0, 0, 0, 0, 1, 0],
         [0, 0, 0, 0, 0, 1],
     ]
-    assert exact_rank(m) == 6
+    assert exact_rank(*sparse(m)) == 6
     assert rref_rank(m) == 6
     assert sparse_pivot_cols(m) == (0, 1, 2, 3, 4, 5)
     # literal values: pivot order and pivot values are part of the
@@ -305,23 +306,23 @@ def test_rank_bareiss_zero_head_regression():
 @given(fraction_matrices())
 @settings(max_examples=150)
 def test_rank_matches_independent_elimination(rows):
-    assert exact_rank(rows) == rref_rank(rows)
+    assert exact_rank(*sparse(rows)) == rref_rank(rows)
 
 
 @given(sparse_low_rank_matrices())
 @settings(max_examples=200)
 def test_sparse_core_matches_the_oracles_on_sparse_low_rank(rows):
     cert = exact_rank_certificate(rows)
-    assert exact_rank(rows) == rref_rank(rows) == cert.rank
+    assert exact_rank(*sparse(rows)) == rref_rank(rows) == cert.rank
     # the pivot columns are the column rank profile, whatever the pivot rows
     assert sparse_pivot_cols(rows) == cert.pivot_cols
-    assert nullspace(rows) == gauss_jordan_nullspace(rows)
+    assert nullspace(*sparse(rows)) == gauss_jordan_nullspace(rows)
 
 
 @given(fraction_matrices(max_rows=4, max_cols=4))
 def test_rank_transpose_invariant(rows):
     t = [list(col) for col in zip(*rows)]
-    assert exact_rank(rows) == exact_rank(t)
+    assert exact_rank(*sparse(rows)) == exact_rank(*sparse(t))
 
 
 def test_rank_certificate_pivots_index_a_nonsingular_minor():
@@ -332,7 +333,7 @@ def test_rank_certificate_pivots_index_a_nonsingular_minor():
     minor = [
         [rows[i][j] for j in cert.pivot_cols] for i in cert.pivot_rows
     ]
-    assert exact_rank(minor) == cert.rank == exact_rank(rows)
+    assert exact_rank(*sparse(minor)) == cert.rank == exact_rank(*sparse(rows))
     assert sparse_pivot_cols(rows) == cert.pivot_cols
     assert cert.trace_digest == exact_rank_certificate(rows).trace_digest
     # literal values, as in test_rank_bareiss_zero_head_regression
@@ -345,14 +346,18 @@ def test_rank_certificate_pivots_index_a_nonsingular_minor():
 
 def test_sparse_rows_are_primitive_integer_rows(monkeypatch):
     h = Fraction(1, 2)
-    rows = [[0, 0, 0], [1, h, 0], [Fraction(2, 3), 1, Fraction(1, 6)], (2, 4, 6), [0, -5, 0]]
-    out, n_cols = _sparse_rows(rows, "test")
+    dense = [[0, 0, 0], [1, h, 0], [Fraction(2, 3), 1, Fraction(1, 6)], (2, 4, 6), [0, -5, 0]]
+    rows, n_cols = sparse(dense)
+    out = _sparse_rows(rows, n_cols, "test")
     assert n_cols == 3
     assert out == [{0: 2, 1: 1}, {0: 4, 1: 6, 2: 1}, {0: 1, 1: 2, 2: 3}, {1: -1}]
     assert all(type(x) is int for row in out for x in row.values())
+    # fresh rows, and a stored zero is dropped
+    assert rows[1] == {0: 1, 1: h}
+    assert _sparse_rows([{0: 0, 2: 4}, {1: Fraction(0)}], 3, "test") == [{2: 1}]
     monkeypatch.setattr(flatten, "MAX_COLUMNS", 2)
     with pytest.raises(CapacityError) as err:
-        _sparse_rows(rows, "test")
+        _sparse_rows(rows, n_cols, "test")
     assert (err.value.context, err.value.size, err.value.cap) == ("test", 3, 2)
 
 
@@ -407,15 +412,15 @@ def test_rank_capacity_cap(monkeypatch):
     wide = [[0] * 10]
     monkeypatch.setattr(flatten, "MAX_COLUMNS", 5)
     with pytest.raises(CapacityError) as err:
-        exact_rank(wide)
+        exact_rank(*sparse(wide))
     assert err.value.size == 10
     assert err.value.cap == 5
 
 
-def test_rank_accepts_flattening_matrix():
+def test_labelled_matrix_rank():
     fm = polarize(det(3), 1)
-    assert exact_rank(fm) == 9
-    assert nullspace(fm) == []
+    assert fm.rank() == 9
+    assert nullspace(fm.entries, fm.shape[1]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +431,14 @@ def test_rank_accepts_flattening_matrix():
 @given(fraction_matrices(max_rows=4, max_cols=5))
 @settings(max_examples=80)
 def test_nullspace_is_exact_kernel_basis(rows):
-    basis = nullspace(rows)
+    basis = nullspace(*sparse(rows))
     n_cols = len(rows[0])
-    assert len(basis) == n_cols - exact_rank(rows)
+    assert len(basis) == n_cols - exact_rank(*sparse(rows))
     for vec in basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
     if basis:
-        assert exact_rank(basis) == len(basis)
+        assert exact_rank(*sparse(basis)) == len(basis)
     assert basis == gauss_jordan_nullspace(rows)
 
 
@@ -531,7 +536,7 @@ def test_catalecticant_ranks_are_symmetric_in_k(name, params):
     only k <= d/2; their ranks dicts still list every k."""
     p = zoo.make(name, *params)
     d = p.degree()
-    ranks = {k: exact_rank(polarize(p, k)) for k in range(1, d)}
+    ranks = {k: polarize(p, k).rank() for k in range(1, d)}
     for k in range(1, d):
         assert ranks[k] == ranks[d - k]
     waring = waring_border_lower_bound(p).ranks
@@ -545,7 +550,7 @@ def test_catalecticant_rank_symmetry_on_random_quintics(p):
     if p.is_zero():
         return
     for k in range(1, 5):
-        assert exact_rank(polarize(p, k)) == exact_rank(polarize(p, 5 - k))
+        assert polarize(p, k).rank() == polarize(p, 5 - k).rank()
 
 
 def test_waring_bound_rejects_inhomogeneous():
@@ -563,7 +568,7 @@ def test_shifted_partials_with_zero_shift_is_catalecticant_rank():
     for p in (det(3), chow(4), fermat(3, 3)):
         d = p.degree()
         for k in range(1, d):
-            assert shifted_partials_dim(p, k, 0) == exact_rank(polarize(p, k))
+            assert shifted_partials_dim(p, k, 0) == polarize(p, k).rank()
 
 
 def test_shifted_partials_known_value():

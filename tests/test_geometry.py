@@ -19,7 +19,7 @@ from gct.flatten import CapacityError, exact_rank
 from gct.poly import PolyMatrix, Polynomial, apply_diff, det_polymatrix
 from gct.zoo import chow, det, discriminant, fermat, p_lambda, perm
 
-from conftest import fraction_matrices, polynomials
+from conftest import fraction_matrices, polynomials, sparse
 
 
 def charpoly_coeffs(m, up_to=None):
@@ -402,11 +402,37 @@ def test_sample_det_smooth_zero_properties():
         pt = geo.sample_det_smooth_zero(3, rng)
         m = [[pt[i * 3 + j] for j in range(3)] for i in range(3)]
         assert scalar_det(m) == 0
-        assert exact_rank(m) == 2
+        assert exact_rank(*sparse(m)) == 2
     # determinism under a fixed seed
     a = geo.sample_det_smooth_zero(3, random.Random(42))
     b = geo.sample_det_smooth_zero(3, random.Random(42))
     assert a == b
+
+
+def test_sample_det_smooth_zero_redraws_a_singular_draw():
+    """Seed 1 draws a singular g first; the points are pinned from the
+    version that tested rank g before inverting it."""
+    rng = random.Random(1)
+    first = [[Fraction(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)]
+    assert scalar_det(first) == 0
+    rng = random.Random(1)
+    got = [[str(x) for x in geo.sample_det_smooth_zero(3, rng)] for _ in range(2)]
+    assert got == [
+        ["-1/11", "1/11", "8/11", "12/11", "10/11", "-8/11", "-3/11", "1/44", "13/11"],
+        ["10/21", "-2/3", "2/21", "-11/28", "1/2", "1/14", "-11/84", "-1/6", "43/42"],
+    ]
+
+
+def test_hessian_evaluates_to_nonzeros_only():
+    """H(det_3) at diag(1, 1, 0): each stored entry is nonzero, and the
+    rows agree with the dense evaluation of every entry."""
+    point = [Fraction(x) for x in (1, 0, 0, 0, 1, 0, 0, 0, 0)]
+    h = geo.hessian(det(3))
+    rows = h.evaluate(point)
+    assert all(x for row in rows for x in row.values())
+    dense = [[e.evaluate(point) for e in row] for row in h.entries]
+    assert rows == sparse(dense)[0]
+    assert sum(map(len, rows)) == 8  # of 81 entries
 
 
 # ---------------------------------------------------------------------------

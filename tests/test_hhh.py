@@ -23,6 +23,7 @@ from gct import flatten, hhh
 from gct.flatten import CapacityError, exact_rank, nullspace
 from gct.poly import Polynomial, apply_diff, grevlex_key, monomials_of_degree
 from gct.reptheory import count_weight_multisets, partitions, plethysm_mult
+from conftest import sparse
 from test_reptheory import dominates
 
 
@@ -149,15 +150,15 @@ def enumerate_column(ms, n, v):
     }
 
 
-def apply_map(h, coeffs):
-    """h applied to a sparse domain vector {multiset: coeff}, column by
-    column, each integer column divided by its scale s(ms)."""
+def apply_map(coeffs, n, v):
+    """h_{d,n} on C^v applied to a sparse domain vector {multiset: coeff},
+    column by column, each integer column divided by its scale s(ms)."""
     out = {}
     for ms, c in coeffs.items():
         if c == 0:
             continue
-        s = column_scale(ms, h.n)
-        for key, val in hhh.hhh_column(ms, h.n, h.v).items():
+        s = column_scale(ms, n)
+        for key, val in hhh.hhh_column(ms, n, v).items():
             acc = out.get(key, Fraction(0)) + c * Fraction(val, s)
             if acc:
                 out[key] = acc
@@ -318,7 +319,7 @@ def test_column_is_scaled_leaf_enumeration(d, n, v, weights, columns):
 def test_entries_are_python_ints():
     for d, n, v, w in [(3, 2, 3, (2, 2, 2)), (2, 3, 2, (3, 3)), (5, 5, 5, H55_BENCH_WEIGHTS[0])]:
         block = hhh.build_hhh(d, n, v, w)
-        assert all(type(x) is int for row in block.entries for x in row), (d, n, v, w)
+        assert all(type(x) is int for row in block.entries for x in row.values()), (d, n, v, w)
 
 
 def test_dominant_weights():
@@ -432,7 +433,7 @@ def test_characterizing_identity_on_split_points(d, n, v):
         for l in ls:
             prod = prod * l
         want = symmetric_product([prod] * n, d)
-        assert apply_map(h, domain_vec) == want
+        assert apply_map(domain_vec, n, v) == want
 
 
 def test_apply_matches_matrix_entries():
@@ -441,7 +442,7 @@ def test_apply_matches_matrix_entries():
     rng = random.Random(5)
     vec = [Fraction(rng.randint(-4, 4)) for _ in h.col_basis]
     coeffs = {ms: c for ms, c in zip(h.col_basis, vec) if c}
-    applied = apply_map(h, coeffs)
+    applied = apply_map(coeffs, n, v)
     # entry (i, j) is h's coefficient times the column scale s(ms_j)
     scales = [column_scale(ms, n) for ms in h.col_basis]
     rows, cols = h.shape
@@ -474,26 +475,26 @@ def test_rank_duality():
 def test_blockwise_equals_full_rank():
     for d, n, v in [(2, 2, 2), (2, 3, 2), (3, 2, 3), (2, 2, 3)]:
         full = full_hhh(d, n, v)
-        assert exact_rank(full.entries) == hhh.hhh_rank(d, n, v)
+        assert exact_rank(*sparse(full.entries)) == hhh.hhh_rank(d, n, v)
 
 
 def test_blocks_are_restrictions_of_the_full_map():
+    """Each block stores exactly the nonzero entries of the full map on its
+    rows and columns."""
     for d, n, v in [(2, 2, 2), (3, 2, 3), (2, 3, 3)]:
         full = full_hhh(d, n, v)
         row = {ms: r for r, ms in enumerate(full.row_basis)}
         col = {ms: c for c, ms in enumerate(full.col_basis)}
         for w in hhh.dominant_weights(d * n, v):
             block = hhh.build_hhh(d, n, v, w)
-            assert block.entries == tuple(
-                tuple(full.entries[row[r]][col[c]] for c in block.col_basis)
-                for r in block.row_basis
-            ), (d, n, v, w)
+            dense = [[full.entries[row[r]][col[c]] for c in block.col_basis] for r in block.row_basis]
+            assert block.entries == tuple(sparse(dense)[0]), (d, n, v, w)
 
 
 def test_h22_c2_rank_literal():
     h = full_hhh(2, 2, 2)
     assert h.shape == (6, 6)
-    assert exact_rank(h.entries) == 6
+    assert exact_rank(*sparse(h.entries)) == 6
 
 
 def test_h32_c3_kernel_is_symmetric_determinant():
@@ -504,13 +505,13 @@ def test_h32_c3_kernel_is_symmetric_determinant():
     assert hhh.kernel_character(3, 2, 3) == {(2, 2, 2): 1}
     # the kernel vector really is the symmetric determinant: extract it
     block = hhh.build_hhh(3, 2, 3, (2, 2, 2))
-    kernel = nullspace(block.entries)
+    kernel = nullspace(block.entries, block.shape[1])
     assert len(kernel) == 1
     # a kernel vector y of the column-scaled entries gives x = diag(s) y in ker h
     vec = {
         ms: c * column_scale(ms, 2) for ms, c in zip(block.col_basis, kernel[0]) if c
     }
-    assert apply_map(block, vec) == {}
+    assert apply_map(vec, 2, 3) == {}
     # det [[x^2, xy, xz], [xy, y^2, yz], [xz, yz, z^2]]-style relation:
     # evaluate on a split point u = (ax+by+cz)^2 pairing; must vanish
     x, y, z = (Polynomial.variable(i, 3) for i in range(3))
@@ -544,7 +545,7 @@ def test_kernel_dims_sum_to_total_kernel():
             total += len(set(permutations(padded))) * k
         assert hhh.kernel_dimension(dims, v) == total
         domain_dim = comb(comb(n + v - 1, n) + d - 1, d)
-        assert total == domain_dim - exact_rank(full_hhh(d, n, v).entries)
+        assert total == domain_dim - exact_rank(*sparse(full_hhh(d, n, v).entries))
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +556,7 @@ def test_kernel_dims_sum_to_total_kernel():
 def test_weight_zero_block():
     w = hhh.flattest_weight(6, 3)
     assert w == (2, 2, 2)
-    block = hhh.build_hhh(3, 2, 3, w)
-    assert block.weight == (2, 2, 2)
+    assert hhh.build_hhh(3, 2, 3, w).shape == (4, 5)
     assert hhh.flattest_weight(6, 4) == (2, 2, 1, 1)
     assert hhh.flattest_weight(3, 5) == (1, 1, 1, 0, 0)
 
@@ -598,7 +598,7 @@ def kernel_vanishes_on_chow(d, n, v, trials=10, seed=0):
     nonzero on some trial (when the kernel is proper).
     """
     h = full_hhh(d, n, v)
-    kernel = nullspace(h.entries)
+    kernel = nullspace(*sparse(h.entries))
     rng = random.Random(seed)
     monos = monomials_of_degree(v, n)
 

@@ -22,6 +22,7 @@ from gct.poly import (
     polarize,
     to_record,
 )
+from gct.zoo import fermat
 
 from conftest import LinearSubstitution, polynomials, small_fractions, substitute
 
@@ -384,8 +385,8 @@ def test_polarize_shape_and_entries():
     assert fm.shape == (3, 2)
     assert fm.col_basis == ((1, 0), (0, 1))
     assert fm.row_basis == ((2, 0), (1, 1), (0, 2))
-    col_x = [row[0] for row in fm.entries]
-    col_y = [row[1] for row in fm.entries]
+    col_x = [row.get(0, 0) for row in fm.entries]
+    col_y = [row.get(1, 0) for row in fm.entries]
     assert col_x == [0, 2, 0]
     assert col_y == [1, 0, 0]
 
@@ -394,10 +395,20 @@ def test_polarize_entries_are_ints_where_integral():
     """Integral entries are ints, so elimination needs no denominators;
     the rest stay Fractions."""
     p = Polynomial(2, {(2, 1): Fraction(3), (0, 3): Fraction(1, 2)})
-    entries = [x for row in polarize(p, 1).entries for x in row]
+    entries = [x for row in polarize(p, 1).entries for x in row.values()]
     assert sorted({type(x).__name__ for x in entries}) == ["Fraction", "int"]
     assert all(type(x) is int for x in entries if Fraction(x).denominator == 1)
     assert Fraction(3, 2) in entries  # d/dy of y^3/2
+
+
+def test_polarize_stores_nonzeros_only():
+    """The middle catalecticant of a Fermat sextic in 25 variables has 2925
+    rows and 2925 columns but only 25 nonzero entries, and stores only those."""
+    fm = polarize(fermat(6, 25), 3)
+    assert fm.shape == (2925, 2925)
+    assert len(fm.entries) == 2925
+    assert sum(map(len, fm.entries)) == 25
+    assert all(x for row in fm.entries for x in row.values())
 
 
 def test_polarize_rejects_bad_input():
