@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, comb, gcd, lcm
-from typing import Dict, List, Sequence, Tuple
+from math import comb, gcd, lcm
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .poly import (
     Polynomial,
@@ -247,21 +247,31 @@ def _catalecticant_ranks(p: Polynomial, d: int) -> Dict[int, int]:
     return {k: half[min(k, d - k)] for k in range(1, d)}
 
 
-def waring_border_lower_bound(p: Polynomial) -> FlatteningBound:
-    """max_k rank P_{k,d-k}(p): a lower bound for Waring border rank.
-
-    Rank-one points (powers of linear forms) have all catalecticants of
-    rank one, and rank is subadditive and lower semicontinuous, hence the
-    bound.
-    """
+def _border_lower_bound(
+    p: Polynomial, point_rank: Callable[[int, int], int]
+) -> FlatteningBound:
+    """max_k ceil(rank P_{k,d-k}(p) / point_rank(d, k)), where
+    point_rank(d, k) is the catalecticant rank of one point of the variety:
+    r points span at most r * point_rank(d, k), and rank is subadditive and
+    lower semicontinuous."""
     d = p.degree()
     if d is None or d < 1 or not p.is_homogeneous():
         raise ValueError("need a nonzero homogeneous polynomial of degree >= 1")
     ranks = _catalecticant_ranks(p, d)
     if not ranks:  # degree 1: the only flattening info is the poly itself
         return FlatteningBound(bound=1, best_k=0, ranks={})
-    best_k = max(ranks, key=lambda k: (ranks[k], -k))
-    return FlatteningBound(bound=ranks[best_k], best_k=best_k, ranks=ranks)
+    bounds = {k: -(-rk // point_rank(d, k)) for k, rk in ranks.items()}
+    best_k = max(bounds, key=lambda k: (bounds[k], -k))
+    return FlatteningBound(bound=bounds[best_k], best_k=best_k, ranks=ranks)
+
+
+def waring_border_lower_bound(p: Polynomial) -> FlatteningBound:
+    """max_k rank P_{k,d-k}(p): a lower bound for Waring border rank.
+
+    Rank-one points (powers of linear forms) have all catalecticants of
+    rank one.
+    """
+    return _border_lower_bound(p, lambda d, k: 1)
 
 
 def chow_border_lower_bound(p: Polynomial) -> FlatteningBound:
@@ -269,17 +279,9 @@ def chow_border_lower_bound(p: Polynomial) -> FlatteningBound:
 
     A product of d linear forms has catalecticant rank exactly C(d,k)
     (its order-k partials span the products of the C(d,k) complementary
-    subsets), so r points of the Chow variety give rank at most r*C(d,k).
+    subsets).
     """
-    d = p.degree()
-    if d is None or d < 1 or not p.is_homogeneous():
-        raise ValueError("need a nonzero homogeneous polynomial of degree >= 1")
-    ranks = _catalecticant_ranks(p, d)
-    bounds = {k: ceil(Fraction(rk, comb(d, k))) for k, rk in ranks.items()}
-    if not bounds:
-        return FlatteningBound(bound=1, best_k=0, ranks={})
-    best_k = max(bounds, key=lambda k: (bounds[k], -k))
-    return FlatteningBound(bound=bounds[best_k], best_k=best_k, ranks=ranks)
+    return _border_lower_bound(p, comb)
 
 
 def shifted_partials_dim(p: Polynomial, k: int, shift: int) -> int:
@@ -309,8 +311,11 @@ def shifted_partials_dim(p: Polynomial, k: int, shift: int) -> int:
     c = 0
     for m in monomials_of_degree(v, k):
         q = apply_diff(Polynomial.monomial(m), p)
+        # ints where integral, as polarize stores them: _sparse_rows then
+        # skips its Fraction path
+        terms = [(e, x.numerator if x.denominator == 1 else x) for e, x in q.terms.items()]
         for s in shift_basis:
-            for e, coeff in q.terms.items():
+            for e, coeff in terms:
                 rows[row_index[exponent_add(e, s)]][c] = coeff
             c += 1
     return exact_rank(rows, width)

@@ -188,6 +188,9 @@ def verify_sfturbo(v: int, checks: Optional[Sequence[str]] = None) -> SFReport:
         raise CapacityError("verify_sfturbo", v, 4)
     if checks is None:
         checks = DEFAULT_SFTURBO_CHECKS[v]
+    if v != 3 and {"cp8", "cp9"} & set(checks):
+        # closed forms, not a size limit: there is nothing to certify at v = 4
+        raise ValueError(f"sfturbo checks cp8 and cp9 are stated only at v = 3, got v = {v}")
     d = det(v)
     h = hessian(d)
     results: List[CheckResult] = []
@@ -224,8 +227,6 @@ def verify_sfturbo(v: int, checks: Optional[Sequence[str]] = None) -> SFReport:
                 )
             )
         elif name == "cp8":
-            if v != 3:
-                raise CapacityError("verify_sfturbo cp8", v, 3)
             # Exact computation gives cp_8 = det_3^2 * trace(A A^T); the
             # constant 2 in the literature corresponds to normalizing the
             # contraction as Q(A) = (1/2) trace(A A^T).
@@ -239,8 +240,6 @@ def verify_sfturbo(v: int, checks: Optional[Sequence[str]] = None) -> SFReport:
                 )
             )
         elif name == "cp9":
-            if v != 3:
-                raise CapacityError("verify_sfturbo cp9", v, 3)
             # B. Segre's identity; the exact sign at odd v is
             # (-1)^{binom(v,2)}, here (-1)^3 * 2 = -2.
             cp9 = det_polymatrix(h)
@@ -397,7 +396,9 @@ def stabilizer_lie_dim(p: Polynomial) -> int:
     # rows indexed by the monomials of the x_i dP/dx_j, in first-seen order;
     # their terms are the c e_j x^(e - delta_j + delta_i) of P's terms c x^e
     # with e_j >= 1, in P's grevlex order (a common shift keeps the order)
-    terms = p.sorted_terms()
+    # ints where integral, as polarize stores them: _sparse_rows then
+    # skips its Fraction path
+    terms = [(e, c.numerator if c.denominator == 1 else c) for e, c in p.sorted_terms()]
     lowered = [
         [(e[:j] + (e[j] - 1,) + e[j + 1 :], c * e[j]) for e, c in terms if e[j]]
         for j in range(v)

@@ -1,10 +1,11 @@
 """Latin squares, their signs, Alon--Tarsi counts, and the differential
 pairings that tie the Alon--Tarsi conjecture to polynomial identities.
 
-A Latin square of order n is stored as an n-tuple of n-tuples with entries
-1..n, each row and each column a permutation.  Its sign is the product of
-the signs of all 2n row and column permutations; the column sign uses the
-n column permutations only.
+A Latin square of order n has entries 1..n, each row and each column a
+permutation.  Its sign is the product of the signs of all 2n row and
+column permutations; the column sign uses the n column permutations only.
+The counter never builds a square: it carries the two sign parities
+through the fill.
 
 The coefficient of the all-variables monomial prod_{ij} x_ij in det_n^n
 equals the sum over Latin squares L of the product of the row signs of L
@@ -19,57 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .flatten import CapacityError
 from .poly import Polynomial, apply_diff
 from .zoo import det, perm, perm_sign
-
-Square = Tuple[Tuple[int, ...], ...]
 
 #: reduced-count cap (n=7 has about 1.2e10 reduced squares)
 MAX_REDUCED = 6
 #: cap on n for the pairing expansions (degree n^2 polynomials)
 MAX_PAIRING_PERM = 3
 MAX_PAIRING_ALLVARS = 4
-
-
-# ---------------------------------------------------------------------------
-# Completion of partial squares
-# ---------------------------------------------------------------------------
-
-
-def _complete(
-    n: int, rows: List[Tuple[int, ...]], col_used: List[int], out: Callable[[Square], None]
-) -> None:
-    """Extend ``rows`` to full Latin squares, rows filled left to right with
-    candidate values ascending (deterministic lexicographic order)."""
-    if len(rows) == n:
-        out(tuple(rows))
-        return
-    row = [0] * n
-    row_used = 0
-
-    def fill(j: int) -> None:
-        nonlocal row_used
-        if j == n:
-            rows.append(tuple(row))
-            for jj, x in enumerate(row):
-                col_used[jj] |= 1 << x
-            _complete(n, rows, col_used, out)
-            rows.pop()
-            for jj, x in enumerate(row):
-                col_used[jj] &= ~(1 << x)
-            return
-        avail = ~(row_used | col_used[j])
-        for x in range(1, n + 1):
-            if avail & (1 << x):
-                row[j] = x
-                row_used |= 1 << x
-                fill(j + 1)
-                row_used &= ~(1 << x)
-
-    fill(0)
 
 
 @dataclass(frozen=True)
@@ -149,34 +110,48 @@ def branch_orbits(n: int) -> List[Tuple[Tuple[int, ...], int]]:
 
 
 def count_branch(n: int, second_row: Sequence[int]) -> Tuple[int, int, int, int]:
-    """Signed counts of completions with rows 1..2 fixed to (identity, second_row)."""
-    first = tuple(range(1, n + 1))
-    rows: List[Tuple[int, ...]] = [first, tuple(second_row)]
-    col_used = [0] * n
-    for row in rows:
-        for j, x in enumerate(row):
-            if col_used[j] & (1 << x):
-                raise ValueError("second row clashes with the first")
-            col_used[j] |= 1 << x
+    """Signed counts of completions with rows 1..2 fixed to (identity, second_row).
+
+    Cells are filled row by row, left to right, carrying the parities of
+    the row and the column inversions: symbol x in cell (i, j) adds one
+    inversion per larger symbol already in row i left of j and one per
+    larger symbol already in column j above i.  A finished square is
+    tallied from the two parities alone.  Returns (full sign +, full sign
+    -, column sign +, column sign -).
+    """
+    if any(x == j + 1 for j, x in enumerate(second_row)):
+        raise ValueError("second row clashes with the first")
+    # column j reads (j + 1, second_row[j]): one inversion where j + 1 is larger
+    col_used = [(1 << (j + 1)) | (1 << x) for j, x in enumerate(second_row)]
+    row_par = int(perm_sign(second_row) < 0)
+    col_par = sum(x < j + 1 for j, x in enumerate(second_row)) & 1
+    symbols = (1 << (n + 1)) - 2
     counts = [0, 0, 0, 0]
 
-    def tally(sq: Square) -> None:
-        rs = 1
-        for row in sq:
-            rs *= perm_sign(row)
-        cs = 1
-        for j in range(n):
-            cs *= perm_sign([row[j] for row in sq])
-        if rs * cs > 0:
-            counts[0] += 1
-        else:
-            counts[1] += 1
-        if cs > 0:
-            counts[2] += 1
-        else:
-            counts[3] += 1
+    def fill(i: int, j: int, row_used: int, row_par: int, col_par: int) -> None:
+        if j == n:
+            i, j, row_used = i + 1, 0, 0
+        if i == n:
+            counts[row_par ^ col_par] += 1
+            counts[2 + col_par] += 1
+            return
+        used = col_used[j]
+        avail = symbols & ~(row_used | used)
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            x = bit.bit_length() - 1
+            col_used[j] = used | bit
+            fill(
+                i,
+                j + 1,
+                row_used | bit,
+                row_par ^ ((row_used >> x).bit_count() & 1),
+                col_par ^ ((used >> x).bit_count() & 1),
+            )
+        col_used[j] = used
 
-    _complete(n, rows, col_used, tally)
+    fill(2, 0, 0, row_par, col_par)
     return tuple(counts)  # type: ignore[return-value]
 
 

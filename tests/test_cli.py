@@ -237,6 +237,13 @@ def test_sfturbo_below_3_is_a_bad_argument(capsys, v):
     assert err.startswith("gct: error: sfturbo checks need v >= 3")
 
 
+@pytest.mark.parametrize("check", ["cp8", "cp9"])
+def test_sfturbo_v3_closed_form_at_v4_is_a_bad_argument(capsys, check):
+    code, out, err = run(capsys, "geo", "sfturbo", "4", "--checks", check)
+    assert (code, out) == (2, "")
+    assert err.startswith("gct: error: sfturbo checks cp8 and cp9 are stated only at v = 3")
+
+
 # ---------------------------------------------------------------------------
 # caching
 # ---------------------------------------------------------------------------

@@ -588,6 +588,25 @@ def test_shifted_partials_known_value():
     assert dim == len(monos)
 
 
+def test_shifted_partials_store_integral_coefficients_as_ints(monkeypatch):
+    """perm_3 has integer coefficients, so every row entry is an int and
+    the core never takes its Fraction path; a rational form keeps its
+    Fractions."""
+    seen = []
+
+    def capture(rows, width):
+        seen.append([x for row in rows for x in row.values()])
+        return 0
+
+    monkeypatch.setattr(flatten, "exact_rank", capture)
+    shifted_partials_dim(zoo.perm(3), 2, 2)
+    half = Polynomial.constant(9, Fraction(1, 2)) * zoo.perm(3)
+    shifted_partials_dim(half, 1, 1)
+    integral, rational = seen
+    assert integral and all(type(x) is int for x in integral)
+    assert all(type(x) is Fraction for x in rational)
+
+
 def test_shifted_partials_capacity(monkeypatch):
     monkeypatch.setattr(flatten, "MAX_COLUMNS", 3)
     with pytest.raises(CapacityError):

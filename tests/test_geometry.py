@@ -290,8 +290,19 @@ def test_sfturbo_errors():
     for v in (0, 1, 2):
         with pytest.raises(ValueError):
             geo.verify_sfturbo(v)
-    with pytest.raises(CapacityError):
-        geo.verify_sfturbo(4, checks=("cp8",))
+    # cp8 and cp9 are closed forms stated at v = 3 only: a bad argument,
+    # not a size refusal
+    for name in ("cp8", "cp9"):
+        with pytest.raises(ValueError, match="only at v = 3"):
+            geo.verify_sfturbo(4, checks=(name,))
+
+
+def test_sfturbo_cp5_v3():
+    report = geo.verify_sfturbo(3, checks=("cp5",))
+    assert report.ok
+    (check,) = report.checks
+    assert check.name == "det_3 | cp_5 with cofactor degree 2"
+    assert check.detail == "cofactor degree 2, 9 terms"
 
 
 def test_segre_identity_direct():
@@ -468,6 +479,24 @@ def test_stabilizer_refused_by_each_clause(monkeypatch, cap, context, size):
         geo.stabilizer_lie_dim(det(3))
     assert err.value.context == "stabilizer of a form in gl_9" + context
     assert (err.value.size, err.value.cap) == (size, cap if not context else cap * cap)
+
+
+def test_stabilizer_stores_integral_coefficients_as_ints(monkeypatch):
+    """det_4 has integer coefficients, so every row entry is an int; a
+    rational form keeps its Fractions.  The dimensions do not change."""
+    seen = []
+
+    def capture(rows, width):
+        seen.append([x for row in rows for x in row.values()])
+        return exact_rank(rows, width)
+
+    monkeypatch.setattr(geo, "exact_rank", capture)
+    assert geo.stabilizer_lie_dim(det(4)) == 30
+    half = Polynomial.constant(9, Fraction(1, 2)) * det(3)
+    assert geo.stabilizer_lie_dim(half) == 16
+    integral, rational = seen
+    assert len(integral) == 1536 and all(type(x) is int for x in integral)
+    assert all(type(x) is Fraction for x in rational)
 
 
 def test_stabilizer_of_a_constant_is_everything():

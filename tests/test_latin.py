@@ -4,9 +4,10 @@ The sign conventions are pinned by their transformation laws (symbol
 relabeling, row permutation, transposition), the counts by the classical
 L(n) = 1, 2, 12, 576, 161280, by reduced-vs-exhaustive agreement and by
 the all-branches reduced sum (the oracle of the orbit-weighted counter),
-and the differential pairings by the Latin-square expansion oracle.  The
-exhaustive enumeration oracles and the sign functions of a single square
-live here, not in gct.latin: no command needs them.
+the parity-carrying branch counter by completing every square and signing
+it, and the differential pairings by the Latin-square expansion oracle.
+The square enumerator, the exhaustive oracles and the sign functions of a
+single square live here, not in gct.latin: no command needs them.
 """
 
 from itertools import permutations
@@ -23,6 +24,38 @@ from gct.flatten import CapacityError
 MAX_EXHAUSTIVE = 5
 
 
+def complete_squares(n, rows, col_used, out):
+    """Extend ``rows`` to full Latin squares, rows filled left to right with
+    candidate values ascending (deterministic lexicographic order), handing
+    each finished square to ``out`` as a tuple of row tuples."""
+    if len(rows) == n:
+        out(tuple(rows))
+        return
+    row = [0] * n
+    row_used = 0
+
+    def fill(j):
+        nonlocal row_used
+        if j == n:
+            rows.append(tuple(row))
+            for jj, x in enumerate(row):
+                col_used[jj] |= 1 << x
+            complete_squares(n, rows, col_used, out)
+            rows.pop()
+            for jj, x in enumerate(row):
+                col_used[jj] &= ~(1 << x)
+            return
+        avail = ~(row_used | col_used[j])
+        for x in range(1, n + 1):
+            if avail & (1 << x):
+                row[j] = x
+                row_used |= 1 << x
+                fill(j + 1)
+                row_used &= ~(1 << x)
+
+    fill(0)
+
+
 def enumerate_latin_squares(n, *, cap=MAX_EXHAUSTIVE):
     """All Latin squares of order n, in lexicographic (row-major) order."""
     if n < 1:
@@ -30,29 +63,44 @@ def enumerate_latin_squares(n, *, cap=MAX_EXHAUSTIVE):
     if n > cap:
         raise CapacityError("enumerate_latin_squares", n, cap)
     found = []
-    latin._complete(n, [], [0] * n, found.append)
+    complete_squares(n, [], [0] * n, found.append)
     return iter(found)
 
 
-def alon_tarsi_count(n, *, cap=MAX_EXHAUSTIVE):
-    """Exhaustive signed count of all Latin squares of order n."""
-    p = m = cp = cm = 0
-    for sq in enumerate_latin_squares(n, cap=cap):
+def tally_signs(n, squares):
+    """(full sign +, full sign -, column sign +, column sign -) over
+    ``squares``, each sign a product of ``perm_sign`` over rows and columns."""
+    counts = [0, 0, 0, 0]
+    for sq in squares:
         rs = 1
         for row in sq:
             rs *= latin.perm_sign(row)
         cs = 1
         for j in range(n):
             cs *= latin.perm_sign([row[j] for row in sq])
-        if rs * cs > 0:
-            p += 1
-        else:
-            m += 1
-        if cs > 0:
-            cp += 1
-        else:
-            cm += 1
-    return latin.ATCount(n, p, m, cp, cm)
+        counts[0 if rs * cs > 0 else 1] += 1
+        counts[2 if cs > 0 else 3] += 1
+    return tuple(counts)
+
+
+def alon_tarsi_count(n, *, cap=MAX_EXHAUSTIVE):
+    """Exhaustive signed count of all Latin squares of order n."""
+    return latin.ATCount(n, *tally_signs(n, enumerate_latin_squares(n, cap=cap)))
+
+
+def count_branch_oracle(n, second_row):
+    """Signed counts of the completions of (identity, second_row), from the
+    finished squares and a ``perm_sign`` call per row and column."""
+    rows = [tuple(range(1, n + 1)), tuple(second_row)]
+    col_used = [0] * n
+    for row in rows:
+        for j, x in enumerate(row):
+            if col_used[j] & (1 << x):
+                raise ValueError("second row clashes with the first")
+            col_used[j] |= 1 << x
+    squares = []
+    complete_squares(n, rows, col_used, squares.append)
+    return tally_signs(n, squares)
 
 
 def pairing_allvars_oracle(n, *, cap=MAX_EXHAUSTIVE):
@@ -314,6 +362,19 @@ def test_count_branch_constant_on_orbits(n):
 def test_count_branch_rejects_clashing_second_row():
     with pytest.raises(ValueError):
         latin.count_branch(3, (1, 3, 2))  # fixes symbol 1 under column 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_count_branch_matches_square_oracle(n):
+    """The parity-carrying counter against building every completion and
+    signing its rows and columns, on every second-row branch."""
+    for second in latin.second_row_branches(n):
+        assert latin.count_branch(n, second) == count_branch_oracle(n, second)
+
+
+def test_count_branch_matches_square_oracle_n6_orbits():
+    for rep, _ in latin.branch_orbits(6):
+        assert latin.count_branch(6, rep) == count_branch_oracle(6, rep)
 
 
 def test_reduced_matches_all_branches_oracle():
