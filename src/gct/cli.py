@@ -40,11 +40,10 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import zoo
 from .flatten import (
@@ -217,8 +216,7 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     """A handler's record body, and its human report when not the record's."""
 
     record: dict
@@ -303,8 +301,7 @@ def _read_poly_file(path: str) -> Polynomial:
         return loads(fh.read())
 
 
-@dataclass
-class Target:
+class Target(NamedTuple):
     """A polynomial given as ``name params...`` or as a file path."""
 
     poly: Polynomial

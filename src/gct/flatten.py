@@ -32,10 +32,9 @@ width and row count it receives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .poly import (
     Polynomial,
@@ -200,8 +199,7 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> List[Fraction]:
     return _back_substitute(echelon, x)[:n_cols]
 
 
-@dataclass(frozen=True)
-class LabelledMatrix:
+class LabelledMatrix(NamedTuple):
     """A sparse matrix on labelled bases.
 
     ``entries[r]`` is the row of ``row_basis[r]``, as ``{c: coefficient}``
@@ -225,13 +223,12 @@ class LabelledMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlatteningBound:
+class FlatteningBound(NamedTuple):
     """A lower bound with the polarization order that achieves it."""
 
     bound: int
     best_k: int
-    ranks: Dict[int, int] = field(default_factory=dict)
+    ranks: Dict[int, int]
 
 
 def _catalecticant_ranks(p: Polynomial, d: int) -> Dict[int, int]:

@@ -11,17 +11,15 @@ terminates with remainder zero, because LT(f) = LT(g)LT(q) at every step.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .flatten import CapacityError, check_capacity, exact_rank, solve_linear
 from .poly import (
     PolyMatrix,
     Polynomial,
-    _rational,
     apply_diff,
     det_polymatrix,
     divides,
@@ -132,15 +130,13 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class SFReport:
+class SFReport(NamedTuple):
     v: int
     checks: Tuple[CheckResult, ...]
 
@@ -328,16 +324,15 @@ def verify_sylvester_franke(v: int, k: int, p: int) -> bool:
 def dual_dimension_at(p: Polynomial, w: Sequence) -> int:
     """dim Z(P)^dual = rank(H_P(w)) - 2 at a smooth rational zero w; a
     float coordinate is a TypeError."""
-    point = [_rational(x) for x in w]
-    if p.evaluate(point) != 0:
+    if p.evaluate(w) != 0:
         raise ValueError("w is not a zero of P")
     grad = [
-        apply_diff(Polynomial.variable(i, p.num_vars), p).evaluate(point)
+        apply_diff(Polynomial.variable(i, p.num_vars), p).evaluate(w)
         for i in range(p.num_vars)
     ]
     if not any(grad):
         raise ValueError("w is a singular point of Z(P)")
-    return exact_rank(hessian(p).evaluate(point), p.num_vars) - 2
+    return exact_rank(hessian(p).evaluate(w), p.num_vars) - 2
 
 
 def sample_det_smooth_zero(n: int, rng) -> List[Fraction]:

@@ -55,10 +55,9 @@ from .flatten import LabelledMatrix, check_capacity
 from .poly import Exponent, monomial_count
 from .reptheory import (
     Partition,
-    _monomials,
-    _suffix_counts,
     count_weight_multisets,
     decompose_weight_dims,
+    multiset_basis,
     partitions,
 )
 
@@ -68,41 +67,6 @@ Multiset = Tuple[Exponent, ...]
 # ---------------------------------------------------------------------------
 # Bases
 # ---------------------------------------------------------------------------
-
-
-def multiset_basis(count: int, degree: int, v: int, weight: Sequence[int]) -> List[Multiset]:
-    """All multisets of ``count`` degree-``degree`` monomials in v vars with
-    total exponent vector ``weight``.
-
-    The basis is listed by walking ``count_weight_multisets``' suffix-count
-    table, entering only nonempty branches.
-    """
-    monos = _monomials(v, degree)
-    if not count_weight_multisets(count, degree, v, weight):  # validates weight
-        return []
-    out: List[Multiset] = []
-    # (first free monomial, copies left, weight left, multiset so far); a
-    # node's children are pushed in reverse of the order they are listed in:
-    # later first monomials first, then fewer copies of it first
-    stack = [(0, count, tuple(int(x) for x in weight), ())]
-    while stack:
-        i, c, rem, acc = stack.pop()
-        if c == 0:
-            out.append(acc)
-            continue
-        counts = _suffix_counts(degree, v, c, rem)
-        for p in range(i, len(monos)):
-            if counts[p] == counts[p + 1]:  # nothing starts at monos[p]
-                continue
-            m, cur, children = monos[p], rem, []
-            for j in range(1, c + 1):
-                cur = tuple(x - y for x, y in zip(cur, m))
-                if min(cur, default=0) < 0:
-                    break
-                if _suffix_counts(degree, v, c - j, cur)[p + 1]:
-                    children.append((p + 1, c - j, cur, acc + (m,) * j))
-            stack.extend(reversed(children))
-    return out
 
 
 def predicted_block_size(d: int, n: int, v: int, weight: Sequence[int]) -> Tuple[int, int]:

@@ -17,10 +17,9 @@ Latin squares is its oracle in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .flatten import CapacityError
 from .poly import Polynomial, apply_diff
@@ -33,8 +32,7 @@ MAX_PAIRING_PERM = 3
 MAX_PAIRING_ALLVARS = 4
 
 
-@dataclass(frozen=True)
-class ATCount:
+class ATCount(NamedTuple):
     """Alon--Tarsi counts of order n under both sign conventions."""
 
     n: int
@@ -119,6 +117,8 @@ def count_branch(n: int, second_row: Sequence[int]) -> Tuple[int, int, int, int]
     tallied from the two parities alone.  Returns (full sign +, full sign
     -, column sign +, column sign -).
     """
+    if sorted(second_row) != list(range(1, n + 1)):
+        raise ValueError(f"second row must be a permutation of 1..{n}")
     if any(x == j + 1 for j, x in enumerate(second_row)):
         raise ValueError("second row clashes with the first")
     # column j reads (j + 1, second_row[j]): one inversion where j + 1 is larger

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm, perm
@@ -355,21 +354,21 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PolyMatrix:
     """A square matrix of polynomials over a shared variable space."""
 
-    num_vars: int
-    entries: Tuple[Tuple[Polynomial, ...], ...]
+    __slots__ = ("num_vars", "entries")
 
-    def __post_init__(self):
-        n = len(self.entries)
-        for row in self.entries:
+    def __init__(self, num_vars: int, entries: Tuple[Tuple[Polynomial, ...], ...]):
+        n = len(entries)
+        for row in entries:
             if len(row) != n:
                 raise ValueError("matrix must be square")
             for p in row:
-                if p.num_vars != self.num_vars:
+                if p.num_vars != num_vars:
                     raise ValueError("entries must share the variable space")
+        self.num_vars = num_vars
+        self.entries = entries
 
     @property
     def size(self) -> int:

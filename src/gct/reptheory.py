@@ -20,7 +20,7 @@ with l(pi) <= 4 for dn <= 16 and every pi with l(pi) <= 6 for dn <= 10.
 
 ``gct.hhh`` sizes its weight blocks with one memoized table of suffix
 counts (``_suffix_counts``), at most d calls deep, which
-``gct.hhh.multiset_basis`` walks to list the same multisets, and turns
+``multiset_basis`` walks to list the same multisets, and turns
 kernel dimensions into multiplicities by Weyl's character formula
 (``decompose_weight_dims``); ``schur_dimension`` is Weyl's dimension
 formula.  The tests keep Kostka inversion and hook-content as oracles.
@@ -29,11 +29,10 @@ formula.  The tests keep Kostka inversion and hook-content as oracles.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import add, sub
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .flatten import CapacityError
 from .poly import monomials_of_degree
@@ -420,6 +419,43 @@ def count_weight_multisets(d: int, n: int, v: int, weight: Sequence[int]) -> int
     return _suffix_counts(n, v, d, w)[0]
 
 
+def multiset_basis(
+    count: int, degree: int, v: int, weight: Sequence[int]
+) -> List[Tuple[Tuple[int, ...], ...]]:
+    """All multisets of ``count`` degree-``degree`` monomials in v vars with
+    total exponent vector ``weight``, each a tuple of monomials in
+    ``monomials_of_degree`` order.
+
+    The basis is listed by walking the suffix-count table of
+    ``count_weight_multisets``, entering only nonempty branches.
+    """
+    if not count_weight_multisets(count, degree, v, weight):  # validates weight
+        return []
+    monos = _monomials(v, degree)
+
+    def walk(i, c, rem, acc):
+        """The multisets acc + (c monomials of monos[i:] with column sums
+        rem): later first monomials first, then fewer copies of it first.
+        Each level takes at least one copy, so this is at most ``count``
+        deep."""
+        if c == 0:
+            yield acc
+            return
+        counts = _suffix_counts(degree, v, c, rem)
+        for p in range(len(monos) - 1, i - 1, -1):
+            if counts[p] == counts[p + 1]:  # nothing starts at monos[p]
+                continue
+            m, cur = monos[p], rem
+            for j in range(1, c + 1):
+                cur = tuple(x - y for x, y in zip(cur, m))
+                if min(cur, default=0) < 0:
+                    break
+                if _suffix_counts(degree, v, c - j, cur)[p + 1]:
+                    yield from walk(p + 1, c - j, cur, acc + (m,) * j)
+
+    return list(walk(0, count, tuple(int(x) for x in weight), ()))
+
+
 # ---------------------------------------------------------------------------
 # Plethysm multiplicities
 # ---------------------------------------------------------------------------
@@ -484,8 +520,7 @@ def plethysm_mult(pi: Sequence[int], d: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     pi: Partition
     d: int
     n: int

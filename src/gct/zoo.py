@@ -26,11 +26,10 @@ det_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .flatten import CapacityError, solve_linear
 from .poly import Exponent, PolyMatrix, Polynomial, det_polymatrix, grevlex_key
@@ -305,8 +304,7 @@ def make(name: str, *params: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     ok: bool
     message: str
     first_mismatch: Optional[Tuple[Exponent, Fraction, Fraction]] = None
@@ -337,8 +335,7 @@ def compare_exact(got: Polynomial, want: Polynomial, what: str) -> VerificationR
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WaringDecomposition:
+class WaringDecomposition(NamedTuple):
     """target = sum_i coeff_i * (form_i)^degree, forms as coefficient rows."""
 
     num_vars: int
@@ -352,8 +349,7 @@ class WaringDecomposition:
         return acc
 
 
-@dataclass(frozen=True)
-class ChowDecomposition:
+class ChowDecomposition(NamedTuple):
     """target = sum_i coeff_i * prod_j form_{ij}; each inner tuple of forms."""
 
     num_vars: int
@@ -369,8 +365,7 @@ class ChowDecomposition:
         return acc
 
 
-@dataclass(frozen=True)
-class DetExpressionWitness:
+class DetExpressionWitness(NamedTuple):
     """target (degree m, v vars) as det_n of an affine-linear matrix.
 
     ``entries`` lists n^2 linear forms (row-major) in v+1 variables, the

@@ -9,7 +9,10 @@ recomputed, and commands with file side effects must bypass the cache.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -611,6 +614,29 @@ def test_hhh_rank_weight_block(capsys):
     assert rec["weight"] == [2, 2, 2]
     # shape is [codomain, domain]; the kernel here is the symmetric det
     assert rec["rank"] == rec["shape"][1] - 1
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Each gct command is a fresh process, so whatever importing the CLI
+    loads is paid on every command: dataclasses, and the inspect it pulls
+    in, stay out.  The modules are compared before and after the import, so
+    what the interpreter preloads at start-up does not count."""
+    probe = (
+        "import sys; before = set(sys.modules); import gct.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = set(out.split())
+    assert "gct.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,14 @@ def test_count_branch_rejects_clashing_second_row():
         latin.count_branch(3, (1, 3, 2))  # fixes symbol 1 under column 1
 
 
+@pytest.mark.parametrize("second", [(3, 3, 1), (2, 3), (2, 3, 1, 4)])
+def test_count_branch_rejects_non_permutation_second_row(second):
+    """A repeated symbol, a short row and a long row are refused as such,
+    not counted, indexed past the end or reported as a clash."""
+    with pytest.raises(ValueError, match="permutation of 1..3"):
+        latin.count_branch(3, second)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_count_branch_matches_square_oracle(n):
     """The parity-carrying counter against building every completion and

@@ -1,7 +1,8 @@
 """Layout guard: the library holds no function, class or method that only
 the tests call, no keyword option that only the tests set, no import
-that its module never reads, and no module-level name that no library
-code reads.  A name that only tests need belongs in the tests."""
+that its module never reads, no private name imported from another
+module, and no module-level name that no library code reads.  A name that
+only tests need belongs in the tests."""
 
 import ast
 import re
@@ -188,6 +189,31 @@ def unread_imports():
 def test_every_import_is_read():
     unread = unread_imports()
     assert not unread, f"imported but never read: {', '.join(unread)}"
+
+
+def private_imports():
+    """Names starting with ``_`` that a src/gct module imports from another
+    gct module, as sorted "module: from source import name" strings.  A
+    private name is its module's own business; a name another module needs
+    is public, or the code that needs it belongs beside it."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = "." * node.level + (node.module or "")
+            if node.level or source.split(".")[0] == "gct":
+                found.extend(
+                    f"{path.stem}: from {source} import {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                )
+    return sorted(found)
+
+
+def test_no_module_imports_private_names():
+    crossing = private_imports()
+    assert not crossing, f"private names imported across modules: {', '.join(crossing)}"
 
 
 def unread_module_names():
