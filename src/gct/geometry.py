@@ -26,8 +26,9 @@ from .poly import (
     exponent_add,
     exponent_sub,
     grevlex_key,
+    sum_of_products,
 )
-from .zoo import det, discriminant
+from .zoo import det, discriminant, fermat
 
 # ---------------------------------------------------------------------------
 # Hessians, characteristic coefficients, compounds
@@ -58,12 +59,8 @@ def cp_coefficient(m: PolyMatrix, s: int) -> Polynomial:
     """cp_s(M): the sum of all s x s principal minors, exactly."""
     if s < 0 or s > m.size:
         raise ValueError("s out of range")
-    if s == 0:
-        return Polynomial.one(m.num_vars)
-    total = Polynomial.zero(m.num_vars)
-    for subset in combinations(range(m.size), s):
-        total = total + det_polymatrix(m, subset, subset)
-    return total
+    principal = combinations(range(m.size), s)
+    return sum_of_products(m.num_vars, [(1, [det_polymatrix(m, sub, sub)]) for sub in principal])
 
 
 def compound(m: PolyMatrix, k: int) -> PolyMatrix:
@@ -154,16 +151,6 @@ class SFReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _contraction_q(v: int) -> Polynomial:
-    """Q(A) = trace(A A^T) = sum of the squares of all v^2 entries."""
-    terms: Dict[Tuple[int, ...], Fraction] = {}
-    for a in range(v * v):
-        e = [0] * (v * v)
-        e[a] = 2
-        terms[tuple(e)] = Fraction(1)
-    return Polynomial(v * v, terms)
-
-
 DEFAULT_SFTURBO_CHECKS = {
     3: ("cp1", "cp3", "cp2_negative", "cp8", "cp9"),
     4: ("cp1", "cp3", "cp2_negative"),
@@ -227,7 +214,7 @@ def verify_sfturbo(v: int, checks: Optional[Sequence[str]] = None) -> SFReport:
             # constant 2 in the literature corresponds to normalizing the
             # contraction as Q(A) = (1/2) trace(A A^T).
             cp8 = cp_coefficient(h, 8)
-            want = d * d * _contraction_q(3)
+            want = d * d * fermat(2, 9)  # trace(A A^T): the squares of all 9 entries
             results.append(
                 CheckResult(
                     "cp_8 = det_3^2 * trace(AA^T)  (= 2 det_3^2 Q with Q = trace(AA^T)/2)",

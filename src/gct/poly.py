@@ -8,10 +8,15 @@ Conventions used throughout the package:
   public constructors, ``scale`` and ``evaluate`` take ints and Fractions
   and refuse a float or any other non-rational with ``TypeError``, as the
   arithmetic operators refuse any operand but a Polynomial (or, for ``*``,
-  a rational scalar).  Products and
-  derivatives run on integer numerators over one common denominator per
-  operand, divided out once per result term; sums add the Fractions of
-  shared monomials only.  All arithmetic is exact; there are no floats.
+  a rational scalar).  Exponents are ints.  Products and derivatives run
+  on integer numerators over one common denominator per operand, divided
+  out once per result term; sums add the Fractions of shared monomials
+  only.  Chains of products and sums (``det_polymatrix``,
+  ``sum_of_products``) run on packed monomials: one int per monomial,
+  one bit field per variable sized by a degree bound proved before any
+  product, so a product of monomials is one integer addition, with int
+  numerators over one common denominator.  All arithmetic is exact; there
+  are no floats.
 * Monomials are ordered by *graded reverse lexicographic* order (grevlex),
   descending, with ``x1 > x2 > ... > xv``.  Every basis enumeration,
   serialization, and elimination in the package uses this single global
@@ -35,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from itertools import combinations
 from math import comb, lcm, perm
 from numbers import Rational
 from operator import add, sub
@@ -130,11 +134,13 @@ class Polynomial:
         for exps, coeff in (terms or {}).items():
             if len(exps) != num_vars:
                 raise ValueError(f"exponent {exps!r} has wrong arity (want {num_vars})")
+            if not all(isinstance(e, int) for e in exps):
+                raise TypeError(f"exponent {exps!r} is not a tuple of ints")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps!r}")
             c = _rational(coeff)
             if c != 0:
-                clean[tuple(exps)] = c
+                clean[tuple(map(int, exps))] = c
         self.num_vars = num_vars
         self.terms = clean
 
@@ -350,6 +356,77 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
+# Packed monomials: chains of products and sums
+# ---------------------------------------------------------------------------
+
+
+def _codec(num_vars: int, bound: int):
+    """(pack, unpack) for exponent tuples with every entry at most ``bound``:
+    variable i is the bit field [i*b, (i+1)*b) of one int, b = 8 while
+    ``bound`` fits a byte (bytes() and to_bytes() shift in C), else
+    bound.bit_length(), so adding monomials within ``bound`` never carries
+    from one field into the next."""
+    b = bound.bit_length()
+    if b <= 8:
+        return (lambda e: int.from_bytes(bytes(e), "little")), (
+            lambda code: tuple(code.to_bytes(num_vars, "little")))
+    shifts, mask = range(0, b * num_vars, b), (1 << b) - 1
+    return (lambda e: sum(x << s for x, s in zip(e, shifts))), (
+        lambda code: tuple(code >> s & mask for s in shifts))
+
+
+def _packed(p: Polynomial, pack, den: int) -> Dict[int, int]:
+    """p as {packed monomial: numerator over ``den``}, a multiple of every denominator of p."""
+    return {pack(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+
+
+def _mul_into(acc: Dict[int, int], a: Dict[int, int], b: Dict[int, int], sign: int = 1) -> Dict[int, int]:
+    """acc += sign * a * b on packed terms; sums that cancel stay as zeros."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    for m1, c1 in a.items():
+        c1 *= sign
+        for m2, c2 in b.items():
+            e = m1 + m2
+            acc[e] = get(e, 0) + c1 * c2
+    return acc
+
+
+def _unpacked(num_vars: int, acc: Dict[int, int], unpack, den: int) -> Polynomial:
+    """The polynomial sum acc[e]/den x^e over packed e, zero numerators dropped."""
+    return Polynomial._trusted(num_vars, {unpack(e): Fraction(c, den) for e, c in acc.items() if c})
+
+
+def sum_of_products(num_vars: int, terms: Sequence[Tuple[object, Sequence[Polynomial]]]) -> Polynomial:
+    """sum_i c_i * prod_j f_ij for ``terms`` = [(c_i, [f_i1, f_i2, ...]), ...].
+
+    Every factor is packed over the lcm D of all factor denominators, so
+    term i is over den(c_i) * D^len_i; each chain of products runs on packed
+    ints and adds its last product straight into one accumulator over the
+    lcm of those, divided out once per result term.
+    """
+    terms = [(_rational(c), fs) for c, fs in terms]
+    for _, fs in terms:
+        for f in fs:
+            if f.num_vars != num_vars:
+                raise ValueError(f"arity mismatch: {num_vars} vs {f.num_vars}")
+    terms = [(c, fs) for c, fs in terms if c and all(f.terms for f in fs)]
+    bound = max((sum(f.degree() for f in fs) for _, fs in terms), default=0)
+    den = lcm(*(c.denominator for _, fs in terms for f in fs for c in f.terms.values()))
+    dens = [c.denominator * den ** len(fs) for c, fs in terms]
+    common = lcm(*dens)
+    pack, unpack = _codec(num_vars, bound)
+    acc: Dict[int, int] = {}
+    for (c, fs), d in zip(terms, dens):
+        chain = {0: c.numerator * (common // d)}
+        for f in fs[:-1]:
+            chain = _mul_into({}, chain, _packed(f, pack, den))
+        _mul_into(acc, chain, _packed(fs[-1], pack, den) if fs else {0: 1})
+    return _unpacked(num_vars, acc, unpack, common)
+
+
+# ---------------------------------------------------------------------------
 # Polynomial matrices
 # ---------------------------------------------------------------------------
 
@@ -387,41 +464,35 @@ def det_polymatrix(m: PolyMatrix, rows: Optional[Sequence[int]] = None,
                    cols: Optional[Sequence[int]] = None) -> Polynomial:
     """Determinant of (a submatrix of) a polynomial matrix, division-free.
 
-    Dynamic programming over column subsets: level i holds the minors on
-    rows[:i] and every i-subset of cols, so the full determinant costs
-    sum_i C(k,i)*i polynomial multiplications instead of k!.
+    Dynamic programming over column subsets: level i holds the nonzero
+    minors on rows[:i] and the i-subsets of cols (as bitmasks), so the full
+    determinant costs sum_i C(k,i)*i polynomial multiplications instead of
+    k!.  The selected entries are packed once over the lcm D of their
+    denominators, every minor stays packed (level i over D^i), and the
+    result is divided by D^k once per term.
     """
-    if rows is None:
-        rows = range(m.size)
-    if cols is None:
-        cols = range(m.size)
-    rows = list(rows)
-    cols = list(cols)
-    k = len(rows)
+    rows = range(m.size) if rows is None else rows
+    cols = list(range(m.size) if cols is None else cols)
+    picked = [[m.entries[r][c] for c in cols] for r in rows]
+    k = len(picked)
     if k != len(cols):
         raise ValueError("determinant needs a square selection")
-    if k == 0:
-        return Polynomial.one(m.num_vars)
-    # minors[frozen subset of col positions] at the current level
-    minors: Dict[Tuple[int, ...], Polynomial] = {(): Polynomial.one(m.num_vars)}
-    for i, ri in enumerate(rows):
-        nxt: Dict[Tuple[int, ...], Polynomial] = {}
-        for subset in combinations(range(k), i + 1):
-            acc = Polynomial.zero(m.num_vars)
-            for pos, cj in enumerate(subset):
-                entry = m.entries[ri][cols[cj]]
-                if entry.is_zero():
-                    continue
-                rest = subset[:pos] + subset[pos + 1 :]
-                minor = minors[rest]
-                if minor.is_zero():
-                    continue
-                term = entry * minor
-                # Laplace along the last row: sign (-1)^{i+pos}
-                acc = acc + term if (i + pos) % 2 == 0 else acc - term
-            nxt[subset] = acc
-        minors = nxt
-    return minors[tuple(range(k))]
+    # a term of a minor takes one entry per row: its degree is at most the sum of row maxima
+    bound = sum(max((p.degree() or 0 for p in row), default=0) for row in picked)
+    den = lcm(*(c.denominator for row in picked for p in row for c in p.terms.values()))
+    pack, unpack = _codec(m.num_vars, bound)
+    minors: Dict[int, Dict[int, int]] = {0: {0: 1}}
+    for i, row in enumerate(picked):
+        entries = [_packed(p, pack, den) for p in row]
+        nxt: Dict[int, Dict[int, int]] = {}
+        for subset, minor in minors.items():
+            for j, entry in enumerate(entries):
+                if entry and not subset >> j & 1:
+                    # Laplace along row i: sign (-1)^(i + chosen columns left of j)
+                    sign = -1 if (i + (subset & ((1 << j) - 1)).bit_count()) & 1 else 1
+                    _mul_into(nxt.setdefault(subset | 1 << j, {}), entry, minor, sign)
+        minors = {t: kept for t, acc in nxt.items() if (kept := {e: c for e, c in acc.items() if c})}
+    return _unpacked(m.num_vars, minors.get((1 << k) - 1, {}), unpack, den**k)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from math import factorial
+from itertools import combinations
+from math import factorial, prod
 from operator import add, sub
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -228,22 +229,35 @@ def _column(shape: Partition) -> Tuple[int, ...]:
     return tuple(col(_beta_mask(shape), total, total))
 
 
+@lru_cache(maxsize=4096)
+def _degree(mask: int, size: int) -> int:
+    """f^lambda, chi_lambda at the identity, for the shape of ``size`` boxes
+    coded by ``mask``: size! * prod(b - a, beads a < b) / prod(b!, beads b)."""
+    beads = [b for b in range(mask.bit_length()) if mask >> b & 1]
+    vandermonde = prod(b - a for a, b in combinations(beads, 2))
+    f, rem = divmod(factorial(size) * vandermonde, prod(map(factorial, beads)))
+    assert rem == 0
+    return f
+
+
 def character(pi: Sequence[int], mu: Sequence[int]) -> int:
     """chi_pi evaluated on the class of cycle type mu (Murnaghan--Nakayama):
-    mu's cycles, largest first, strip rim hooks off {beta mask: coefficient}
-    until only the empty shape can be left."""
+    mu's cycles over 1, largest first, strip rim hooks off {beta mask:
+    coefficient}; the k one-cycles left then give sum c * f^lambda, chi on
+    the identity of S_k."""
     p = normalize_partition(pi)
     m = normalize_partition(mu)
     if sum(p) != sum(m):
         raise ValueError(f"|pi|={sum(p)} but |mu|={sum(m)}")
     states: Dict[int, int] = {_beta_mask(p): 1}
-    for t in m:
+    ones = m.count(1)
+    for t in m[: len(m) - ones]:
         nxt: Dict[int, int] = defaultdict(int)
         for mask, c in states.items():
             for new, sign in _hook_removals(mask, t):
                 nxt[new] += sign * c
         states = nxt
-    return states.get((1 << len(p)) - 1, 0)
+    return sum(c * _degree(mask, ones) for mask, c in states.items())
 
 
 # ---------------------------------------------------------------------------

@@ -444,6 +444,17 @@ def _verify_files(capsys, tmp_path, witness, m):
     return str(w_path), str(t_path)
 
 
+def test_chow_witness_with_a_short_form_is_an_arity_error(capsys, tmp_path):
+    """One form of Ryser's perm_5 witness one entry short: a usage error
+    naming both arities, as before the packed expansion."""
+    w = zoo.ryser_decomposition(5)
+    c, forms = w.terms[3]
+    short = (c, forms[:2] + (forms[2][:-1],) + forms[3:])
+    paths = _verify_files(capsys, tmp_path, w._replace(terms=w.terms[:3] + (short,) + w.terms[4:]), 5)
+    code, out, err = run(capsys, "--no-cache", "zoo", "verify", *paths)
+    assert (code, out, err) == (2, "", "gct: error: arity mismatch: 25 vs 24\n")
+
+
 @pytest.mark.parametrize("m", [3, 4])
 def test_grenet_witness_verifies_through_the_cli(capsys, tmp_path, m):
     """perm_3 as det_7 and perm_4 as det_15 (15! Leibniz terms, 2^15

@@ -318,7 +318,7 @@ def test_cp8_closed_form_direct():
     d = det(3)
     h = geo.hessian(d)
     cp8 = geo.cp_coefficient(h, 8)
-    assert cp8 == d * d * geo._contraction_q(3)
+    assert cp8 == d * d * fermat(2, 9)  # trace(A A^T)
 
 
 def test_discriminant_identity():

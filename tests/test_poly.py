@@ -2,13 +2,16 @@
 serialization round-trips."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gct.poly import (
+    PolyMatrix,
     Polynomial,
     apply_diff,
+    det_polymatrix,
     divides,
     dumps,
     exponent_add,
@@ -20,6 +23,7 @@ from gct.poly import (
     monomials_of_degree,
     poly_digest,
     polarize,
+    sum_of_products,
     to_record,
 )
 from gct.zoo import fermat
@@ -260,10 +264,142 @@ def test_constructors_and_validation():
     assert Polynomial.constant(2, Fraction(5, 3)).as_scalar() == Fraction(5, 3)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(1, 2), Fraction(2), "1"])
+def test_non_int_exponents_are_refused(bad):
+    """A float exponent used to give degree 2.0 and print x1^3.0; packed
+    monomials need ints."""
+    with pytest.raises(TypeError, match="not a tuple of ints"):
+        Polynomial(2, {(bad, 0): 1})
+    with pytest.raises(TypeError, match="not a tuple of ints"):
+        Polynomial.monomial((1, bad))
+    with pytest.raises(TypeError, match="not a tuple of ints"):
+        Polynomial(2, {(1.5, 0.5): 1})
+
+
+def test_exponents_are_stored_as_plain_ints():
+    p = Polynomial(2, {(True, 2): 1})
+    assert list(p.terms) == [(1, 2)]
+    assert [type(k) for e in p.terms for k in e] == [int, int]
+
+
 def test_leading_term_is_grevlex_first():
     p = Polynomial(2, {(1, 1): Fraction(7), (2, 0): Fraction(-1), (0, 1): Fraction(5)})
     assert p.leading_term() == ((2, 0), Fraction(-1))
     assert [e for e, _ in p.sorted_terms()] == [(2, 0), (1, 1), (0, 1)]
+
+
+# ---------------------------------------------------------------------------
+# The packed accumulator against the Polynomial sums it replaced
+# ---------------------------------------------------------------------------
+
+
+def det_polymatrix_oracle(m, rows=None, cols=None):
+    """The determinant by the Polynomial-sum DP det_polymatrix replaced:
+    level i holds every minor on rows[:i], each built with * and +."""
+    rows = list(range(m.size) if rows is None else rows)
+    cols = list(range(m.size) if cols is None else cols)
+    k = len(rows)
+    minors = {(): Polynomial.one(m.num_vars)}
+    for i, ri in enumerate(rows):
+        nxt = {}
+        for subset in combinations(range(k), i + 1):
+            acc = Polynomial.zero(m.num_vars)
+            for pos, cj in enumerate(subset):
+                term = m.entries[ri][cols[cj]] * minors[subset[:pos] + subset[pos + 1 :]]
+                acc = acc + term if (i + pos) % 2 == 0 else acc - term
+            nxt[subset] = acc
+        minors = nxt
+    return minors[tuple(range(k))]
+
+
+def sum_of_products_oracle(num_vars, terms):
+    """sum_i c_i * prod_j f_ij, one Polynomial product and sum at a time."""
+    acc = Polynomial.zero(num_vars)
+    for c, factors in terms:
+        prod = Polynomial.constant(num_vars, c)
+        for f in factors:
+            prod = prod * f
+        acc = acc + prod
+    return acc
+
+
+@st.composite
+def poly_matrices(draw, max_size=4):
+    """Square matrices over 0..3 variables with mixed denominators, maybe an
+    all-zero row, maybe a repeated row (the determinant cancels to zero)."""
+    v = draw(st.integers(0, 3))
+    size = draw(st.integers(0, max_size))
+    rows = [
+        [draw(polynomials(num_vars=v, max_exp=2, max_terms=3)) for _ in range(size)]
+        for _ in range(size)
+    ]
+    if size >= 2 and draw(st.booleans()):
+        rows[1] = rows[0]
+    if size and draw(st.booleans()):
+        rows[draw(st.integers(0, size - 1))] = [Polynomial.zero(v)] * size
+    return PolyMatrix(v, tuple(map(tuple, rows)))
+
+
+@given(poly_matrices(), st.data())
+@settings(max_examples=80)
+def test_det_polymatrix_matches_the_polynomial_sum_oracle(m, data):
+    assert_same_terms(det_polymatrix(m), det_polymatrix_oracle(m))
+    k = data.draw(st.integers(0, m.size))
+    rows = data.draw(st.permutations(range(m.size)))[:k]
+    cols = data.draw(st.permutations(range(m.size)))[:k]
+    assert_same_terms(det_polymatrix(m, rows, cols), det_polymatrix_oracle(m, rows, cols))
+
+
+@st.composite
+def product_sums(draw):
+    """(num_vars, terms): 0..4 products of 0..3 factors with mixed
+    denominators; zero coefficients and zero factors included."""
+    v = draw(st.integers(0, 3))
+    factors = polynomials(num_vars=v, max_exp=2, max_terms=3)
+    terms = draw(st.lists(st.tuples(small_fractions(), st.lists(factors, max_size=3)), max_size=4))
+    return v, terms
+
+
+@given(product_sums())
+@settings(max_examples=80)
+def test_sum_of_products_matches_the_polynomial_oracle(vt):
+    v, terms = vt
+    assert_same_terms(sum_of_products(v, terms), sum_of_products_oracle(v, terms))
+    # every product again with the opposite sign: the sum cancels to zero
+    doubled = terms + [(-c, factors[::-1]) for c, factors in terms]
+    assert sum_of_products(v, doubled).terms == {}
+
+
+def test_packed_edge_cases():
+    x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    assert sum_of_products(2, []) == Polynomial.zero(2)
+    assert sum_of_products(2, [(Fraction(2, 3), [])]) == Polynomial.constant(2, Fraction(2, 3))
+    assert sum_of_products(2, [(1, [x, Polynomial.zero(2)]), (0, [y])]).terms == {}
+    half, third = Polynomial.constant(0, Fraction(1, 2)), Polynomial.constant(0, Fraction(1, 3))
+    got = sum_of_products(0, [(3, [half, third]), (Fraction(1, 4), [half])])
+    assert got == Polynomial.constant(0, Fraction(5, 8))
+    assert det_polymatrix(PolyMatrix(0, ((half, third), (third, half)))).as_scalar() == Fraction(5, 36)
+    assert det_polymatrix(PolyMatrix(2, ((x, y), (y, x))), (), ()) == Polynomial.one(2)
+    with pytest.raises(ValueError, match="arity mismatch: 2 vs 1"):
+        sum_of_products(2, [(1, [x, Polynomial.variable(0, 1)])])
+
+
+@pytest.mark.parametrize("top", [255, 256, 511, 512])
+def test_packed_exponents_at_the_field_width(top):
+    """x^top and y^top where top is the degree bound: 255 = 2^8 - 1 fills a
+    byte field, 256 = 2^8 needs b = 9 bits, 511 = 2^9 - 1 fills them and
+    512 = 2^9 needs b = 10.  A carry out of x's field would land in y's."""
+    x, y, z = (Polynomial.variable(i, 3) for i in range(3))
+    f = Polynomial(3, {(top - 1, 0, 0): 1, (0, top - 1, 0): Fraction(-1, 2), (top - 2, 0, 1): 3})
+    g = x + y + z.scale(Fraction(1, 3))
+    terms = [(1, [f, g]), (Fraction(2, 5), [g, f])]
+    got = sum_of_products(3, terms)
+    assert_same_terms(got, sum_of_products_oracle(3, terms))
+    assert got.coefficient((top, 0, 0)) == Fraction(7, 5)
+    assert got.coefficient((0, top, 0)) == Fraction(-7, 10)
+    m = PolyMatrix(3, ((f, z), (y, g)))  # bound: top - 1 + 1
+    assert_same_terms(det_polymatrix(m), det_polymatrix_oracle(m))
+    assert det_polymatrix(m).coefficient((top, 0, 0)) == 1
 
 
 # ---------------------------------------------------------------------------

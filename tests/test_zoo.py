@@ -385,6 +385,74 @@ def test_verify_waring_detects_corruption():
     assert not report.ok and report.first_mismatch is not None
 
 
+def waring_expand_oracle(dec):
+    """WaringDecomposition.expand as it was: one Polynomial power and sum per term."""
+    acc = Polynomial.zero(dec.num_vars)
+    for coeff, form in dec.terms:
+        acc = acc + Polynomial.linear_form(form) ** dec.degree * coeff
+    return acc
+
+
+def chow_expand_oracle(dec):
+    """ChowDecomposition.expand as it was: one Polynomial product at a time."""
+    acc = Polynomial.zero(dec.num_vars)
+    for coeff, forms in dec.terms:
+        prod_poly = Polynomial.constant(dec.num_vars, coeff)
+        for form in forms:
+            prod_poly = prod_poly * Polynomial.linear_form(form)
+        acc = acc + prod_poly
+    return acc
+
+
+@st.composite
+def random_decompositions(draw):
+    """A Waring and a Chow witness on 0..3 variables with the same random
+    terms: mixed denominators, zero coefficients and zero forms."""
+    v = draw(st.integers(0, 3))
+    forms = st.lists(small_fractions(max_abs=3), min_size=v, max_size=v).map(tuple)
+    d = draw(st.integers(0, 4))
+    terms = draw(st.lists(st.tuples(small_fractions(), st.lists(forms, min_size=d, max_size=d)), max_size=4))
+    waring = zoo.WaringDecomposition(v, d, tuple((c, fs[0] if fs else (Fraction(0),) * v) for c, fs in terms))
+    return waring, zoo.ChowDecomposition(v, tuple((c, tuple(fs)) for c, fs in terms))
+
+
+@given(random_decompositions())
+@settings(max_examples=80)
+def test_expansions_match_the_polynomial_oracles(decs):
+    waring, chow_dec = decs
+    assert waring.expand() == waring_expand_oracle(waring)
+    assert chow_dec.expand() == chow_expand_oracle(chow_dec)
+    # the same terms once more with opposite coefficients cancel to zero
+    negated = chow_dec._replace(terms=chow_dec.terms + tuple((-c, fs) for c, fs in chow_dec.terms))
+    assert negated.expand().is_zero()
+
+
+def test_classical_expansions_match_the_polynomial_oracles():
+    for dec in (zoo.ryser_decomposition(4), zoo.benor_decomposition(4, 2), zoo.benor_decomposition(3, 3)):
+        assert dec.expand() == chow_expand_oracle(dec)
+    dec = zoo.fischer_decomposition(5)
+    assert dec.expand() == waring_expand_oracle(dec)
+
+
+def test_packed_expansions_use_no_polynomial_arithmetic(monkeypatch):
+    """verify_chow, verify_waring and det_polymatrix add and multiply only
+    packed ints: they still certify with Polynomial * and + made to raise."""
+    targets = zoo.perm(4), zoo.chow(4), zoo.padded_elem(3, 2), zoo.det(3)
+    witnesses = zoo.ryser_decomposition(4), zoo.fischer_decomposition(4), zoo.benor_decomposition(3, 2)
+    x = [Polynomial.variable(i, 9) for i in range(9)]
+    generic = PolyMatrix(9, tuple(tuple(x[3 * i : 3 * i + 3]) for i in range(3)))
+
+    def forbidden(*args):
+        raise AssertionError("Polynomial arithmetic in a packed expansion")
+
+    for name in ("__mul__", "__rmul__", "__add__"):
+        monkeypatch.setattr(Polynomial, name, forbidden)
+    assert zoo.verify_chow(witnesses[0], targets[0]).ok
+    assert zoo.verify_waring(witnesses[1], targets[1]).ok
+    assert zoo.verify_chow(witnesses[2], targets[2]).ok
+    assert det_polymatrix(generic) == targets[3]
+
+
 def test_det_expression_witness_perm2():
     """perm_2 = det_2 of [[x11, -x12], [x21, x22]], no padding needed."""
     f = Fraction
