@@ -26,7 +26,6 @@ from .poly import (
     exponent_add,
     exponent_sub,
     grevlex_key,
-    sum_of_products,
 )
 from .zoo import det, discriminant, fermat
 
@@ -59,8 +58,12 @@ def cp_coefficient(m: PolyMatrix, s: int) -> Polynomial:
     """cp_s(M): the sum of all s x s principal minors, exactly."""
     if s < 0 or s > m.size:
         raise ValueError("s out of range")
-    principal = combinations(range(m.size), s)
-    return sum_of_products(m.num_vars, [(1, [det_polymatrix(m, sub, sub)]) for sub in principal])
+    if s == 0:
+        return Polynomial.one(m.num_vars)
+    total = Polynomial.zero(m.num_vars)
+    for subset in combinations(range(m.size), s):
+        total = total + det_polymatrix(m, subset, subset)
+    return total
 
 
 def compound(m: PolyMatrix, k: int) -> PolyMatrix:

@@ -42,7 +42,7 @@ import json
 from fractions import Fraction
 from math import comb, lcm, perm
 from numbers import Rational
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
@@ -94,9 +94,10 @@ def _rational(c) -> Fraction:
     return Fraction(c)
 
 
-def _numerators(terms: Dict[Exponent, Fraction]) -> Tuple[int, List[Tuple[Exponent, int]]]:
-    """(L, [(e, c * L)]): the coefficients as ints over the lcm L of their denominators."""
-    den = lcm(*(c.denominator for c in terms.values()))
+def _numerators(terms: Dict[Exponent, Fraction], den: int = 0) -> Tuple[int, List[Tuple[Exponent, int]]]:
+    """(L, [(e, c * L)]): the coefficients as ints over L, a given multiple of
+    every denominator or else their lcm."""
+    den = den or lcm(*(c.denominator for c in terms.values()))
     return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
 
 
@@ -362,22 +363,19 @@ class Polynomial:
 
 def _codec(num_vars: int, bound: int):
     """(pack, unpack) for exponent tuples with every entry at most ``bound``:
-    variable i is the bit field [i*b, (i+1)*b) of one int, b = 8 while
-    ``bound`` fits a byte (bytes() and to_bytes() shift in C), else
-    bound.bit_length(), so adding monomials within ``bound`` never carries
-    from one field into the next."""
-    b = bound.bit_length()
-    if b <= 8:
-        return (lambda e: int.from_bytes(bytes(e), "little")), (
-            lambda code: tuple(code.to_bytes(num_vars, "little")))
+    variable i is the bit field [i*b, (i+1)*b) of one int, b =
+    bound.bit_length() (at least 1), so adding monomials within ``bound``
+    never carries from one field into the next."""
+    b = max(1, bound.bit_length())
     shifts, mask = range(0, b * num_vars, b), (1 << b) - 1
-    return (lambda e: sum(x << s for x, s in zip(e, shifts))), (
+    weights = [1 << s for s in shifts]
+    return (lambda e: sum(map(mul, e, weights))), (
         lambda code: tuple(code >> s & mask for s in shifts))
 
 
 def _packed(p: Polynomial, pack, den: int) -> Dict[int, int]:
     """p as {packed monomial: numerator over ``den``}, a multiple of every denominator of p."""
-    return {pack(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    return {pack(e): c for e, c in _numerators(p.terms, den)[1]}
 
 
 def _mul_into(acc: Dict[int, int], a: Dict[int, int], b: Dict[int, int], sign: int = 1) -> Dict[int, int]:
@@ -391,11 +389,6 @@ def _mul_into(acc: Dict[int, int], a: Dict[int, int], b: Dict[int, int], sign: i
             e = m1 + m2
             acc[e] = get(e, 0) + c1 * c2
     return acc
-
-
-def _unpacked(num_vars: int, acc: Dict[int, int], unpack, den: int) -> Polynomial:
-    """The polynomial sum acc[e]/den x^e over packed e, zero numerators dropped."""
-    return Polynomial._trusted(num_vars, {unpack(e): Fraction(c, den) for e, c in acc.items() if c})
 
 
 def sum_of_products(num_vars: int, terms: Sequence[Tuple[object, Sequence[Polynomial]]]) -> Polynomial:
@@ -423,7 +416,7 @@ def sum_of_products(num_vars: int, terms: Sequence[Tuple[object, Sequence[Polyno
         for f in fs[:-1]:
             chain = _mul_into({}, chain, _packed(f, pack, den))
         _mul_into(acc, chain, _packed(fs[-1], pack, den) if fs else {0: 1})
-    return _unpacked(num_vars, acc, unpack, common)
+    return Polynomial._over(num_vars, {unpack(e): c for e, c in acc.items() if c}, common)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +485,8 @@ def det_polymatrix(m: PolyMatrix, rows: Optional[Sequence[int]] = None,
                     sign = -1 if (i + (subset & ((1 << j) - 1)).bit_count()) & 1 else 1
                     _mul_into(nxt.setdefault(subset | 1 << j, {}), entry, minor, sign)
         minors = {t: kept for t, acc in nxt.items() if (kept := {e: c for e, c in acc.items() if c})}
-    return _unpacked(m.num_vars, minors.get((1 << k) - 1, {}), unpack, den**k)
+    full = minors.get((1 << k) - 1, {})
+    return Polynomial._over(m.num_vars, {unpack(e): c for e, c in full.items()}, den**k)
 
 
 # ---------------------------------------------------------------------------

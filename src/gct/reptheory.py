@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from itertools import combinations
-from math import factorial, prod
+from math import factorial
 from operator import add, sub
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -229,15 +228,18 @@ def _column(shape: Partition) -> Tuple[int, ...]:
     return tuple(col(_beta_mask(shape), total, total))
 
 
-@lru_cache(maxsize=4096)
 def _degree(mask: int, size: int) -> int:
     """f^lambda, chi_lambda at the identity, for the shape of ``size`` boxes
-    coded by ``mask``: size! * prod(b - a, beads a < b) / prod(b!, beads b)."""
-    beads = [b for b in range(mask.bit_length()) if mask >> b & 1]
-    vandermonde = prod(b - a for a, b in combinations(beads, 2))
-    f, rem = divmod(factorial(size) * vandermonde, prod(map(factorial, beads)))
-    assert rem == 0
-    return f
+    coded by ``mask``, by the hook length formula: the hooks are b - a for
+    each bead b and empty position a < b, one per box."""
+    hooks, holes = 1, []
+    for b in range(mask.bit_length()):
+        if mask >> b & 1:
+            for a in holes:
+                hooks *= b - a
+        else:
+            holes.append(b)
+    return factorial(size) // hooks
 
 
 def character(pi: Sequence[int], mu: Sequence[int]) -> int:

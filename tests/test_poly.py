@@ -384,11 +384,11 @@ def test_packed_edge_cases():
         sum_of_products(2, [(1, [x, Polynomial.variable(0, 1)])])
 
 
-@pytest.mark.parametrize("top", [255, 256, 511, 512])
+@pytest.mark.parametrize("top", [3, 4, 255, 256, 511, 512])
 def test_packed_exponents_at_the_field_width(top):
-    """x^top and y^top where top is the degree bound: 255 = 2^8 - 1 fills a
-    byte field, 256 = 2^8 needs b = 9 bits, 511 = 2^9 - 1 fills them and
-    512 = 2^9 needs b = 10.  A carry out of x's field would land in y's."""
+    """x^top and y^top where top is the degree bound: 2^b - 1 fills a field
+    of b bits and 2^b needs b + 1 (b = 2, 8, 9).  A carry out of x's field
+    would land in y's."""
     x, y, z = (Polynomial.variable(i, 3) for i in range(3))
     f = Polynomial(3, {(top - 1, 0, 0): 1, (0, top - 1, 0): Fraction(-1, 2), (top - 2, 0, 1): 3})
     g = x + y + z.scale(Fraction(1, 3))

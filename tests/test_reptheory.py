@@ -18,6 +18,7 @@ character columns and ``character``).
 """
 
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
@@ -399,6 +400,18 @@ def test_character_has_no_recursion_depth_limit():
     assert rt.character((500,), ones) == 1
     assert rt.character((499, 1), ones) == 499
     assert rt.character((250, 250), ones) == comb(500, 250) // 251  # Catalan
+
+
+def test_tall_shapes_cost_their_boxes_not_their_rows_squared():
+    """The one-cycles' closed form takes one hook length per box: a
+    500-row column is as quick as a 500-box row."""
+    col = (1,) * 500
+    start = time.perf_counter()
+    assert rt.character(col, col) == 1
+    assert rt.character(col, (500,)) == -1  # sign of a 500-cycle
+    assert rt.character(col, (3,) * 100 + (1,) * 200) == 1
+    assert rt.character((2,) + (1,) * 498, col) == 499
+    assert time.perf_counter() - start < 0.5
 
 
 def test_repeated_calls_agree_and_the_column_cache_stays_bounded():
