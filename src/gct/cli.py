@@ -8,6 +8,14 @@ underscores), looked up by name at dispatch.  After parsing, arguments are
 converted by name (partitions, ``--weight``, ``--point``, ``poly_file``,
 ``target``); a conversion error is a ``gct: error:`` line and exit 2.
 
+Each command runs in a process of its own, and where no bytecode cache is
+written that process compiles every module it runs, so start-up is paid on
+every command.  Only ``poly`` is imported eagerly: the other layers are
+bound as lazy modules (``importlib.util.LazyLoader``), registered in
+``sys.modules`` at import and run on first attribute access, so a command
+runs only the layers it calls (``rep useful`` runs neither ``geometry``,
+``hhh``, ``latin`` nor ``zoo``).
+
 Every command accepts ``--json`` (machine-readable record instead of the
 human report), ``--no-cache`` and ``--cache-dir``, anywhere on the line.
 ``geo dualdim`` takes ``--seed`` (default 0) for the point it samples, so
@@ -35,58 +43,38 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import importlib.util
 import json
 import os
 import random
 import sys
 import time
+import types
 from fractions import Fraction
 from itertools import islice
 from math import comb
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import zoo
-from .flatten import (
-    CapacityError,
-    chow_border_lower_bound,
-    shifted_partials_dim,
-    waring_border_lower_bound,
-)
-from .geometry import (
-    cayley_check,
-    cp_coefficient,
-    dual_dimension_at,
-    hessian,
-    perm_special_point,
-    sample_det_smooth_zero,
-    stabilizer_lie_dim,
-    verify_discriminant_identity,
-    verify_sfturbo,
-    verify_sylvester_franke,
-)
-from .hhh import (
-    build_hhh,
-    hhh_rank,
-    kernel_character,
-    kernel_dimension,
-    kernel_dims_by_weight,
-    sym_sym_dim,
-)
-from .latin import (
-    alon_tarsi_count_reduced,
-    pairing_allvars_det,
-    pairing_perm_det,
-)
 from .poly import Polynomial, dumps, loads, polarize, poly_digest, to_record
-from .reptheory import (
-    ObstructionReport,
-    character,
-    gct_useful_filter,
-    kronecker,
-    normalize_partition,
-    plethysm_mult,
-    schur_dimension,
-    symmetric_kronecker,
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """``gct.<name>`` if already imported; else registered and bound on the
+    package as an import does, its code run on first attribute access."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+flatten, geometry, hhh, latin, reptheory, zoo = map(
+    _lazy, ("flatten", "geometry", "hhh", "latin", "reptheory", "zoo")
 )
 
 # ---------------------------------------------------------------------------
@@ -333,7 +321,7 @@ def _parse_partition(text: str) -> Tuple[int, ...]:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad partition {text!r}: use a comma list like 4,2,1") from exc
-    return normalize_partition(parts)
+    return reptheory.normalize_partition(parts)
 
 
 def _parse_weight(text: str) -> Optional[Tuple[int, ...]]:
@@ -479,16 +467,16 @@ def _border_bound(p: Polynomial, lower_bound) -> CommandResult:
 
 
 def cmd_flatten_waring_lb(ns: argparse.Namespace) -> CommandResult:
-    return _border_bound(ns.poly_file, waring_border_lower_bound)
+    return _border_bound(ns.poly_file, flatten.waring_border_lower_bound)
 
 
 def cmd_flatten_chow_lb(ns: argparse.Namespace) -> CommandResult:
-    return _border_bound(ns.poly_file, chow_border_lower_bound)
+    return _border_bound(ns.poly_file, flatten.chow_border_lower_bound)
 
 
 def cmd_flatten_shifted(ns: argparse.Namespace) -> CommandResult:
     p: Polynomial = ns.poly_file
-    dim = shifted_partials_dim(p, ns.k, ns.shift)
+    dim = flatten.shifted_partials_dim(p, ns.k, ns.shift)
     record = {
         "poly_digest": poly_digest(p),
         "k": ns.k,
@@ -506,14 +494,14 @@ def cmd_flatten_shifted(ns: argparse.Namespace) -> CommandResult:
 def cmd_hhh_rank(ns: argparse.Namespace) -> CommandResult:
     record = _echo(ns)
     if ns.weight:
-        block = build_hhh(ns.d, ns.n, ns.v, ns.weight)
+        block = hhh.build_hhh(ns.d, ns.n, ns.v, ns.weight)
         record["shape"] = block.shape
         record["rank"] = block.rank()
         return CommandResult(record)
-    dom = sym_sym_dim(ns.d, ns.n, ns.v)
-    r = hhh_rank(ns.d, ns.n, ns.v)
+    dom = hhh.sym_sym_dim(ns.d, ns.n, ns.v)
+    r = hhh.hhh_rank(ns.d, ns.n, ns.v)
     record["domain_dimension"] = dom
-    record["codomain_dimension"] = sym_sym_dim(ns.n, ns.d, ns.v)
+    record["codomain_dimension"] = hhh.sym_sym_dim(ns.n, ns.d, ns.v)
     record["rank"] = r
     record["kernel_dimension"] = dom - r
     return CommandResult(record)
@@ -522,26 +510,26 @@ def cmd_hhh_rank(ns: argparse.Namespace) -> CommandResult:
 def cmd_hhh_kernel(ns: argparse.Namespace) -> CommandResult:
     record = _echo(ns)
     if ns.weight:
-        block = build_hhh(ns.d, ns.n, ns.v, ns.weight)
+        block = hhh.build_hhh(ns.d, ns.n, ns.v, ns.weight)
         rows, cols = block.shape
         record["shape"] = [rows, cols]
         record["kernel_dimension"] = cols - block.rank()
         return CommandResult(record)
-    dims = kernel_dims_by_weight(ns.d, ns.n, ns.v)
+    dims = hhh.kernel_dims_by_weight(ns.d, ns.n, ns.v)
     record["kernel_by_dominant_weight"] = {
         _key_str(w): dims[w] for w in sorted(dims, reverse=True) if dims[w]
     }
-    record["kernel_dimension"] = kernel_dimension(dims, ns.v)
+    record["kernel_dimension"] = hhh.kernel_dimension(dims, ns.v)
     return CommandResult(record)
 
 
 def cmd_hhh_character(ns: argparse.Namespace) -> CommandResult:
-    ch = kernel_character(ns.d, ns.n, ns.v)
+    ch = hhh.kernel_character(ns.d, ns.n, ns.v)
     ordered = sorted(ch, reverse=True)
     record = _echo(
         ns,
         kernel_multiplicities={_key_str(pi): ch[pi] for pi in ordered},
-        kernel_dimension=sum(m * schur_dimension(pi, ns.v) for pi, m in ch.items()),
+        kernel_dimension=sum(m * reptheory.schur_dimension(pi, ns.v) for pi, m in ch.items()),
     )
     return CommandResult(record)
 
@@ -552,19 +540,19 @@ def cmd_hhh_character(ns: argparse.Namespace) -> CommandResult:
 
 
 def cmd_rep_char(ns: argparse.Namespace) -> CommandResult:
-    return CommandResult(_echo(ns, value=character(ns.pi, ns.mu)))
+    return CommandResult(_echo(ns, value=reptheory.character(ns.pi, ns.mu)))
 
 
 def cmd_rep_kron(ns: argparse.Namespace) -> CommandResult:
-    return CommandResult(_echo(ns, value=kronecker(ns.pi, ns.mu, ns.nu)))
+    return CommandResult(_echo(ns, value=reptheory.kronecker(ns.pi, ns.mu, ns.nu)))
 
 
 def cmd_rep_skron(ns: argparse.Namespace) -> CommandResult:
-    return CommandResult(_echo(ns, value=symmetric_kronecker(ns.pi, ns.mu)))
+    return CommandResult(_echo(ns, value=reptheory.symmetric_kronecker(ns.pi, ns.mu)))
 
 
 def cmd_rep_pleth(ns: argparse.Namespace) -> CommandResult:
-    return CommandResult(_echo(ns, value=plethysm_mult(ns.pi, ns.d, ns.n)))
+    return CommandResult(_echo(ns, value=reptheory.plethysm_mult(ns.pi, ns.d, ns.n)))
 
 
 def cmd_rep_obstruct(ns: argparse.Namespace) -> CommandResult:
@@ -573,15 +561,15 @@ def cmd_rep_obstruct(ns: argparse.Namespace) -> CommandResult:
         raise ValueError(f"|pi|={sum(pi)} must equal d*n={d * n}")
     mu = (d,) * n
     _progress(f"[1/3] plethysm multiplicity of {pi} in S^{d}(S^{n}) ...")
-    mult = plethysm_mult(pi, d, n)
+    mult = reptheory.plethysm_mult(pi, d, n)
     _progress(f"      mult = {mult}")
     _progress(f"[2/3] Kronecker coefficient k(pi, {d}^{n}, {d}^{n}) ...")
-    kron = kronecker(pi, mu, mu)
+    kron = reptheory.kronecker(pi, mu, mu)
     _progress(f"      k = {kron}")
     _progress(f"[3/3] symmetric Kronecker sk(pi, {d}^{n}) ...")
-    sk = symmetric_kronecker(pi, mu)
+    sk = reptheory.symmetric_kronecker(pi, mu)
     _progress(f"      sk = {sk}")
-    report = ObstructionReport(pi=pi, d=d, n=n, mult=mult, kron=kron, sym_kron=sk)
+    report = reptheory.ObstructionReport(pi=pi, d=d, n=n, mult=mult, kron=kron, sym_kron=sk)
     record = _echo(
         ns,
         mult=mult,
@@ -594,7 +582,7 @@ def cmd_rep_obstruct(ns: argparse.Namespace) -> CommandResult:
 
 
 def cmd_rep_useful(ns: argparse.Namespace) -> CommandResult:
-    return CommandResult(_echo(ns, value=gct_useful_filter(ns.pi, ns.d, ns.n, ns.m)))
+    return CommandResult(_echo(ns, value=reptheory.gct_useful_filter(ns.pi, ns.d, ns.n, ns.m)))
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +591,7 @@ def cmd_rep_useful(ns: argparse.Namespace) -> CommandResult:
 
 
 def cmd_latin_count(ns: argparse.Namespace) -> CommandResult:
-    at = alon_tarsi_count_reduced(ns.n)
+    at = latin.alon_tarsi_count_reduced(ns.n)
     record = {
         "n": at.n,
         "count_plus": at.count_plus,
@@ -619,11 +607,11 @@ def cmd_latin_count(ns: argparse.Namespace) -> CommandResult:
 
 def cmd_latin_pairing(ns: argparse.Namespace) -> CommandResult:
     if ns.all_vars:
-        value = pairing_allvars_det(ns.n)
+        value = latin.pairing_allvars_det(ns.n)
         pairing = "allvars-det"
         description = "coefficient pairing <prod x_ij, det_n^n>"
     else:
-        value = pairing_perm_det(ns.n)
+        value = latin.pairing_perm_det(ns.n)
         pairing = "perm-det"
         description = "differential pairing <perm_n^n, det_n^n>"
     record = {
@@ -648,7 +636,7 @@ def _pass_fail(record: dict, claim: str) -> CommandResult:
 
 def cmd_geo_hessian(ns: argparse.Namespace) -> CommandResult:
     tgt: Target = ns.target
-    h = hessian(tgt.poly)
+    h = geometry.hessian(tgt.poly)
     record: Dict[str, object] = {
         "target": tgt.label(),
         "size": h.size,
@@ -667,8 +655,8 @@ def cmd_geo_hessian(ns: argparse.Namespace) -> CommandResult:
 
 def cmd_geo_cp(ns: argparse.Namespace) -> CommandResult:
     tgt: Target = ns.target
-    h = hessian(tgt.poly)
-    cp = cp_coefficient(h, ns.s)
+    h = geometry.hessian(tgt.poly)
+    cp = geometry.cp_coefficient(h, ns.s)
     record: Dict[str, object] = {
         "target": tgt.label(),
         "s": ns.s,
@@ -685,7 +673,7 @@ def cmd_geo_cp(ns: argparse.Namespace) -> CommandResult:
 
 def cmd_geo_sfturbo(ns: argparse.Namespace) -> CommandResult:
     checks = tuple(ns.checks.split(",")) if ns.checks else None
-    report = verify_sfturbo(ns.v, checks=checks)
+    report = geometry.verify_sfturbo(ns.v, checks=checks)
     record = {
         "v": ns.v,
         "checks": [
@@ -700,7 +688,7 @@ def cmd_geo_sfturbo(ns: argparse.Namespace) -> CommandResult:
 def cmd_geo_discriminant(ns: argparse.Namespace) -> CommandResult:
     record = {
         "identity": "det(H(Delta)) = 3888 * Delta^2",
-        "ok": verify_discriminant_identity(),
+        "ok": geometry.verify_discriminant_identity(),
     }
     return _pass_fail(record, "det(H(Δ)) = 3888·Δ²")
 
@@ -709,7 +697,7 @@ def cmd_geo_cayley(ns: argparse.Namespace) -> CommandResult:
     record = _echo(
         ns,
         identity="det(d/dx) det^{s+1} = ((s+n)!/s!) det^s",
-        ok=cayley_check(ns.n, ns.s),
+        ok=geometry.cayley_check(ns.n, ns.s),
     )
     return _pass_fail(record, f"Cayley identity at n={ns.n}, s={ns.s}")
 
@@ -718,7 +706,7 @@ def cmd_geo_sylfranke(ns: argparse.Namespace) -> CommandResult:
     record = _echo(
         ns,
         statement="det(A)^p divides cp_{C(v-1,k)+p}(compound(A,k))",
-        ok=verify_sylvester_franke(ns.v, ns.k, ns.p),
+        ok=geometry.verify_sylvester_franke(ns.v, ns.k, ns.p),
     )
     claim = f"det^{ns.p} | cp_{comb(ns.v - 1, ns.k) + ns.p}(Λ^{ns.k} A) at v={ns.v}"
     return _pass_fail(record, claim)
@@ -730,16 +718,16 @@ def cmd_geo_dualdim(ns: argparse.Namespace) -> CommandResult:
         point = ns.point
         origin = "explicit"
     elif tgt.name == "det":
-        point = sample_det_smooth_zero(tgt.params[0], random.Random(ns.seed))
+        point = geometry.sample_det_smooth_zero(tgt.params[0], random.Random(ns.seed))
         origin = f"sampled rank-{tgt.params[0] - 1} matrix (seed {ns.seed})"
     elif tgt.name == "perm":
-        point = perm_special_point(tgt.params[0])
+        point = geometry.perm_special_point(tgt.params[0])
         origin = "all-ones matrix with entry (1,1) = -(m-1)"
     else:
         raise ValueError(
             "dualdim needs --point for targets other than det/perm"
         )
-    dd = dual_dimension_at(tgt.poly, point)
+    dd = geometry.dual_dimension_at(tgt.poly, point)
     record = {
         "target": tgt.label(),
         "point": point,
@@ -753,7 +741,7 @@ def cmd_geo_stab(ns: argparse.Namespace) -> CommandResult:
     tgt: Target = ns.target
     record = {
         "target": tgt.label(),
-        "stabilizer_lie_dim": stabilizer_lie_dim(tgt.poly),
+        "stabilizer_lie_dim": geometry.stabilizer_lie_dim(tgt.poly),
     }
     return CommandResult(record)
 
@@ -968,7 +956,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     t0 = time.perf_counter()
     try:
         result = handler(ns)
-    except CapacityError as exc:
+    except flatten.CapacityError as exc:
         record = {
             "error": "capacity",
             "context": exc.context,

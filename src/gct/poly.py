@@ -577,7 +577,9 @@ def from_record(rec: dict) -> Polynomial:
     v = int(rec["num_vars"])
     terms: Dict[Exponent, Fraction] = {}
     for t in rec["terms"]:
-        e = tuple(int(x) for x in t["exps"])
+        e = tuple(t["exps"])
+        if not all(type(x) is int for x in e):
+            raise ValueError(f"exponents {t['exps']!r} are not all integers")
         c = Fraction(str(t["coeff"]))
         if c != 0:
             terms[e] = terms.get(e, Fraction(0)) + c

@@ -222,6 +222,16 @@ def test_constant_in_zero_variables_spans_one_dimension(capsys, tmp_path, argv, 
     assert (code, json.loads(out)[field]) == (0, 1)
 
 
+def test_non_integer_exponent_is_a_usage_error(capsys, tmp_path):
+    """A polynomial file with exponent 1.5 is refused, not read as x1."""
+    path = tmp_path / "half.json"
+    terms = [{"coeff": "1", "exps": [1.5, 0]}, {"coeff": "2", "exps": [0, 1]}]
+    path.write_text(json.dumps({"num_vars": 2, "terms": terms}))
+    code, out, err = run(capsys, "--no-cache", "flatten", "rank", str(path))
+    assert (code, out) == (2, "")
+    assert err == "gct: error: exponents [1.5, 0] are not all integers\n"
+
+
 @pytest.mark.parametrize(
     "argv,size,cap",
     [(("geo", "cayley", "2", "3"), 3, 2), (("geo", "cayley", "4", "1"), 4, 3),
@@ -632,22 +642,75 @@ def test_hhh_rank_weight_block(capsys):
 # ---------------------------------------------------------------------------
 
 
+def _probe(code, cwd=None):
+    """The stdout of ``code`` run in a fresh interpreter on this ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True,
+        check=True,
+    ).stdout
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     """Each gct command is a fresh process, so whatever importing the CLI
     loads is paid on every command: dataclasses, and the inspect it pulls
     in, stay out.  The modules are compared before and after the import, so
     what the interpreter preloads at start-up does not count."""
-    probe = (
+    out = _probe(
         "import sys; before = set(sys.modules); import gct.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
     loaded = set(out.split())
     assert "gct.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
+
+
+#: prints the gct modules whose code has run, and whether dataclasses or
+#: inspect is loaded; ``type()`` does not trigger a lazy module's load
+_EXECUTED = (
+    "import sys, types; "
+    "print(' '.join(sorted(m for m, mod in sys.modules.items() "
+    "if (m == 'gct' or m.startswith('gct.')) and type(mod) is types.ModuleType)), "
+    "bool(sys.modules.keys() & {'dataclasses', 'inspect'}))"
+)
+
+
+def test_import_runs_only_the_cli_and_poly():
+    """``import gct.cli`` registers every layer but runs none besides poly."""
+    out = _probe("import gct.cli; " + _EXECUTED)
+    assert out == "gct gct.cli gct.poly False\n"
+
+
+@pytest.mark.parametrize(
+    "argv,layers",
+    [
+        (("rep", "useful", "3,1", "2", "2", "2"), ("flatten", "reptheory")),
+        (("flatten", "shifted", "det3.json", "--k", "1", "--l", "1"), ("flatten",)),
+        (("geo", "stab", "det", "3"), ("flatten", "geometry", "zoo")),
+    ],
+    ids=["rep-useful", "flatten-shifted", "geo-stab"],
+)
+def test_command_runs_only_the_layers_it_uses(capsys, tmp_path, argv, layers):
+    """A command's process runs the code of the layers it calls and of
+    their imports, and of no other layer."""
+    assert run(capsys, "zoo", "make", "det", "3", "-o", str(tmp_path / "det3.json"))[0] == 0
+    out = _probe(
+        f"import gct.cli; gct.cli.dispatch({['--no-cache', *argv]!r}); " + _EXECUTED,
+        cwd=tmp_path,
+    )
+    executed = " ".join(sorted(["gct", "gct.cli", "gct.poly", *(f"gct.{m}" for m in layers)]))
+    assert out.splitlines()[-1] == f"{executed} False"
+
+
+def test_lazy_layers_are_the_imported_modules():
+    """A layer imported before the CLI is the object the CLI calls through;
+    one imported after it is bound on the package as an import binds it."""
+    out = _probe(
+        "import sys, types; from gct import zoo; import gct.cli; import gct.hhh; "
+        "print(gct.hhh.sym_sym_dim(2, 2, 2), gct.cli.zoo is zoo, "
+        "gct.cli.hhh is gct.hhh is sys.modules['gct.hhh'], type(zoo) is types.ModuleType)"
+    )
+    assert out == "6 True True True\n"
 
 
 # ---------------------------------------------------------------------------

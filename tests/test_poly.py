@@ -592,6 +592,14 @@ def test_from_record_merges_duplicate_monomials():
     assert from_record(rec) == Polynomial.monomial((1,), 1)
 
 
+@pytest.mark.parametrize("exps", [[1.5, 0], [0, 1.9], ["1", 0], [True, 0], [1.0, 0]])
+def test_from_record_refuses_exponents_that_are_not_ints(exps):
+    """A non-integer exponent is an error in the file, not a truncation."""
+    rec = {"num_vars": 2, "terms": [{"coeff": "1", "exps": exps}]}
+    with pytest.raises(ValueError, match="not all integers"):
+        from_record(rec)
+
+
 def test_repr_smoke():
     x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
     assert repr(x * x - y) == "x1^2 - x2"
