@@ -126,9 +126,11 @@ def _cache_load(path: str) -> Optional[dict]:
             entry = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
-    manifest = entry.get("manifest", {})
-    record = entry.get("record")
-    if not isinstance(record, dict) or "human" not in entry or "ok" not in entry:
+    # any other shape is a miss, recomputed and overwritten like a bad digest
+    if not isinstance(entry, dict) or "ok" not in entry:
+        return None
+    manifest, record = entry.get("manifest"), entry.get("record")
+    if not (isinstance(manifest, dict) and isinstance(record, dict) and isinstance(entry.get("human"), str)):
         return None
     # a corrupted entry must not replay: the stored digest certifies it
     if manifest.get("result_digest") != entry_digest(
@@ -246,35 +248,49 @@ def witness_to_record(w: object) -> dict:
     raise TypeError(f"not a witness: {type(w).__name__}")
 
 
+def _checked(value: object, json_type, what: str):
+    """``value`` when it has the JSON type ``json_type`` (a bool is no int),
+    else a ValueError: a malformed file is a bad argument, exit 2."""
+    if not isinstance(value, json_type) or isinstance(value, bool):
+        raise ValueError(f"{what} has the wrong JSON type: {value!r}")
+    return value
+
+
 def witness_from_record(rec: dict) -> object:
-    kind = rec.get("kind")
+    """The witness a record describes; a malformed JSON shape is a ValueError."""
+    kind = _checked(rec, dict, "a witness record").get("kind")
+
+    def field(name: str, json_type: type = int):
+        return _checked(rec[name], json_type, name)
+
+    def terms() -> List[dict]:
+        return [_checked(t, dict, "a term") for t in field("terms", list)]
+
+    def rational(x: object) -> Fraction:
+        return Fraction(_checked(x, (int, str), "a rational"))
+
+    def rationals(xs: object) -> Tuple[Fraction, ...]:
+        return tuple(map(rational, _checked(xs, list, "a list of rationals")))
+
     if kind == "waring":
         return zoo.WaringDecomposition(
-            num_vars=int(rec["num_vars"]),
-            degree=int(rec["degree"]),
-            terms=tuple(
-                (Fraction(t["coeff"]), tuple(Fraction(x) for x in t["form"]))
-                for t in rec["terms"]
-            ),
+            num_vars=field("num_vars"),
+            degree=field("degree"),
+            terms=tuple((rational(t["coeff"]), rationals(t["form"])) for t in terms()),
         )
     if kind == "chow":
         return zoo.ChowDecomposition(
-            num_vars=int(rec["num_vars"]),
+            num_vars=field("num_vars"),
             terms=tuple(
-                (
-                    Fraction(t["coeff"]),
-                    tuple(tuple(Fraction(x) for x in f) for f in t["forms"]),
-                )
-                for t in rec["terms"]
+                (rational(t["coeff"]), tuple(map(rationals, _checked(t["forms"], list, "forms"))))
+                for t in terms()
             ),
         )
     if kind == "det_expression":
         return zoo.DetExpressionWitness(
-            n=int(rec["n"]),
-            num_target_vars=int(rec["num_target_vars"]),
-            entries=tuple(
-                tuple(Fraction(x) for x in row) for row in rec["entries"]
-            ),
+            n=field("n"),
+            num_target_vars=field("num_target_vars"),
+            entries=tuple(map(rationals, field("entries", list))),
         )
     raise ValueError(f"unknown witness kind {kind!r}")
 

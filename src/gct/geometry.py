@@ -26,6 +26,7 @@ from .poly import (
     exponent_add,
     exponent_sub,
     grevlex_key,
+    sum_of_products,
 )
 from .zoo import det, discriminant, fermat
 
@@ -91,12 +92,12 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
     O(|quotient| * |g|) dictionary updates rather than a fresh remainder
     per step.
     """
+    if f.num_vars != g.num_vars:
+        raise ValueError("operands must share the variable space")
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero():
         return Polynomial.zero(f.num_vars)
-    if f.num_vars != g.num_vars:
-        raise ValueError("operands must share the variable space")
     lt_g_exp, lt_g_coeff = g.leading_term()
     g_terms = g.sorted_terms()
     work: Dict[Tuple[int, ...], Fraction] = dict(f.terms)
@@ -217,7 +218,8 @@ def verify_sfturbo(v: int, checks: Optional[Sequence[str]] = None) -> SFReport:
             # constant 2 in the literature corresponds to normalizing the
             # contraction as Q(A) = (1/2) trace(A A^T).
             cp8 = cp_coefficient(h, 8)
-            want = d * d * fermat(2, 9)  # trace(A A^T): the squares of all 9 entries
+            # trace(A A^T) = fermat(2, 9): the squares of all 9 entries
+            want = sum_of_products(9, [(1, (d, d, fermat(2, 9)))])
             results.append(
                 CheckResult(
                     "cp_8 = det_3^2 * trace(AA^T)  (= 2 det_3^2 Q with Q = trace(AA^T)/2)",
@@ -230,7 +232,7 @@ def verify_sfturbo(v: int, checks: Optional[Sequence[str]] = None) -> SFReport:
             # (-1)^{binom(v,2)}, here (-1)^3 * 2 = -2.
             cp9 = det_polymatrix(h)
             sign = -1 if comb(v, 2) % 2 else 1
-            want = Polynomial.constant(9, Fraction(sign * (v - 1))) * d * d * d
+            want = sum_of_products(9, [(sign * (v - 1), (d, d, d))])
             results.append(
                 CheckResult(
                     "cp_9 = det(H(det_3)) = -2 det_3^3  (B. Segre, sign (-1)^{binom(3,2)})",
@@ -246,10 +248,7 @@ def verify_sfturbo(v: int, checks: Optional[Sequence[str]] = None) -> SFReport:
 def verify_discriminant_identity() -> bool:
     """det(H(Delta)) = 3888 * Delta^2 for the binary-cubic discriminant."""
     delta = discriminant()
-    h = hessian(delta)
-    lhs = det_polymatrix(h)
-    rhs = Polynomial.constant(4, Fraction(3888)) * delta * delta
-    return lhs == rhs
+    return det_polymatrix(hessian(delta)) == sum_of_products(4, [(3888, (delta, delta))])
 
 
 def cayley_check(n: int, s: int) -> bool:
@@ -259,11 +258,8 @@ def cayley_check(n: int, s: int) -> bool:
     if s > 2:
         raise CapacityError("cayley_check s", s, 2)
     d = det(n)
-    target = d ** (s + 1)
-    lhs = apply_diff(d, target)
-    factor = Fraction(factorial(s + n), factorial(s))
-    rhs = Polynomial.constant(n * n, factor) * d**s
-    return lhs == rhs
+    lhs = apply_diff(d, sum_of_products(n * n, [(1, (d,) * (s + 1))]))
+    return lhs == sum_of_products(n * n, [(factorial(s + n) // factorial(s), (d,) * s)])
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,15 @@ Conventions used throughout the package:
   public constructors, ``scale`` and ``evaluate`` take ints and Fractions
   and refuse a float or any other non-rational with ``TypeError``, as the
   arithmetic operators refuse any operand but a Polynomial (or, for ``*``,
-  a rational scalar).  Exponents are ints.  Products and derivatives run
-  on integer numerators over one common denominator per operand, divided
-  out once per result term; sums add the Fractions of shared monomials
-  only.  Chains of products and sums (``det_polymatrix``,
-  ``sum_of_products``) run on packed monomials: one int per monomial,
-  one bit field per variable sized by a degree bound proved before any
-  product, so a product of monomials is one integer addition, with int
-  numerators over one common denominator.  All arithmetic is exact; there
-  are no floats.
+  a rational scalar).  Exponents are ints.  Every product of polynomials
+  runs on one kernel, ``_mul_into``, behind ``sum_of_products`` (which
+  ``*`` and ``**`` call) and ``det_polymatrix``: packed monomials, one int
+  per monomial and one bit field per variable sized by a degree bound
+  proved before any product, so a product of monomials is one integer
+  addition, with int numerators over one common denominator divided out
+  once per result term.  ``apply_diff`` is the one derivative kernel, on
+  int numerators over one denominator per operand; sums add the Fractions
+  of shared monomials only.  All arithmetic is exact; there are no floats.
 * Monomials are ordered by *graded reverse lexicographic* order (grevlex),
   descending, with ``x1 > x2 > ... > xv``.  Every basis enumeration,
   serialization, and elimination in the package uses this single global
@@ -42,7 +42,7 @@ import json
 from fractions import Fraction
 from math import comb, lcm, perm
 from numbers import Rational
-from operator import add, mul, sub
+from operator import mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
@@ -239,16 +239,11 @@ class Polynomial:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _check_compatible(self, other: "Polynomial") -> None:
-        if self.num_vars != other.num_vars:
-            raise ValueError(
-                f"arity mismatch: {self.num_vars} vs {other.num_vars}"
-            )
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_compatible(other)
+        if self.num_vars != other.num_vars:
+            raise ValueError(f"arity mismatch: {self.num_vars} vs {other.num_vars}")
         terms = dict(self.terms)
         for e, c in other.terms.items():
             s = terms.get(e, 0) + c
@@ -269,19 +264,7 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             return self.scale(other) if isinstance(other, Rational) else NotImplemented
-        self._check_compatible(other)
-        # integer numerators over each operand's lcm; one division per term
-        da, a = _numerators(self.terms)
-        db, b = _numerators(other.terms)
-        if len(a) > len(b):
-            a, b = b, a
-        acc: Dict[Exponent, int] = {}
-        get = acc.get
-        for e1, c1 in a:
-            for e2, c2 in b:
-                e = tuple(map(add, e1, e2))
-                acc[e] = get(e, 0) + c1 * c2
-        return Polynomial._over(self.num_vars, acc, da * db)
+        return sum_of_products(self.num_vars, [(1, (self, other))])
 
     __rmul__ = __mul__
 
@@ -294,16 +277,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative powers not supported")
-        result = Polynomial.one(self.num_vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
+        return sum_of_products(self.num_vars, [(1, (self,) * n)])
 
     def __eq__(self, other) -> bool:
         return (
@@ -574,9 +548,15 @@ def to_record(p: Polynomial) -> dict:
 
 
 def from_record(rec: dict) -> Polynomial:
-    v = int(rec["num_vars"])
+    # a malformed file is a bad argument (ValueError), not a TypeError inside the reader
+    if not (isinstance(rec, dict) and type(rec.get("num_vars")) is int
+            and isinstance(rec.get("terms"), list)):
+        raise ValueError("a polynomial record is an object with an int num_vars and a list of terms")
+    v = rec["num_vars"]
     terms: Dict[Exponent, Fraction] = {}
     for t in rec["terms"]:
+        if not (isinstance(t, dict) and isinstance(t.get("exps"), list)):
+            raise ValueError(f"term {t!r} is not an object with a list of exps")
         e = tuple(t["exps"])
         if not all(type(x) is int for x in e):
             raise ValueError(f"exponents {t['exps']!r} are not all integers")

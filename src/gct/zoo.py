@@ -21,7 +21,8 @@ scalars and linear forms; the verifiers re-expand them and compare
 coefficientwise, reporting the first mismatching monomial in grevlex order.
 A determinantal expression is expanded as the determinant of its matrix of
 linear forms (``gct.poly.det_polymatrix``), never through the n! terms of
-det_n.
+det_n.  A Pfaffian is one signed sum over the perfect matchings
+(``gct.poly.sum_of_products``), not a recursion of polynomial products.
 """
 
 from __future__ import annotations
@@ -180,30 +181,27 @@ def pascal_det(m: int) -> Polynomial:
 def pfaffian(rows: List[List[Polynomial]]) -> Polynomial:
     """Pfaffian of a skew-symmetric matrix of polynomials.
 
-    Recursive first-row expansion; convention Pf([[0, a], [-a, 0]]) = a.
+    One signed sum over the perfect matchings, each the product of its
+    entries rows[i][j] (i < j): the lowest free index is paired with the
+    free index at position pos among the rest, with sign (-1)^pos as in
+    the first-row expansion; convention Pf([[0, a], [-a, 0]]) = a.
     """
     size = len(rows)
     if size == 0:
         raise ValueError("pass at least a 2x2 matrix (arity is read from entries)")
     if size % 2 != 0:
         raise ValueError("Pfaffian needs an even-size matrix")
-    v = rows[0][0].num_vars
 
-    def rec(idx: Tuple[int, ...]) -> Polynomial:
+    def matchings(idx: Tuple[int, ...]):
         if not idx:
-            return Polynomial.one(v)
-        first = idx[0]
-        rest = idx[1:]
-        acc = Polynomial.zero(v)
+            yield 1, ()
+            return
+        first, rest = idx[0], idx[1:]
         for pos, j in enumerate(rest):
-            minor = rec(rest[:pos] + rest[pos + 1 :])
-            term = rows[first][j] * minor
-            if pos % 2 == 1:
-                term = -term
-            acc = acc + term
-        return acc
+            for sign, entries in matchings(rest[:pos] + rest[pos + 1 :]):
+                yield -sign if pos % 2 else sign, (rows[first][j],) + entries
 
-    return rec(tuple(range(size)))
+    return sum_of_products(rows[0][0].num_vars, list(matchings(tuple(range(size)))))
 
 
 def p_lambda(n: int) -> Polynomial:

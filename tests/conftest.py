@@ -1,5 +1,6 @@
-"""Shared strategies, dense matrices as sparse rows, the linear-substitution
-oracle, Grenet's witnesses and the acceptance-criteria terminal summary."""
+"""Shared strategies, dense matrices as sparse rows, the Fraction product
+oracles, the linear-substitution oracle, Grenet's witnesses and the
+acceptance-criteria terminal summary."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,8 +110,35 @@ class LinearSubstitution:
         object.__setattr__(self, "matrix", rows)
 
 
+def mul_oracle(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p * q, summed term by term in Fractions: no packed monomials."""
+    acc: Dict[Tuple[int, ...], Fraction] = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = acc.get(e, Fraction(0)) + c1 * c2
+            if s:
+                acc[e] = s
+            else:
+                acc.pop(e, None)
+    return Polynomial(p.num_vars, acc)
+
+
+def pow_oracle(p: Polynomial, k: int) -> Polynomial:
+    """p**k by square-and-multiply over ``mul_oracle``, as ``**`` once ran."""
+    result, base = Polynomial.one(p.num_vars), p
+    while k:
+        if k & 1:
+            result = mul_oracle(result, base)
+        k >>= 1
+        if k:
+            base = mul_oracle(base, base)
+    return result
+
+
 def substitute(p: Polynomial, sub: LinearSubstitution) -> Polynomial:
-    """Apply a linear substitution to every variable of ``p``."""
+    """Apply a linear substitution to every variable of ``p``; products by
+    ``mul_oracle``, so the oracle shares no kernel with the library."""
     if p.num_vars != sub.num_vars_in:
         raise ValueError("substitution arity does not match polynomial")
     v_out = sub.num_vars_out
@@ -121,7 +149,7 @@ def substitute(p: Polynomial, sub: LinearSubstitution) -> Polynomial:
         key = (i, k)
         got = power_cache.get(key)
         if got is None:
-            got = forms[i] ** k
+            got = pow_oracle(forms[i], k)
             power_cache[key] = got
         return got
 
@@ -130,7 +158,7 @@ def substitute(p: Polynomial, sub: LinearSubstitution) -> Polynomial:
         prod = Polynomial.constant(v_out, c)
         for i, k in enumerate(e):
             if k:
-                prod = prod * form_power(i, k)
+                prod = mul_oracle(prod, form_power(i, k))
         acc = acc + prod
     return acc
 

@@ -188,12 +188,14 @@ def test_wide_catalecticant_is_refused_before_any_column(capsys, monkeypatch, tm
 def test_stabilizer_of_det6_is_refused_before_any_product(capsys, monkeypatch):
     """det_6: 1296 unknowns X_ij by the 130320 monomials of the x_i dP/dx_j,
     over the dense clause.  The columns come from P's terms, so no product
-    x_i * dP/dx_j is formed on the way to the refusal."""
+    x_i * dP/dx_j is formed on the way to the refusal: neither ``*`` nor
+    the packed kernel behind it and ``sum_of_products`` runs."""
 
     def forbidden(*args):
         raise AssertionError("a polynomial product was formed")
 
     monkeypatch.setattr(poly.Polynomial, "__mul__", forbidden)
+    monkeypatch.setattr(poly, "_mul_into", forbidden)
     code, out, _ = run(capsys, "--json", "--no-cache", "geo", "stab", "det", "6")
     rec = json.loads(out)
     assert (code, rec["error"], rec["size"], rec["cap"]) == (3, "capacity", 1296 * 130320, 5000**2)
@@ -220,6 +222,41 @@ def test_constant_in_zero_variables_spans_one_dimension(capsys, tmp_path, argv, 
     path.write_text(json.dumps({"num_vars": 0, "terms": [{"coeff": "5", "exps": []}]}))
     code, out, _ = run(capsys, "--json", *argv[:2], str(path), *argv[2:])
     assert (code, json.loads(out)[field]) == (0, 1)
+
+
+NOT_A_RECORD = "a polynomial record is an object with an int num_vars and a list of terms"
+
+
+@pytest.mark.parametrize(
+    "command,payload,message",
+    [
+        ("flatten", [], NOT_A_RECORD),
+        ("flatten", {"num_vars": 2, "terms": 5}, NOT_A_RECORD),
+        ("flatten", {"num_vars": [2], "terms": []}, NOT_A_RECORD),
+        ("flatten", {"num_vars": 2, "terms": [5]}, "term 5 is not an object with a list of exps"),
+        ("flatten", {"num_vars": 2, "terms": [{"coeff": "1", "exps": 5}]},
+         "term {'coeff': '1', 'exps': 5} is not an object with a list of exps"),
+        ("zoo", [], "a witness record has the wrong JSON type: []"),
+        ("zoo", {"kind": "waring", "num_vars": 3, "degree": 3, "terms": 5},
+         "terms has the wrong JSON type: 5"),
+        ("zoo", {"kind": "chow", "num_vars": 3, "terms": [{"coeff": [1], "forms": []}]},
+         "a rational has the wrong JSON type: [1]"),
+        ("zoo", {"kind": "det_expression", "n": 1, "num_target_vars": 1, "entries": [5]},
+         "a list of rationals has the wrong JSON type: 5"),
+    ],
+)
+def test_malformed_input_files_are_usage_errors(capsys, tmp_path, command, payload, message):
+    """A polynomial or witness file of the wrong JSON shape exits 2 with one
+    error line, not 1 with a TypeError or AttributeError traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    if command == "flatten":
+        argv = ("flatten", "rank", str(bad))
+    else:
+        target = tmp_path / "chow3.json"
+        assert run(capsys, "zoo", "make", "chow", "3", "-o", str(target))[0] == 0
+        argv = ("zoo", "verify", str(bad), str(target))
+    assert run(capsys, "--no-cache", *argv) == (2, "", f"gct: error: {message}\n")
 
 
 def test_non_integer_exponent_is_a_usage_error(capsys, tmp_path):
@@ -308,6 +345,29 @@ def test_corrupted_cache_entry_recomputed(capsys):
     assert out == fresh  # tampered entry was rejected and recomputed
     with open(path, "r", encoding="utf-8") as fh:
         assert json.load(fh)["record"]["value"] != 999
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[1, 2]", '"entry"', "null",
+     '{"manifest": 5, "record": {}, "human": "x", "ok": true}',
+     '{"manifest": {}, "record": [], "human": "x", "ok": true}',
+     '{"manifest": {}, "record": {}, "human": 5, "ok": true}'],
+)
+def test_cache_entry_of_the_wrong_shape_is_a_miss(capsys, text):
+    """Valid JSON that is not an entry object (or whose manifest, record or
+    report has the wrong type) is recomputed and overwritten, every time."""
+    args = ("latin", "count", "3")
+    _, fresh, _ = run(capsys, *args)
+    cache_dir = os.environ["GCT_CACHE_DIR"]
+    (name,) = os.listdir(cache_dir)
+    path = os.path.join(cache_dir, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    assert run(capsys, *args) == (0, fresh, "")
+    with open(path, "r", encoding="utf-8") as fh:
+        assert json.load(fh)["human"] == fresh
+    assert run(capsys, *args) == (0, fresh, "")
 
 
 @pytest.mark.parametrize("field", ["human", "ok"])

@@ -263,6 +263,14 @@ def test_divide_exact_edge_cases():
         geo.divide_exact(x, Polynomial.one(2))  # arity mismatch
 
 
+def test_divide_exact_checks_arity_before_the_zero_dividend():
+    """0 in 3 variables has no quotient by det_2 in 4: the arity check comes
+    before the zero-dividend shortcut and the zero-divisor check."""
+    for g in (det(2), Polynomial.zero(4)):
+        with pytest.raises(ValueError, match="share the variable space"):
+            geo.divide_exact(Polynomial.zero(3), g)
+
+
 # ---------------------------------------------------------------------------
 # sfturbo certificates
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from gct.poly import (
 )
 from gct.zoo import fermat
 
-from conftest import LinearSubstitution, polynomials, small_fractions, substitute
+from conftest import LinearSubstitution, mul_oracle, polynomials, pow_oracle, small_fractions, substitute
 
 
 # ---------------------------------------------------------------------------
@@ -125,23 +125,23 @@ def test_pow_matches_repeated_multiplication(p, k):
     assert p**k == direct
 
 
+@given(polynomials(max_vars=2, max_exp=2, max_terms=3), st.integers(0, 5))
+def test_pow_matches_the_square_and_multiply_oracle(p, k):
+    """** is one chain of k factors on the packed kernel; the oracle squares
+    and multiplies in Fractions."""
+    assert_same_terms(p**k, pow_oracle(p, k))
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_pow_of_zero_and_of_constants_in_no_variables(k):
+    for p in (Polynomial.zero(2), Polynomial.zero(0), Polynomial.constant(0, Fraction(-2, 3))):
+        assert_same_terms(p**k, pow_oracle(p, k))
+    assert Polynomial.zero(0) ** k == Polynomial.constant(0, int(k == 0))
+
+
 # ---------------------------------------------------------------------------
 # The integer kernels against the Fraction loops they replaced
 # ---------------------------------------------------------------------------
-
-
-def mul_oracle(p, q):
-    """p * q, summed term by term in Fractions."""
-    acc = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            s = acc.get(e, Fraction(0)) + c1 * c2
-            if s:
-                acc[e] = s
-            else:
-                acc.pop(e, None)
-    return Polynomial(p.num_vars, acc)
 
 
 def apply_diff_oracle(op, target):
@@ -295,7 +295,7 @@ def test_leading_term_is_grevlex_first():
 
 def det_polymatrix_oracle(m, rows=None, cols=None):
     """The determinant by the Polynomial-sum DP det_polymatrix replaced:
-    level i holds every minor on rows[:i], each built with * and +."""
+    level i holds every minor on rows[:i], each built with mul_oracle and +."""
     rows = list(range(m.size) if rows is None else rows)
     cols = list(range(m.size) if cols is None else cols)
     k = len(rows)
@@ -305,7 +305,7 @@ def det_polymatrix_oracle(m, rows=None, cols=None):
         for subset in combinations(range(k), i + 1):
             acc = Polynomial.zero(m.num_vars)
             for pos, cj in enumerate(subset):
-                term = m.entries[ri][cols[cj]] * minors[subset[:pos] + subset[pos + 1 :]]
+                term = mul_oracle(m.entries[ri][cols[cj]], minors[subset[:pos] + subset[pos + 1 :]])
                 acc = acc + term if (i + pos) % 2 == 0 else acc - term
             nxt[subset] = acc
         minors = nxt
@@ -313,12 +313,12 @@ def det_polymatrix_oracle(m, rows=None, cols=None):
 
 
 def sum_of_products_oracle(num_vars, terms):
-    """sum_i c_i * prod_j f_ij, one Polynomial product and sum at a time."""
+    """sum_i c_i * prod_j f_ij, one mul_oracle product and sum at a time."""
     acc = Polynomial.zero(num_vars)
     for c, factors in terms:
         prod = Polynomial.constant(num_vars, c)
         for f in factors:
-            prod = prod * f
+            prod = mul_oracle(prod, f)
         acc = acc + prod
     return acc
 

@@ -22,7 +22,9 @@ from conftest import (
     LinearSubstitution,
     fraction_matrices,
     grenet_witness,
+    mul_oracle,
     polynomials,
+    pow_oracle,
     small_fractions,
     substitute,
 )
@@ -245,6 +247,43 @@ def test_pfaffian_odd_size_rejected():
         zoo.pfaffian([[zero] * 3 for _ in range(3)])
 
 
+def pfaffian_oracle(rows):
+    """The recursive first-row expansion zoo.pfaffian replaced, products by
+    mul_oracle: Pf = sum_pos (-1)^pos a_{0,j} Pf(minor without 0 and j)."""
+
+    def rec(idx):
+        if not idx:
+            return Polynomial.one(rows[0][0].num_vars)
+        first, rest = idx[0], idx[1:]
+        acc = Polynomial.zero(rows[0][0].num_vars)
+        for pos, j in enumerate(rest):
+            term = mul_oracle(rows[first][j], rec(rest[:pos] + rest[pos + 1 :]))
+            acc = acc - term if pos % 2 else acc + term
+        return acc
+
+    return rec(tuple(range(len(rows))))
+
+
+@st.composite
+def skew_polymatrices(draw):
+    """Skew-symmetric matrices of sizes 2, 4 and 6 over 0..3 variables: zero
+    diagonal, polynomial entries above it (zero ones included), negated below."""
+    v = draw(st.integers(0, 3))
+    size = draw(st.sampled_from([2, 4, 6]))
+    rows = [[Polynomial.zero(v)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            rows[i][j] = draw(polynomials(num_vars=v, max_exp=2, max_terms=3))
+            rows[j][i] = -rows[i][j]
+    return rows
+
+
+@given(skew_polymatrices())
+@settings(max_examples=60)
+def test_pfaffian_matches_the_recursive_oracle(rows):
+    assert zoo.pfaffian(rows) == pfaffian_oracle(rows)
+
+
 def _t_linear_coefficient_of_det(skew, sym):
     """Coefficient of t^1 in det(skew + t*sym), entries scalar Fractions.
 
@@ -386,20 +425,21 @@ def test_verify_waring_detects_corruption():
 
 
 def waring_expand_oracle(dec):
-    """WaringDecomposition.expand as it was: one Polynomial power and sum per term."""
+    """WaringDecomposition.expand as it was: one power and sum per term, the
+    power by square-and-multiply over mul_oracle."""
     acc = Polynomial.zero(dec.num_vars)
     for coeff, form in dec.terms:
-        acc = acc + Polynomial.linear_form(form) ** dec.degree * coeff
+        acc = acc + pow_oracle(Polynomial.linear_form(form), dec.degree).scale(coeff)
     return acc
 
 
 def chow_expand_oracle(dec):
-    """ChowDecomposition.expand as it was: one Polynomial product at a time."""
+    """ChowDecomposition.expand as it was: one mul_oracle product at a time."""
     acc = Polynomial.zero(dec.num_vars)
     for coeff, forms in dec.terms:
         prod_poly = Polynomial.constant(dec.num_vars, coeff)
         for form in forms:
-            prod_poly = prod_poly * Polynomial.linear_form(form)
+            prod_poly = mul_oracle(prod_poly, Polynomial.linear_form(form))
         acc = acc + prod_poly
     return acc
 
