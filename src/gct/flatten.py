@@ -2,11 +2,11 @@
 
 One row format serves every matrix that is eliminated: a row is a
 ``{column: coefficient}`` dict holding its nonzero entries only, and a
-matrix is a sequence of such rows with an explicit width.  Each builder
-(catalecticants, shifted partials, the stabilizer system, h_{d,n} blocks)
-fills these rows directly; catalecticants and h_{d,n} blocks come back as
-the one labelled matrix, ``LabelledMatrix``: row and column bases, sparse
-rows, ``shape`` and ``rank()``.
+matrix is a sequence of such rows with an explicit width.  One builder,
+``gct.poly.shifted_partials``, fills them for catalecticants, shifted
+partials and the stabilizer system; h_{d,n} blocks fill them directly.
+Catalecticants and h_{d,n} blocks come back as the one labelled matrix,
+``LabelledMatrix``: row and column bases, sparse rows, ``shape``, ``rank()``.
 
 One elimination core serves rank, kernel and solve: a sparse
 fraction-free elimination on primitive integer rows held as ``{col: int}``
@@ -36,33 +36,11 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
-from .poly import (
-    Polynomial,
-    apply_diff,
-    exponent_add,
-    monomial_count,
-    monomials_of_degree,
-    polarize,
-)
+from . import CapacityError
+from .poly import Polynomial, monomial_count, polarize, shifted_partials
 
 #: The width cap of ``check_capacity``; read at call time.
 MAX_COLUMNS = 5000
-
-
-class CapacityError(RuntimeError):
-    """A computation was rejected because its exact size exceeds the cap.
-
-    Raised *before* the offending object is built, so callers can report
-    the predicted size honestly instead of hanging.
-    """
-
-    def __init__(self, context: str, size: int, cap: int):
-        super().__init__(
-            f"{context}: size {size} exceeds capacity cap {cap}"
-        )
-        self.context = context
-        self.size = size
-        self.cap = cap
 
 
 def check_capacity(context: str, width: int, height: int) -> None:
@@ -295,24 +273,11 @@ def shifted_partials_dim(p: Polynomial, k: int, shift: int) -> int:
     if shift < 0:
         raise ValueError("shift must be non-negative")
     v = p.num_vars
-    # one column per product m'' * d^{m'} p, as in every other builder
+    # one column per product m'' * d^{m'} p
     width = monomial_count(v, k) * monomial_count(v, shift)
     check_capacity(
         f"shifted partials (k={k}, shift={shift}) on C^{v}",
         width,
         monomial_count(v, d - k + shift),
     )
-    shift_basis = monomials_of_degree(v, shift)
-    row_index = {e: i for i, e in enumerate(monomials_of_degree(v, d - k + shift))}
-    rows: List[Dict[int, Fraction]] = [{} for _ in row_index]
-    c = 0
-    for m in monomials_of_degree(v, k):
-        q = apply_diff(Polynomial.monomial(m), p)
-        # ints where integral, as polarize stores them: _sparse_rows then
-        # skips its Fraction path
-        terms = [(e, x.numerator if x.denominator == 1 else x) for e, x in q.terms.items()]
-        for s in shift_basis:
-            for e, coeff in terms:
-                rows[row_index[exponent_add(e, s)]][c] = coeff
-            c += 1
-    return exact_rank(rows, width)
+    return exact_rank(list(shifted_partials(p, k, shift).values()), width)

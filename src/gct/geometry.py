@@ -16,7 +16,8 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .flatten import CapacityError, check_capacity, exact_rank, solve_linear
+from . import CapacityError
+from .flatten import check_capacity, exact_rank, solve_linear
 from .poly import (
     PolyMatrix,
     Polynomial,
@@ -26,6 +27,7 @@ from .poly import (
     exponent_add,
     exponent_sub,
     grevlex_key,
+    shifted_partials,
     sum_of_products,
 )
 from .zoo import det, discriminant, fermat
@@ -367,29 +369,14 @@ def perm_special_point(m: int) -> List[Fraction]:
 def stabilizer_lie_dim(p: Polynomial) -> int:
     """dim of the annihilator of P in gl(v) acting by x_i d/dx_j.
 
-    The condition sum_ij X_ij x_i dP/dx_j = 0 is linear in the v^2
-    unknowns X_ij; the dimension is v^2 minus the rank of its exact
-    coefficient matrix.
+    The orbit tangent gl(v).P = span{x_i dP/dx_j} is the shifted partial
+    space SP_{1,1}(P), so the dimension is v^2 minus the exact rank of
+    ``shifted_partials(P, 1, 1)``, whose height is the monomials found.
     """
     if not p.is_homogeneous():
         raise ValueError("stabilizer_lie_dim requires a homogeneous polynomial")
     v = p.num_vars
-    # rows indexed by the monomials of the x_i dP/dx_j, in first-seen order;
-    # their terms are the c e_j x^(e - delta_j + delta_i) of P's terms c x^e
-    # with e_j >= 1, in P's grevlex order (a common shift keeps the order)
-    # ints where integral, as polarize stores them: _sparse_rows then
-    # skips its Fraction path
-    terms = [(e, c.numerator if c.denominator == 1 else c) for e, c in p.sorted_terms()]
-    lowered = [
-        [(e[:j] + (e[j] - 1,) + e[j + 1 :], c * e[j]) for e, c in terms if e[j]]
-        for j in range(v)
-    ]
-    rows: Dict[Tuple[int, ...], Dict[int, Fraction]] = {}
-    for i in range(v):
-        for j in range(v):
-            for low, coeff in lowered[j]:
-                key = low[:i] + (low[i] + 1,) + low[i + 1 :]
-                rows.setdefault(key, {})[i * v + j] = coeff
+    rows = shifted_partials(p, 1, 1)
     if not rows:
         return v * v
     check_capacity(f"stabilizer of a form in gl_{v}", v * v, len(rows))

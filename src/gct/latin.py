@@ -21,7 +21,7 @@ from itertools import permutations
 from math import factorial
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .flatten import CapacityError
+from . import CapacityError
 from .poly import Polynomial, apply_diff
 from .zoo import det, perm, perm_sign
 

@@ -27,8 +27,9 @@ Conventions used throughout the package:
   stated constant.
 * Matrices of scalars use the one row format of ``gct.flatten``: rows
   ``{column: coefficient}`` holding nonzero entries only.
-  ``PolyMatrix.evaluate`` returns such rows, and ``polarize`` returns the
-  catalecticant as ``gct.flatten.LabelledMatrix``, the one labelled matrix.
+  ``PolyMatrix.evaluate`` returns such rows, ``shifted_partials`` those of
+  every span of products m'' * d^{m'} p, and ``polarize`` its shift-0 rows
+  as ``gct.flatten.LabelledMatrix``, the one labelled matrix.
 * Determinants of polynomial matrices (``det_polymatrix``) are computed
   division-free by dynamic programming over column subsets (Laplace
   expansion shared across rows), so every intermediate object is a
@@ -40,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm, perm
 from numbers import Rational
 from operator import mul, sub
@@ -78,6 +80,11 @@ def monomials_of_degree(num_vars: int, degree: int) -> List[Exponent]:
     rec([], degree, num_vars)
     out.sort(key=grevlex_key)
     return out
+
+
+@lru_cache(maxsize=4)  # a polarize call and its builder list at most three bases
+def _monomials(num_vars: int, degree: int) -> Tuple[Exponent, ...]:
+    return tuple(monomials_of_degree(num_vars, degree))
 
 
 def monomial_count(num_vars: int, degree: int) -> int:
@@ -499,15 +506,36 @@ def apply_diff(op: Polynomial, target: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
+def shifted_partials(p: Polynomial, k: int, shift: int) -> Dict[int, Dict[int, object]]:
+    """The rows of span{m'' * d^{m'} p}, the catalecticant P_{k,d-k} at shift
+    0 and the orbit tangent span{x_i dp/dx_j} of gl(v) at k = shift = 1.
+
+    Column i * C(v-1+shift, shift) + j is the i-th degree-k partial times the
+    j-th degree-``shift`` monomial, both in descending grevlex.  Each row is
+    keyed by its monomial, packed by ``_codec(v, d - k + shift)``, and holds
+    its nonzero entries only, ints where integral.
+    """
+    v = p.num_vars
+    pack, _ = _codec(v, max((p.degree() or 0) - k + shift, 0))
+    shifts = [pack(s) for s in _monomials(v, shift)]
+    rows: Dict[int, Dict[int, object]] = {}
+    for i, m in enumerate(_monomials(v, k)):
+        terms = [(pack(e), c.numerator if c.denominator == 1 else c)
+                 for e, c in apply_diff(Polynomial.monomial(m), p).terms.items()]
+        for col, s in enumerate(shifts, i * len(shifts)):
+            for e, c in terms:
+                rows.setdefault(e + s, {})[col] = c
+    return rows
+
+
 def polarize(p: Polynomial, k: int) -> "LabelledMatrix":
     """Catalecticant P_{k,d-k}: column for monomial m is apply_diff(m, p).
 
     ``p`` must be homogeneous of degree d; any 0 <= k <= d is accepted,
     the informative range being 1..d-1.  Rows are the degree-(d-k)
     monomials and columns the degree-k ones, both in descending grevlex,
-    and each row stores its nonzero entries only, ints where integral.
-    The capacity rule of ``gct.flatten`` runs on the basis sizes before
-    either basis is listed.
+    filled from ``shifted_partials(p, k, 0)``.  The capacity rule of
+    ``gct.flatten`` runs on the basis sizes before either basis is listed.
     """
     from .flatten import LabelledMatrix, check_capacity  # flatten imports this module
 
@@ -522,14 +550,10 @@ def polarize(p: Polynomial, k: int) -> "LabelledMatrix":
     check_capacity(
         f"catalecticant P_{{{k},{d - k}}} on C^{v}", monomial_count(v, k), monomial_count(v, d - k)
     )
-    col_basis = monomials_of_degree(v, k)
-    row_basis = monomials_of_degree(v, d - k)
-    row_index = {e: i for i, e in enumerate(row_basis)}
-    rows: List[Dict[int, Fraction]] = [{} for _ in row_basis]
-    for c, m in enumerate(col_basis):
-        for e, coeff in apply_diff(Polynomial.monomial(m), p).terms.items():
-            rows[row_index[e]][c] = coeff.numerator if coeff.denominator == 1 else coeff
-    return LabelledMatrix(tuple(row_basis), tuple(col_basis), tuple(rows))
+    rows = shifted_partials(p, k, 0)
+    pack, _ = _codec(v, d - k)
+    row_basis = _monomials(v, d - k)
+    return LabelledMatrix(row_basis, _monomials(v, k), tuple(rows.get(pack(e), {}) for e in row_basis))
 
 
 # ---------------------------------------------------------------------------

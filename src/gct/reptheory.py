@@ -34,7 +34,7 @@ from math import factorial
 from operator import add, sub
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .flatten import CapacityError
+from . import CapacityError
 from .poly import monomials_of_degree
 
 Partition = Tuple[int, ...]

@@ -32,7 +32,8 @@ from itertools import combinations, permutations, product
 from math import factorial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .flatten import CapacityError, solve_linear
+from . import CapacityError
+from .flatten import solve_linear
 from .poly import Exponent, PolyMatrix, Polynomial, det_polymatrix, grevlex_key, sum_of_products
 
 # ---------------------------------------------------------------------------

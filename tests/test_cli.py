@@ -429,6 +429,38 @@ def test_no_cache_flag(capsys):
     assert not os.path.exists(cache_dir) or os.listdir(cache_dir) == []
 
 
+def test_cache_dir_that_is_a_file_warns_and_keeps_the_result(capsys, tmp_path):
+    """A store that fails is one warning line: stdout and the exit code are
+    those of an uncached run."""
+    uncached = run(capsys, "--no-cache", "rep", "pleth", "4,2", "3", "2")
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    code, out, err = run(capsys, "--cache-dir", str(blocker), "rep", "pleth", "4,2", "3", "2")
+    assert (code, out) == uncached[:2] and code == 0
+    assert err.startswith("gct: warning: ") and err.count("\n") == 1
+
+
+def test_two_processes_storing_one_key_both_succeed(tmp_path, monkeypatch):
+    """A second process stores the same key between the first one's write
+    and its rename; each writes its own temporary file, so both renames
+    land and no temporary file is left."""
+    path = str(tmp_path / "key.json")
+    replace = os.replace
+
+    def interleaved(src, dst):
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "getpid", lambda: 202)
+        cli._cache_store(path, {"ok": False})
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "getpid", lambda: 101)
+    monkeypatch.setattr(os, "replace", interleaved)
+    cli._cache_store(path, {"ok": True})
+    assert os.listdir(tmp_path) == ["key.json"]
+    with open(path, "r", encoding="utf-8") as fh:
+        assert json.load(fh) == {"ok": True}  # the later rename wins
+
+
 def test_output_flag_bypasses_cache_and_writes(capsys, tmp_path):
     # prime the cache without -o
     run(capsys, "geo", "cp", "det", "2", "--s", "2")
@@ -744,7 +776,7 @@ def test_import_runs_only_the_cli_and_poly():
 @pytest.mark.parametrize(
     "argv,layers",
     [
-        (("rep", "useful", "3,1", "2", "2", "2"), ("flatten", "reptheory")),
+        (("rep", "useful", "3,1", "2", "2", "2"), ("reptheory",)),
         (("flatten", "shifted", "det3.json", "--k", "1", "--l", "1"), ("flatten",)),
         (("geo", "stab", "det", "3"), ("flatten", "geometry", "zoo")),
     ],

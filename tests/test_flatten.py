@@ -24,7 +24,7 @@ from gct.flatten import (
     waring_border_lower_bound,
 )
 from gct.poly import Polynomial, polarize
-from gct import flatten, zoo
+from gct import flatten, poly, zoo
 from gct.zoo import chow, det, fermat
 
 from conftest import fraction_matrices, polynomials, sparse
@@ -628,7 +628,7 @@ def test_shifted_partials_refused_by_each_clause(monkeypatch, cap, context, size
         raise AssertionError("a refused span was built")
 
     monkeypatch.setattr(flatten, "MAX_COLUMNS", cap)
-    monkeypatch.setattr(flatten, "apply_diff", forbidden)
+    monkeypatch.setattr(poly, "apply_diff", forbidden)
     with pytest.raises(CapacityError) as err:
         shifted_partials_dim(det(3), 1, 1)
     assert err.value.context == "shifted partials (k=1, shift=1) on C^9" + context

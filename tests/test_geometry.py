@@ -16,7 +16,14 @@ from hypothesis import given, settings
 
 from gct import flatten, geometry as geo
 from gct.flatten import CapacityError, exact_rank
-from gct.poly import PolyMatrix, Polynomial, apply_diff, det_polymatrix
+from gct.poly import (
+    PolyMatrix,
+    Polynomial,
+    apply_diff,
+    det_polymatrix,
+    monomial_count,
+    monomials_of_degree,
+)
 from gct.zoo import chow, det, discriminant, fermat, p_lambda, perm
 
 from conftest import fraction_matrices, polynomials, sparse
@@ -505,6 +512,55 @@ def test_stabilizer_stores_integral_coefficients_as_ints(monkeypatch):
     integral, rational = seen
     assert len(integral) == 1536 and all(type(x) is int for x in integral)
     assert all(type(x) is Fraction for x in rational)
+
+
+def stabilizer_dim_oracle(p):
+    """dim stab(P) from its own row builder: each term c x^e of P with
+    e_j >= 1 gives x_i dP/dx_j the term c e_j x^(e - delta_j + delta_i),
+    written in the row of that monomial at column i*v + j."""
+    v = p.num_vars
+    lowered = [
+        [(e[:j] + (e[j] - 1,) + e[j + 1 :], c * e[j]) for e, c in p.terms.items() if e[j]]
+        for j in range(v)
+    ]
+    rows = {}
+    for i in range(v):
+        for j in range(v):
+            for low, coeff in lowered[j]:
+                key = low[:i] + (low[i] + 1,) + low[i + 1 :]
+                rows.setdefault(key, {})[i * v + j] = coeff
+    return v * v - exact_rank(list(rows.values()), v * v) if rows else v * v
+
+
+def _random_form(rng, v, d, terms):
+    """``terms`` distinct degree-d monomials on C^v with small rational coefficients."""
+    monos = rng.sample(monomials_of_degree(v, d), min(terms, monomial_count(v, d)))
+    return Polynomial(v, {e: Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 1, 2])) for e in monos})
+
+
+STABILIZER_FORMS = [
+    det(2), det(3), perm(3), chow(3), fermat(3, 3), p_lambda(3),
+    Polynomial.constant(9, Fraction(1, 2)) * det(3),
+]
+
+
+@pytest.mark.parametrize(
+    "p", STABILIZER_FORMS, ids=["det2", "det3", "perm3", "chow3", "fermat3_3", "p_lambda3", "det3_half"]
+)
+def test_stabilizer_is_v_squared_minus_sp_1_1(p):
+    """The orbit tangent span{x_i dP/dx_j} is SP_{1,1}(P), and the oracle's
+    own row builder agrees."""
+    v = p.num_vars
+    dim = geo.stabilizer_lie_dim(p)
+    assert dim == v * v - flatten.shifted_partials_dim(p, 1, 1)
+    assert dim == stabilizer_dim_oracle(p)
+
+
+def test_stabilizer_matches_row_builder_oracle_on_random_forms():
+    rng = random.Random(2013)
+    for _ in range(12):
+        p = _random_form(rng, rng.randint(2, 4), rng.randint(2, 4), rng.randint(2, 6))
+        assert geo.stabilizer_lie_dim(p) == stabilizer_dim_oracle(p), p
 
 
 def test_stabilizer_of_a_constant_is_everything():
