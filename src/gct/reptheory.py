@@ -4,12 +4,15 @@ Partitions are tuples of weakly decreasing positive ints.  Characters come
 from the Murnaghan--Nakayama rule on beta-sets coded as int bitmasks: a
 t-rim hook moves a bead down t places.  The Kronecker and plethysm sums
 read whole character columns, chi_lam at every class of S_N, each built by
-one dynamic program over (mask, largest part) whose memo lives for that
-column; a few finished columns and the class data of a few N are kept.
-``character`` strips one class's cycles off a {mask: coefficient} dict.
-All inner products run over cycle types in ints, with weights N!/z_mu,
-and end in one exact division by N!; a sum over more than ``MAX_CLASSES``
-classes is refused before any is listed.
+one dynamic program over (mask, largest part) whose memo holds one block
+per state and is released when the column returns.  A few finished
+columns are kept, and for a few N the class data: the class sizes and
+the table of partition counts that finds a class's position, with no
+list of the classes themselves.  ``character`` strips one class's cycles
+off a {mask: coefficient} dict.  All inner products run over cycle types
+in ints, with weights N!/z_mu, and end in one exact division by N!, whose
+residue, if any, is raised as an inconsistent sum; a sum over more than
+``MAX_CLASSES`` classes is refused before any is listed.
 
 Plethysm multiplicities mult(S_pi, S^d(S^n V)) come from the plethysm of
 cycle indices Z(S_d)[Z(S_n)] = sum_gamma w_gamma p_gamma, evaluated as
@@ -107,6 +110,16 @@ def _partition_count(total: int) -> int:
     return p[total]
 
 
+def _exact_quotient(total: int, denom: int) -> int:
+    """total / denom, which an exact sum makes a non-negative int; a residue
+    or a negative quotient means the sum is inconsistent, and is raised
+    rather than floored."""
+    quotient, rem = divmod(total, denom)
+    if rem or quotient < 0:
+        raise ArithmeticError(f"{total} / {denom} leaves residue {rem}: inconsistent sum")
+    return quotient
+
+
 def z_order(mu: Partition) -> int:
     """|centralizer| of the class mu: prod t^{m_t} m_t!."""
     counts: Dict[int, int] = {}
@@ -130,9 +143,7 @@ def schur_dimension(p: Partition, k: int) -> int:
         for j in range(i + 1, k):
             num *= lam[i] - lam[j] + j - i
             denom *= j - i
-    dim, rem = divmod(num, denom)
-    assert rem == 0
-    return dim
+    return _exact_quotient(num, denom)
 
 
 # ---------------------------------------------------------------------------
@@ -172,22 +183,76 @@ def _hook_removals(mask: int, t: int) -> Iterator[Tuple[int, int]]:
 
 
 class _Classes:
-    """The conjugacy classes of S_N: their cycle ``types`` in
-    ``partitions(N)`` order, the ``index`` of each, the class ``sizes``
-    N!/z, and ``fits[m][k]``, the number of partitions of m with no part
-    over k."""
+    """The conjugacy classes of S_N in ``partitions(N)`` order: the class
+    ``sizes`` N!/z, and ``fits[m][k]``, the number of partitions of m with
+    no part over k.  No class is listed: ``rank`` and ``square_ranks`` find
+    positions from ``fits``."""
 
     def __init__(self, total: int):
-        self.types = tuple(partitions(total))
-        self.index = {gamma: i for i, gamma in enumerate(self.types)}
         order = factorial(total)
-        self.sizes = tuple(order // z_order(gamma) for gamma in self.types)
+        self.sizes = tuple(order // z_order(gamma) for gamma in partitions(total))
         self.fits = [(1,) * (total + 1)]
         for m in range(1, total + 1):
             row = [0]
             for k in range(1, total + 1):
                 row.append(row[-1] + (self.fits[m - k][k] if k <= m else 0))
             self.fits.append(tuple(row))
+
+    def rank(self, gamma: Partition) -> int:
+        """The position of gamma in ``partitions(|gamma|)``, |gamma| <= N.
+
+        Before gamma come, at each part i, the partitions of the m_i boxes
+        left whose first part lies above gamma_i but not above the previous
+        part top_i: fits[m_i][top_i] - fits[m_i][gamma_i], with m_0 = top_0
+        = |gamma|.
+        """
+        left = top = sum(gamma)
+        pos = 0
+        for part in gamma:
+            pos += self.fits[left][top] - self.fits[left][part]
+            left -= part
+            top = part
+        return pos
+
+    def square_ranks(self) -> List[int]:
+        """The rank of the class of sigma^2 for each class of sigma, in
+        ``partitions(N)`` order, with no class listed.
+
+        An odd t-cycle squares to a t-cycle and an even one to two
+        t/2-cycles.  ranks(m, top, pending) lists, for each gamma of m boxes
+        with no part over ``top`` in turn, the rank of the square of gamma
+        with the parts ``pending`` added.  A first part t adds the parts of
+        its own square.  The square of the rest has no part over t, or over
+        t - 1 when t is even, so the parts at least that large lead the
+        square; each shifts the rank by a constant, and the block for t
+        is a shifted copy of the ranks of the rest, with the smaller parts
+        still pending.  Few (m, top, pending) occur: 541 at N = 33.  The memo
+        is released by hand, as in ``_column``.
+        """
+        fits, memo = self.fits, {}
+
+        def ranks(m, top, pending):
+            key = (m, min(top, m), pending)
+            if key not in memo:
+                got = [] if m else [self.rank(pending)]
+                for t in range(key[1], 0, -1):
+                    parts = sorted(pending + ((t,) if t % 2 else (t // 2, t // 2)), reverse=True)
+                    shift, left = 0, m + sum(pending)
+                    while parts and parts[0] >= t - 1 + t % 2:
+                        # a first part v of ``left`` boxes: the partitions with
+                        # a larger first part come first, less those of the
+                        # rest's size that the rest's own rank counts
+                        v = parts.pop(0)
+                        rest = left - v
+                        shift += fits[left][left] - fits[left][v] - fits[rest][rest] + fits[rest][v]
+                        left = rest
+                    got.extend(map(shift.__add__, ranks(m - t, t, tuple(parts))))
+                memo[key] = got
+            return memo[key]
+
+        out = ranks(len(fits) - 1, len(fits), ())
+        memo.clear()
+        return out
 
 
 _classes = lru_cache(maxsize=4)(_Classes)
@@ -198,34 +263,46 @@ def _column(shape: Partition) -> Tuple[int, ...]:
     """chi_shape at every cycle type of S_N, N = |shape|, in ``partitions(N)``
     order.
 
-    col(mask, top) lists chi at the classes with no part over ``top``: the
-    block of classes whose first part is ``top`` -- the signed sum, over the
-    top-rim hooks, of col(smaller shape, top) -- then col(mask, top - 1).
-    The memo lives for this one column.
+    The block of a shape at first part t lists chi at the classes whose
+    first part is t: the signed sum, over the t-rim hooks, of the smaller
+    shape's chi at the classes with no part over t, read as the
+    concatenation of that shape's blocks t, t - 1, ..., 1.  The memo keeps
+    each shape's blocks once, with no copy of a prefix.  The nested
+    function reaches itself through its closure, so it and the memo form a
+    reference cycle, which outlives the call until a full garbage
+    collection; the memo is cleared by hand before returning, so only the
+    finished column stays.
     """
     total = sum(shape)
     fits = _classes(total).fits
-    memo: Dict[Tuple[int, int], List[int]] = {}
+    memo = {}  # mask -> its blocks at first parts 1, 2, ...
 
-    def col(mask: int, size: int, top: int) -> List[int]:
+    def column(mask, size, top):
+        """chi at the classes of ``size`` boxes with no part over ``top``: the
+        blocks at first parts top, top - 1, ..., 1, concatenated."""
+        if size == 0:
+            return [1]
         top = min(top, size)
-        if top == 0:
-            return [] if size else [1]
-        got = memo.get((mask, top))
-        if got is None:
-            block: Optional[List[int]] = None
-            for new, sign in _hook_removals(mask, top):
-                smaller = col(new, size - top, top)
+        blocks = memo.get(mask) or memo.setdefault(mask, [])  # no new list per lookup
+        for t in range(len(blocks) + 1, top + 1):
+            block = None
+            for new, sign in _hook_removals(mask, t):
+                smaller = column(new, size - t, t)
                 if block is None:
                     block = smaller if sign > 0 else [-x for x in smaller]
                 else:
                     block = list(map(add if sign > 0 else sub, block, smaller))
-            if block is None:  # no top-rim hook: chi vanishes on the block
-                block = [0] * fits[size - top][top]
-            got = memo[(mask, top)] = block + col(mask, size, top - 1)
-        return got
+            if block is None:  # no t-rim hook: chi vanishes on the block
+                block = [0] * fits[size - t][t]
+            blocks.append(block)
+        out = []
+        for part in blocks[top - 1 :: -1]:
+            out += part
+        return out
 
-    return tuple(col(_beta_mask(shape), total, total))
+    col = tuple(column(_beta_mask(shape), total, total))
+    memo.clear()
+    return col
 
 
 def _degree(mask: int, size: int) -> int:
@@ -267,21 +344,6 @@ def character(pi: Sequence[int], mu: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def square_cycle_type(mu: Partition) -> Partition:
-    """Cycle type of sigma^2 for sigma of cycle type mu.
-
-    An odd t-cycle squares to a t-cycle; an even 2m-cycle squares to two
-    m-cycles.
-    """
-    parts: List[int] = []
-    for t in mu:
-        if t % 2 == 1:
-            parts.append(t)
-        else:
-            parts.extend((t // 2, t // 2))
-    return tuple(sorted(parts, reverse=True))
-
-
 def kronecker(pi: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
     """k_{pi,mu,nu} = <chi_pi, chi_mu * chi_nu>, exact."""
     p = normalize_partition(pi)
@@ -294,9 +356,7 @@ def kronecker(pi: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
     for cp, cm, cn, size in zip(_column(p), _column(m), _column(n), _classes(sum(p)).sizes):
         if cp and cm and cn:
             total += cp * cm * cn * size
-    k, rem = divmod(total, factorial(sum(p)))
-    assert rem == 0 and k >= 0
-    return k
+    return _exact_quotient(total, factorial(sum(p)))
 
 
 def symmetric_kronecker(pi: Sequence[int], mu: Sequence[int]) -> int:
@@ -312,14 +372,12 @@ def symmetric_kronecker(pi: Sequence[int], mu: Sequence[int]) -> int:
     classes = _classes(sum(p))
     col_m = _column(m)
     total = 0  # 2 * N! * sk
-    for gamma, cp, cm, size in zip(classes.types, _column(p), col_m, classes.sizes):
+    for cp, cm, square, size in zip(_column(p), col_m, classes.square_ranks(), classes.sizes):
         if cp:
-            val = cm * cm + col_m[classes.index[square_cycle_type(gamma)]]
+            val = cm * cm + col_m[square]
             if val:
                 total += cp * val * size
-    sk, rem = divmod(total, 2 * factorial(sum(p)))
-    assert rem == 0 and sk >= 0
-    return sk
+    return _exact_quotient(total, 2 * factorial(sum(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +535,11 @@ def multiset_basis(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _plethysm_cycle_weights(d: int, n: int) -> Tuple[Tuple[Partition, int], ...]:
-    """Z(S_d)[Z(S_n)] = sum_gamma w_gamma p_gamma, as (gamma, d! (n!)^d w)
-    pairs: integer weights over the common denominator d! (n!)^d.
+@lru_cache(maxsize=4)
+def _plethysm_cycle_weights(d: int, n: int) -> Tuple[Tuple[int, int], ...]:
+    """Z(S_d)[Z(S_n)] = sum_gamma w_gamma p_gamma, as (rank of gamma in
+    ``partitions(dn)``, d! (n!)^d w) pairs in rank order: integer weights
+    over the common denominator d! (n!)^d.
 
     An element of the wreath product S_n wr S_d over a cycle of length r of
     the outer permutation contributes cycles r*rho for the cycle type rho
@@ -505,7 +564,7 @@ def _plethysm_cycle_weights(d: int, n: int) -> Tuple[Tuple[Partition, int], ...]
             states = new_states
         for t, w in states.items():
             total[t] += w
-    return tuple(sorted(total.items()))
+    return tuple(sorted(zip(map(_classes(d * n).rank, total), total.values())))
 
 
 def _check_degrees(p: Partition, d: int, n: int) -> None:
@@ -520,15 +579,9 @@ def plethysm_mult(pi: Sequence[int], d: int, n: int) -> int:
     p = normalize_partition(pi)
     _check_degrees(p, d, n)
     weights = _plethysm_cycle_weights(d, n)  # refuses before any column
-    col, index = _column(p), _classes(d * n).index
-    total = 0
-    for gamma, w in weights:
-        c = col[index[gamma]]
-        if c:
-            total += w * c
-    mult, rem = divmod(total, factorial(d) * factorial(n) ** d)
-    assert rem == 0 and mult >= 0
-    return mult
+    col = _column(p)
+    total = sum(w * col[i] for i, w in weights)
+    return _exact_quotient(total, factorial(d) * factorial(n) ** d)
 
 
 # ---------------------------------------------------------------------------

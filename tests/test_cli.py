@@ -140,6 +140,13 @@ def test_large_plethysm_is_refused_up_front(capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("args", [("kron", "0", "0", "0"), ("skron", "0", "0"), ("pleth", "0", "0", "0")])
+def test_sums_over_the_one_class_of_s0_print_one(capsys, args):
+    """S_0 has one class, the empty cycle type, at position 0."""
+    code, out, _ = run(capsys, "--json", "--no-cache", "rep", *args)
+    assert (code, json.loads(out)["value"]) == (0, 1)
+
+
 @pytest.mark.parametrize("command", ["kron", "skron"])
 def test_large_kronecker_sum_is_refused_before_any_column(capsys, monkeypatch, command):
     """p(100) = 190569292 classes: refused from the count alone."""

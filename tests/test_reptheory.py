@@ -12,13 +12,17 @@ The algorithms the library replaced live here as oracles: Kostka numbers
 and their unitriangular inversion (for Weyl's character formula in
 ``decompose_weight_dims``), hook lengths with the hook-content
 formula (for Weyl's dimension formula in ``schur_dimension``), the
-recursive partition generator (for the iterative ``partitions``), and the
+recursive partition generator (for the iterative ``partitions``), the
 memoized Murnaghan--Nakayama recursion on tuples (for the bitmask
-character columns and ``character``).
+character columns and ``character``), and the class-by-class square map
+``square_cycle_type`` (for ``_Classes.square_ranks``).
 """
 
+import gc
 import random
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
@@ -314,7 +318,7 @@ def test_columns_match_the_recursion_oracle():
     checked = 0
     for n in range(13):
         types = list(rt.partitions(n))
-        assert rt._classes(n).types == tuple(types)
+        assert [rt._classes(n).rank(gamma) for gamma in types] == list(range(len(types)))
         for lam in types:
             want = [mn_oracle(lam, gamma) for gamma in types]
             assert list(rt._column(lam)) == want, lam
@@ -326,10 +330,66 @@ def test_columns_match_the_recursion_oracle():
 @pytest.mark.parametrize("lam", OBSTRUCT_SHAPES)
 def test_obstruct_columns_match_the_recursion_oracle(lam):
     """The full columns at N = 30 and 33, by column and by ``character``."""
-    types = rt._classes(sum(lam)).types
+    types = tuple(rt.partitions(sum(lam)))
     want = [mn_oracle(lam, gamma) for gamma in types]
     assert list(rt._column(lam)) == want
     assert [rt.character(lam, gamma) for gamma in types] == want
+
+
+@pytest.mark.parametrize("n", list(range(21)) + [30, 33])
+def test_class_ranks_are_positions_in_partitions(n):
+    """rank(gamma) is gamma's index in partitions(n), and square_ranks()
+    lists the index of square_cycle_type(gamma) for each gamma in turn."""
+    classes = rt._classes(n)
+    types = list(rt.partitions(n))
+    index = {gamma: i for i, gamma in enumerate(types)}
+    if n <= 20:
+        assert [classes.rank(gamma) for gamma in types] == list(range(len(types)))
+    assert classes.square_ranks() == [index[square_cycle_type(gamma)] for gamma in types]
+
+
+def test_no_memo_outlives_the_column():
+    """With the collector off, what stays allocated after a column returns
+    is the column itself, not the dynamic program's memo."""
+    shape = (11, 11, 2, 2, 2, 2, 2, 1)
+    rt._classes(sum(shape))
+    rt._column.cache_clear()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        col = rt._column(shape)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    own = sys.getsizeof(col) + sum(sys.getsizeof(x) for x in col if not -5 <= x <= 256)
+    assert kept <= 2 * own, (kept, own)
+
+
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda: rt.kronecker((3, 1), (2, 2), (2, 1, 1)),
+        lambda: rt.symmetric_kronecker((3, 1), (2, 1, 1)),
+        lambda: rt.plethysm_mult((4, 2), 3, 2),
+    ],
+    ids=["kronecker", "symmetric_kronecker", "plethysm_mult"],
+)
+def test_an_inconsistent_sum_raises_instead_of_flooring(monkeypatch, compute):
+    """A column off by one at the identity class leaves a residue in the
+    final exact division, which is raised, also under python -O."""
+    exact = rt._column
+
+    def off_by_one(shape):
+        col = exact(shape)
+        return col[:-1] + (col[-1] + 1,)
+
+    monkeypatch.setattr(rt, "_column", off_by_one)
+    with pytest.raises(ArithmeticError, match="residue"):
+        compute()
 
 
 S3_TABLE = {
@@ -424,11 +484,25 @@ def test_repeated_calls_agree_and_the_column_cache_stays_bounded():
         assert rt._column.cache_info().currsize <= cap
     assert rt.kronecker((4, 2), (3, 3), (3, 2, 1)) == first
     assert rt._classes.cache_info().maxsize is not None
+    assert rt._plethysm_cycle_weights.cache_info().maxsize is not None
 
 
 # ---------------------------------------------------------------------------
 # square_cycle_type and Frobenius--Schur
 # ---------------------------------------------------------------------------
+
+
+def square_cycle_type(mu):
+    """Cycle type of sigma^2 for sigma of cycle type mu: an odd t-cycle
+    squares to a t-cycle, an even 2m-cycle to two m-cycles.  The class-by-
+    class map that ``_Classes.square_ranks`` replaced."""
+    parts = []
+    for t in mu:
+        if t % 2 == 1:
+            parts.append(t)
+        else:
+            parts.extend((t // 2, t // 2))
+    return tuple(sorted(parts, reverse=True))
 
 
 def _cycle_type(perm):
@@ -448,13 +522,13 @@ def _cycle_type(perm):
 
 
 def test_square_cycle_type_bruteforce():
-    assert rt.square_cycle_type((4,)) == (2, 2)
-    assert rt.square_cycle_type((6,)) == (3, 3)
-    assert rt.square_cycle_type((3,)) == (3,)
+    assert square_cycle_type((4,)) == (2, 2)
+    assert square_cycle_type((6,)) == (3, 3)
+    assert square_cycle_type((3,)) == (3,)
     for n in range(1, 6):
         for perm in permutations(range(n)):
             sq = tuple(perm[perm[i]] for i in range(n))
-            assert _cycle_type(sq) == rt.square_cycle_type(_cycle_type(perm))
+            assert _cycle_type(sq) == square_cycle_type(_cycle_type(perm))
 
 
 def test_frobenius_schur_indicator_is_one():
@@ -462,7 +536,7 @@ def test_frobenius_schur_indicator_is_one():
     for n in range(1, 7):
         for pi in rt.partitions(n):
             total = sum(
-                class_size(mu) * rt.character(pi, rt.square_cycle_type(mu))
+                class_size(mu) * rt.character(pi, square_cycle_type(mu))
                 for mu in rt.partitions(n)
             )
             assert total == factorial(n)
@@ -492,7 +566,7 @@ def symmetric_kronecker_oracle(pi, mu):
     """sk^pi_{mu,mu} = (1/2) sum_gamma chi_pi (chi_mu^2 + chi_mu(gamma^2)) / z_gamma."""
     total = Fraction(0)
     for gamma, z in cycle_classes(sum(pi)):
-        val = mn_oracle(mu, gamma) ** 2 + mn_oracle(mu, rt.square_cycle_type(gamma))
+        val = mn_oracle(mu, gamma) ** 2 + mn_oracle(mu, square_cycle_type(gamma))
         total += Fraction(mn_oracle(pi, gamma) * val, z)
     total /= 2
     assert total.denominator == 1 and total >= 0
@@ -816,9 +890,11 @@ def plethysm_cycle_weights_oracle(d, n):
 
 
 def scaled_cycle_weights(d, n):
-    """``_plethysm_cycle_weights`` with its common denominator divided out."""
+    """``_plethysm_cycle_weights`` with each class position read back as its
+    cycle type and the common denominator divided out, sorted by type."""
+    types = list(rt.partitions(d * n))
     scale = factorial(d) * factorial(n) ** d
-    return tuple((gamma, Fraction(w, scale)) for gamma, w in rt._plethysm_cycle_weights(d, n))
+    return tuple(sorted((types[i], Fraction(w, scale)) for i, w in rt._plethysm_cycle_weights(d, n)))
 
 
 def plethysm_mult_oracle(pi, d, n):
@@ -833,6 +909,7 @@ def test_cycle_weights_match_the_fraction_oracle():
     for d, n in pairs:
         weights = rt._plethysm_cycle_weights(d, n)
         assert all(type(w) is int and w > 0 for _, w in weights)
+        assert [i for i, _ in weights] == sorted({i for i, _ in weights})  # one per class, in order
         assert scaled_cycle_weights(d, n) == plethysm_cycle_weights_oracle(d, n), (d, n)
     assert len(pairs) == 83
 
