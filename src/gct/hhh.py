@@ -23,10 +23,11 @@ number of choices of orderings of rows 2..d whose columns form it.  The
 count is a dynamic program over rows.  A state is the multiset of the n
 partial columns: how the remaining rows extend a state depends only on
 that multiset, by the same slot symmetry, so after each row the states
-are sorted and equal ones merge, adding their counts.  Scaling a column by
-the nonzero s(ms) changes neither the rank nor the kernel's dimension; x
-is in ker h exactly when D^{-1} x is in the kernel of the entries, for
-D = diag(s).
+are sorted and equal ones merge, adding their counts.  A column is packed
+by ``poly.codec(v, d)``, so a final state is the key ``build_hhh`` gives
+its codomain row.  Scaling a column by the nonzero s(ms) changes neither
+the rank nor the kernel's dimension; x is in ker h exactly when D^{-1} x
+is in the kernel of the entries, for D = diag(s).
 
 h is GL(W)-equivariant, so its matrix is block diagonal with respect to
 the torus-weight grading, and permuting variables identifies blocks with
@@ -52,7 +53,7 @@ from operator import add
 from typing import Dict, List, Sequence, Tuple
 
 from .flatten import LabelledMatrix, check_capacity
-from .poly import Exponent, monomial_count
+from .poly import Exponent, codec, monomial_count
 from .reptheory import (
     Partition,
     count_weight_multisets,
@@ -83,20 +84,22 @@ def predicted_block_size(d: int, n: int, v: int, weight: Sequence[int]) -> Tuple
 # ---------------------------------------------------------------------------
 
 
-def _letters(m: Exponent) -> Tuple[int, ...]:
-    return tuple(a for a, e in enumerate(m) for _ in range(e))
+def _letters(m: Exponent, d: int) -> Tuple[int, ...]:
+    """The letters of m, ascending, letter a packed as x_a by ``codec(v, d)``."""
+    v = len(m)
+    pack = codec(v, d)[0]
+    return tuple(pack((0,) * a + (1,) + (0,) * (v - 1 - a)) for a, e in enumerate(m) for _ in range(e))
 
 
 @lru_cache(maxsize=None)
-def _distinct_orderings(m: Exponent) -> Tuple[Tuple[int, ...], ...]:
-    """Distinct letter sequences with content m (multiset permutations)."""
-    letters = sorted(_letters(m))
+def _distinct_orderings(m: Exponent, d: int) -> Tuple[Tuple[int, ...], ...]:
+    """Distinct sequences of the packed ``_letters(m, d)`` (multiset
+    permutations)."""
+    letters = _letters(m, d)
     n = len(letters)
     out: List[Tuple[int, ...]] = []
     seq: List[int] = []
-    counts: Dict[int, int] = {}
-    for a in letters:
-        counts[a] = counts.get(a, 0) + 1
+    counts = Counter(letters)
     keys = sorted(counts)
 
     def rec() -> None:
@@ -115,34 +118,27 @@ def _distinct_orderings(m: Exponent) -> Tuple[Tuple[int, ...], ...]:
     return tuple(out)
 
 
-def hhh_column(ms: Multiset, n: int, v: int) -> Dict[Multiset, int]:
-    """Image of the domain basis element ``ms``, times s(ms), as
-    {codomain multiset: integer coefficient}.
+def hhh_column(ms: Multiset, n: int, v: int) -> Dict[Tuple[int, ...], int]:
+    """Image of the domain basis element ``ms``, times s(ms), as {codomain
+    multiset: integer coefficient}, the multiset as the ascending tuple of
+    its monomials packed by ``codec(v, d)`` (descending grevlex).
 
-    A state is the sorted tuple of the n partial columns, each column coded
-    as the integer sum of B**a over its letters a (B = d + 1 exceeds every
-    exponent); ascending codes are descending grevlex, the basis order.
+    A state is the sorted tuple of the n packed partial columns, each the
+    sum of its letters; no entry passes d, so no field carries.
     """
     d = len(ms)
     if d == 0:
         return {(): 1}
-    base = d + 1
-    power = [base**a for a in range(v)]
-    states: Dict[Tuple[int, ...], int] = {tuple(sorted(power[a] for a in _letters(ms[0]))): 1}
+    states: Dict[Tuple[int, ...], int] = {_letters(ms[0], d): 1}
     for m in ms[1:]:
-        orderings = [tuple(power[a] for a in o) for o in _distinct_orderings(m)]
+        orderings = _distinct_orderings(m, d)
         merged: Dict[Tuple[int, ...], int] = {}
         for state, count in states.items():
             for o in orderings:
                 key = tuple(sorted(map(add, state, o)))
                 merged[key] = merged.get(key, 0) + count
         states = merged
-    decoded: Dict[int, Exponent] = {}
-    for state in states:
-        for code in state:
-            if code not in decoded:
-                decoded[code] = tuple(code // p % base for p in power)
-    return {tuple(decoded[c] for c in state): count for state, count in states.items()}
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +166,8 @@ def build_hhh(d: int, n: int, v: int, weight: Sequence[int]) -> LabelledMatrix:
     check_capacity(f"h_{{{d},{n}}} on C^{v}, weight {w}", *predicted_block_size(d, n, v, w))
     col_basis = multiset_basis(d, n, v, w)
     row_basis = multiset_basis(n, d, v, w)
-    row_index = {ms: i for i, ms in enumerate(row_basis)}
+    pack = codec(v, d)[0]
+    row_index = {tuple(map(pack, ms)): i for i, ms in enumerate(row_basis)}
     rows: List[Dict[int, int]] = [{} for _ in row_basis]
     for c, ms in enumerate(col_basis):
         for key, val in hhh_column(ms, n, v).items():

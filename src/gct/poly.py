@@ -64,10 +64,11 @@ def grevlex_key(exps: Exponent):
     return (-sum(exps), tuple(reversed(exps)))
 
 
-def monomials_of_degree(num_vars: int, degree: int) -> List[Exponent]:
+@lru_cache(maxsize=8)  # a polarize call lists three bases, an h_{d,n} block two
+def monomials_of_degree(num_vars: int, degree: int) -> Tuple[Exponent, ...]:
     """All exponent tuples of the given total degree, descending grevlex."""
     if num_vars == 0:
-        return [()] if degree == 0 else []
+        return ((),) if degree == 0 else ()
     out: List[Exponent] = []
 
     def rec(prefix: List[int], remaining: int, slots: int) -> None:
@@ -78,13 +79,7 @@ def monomials_of_degree(num_vars: int, degree: int) -> List[Exponent]:
             rec(prefix + [e], remaining - e, slots - 1)
 
     rec([], degree, num_vars)
-    out.sort(key=grevlex_key)
-    return out
-
-
-@lru_cache(maxsize=4)  # a polarize call and its builder list at most three bases
-def _monomials(num_vars: int, degree: int) -> Tuple[Exponent, ...]:
-    return tuple(monomials_of_degree(num_vars, degree))
+    return tuple(sorted(out, key=grevlex_key))
 
 
 def monomial_count(num_vars: int, degree: int) -> int:
@@ -342,11 +337,12 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _codec(num_vars: int, bound: int):
+def codec(num_vars: int, bound: int):
     """(pack, unpack) for exponent tuples with every entry at most ``bound``:
     variable i is the bit field [i*b, (i+1)*b) of one int, b =
     bound.bit_length() (at least 1), so adding monomials within ``bound``
-    never carries from one field into the next."""
+    never carries from one field into the next; within a degree,
+    ascending codes are descending grevlex."""
     b = max(1, bound.bit_length())
     shifts, mask = range(0, b * num_vars, b), (1 << b) - 1
     weights = [1 << s for s in shifts]
@@ -390,7 +386,7 @@ def sum_of_products(num_vars: int, terms: Sequence[Tuple[object, Sequence[Polyno
     den = lcm(*(c.denominator for _, fs in terms for f in fs for c in f.terms.values()))
     dens = [c.denominator * den ** len(fs) for c, fs in terms]
     common = lcm(*dens)
-    pack, unpack = _codec(num_vars, bound)
+    pack, unpack = codec(num_vars, bound)
     acc: Dict[int, int] = {}
     for (c, fs), d in zip(terms, dens):
         chain = {0: c.numerator * (common // d)}
@@ -454,7 +450,7 @@ def det_polymatrix(m: PolyMatrix, rows: Optional[Sequence[int]] = None,
     # a term of a minor takes one entry per row: its degree is at most the sum of row maxima
     bound = sum(max((p.degree() or 0 for p in row), default=0) for row in picked)
     den = lcm(*(c.denominator for row in picked for p in row for c in p.terms.values()))
-    pack, unpack = _codec(m.num_vars, bound)
+    pack, unpack = codec(m.num_vars, bound)
     minors: Dict[int, Dict[int, int]] = {0: {0: 1}}
     for i, row in enumerate(picked):
         entries = [_packed(p, pack, den) for p in row]
@@ -512,14 +508,14 @@ def shifted_partials(p: Polynomial, k: int, shift: int) -> Dict[int, Dict[int, o
 
     Column i * C(v-1+shift, shift) + j is the i-th degree-k partial times the
     j-th degree-``shift`` monomial, both in descending grevlex.  Each row is
-    keyed by its monomial, packed by ``_codec(v, d - k + shift)``, and holds
+    keyed by its monomial, packed by ``codec(v, d - k + shift)``, and holds
     its nonzero entries only, ints where integral.
     """
     v = p.num_vars
-    pack, _ = _codec(v, max((p.degree() or 0) - k + shift, 0))
-    shifts = [pack(s) for s in _monomials(v, shift)]
+    pack, _ = codec(v, max((p.degree() or 0) - k + shift, 0))
+    shifts = [pack(s) for s in monomials_of_degree(v, shift)]
     rows: Dict[int, Dict[int, object]] = {}
-    for i, m in enumerate(_monomials(v, k)):
+    for i, m in enumerate(monomials_of_degree(v, k)):
         terms = [(pack(e), c.numerator if c.denominator == 1 else c)
                  for e, c in apply_diff(Polynomial.monomial(m), p).terms.items()]
         for col, s in enumerate(shifts, i * len(shifts)):
@@ -551,9 +547,10 @@ def polarize(p: Polynomial, k: int) -> "LabelledMatrix":
         f"catalecticant P_{{{k},{d - k}}} on C^{v}", monomial_count(v, k), monomial_count(v, d - k)
     )
     rows = shifted_partials(p, k, 0)
-    pack, _ = _codec(v, d - k)
-    row_basis = _monomials(v, d - k)
-    return LabelledMatrix(row_basis, _monomials(v, k), tuple(rows.get(pack(e), {}) for e in row_basis))
+    pack, _ = codec(v, d - k)
+    row_basis = monomials_of_degree(v, d - k)
+    return LabelledMatrix(row_basis, monomials_of_degree(v, k),
+                          tuple(rows.get(pack(e), {}) for e in row_basis))
 
 
 # ---------------------------------------------------------------------------

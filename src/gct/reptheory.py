@@ -32,7 +32,7 @@ formula.  The tests keep Kostka inversion and hook-content as oracles.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from operator import add, sub
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -184,19 +184,22 @@ def _hook_removals(mask: int, t: int) -> Iterator[Tuple[int, int]]:
 
 class _Classes:
     """The conjugacy classes of S_N in ``partitions(N)`` order: the class
-    ``sizes`` N!/z, and ``fits[m][k]``, the number of partitions of m with
-    no part over k.  No class is listed: ``rank`` and ``square_ranks`` find
-    positions from ``fits``."""
+    ``sizes`` N!/z, built when read, and ``fits[m][k]``, the number of
+    partitions of m with no part over k.  No class is listed: ``rank`` and
+    ``square_ranks`` find positions from ``fits``."""
 
     def __init__(self, total: int):
-        order = factorial(total)
-        self.sizes = tuple(order // z_order(gamma) for gamma in partitions(total))
         self.fits = [(1,) * (total + 1)]
         for m in range(1, total + 1):
             row = [0]
             for k in range(1, total + 1):
                 row.append(row[-1] + (self.fits[m - k][k] if k <= m else 0))
             self.fits.append(tuple(row))
+
+    @cached_property
+    def sizes(self) -> Tuple[int, ...]:
+        order = factorial(len(self.fits) - 1)
+        return tuple(order // z_order(gamma) for gamma in partitions(len(self.fits) - 1))
 
     def rank(self, gamma: Partition) -> int:
         """The position of gamma in ``partitions(|gamma|)``, |gamma| <= N.
@@ -437,14 +440,9 @@ def decompose_weight_dims(dims: Dict[Partition, int]) -> Dict[Partition, int]:
 _WEIGHT_COUNT_MEMO: Dict[Tuple[int, int, int, Tuple[int, ...]], List[int]] = {}
 
 
-@lru_cache(maxsize=None)
-def _monomials(v: int, degree: int) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(monomials_of_degree(v, degree))
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _monomial_index(v: int, degree: int) -> Dict[Tuple[int, ...], int]:
-    return {m: i for i, m in enumerate(_monomials(v, degree))}
+    return {m: i for i, m in enumerate(monomials_of_degree(v, degree))}
 
 
 def _suffix_counts(degree: int, v: int, count: int, rem: Tuple[int, ...]) -> List[int]:
@@ -458,7 +456,7 @@ def _suffix_counts(degree: int, v: int, count: int, rem: Tuple[int, ...]) -> Lis
     got = _WEIGHT_COUNT_MEMO.get(key)
     if got is not None:
         return got
-    monos = _monomials(v, degree)
+    monos = monomials_of_degree(v, degree)
     if count == 0:  # then rem is zero
         out = [1] * (len(monos) + 1)
     elif count == 1:  # rem is one monomial: counted while it is still free
@@ -505,7 +503,7 @@ def multiset_basis(
     """
     if not count_weight_multisets(count, degree, v, weight):  # validates weight
         return []
-    monos = _monomials(v, degree)
+    monos = monomials_of_degree(v, degree)
 
     def walk(i, c, rem, acc):
         """The multisets acc + (c monomials of monos[i:] with column sums

@@ -21,7 +21,7 @@ import pytest
 
 from gct import flatten, hhh
 from gct.flatten import CapacityError, exact_rank, nullspace
-from gct.poly import Polynomial, apply_diff, grevlex_key, monomials_of_degree
+from gct.poly import Polynomial, apply_diff, codec, grevlex_key, monomials_of_degree
 from gct.reptheory import count_weight_multisets, partitions, plethysm_mult
 from conftest import sparse
 from test_reptheory import dominates
@@ -39,6 +39,13 @@ def weight_of_multiset(ms, v):
         for a, e in enumerate(m):
             w[a] += e
     return tuple(w)
+
+
+def decoded_column(ms, n, v):
+    """``hhh_column`` with each key's packed monomials decoded by
+    ``codec(v, d)``, d = len(ms): {codomain multiset: coefficient}."""
+    unpack = codec(v, len(ms))[1]
+    return {tuple(map(unpack, key)): val for key, val in hhh.hhh_column(ms, n, v).items()}
 
 
 def full_multiset_basis(count, degree, v):
@@ -70,7 +77,7 @@ def full_hhh(d, n, v):
     row_index = {ms: i for i, ms in enumerate(row_basis)}
     rows = [[0] * len(col_basis) for _ in row_basis]
     for c, ms in enumerate(col_basis):
-        for key, val in hhh.hhh_column(ms, n, v).items():
+        for key, val in decoded_column(ms, n, v).items():
             rows[row_index[key]][c] = val
     return FullMap(d, n, v, tuple(row_basis), tuple(col_basis), tuple(map(tuple, rows)))
 
@@ -158,7 +165,7 @@ def apply_map(coeffs, n, v):
         if c == 0:
             continue
         s = column_scale(ms, n)
-        for key, val in hhh.hhh_column(ms, n, v).items():
+        for key, val in decoded_column(ms, n, v).items():
             acc = out.get(key, Fraction(0)) + c * Fraction(val, s)
             if acc:
                 out[key] = acc
@@ -307,13 +314,31 @@ def test_column_is_scaled_leaf_enumeration(d, n, v, weights, columns):
     seen = 0
     for w in weights:
         for ms in hhh.multiset_basis(d, n, v, w):
-            got = hhh.hhh_column(ms, n, v)
+            got = decoded_column(ms, n, v)
             s = column_scale(ms, n)
             want = {key: val * s for key, val in enumerate_column(ms, n, v).items()}
             assert got == want, ms
             assert all(type(x) is int for x in got.values()), ms
             seen += 1
     assert seen == columns
+
+
+@pytest.mark.parametrize("d,n,v", [(1, 3, 3), (2, 3, 3), (3, 3, 3), (4, 2, 3), (7, 2, 3), (8, 2, 3)])
+def test_packed_keys_are_block_rows_where_the_field_width_steps(d, n, v):
+    """codec(v, d) has fields of 1, 2, 2, 3, 3 and 4 bits for these d.  Its
+    codes of the degree-d monomials ascend in descending grevlex, so every
+    codomain multiset packs to an ascending tuple, and every key
+    ``hhh_column`` returns is one of those tuples: a row of the block."""
+    pack = codec(v, d)[0]
+    codes = [pack(m) for m in monomials_of_degree(v, d)]
+    assert codes == sorted(set(codes))
+    for w in hhh.dominant_weights(d * n, v):
+        block = hhh.build_hhh(d, n, v, w)
+        rows = {tuple(map(pack, ms)): r for r, ms in enumerate(block.row_basis)}
+        assert len(rows) == len(block.row_basis) and all(list(key) == sorted(key) for key in rows), w
+        for c, ms in enumerate(block.col_basis):
+            column = hhh.hhh_column(ms, n, v)
+            assert column and all(block.entries[rows[key]][c] == x for key, x in column.items()), ms
 
 
 def test_entries_are_python_ints():

@@ -1,7 +1,8 @@
 """Layout guard: the library holds no function, class or method that only
 the tests call, no keyword option that only the tests set, no import
 that its module never reads, no private name imported from another
-module, and no module-level name that no library code reads.  A name that
+module, no module-level name that no library code reads, and no cache
+that never evicts unless it is on the allow-list below.  A name that
 only tests need belongs in the tests."""
 
 import ast
@@ -248,3 +249,69 @@ def unread_module_names():
 def test_every_module_level_name_is_read():
     unread = unread_module_names()
     assert not unread, f"assigned at module level but never read: {', '.join(unread)}"
+
+
+#: the caches src/gct keeps with no bound, each keyed by the arguments of
+#: one run: the package digest, the packed orderings of one row,
+#: and the suffix counts the weight blocks of one S^d(S^n C^v) share
+UNBOUNDED_CACHES = {"cli.code_digest", "hhh._distinct_orderings", "reptheory._WEIGHT_COUNT_MEMO"}
+
+
+def _never_evicts(wrapper):
+    """Whether a decorator or wrapper expression is ``cache`` or
+    ``lru_cache(maxsize=None)``, bare or as a ``functools`` attribute."""
+    if isinstance(wrapper, ast.Call) and _callee(wrapper) == "lru_cache":
+        sizes = [kw.value for kw in wrapper.keywords if kw.arg == "maxsize"] + wrapper.args[:1]
+        return any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
+    return ast.unparse(wrapper).split(".")[-1] == "cache"
+
+
+def unbounded_caches():
+    """Caches of src/gct that never evict, as sorted "module.name" strings:
+    functions and methods wrapped by ``cache`` or ``lru_cache(maxsize=None)``,
+    as a decorator or a call, and module-level dicts that start empty or
+    that code of their module stores into."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found.extend(
+            f"{path.stem}.{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and any(map(_never_evicts, node.decorator_list))
+        )
+        filled = {
+            node.value.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+        } | {
+            node.func.value.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("setdefault", "update") and isinstance(node.func.value, ast.Name)
+        }
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) or stmt.value is None:
+                continue
+            value = stmt.value
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            if isinstance(value, ast.Dict):
+                empty = not value.keys
+            elif isinstance(value, ast.Call) and _callee(value) in ("dict", "defaultdict"):
+                empty = _callee(value) == "defaultdict" or not (value.args or value.keywords)
+            elif isinstance(value, ast.Call) and _never_evicts(value.func):
+                empty = True
+            else:
+                continue
+            found.extend(f"{path.stem}.{name}" for name in names if empty or name in filled)
+    return sorted(found)
+
+
+def test_every_unbounded_cache_is_on_the_allow_list():
+    found = set(unbounded_caches())
+    assert found == UNBOUNDED_CACHES, (
+        f"unbounded caches not allowed: {', '.join(sorted(found - UNBOUNDED_CACHES)) or 'none'}; "
+        f"allowed but gone: {', '.join(sorted(UNBOUNDED_CACHES - found)) or 'none'}"
+    )

@@ -46,7 +46,7 @@ def test_grevlex_classic_degree_two_order():
         (0, 1, 1),  # x2 x3
         (0, 0, 2),  # x3^2
     ]
-    assert monomials_of_degree(3, 2) == want
+    assert list(monomials_of_degree(3, 2)) == want
 
 
 def test_grevlex_degree_dominates():

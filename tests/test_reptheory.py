@@ -487,6 +487,20 @@ def test_repeated_calls_agree_and_the_column_cache_stays_bounded():
     assert rt._plethysm_cycle_weights.cache_info().maxsize is not None
 
 
+def test_plethysm_builds_no_class_sizes():
+    """plethysm_mult reads only ``fits``; the class sizes N!/z are built on
+    their first read, by a Kronecker sum."""
+    for cached in (rt._classes, rt._column, rt._plethysm_cycle_weights):
+        cached.cache_clear()
+    # S^2(S^3 V) = S_6 V + S_(4,2) V
+    assert [rt.plethysm_mult(p, 2, 3) for p in [(6,), (5, 1), (4, 2)]] == [1, 0, 1]
+    assert rt._classes.cache_info().currsize == 1
+    classes = rt._classes(6)
+    assert "sizes" not in vars(classes)
+    assert rt.kronecker((4, 2), (4, 2), (6,)) == 1
+    assert sum(vars(classes)["sizes"]) == factorial(6)
+
+
 # ---------------------------------------------------------------------------
 # square_cycle_type and Frobenius--Schur
 # ---------------------------------------------------------------------------
