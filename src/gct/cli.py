@@ -2,7 +2,7 @@
 
 Subcommand tree: ``zoo | flatten | hhh | rep | latin | geo``.  Each command
 is declared once, in :data:`COMMANDS` (help, cacheable, argument specs);
-:func:`build_parser` is a loop over that table, and ``gct <group> <command>``
+:func:`build_parser` reads that table, and ``gct <group> <command>``
 runs the module function ``cmd_<group>_<command>`` (dashes become
 underscores), looked up by name at dispatch.  After parsing, arguments are
 converted by name (partitions, ``--weight``, ``--point``, ``poly_file``,
@@ -10,11 +10,16 @@ converted by name (partitions, ``--weight``, ``--point``, ``poly_file``,
 
 Each command runs in a process of its own, and where no bytecode cache is
 written that process compiles every module it runs, so start-up is paid on
-every command.  Only ``poly`` is imported eagerly: the other layers are
-bound as lazy modules (``importlib.util.LazyLoader``), registered in
-``sys.modules`` at import and run on first attribute access, so a command
-runs only the layers it calls (``rep useful`` runs neither ``geometry``,
-``hhh``, ``latin`` nor ``zoo``).
+every command.  So a process loads only what its command runs.  Every
+layer, ``poly`` too, is bound as a lazy module (``importlib.util.LazyLoader``),
+registered in ``sys.modules`` at import and run on first attribute access,
+so a command runs only the layers it calls (``rep useful`` runs
+``reptheory`` alone).  ``fractions`` is imported where a Fraction is built
+and ``hashlib``, with OpenSSL behind it, where a digest is taken, so a
+command that neither caches nor prints a digest loads neither.  The parser
+adds a group's commands, and a command's arguments, only when argparse
+reaches them on the line; the rest keep the name and help that ``-h`` and
+an invalid-choice error print.
 
 Every command accepts ``--json`` (machine-readable record instead of the
 human report), ``--no-cache`` and ``--cache-dir``, anywhere on the line.
@@ -41,21 +46,17 @@ bytes or is recomputed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
-import hashlib
 import importlib.util
 import json
 import os
-import random
 import sys
 import time
 import types
-from fractions import Fraction
 from itertools import islice
 from math import comb
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
-
-from .poly import Polynomial, dumps, loads, polarize, poly_digest, to_record
 
 
 def _lazy(name: str) -> types.ModuleType:
@@ -73,8 +74,8 @@ def _lazy(name: str) -> types.ModuleType:
     return module
 
 
-flatten, geometry, hhh, latin, reptheory, zoo = map(
-    _lazy, ("flatten", "geometry", "hhh", "latin", "reptheory", "zoo")
+flatten, geometry, hhh, latin, poly, reptheory, zoo = map(
+    _lazy, ("flatten", "geometry", "hhh", "latin", "poly", "reptheory", "zoo")
 )
 
 # ---------------------------------------------------------------------------
@@ -82,8 +83,13 @@ flatten, geometry, hhh, latin, reptheory, zoo = map(
 # ---------------------------------------------------------------------------
 
 
-def _canonical(payload: object) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+def _digest(payload: object) -> str:
+    """SHA-256 of ``payload``'s canonical JSON."""
+    import hashlib  # only a cached command or a digest pays for OpenSSL
+
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
 
 
 @functools.lru_cache(maxsize=None)
@@ -92,6 +98,8 @@ def code_digest() -> str:
 
     Python sources cannot contain NUL, so it separates the files unambiguously.
     """
+    import hashlib
+
     pkg = os.path.dirname(os.path.abspath(__file__))
     h = hashlib.sha256()
     for name in sorted(f for f in os.listdir(pkg) if f.endswith(".py")):
@@ -102,22 +110,14 @@ def code_digest() -> str:
 
 def manifest_key(command: Sequence[str], parameters: Dict[str, object]) -> str:
     """Content address of a run: digest of the manifest *inputs*."""
-    return hashlib.sha256(
-        _canonical(
-            {
-                "command": list(command),
-                "parameters": parameters,
-                "code_version": code_digest(),
-            }
-        )
-    ).hexdigest()
+    return _digest(
+        {"command": list(command), "parameters": parameters, "code_version": code_digest()}
+    )
 
 
 def entry_digest(record: dict, human: str, ok: bool) -> str:
     """Digest of everything a cache hit replays."""
-    return hashlib.sha256(
-        _canonical({"record": record, "human": human, "ok": ok})
-    ).hexdigest()
+    return _digest({"record": record, "human": human, "ok": ok})
 
 
 def _cache_load(path: str) -> Optional[dict]:
@@ -143,10 +143,15 @@ def _cache_load(path: str) -> Optional[dict]:
 def _cache_store(path: str, entry: dict) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"  # one per process: concurrent stores of a key
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(entry, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(entry, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:  # a store that fails leaves no temporary file
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +160,8 @@ def _cache_store(path: str, entry: dict) -> None:
 
 
 def _jsonable(x: object) -> object:
-    """Coerce Fractions/tuples so records are exact JSON round-trippers."""
-    if isinstance(x, Fraction):
-        return str(x)
+    """Coerce tuples and Fractions so records are exact JSON round-trippers:
+    a Fraction, like any other value JSON lacks, becomes its ``str``."""
     if isinstance(x, bool) or x is None or isinstance(x, (int, str, float)):
         return x
     if isinstance(x, (list, tuple)):
@@ -258,6 +262,8 @@ def _checked(value: object, json_type, what: str):
 
 def witness_from_record(rec: dict) -> object:
     """The witness a record describes; a malformed JSON shape is a ValueError."""
+    from fractions import Fraction
+
     kind = _checked(rec, dict, "a witness record").get("kind")
 
     def field(name: str, json_type: type = int):
@@ -300,27 +306,27 @@ def witness_from_record(rec: dict) -> object:
 # ---------------------------------------------------------------------------
 
 
-def _read_poly_file(path: str) -> Polynomial:
+def _read_poly_file(path: str) -> poly.Polynomial:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        return poly.loads(fh.read())
 
 
 class Target(NamedTuple):
     """A polynomial given as ``name params...`` or as a file path."""
 
-    poly: Polynomial
+    poly: poly.Polynomial
     name: Optional[str]
     params: Tuple[int, ...]
 
     def manifest_param(self) -> dict:
         if self.name is not None:
             return {"name": self.name, "params": list(self.params)}
-        return {"poly_digest": poly_digest(self.poly)}
+        return {"poly_digest": poly.poly_digest(self.poly)}
 
     def label(self) -> str:
         if self.name is not None:
             return " ".join([self.name, *map(str, self.params)])
-        return f"<file sha256:{poly_digest(self.poly)[:12]}>"
+        return f"<file sha256:{poly.poly_digest(self.poly)[:12]}>"
 
 
 def _load_target(tokens: Sequence[str]) -> Target:
@@ -345,6 +351,8 @@ def _parse_weight(text: str) -> Optional[Tuple[int, ...]]:
 
 
 def _parse_points(text: str) -> Optional[List[Fraction]]:
+    from fractions import Fraction
+
     return [Fraction(x) for x in text.split(",")] if text else None
 
 
@@ -366,10 +374,10 @@ def _echo(ns: argparse.Namespace, **fields: object) -> dict:
     return {**{k: v for k, v in given.items() if v is not None}, **fields}
 
 
-def _key_value(value: object) -> object:
-    """What a converted argument contributes to the cache key."""
-    if isinstance(value, Polynomial):
-        return poly_digest(value)
+def _key_value(name: str, value: object) -> object:
+    """What the converted argument ``name`` contributes to the cache key."""
+    if name == "poly_file":  # by name: no isinstance check that runs gct.poly
+        return poly.poly_digest(value)
     if isinstance(value, Target):
         return value.manifest_param()
     return value
@@ -412,10 +420,10 @@ def cmd_zoo_make(ns: argparse.Namespace) -> CommandResult:
         num_vars=p.num_vars,
         degree=p.degree(),
         terms=p.num_terms(),
-        digest=poly_digest(p),
+        digest=poly.poly_digest(p),
     )
     # without -o the human report *is* the polynomial file
-    return _file_or_stdout(ns, record, dumps(p), "polynomial", to_record(p))
+    return _file_or_stdout(ns, record, poly.dumps(p), "polynomial", poly.to_record(p))
 
 
 def cmd_zoo_witness(ns: argparse.Namespace) -> CommandResult:
@@ -455,14 +463,14 @@ def cmd_zoo_verify(ns: argparse.Namespace) -> CommandResult:
 
 
 def cmd_flatten_rank(ns: argparse.Namespace) -> CommandResult:
-    p: Polynomial = ns.poly_file
+    p: poly.Polynomial = ns.poly_file
     d = p.degree()
     if d is None or not p.is_homogeneous():
         raise ValueError("need a nonzero homogeneous polynomial")
     k = ns.k if ns.k is not None else d // 2
-    fm = polarize(p, k)
+    fm = poly.polarize(p, k)
     record = {
-        "poly_digest": poly_digest(p),
+        "poly_digest": poly.poly_digest(p),
         "degree": d,
         "k": k,
         "shape": fm.shape,
@@ -471,10 +479,10 @@ def cmd_flatten_rank(ns: argparse.Namespace) -> CommandResult:
     return CommandResult(record)
 
 
-def _border_bound(p: Polynomial, lower_bound) -> CommandResult:
+def _border_bound(p: poly.Polynomial, lower_bound) -> CommandResult:
     b = lower_bound(p)
     record = {
-        "poly_digest": poly_digest(p),
+        "poly_digest": poly.poly_digest(p),
         "bound": b.bound,
         "best_k": b.best_k,
         "ranks": {str(k): b.ranks[k] for k in sorted(b.ranks)},
@@ -491,10 +499,10 @@ def cmd_flatten_chow_lb(ns: argparse.Namespace) -> CommandResult:
 
 
 def cmd_flatten_shifted(ns: argparse.Namespace) -> CommandResult:
-    p: Polynomial = ns.poly_file
+    p: poly.Polynomial = ns.poly_file
     dim = flatten.shifted_partials_dim(p, ns.k, ns.shift)
     record = {
-        "poly_digest": poly_digest(p),
+        "poly_digest": poly.poly_digest(p),
         "k": ns.k,
         "shift": ns.shift,
         "dimension": dim,
@@ -659,7 +667,7 @@ def cmd_geo_hessian(ns: argparse.Namespace) -> CommandResult:
         "num_vars": h.num_vars,
         "entry_degree": tgt.poly.degree() - 2,
     }
-    entries = [[to_record(e) for e in row] for row in h.entries]
+    entries = [[poly.to_record(e) for e in row] for row in h.entries]
     if ns.output:
         full = {"size": h.size, "num_vars": h.num_vars, "entries": entries}
         _write_text(ns.output, json.dumps(full, indent=2) + "\n")
@@ -679,10 +687,10 @@ def cmd_geo_cp(ns: argparse.Namespace) -> CommandResult:
         "matrix": f"H({tgt.label()})",
         "terms": cp.num_terms(),
         "degree": cp.degree(),
-        "digest": poly_digest(cp),
+        "digest": poly.poly_digest(cp),
     }
     if ns.output:
-        _write_text(ns.output, dumps(cp))
+        _write_text(ns.output, poly.dumps(cp))
         record["written_to"] = ns.output
     return CommandResult(record)
 
@@ -734,6 +742,8 @@ def cmd_geo_dualdim(ns: argparse.Namespace) -> CommandResult:
         point = ns.point
         origin = "explicit"
     elif tgt.name == "det":
+        import random
+
         point = geometry.sample_det_smooth_zero(tgt.params[0], random.Random(ns.seed))
         origin = f"sampled rank-{tgt.params[0] - 1} matrix (seed {ns.seed})"
     elif tgt.name == "perm":
@@ -888,8 +898,43 @@ def _hoist_globals(argv: Sequence[str]) -> List[str]:
     return front + rest
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that runs ``fill(self)`` when it is first asked to parse.
+
+    Argparse hands the words after a sub-command's name to that
+    sub-command's ``parse_known_args``, so only the group and the command on
+    the line are filled in: the others keep the name and help that ``-h``
+    and an invalid-choice error print.
+    """
+
+    def __init__(self, *args, fill=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+
+    def parse_known_args(self, args=None, namespace=None):
+        fill, self._fill = self._fill, None
+        if fill is not None:
+            fill(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _add_commands(commands: dict, group: _Parser) -> None:
+    sub = group.add_subparsers(dest="cmd", metavar="CMD", required=True)
+    for name, (cmd_help, cacheable, args) in commands.items():
+        fill = functools.partial(_add_arguments, cacheable, args)
+        sub.add_parser(name, help=cmd_help, description=cmd_help, fill=fill)
+
+
+def _add_arguments(cacheable: bool, args: Tuple[Arg, ...], command: _Parser) -> None:
+    dests = [command.add_argument(*flags, **kwargs).dest for flags, kwargs in args]
+    # what the cache key and the record echo: all but the -o file
+    command.set_defaults(cacheable=cacheable, arg_names=[d for d in dests if d != "output"])
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser of :data:`COMMANDS`; a group's commands and a command's
+    arguments are added when argparse reaches them on the line."""
+    parser = _Parser(
         prog="gct",
         description="Exact-arithmetic toolkit for flattenings, plethysms, "
         "Latin-square sign counting, and determinant geometry.",
@@ -900,13 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cache directory (default $GCT_CACHE_DIR or ~/.cache/gct)")
     groups = parser.add_subparsers(dest="group", metavar="GROUP", required=True)
     for group, (group_help, commands) in COMMANDS.items():
-        g = groups.add_parser(group, help=group_help)
-        sub = g.add_subparsers(dest="cmd", metavar="CMD", required=True)
-        for name, (cmd_help, cacheable, args) in commands.items():
-            sp = sub.add_parser(name, help=cmd_help, description=cmd_help)
-            dests = [sp.add_argument(*flags, **kwargs).dest for flags, kwargs in args]
-            # what the cache key and the record echo: all but the -o file
-            sp.set_defaults(cacheable=cacheable, arg_names=[d for d in dests if d != "output"])
+        groups.add_parser(group, help=group_help, fill=functools.partial(_add_commands, commands))
     return parser
 
 
@@ -961,7 +1000,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     )
     if use_cache:
         parameters = _jsonable(
-            {name: _key_value(getattr(ns, name)) for name in ns.arg_names}
+            {name: _key_value(name, getattr(ns, name)) for name in ns.arg_names}
         )
         key = manifest_key(command, parameters)
         path = os.path.join(_resolve_cache_dir(ns), key + ".json")

@@ -38,7 +38,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 from functools import lru_cache
@@ -596,6 +595,8 @@ def loads(text: str) -> Polynomial:
 
 
 def poly_digest(p: Polynomial) -> str:
+    import hashlib  # not at import: OpenSSL's _hashlib adds about 2.4 MB of RSS
+
     return hashlib.sha256(
         json.dumps(to_record(p), separators=(",", ":")).encode()
     ).hexdigest()

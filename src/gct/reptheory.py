@@ -38,7 +38,6 @@ from operator import add, sub
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import CapacityError
-from .poly import monomials_of_degree
 
 Partition = Tuple[int, ...]
 
@@ -442,6 +441,8 @@ _WEIGHT_COUNT_MEMO: Dict[Tuple[int, int, int, Tuple[int, ...]], List[int]] = {}
 
 @lru_cache(maxsize=8)
 def _monomial_index(v: int, degree: int) -> Dict[Tuple[int, ...], int]:
+    from .poly import monomials_of_degree  # here: `rep` commands never run gct.poly
+
     return {m: i for i, m in enumerate(monomials_of_degree(v, degree))}
 
 
@@ -456,6 +457,8 @@ def _suffix_counts(degree: int, v: int, count: int, rem: Tuple[int, ...]) -> Lis
     got = _WEIGHT_COUNT_MEMO.get(key)
     if got is not None:
         return got
+    from .poly import monomials_of_degree
+
     monos = monomials_of_degree(v, degree)
     if count == 0:  # then rem is zero
         out = [1] * (len(monos) + 1)
@@ -503,6 +506,8 @@ def multiset_basis(
     """
     if not count_weight_multisets(count, degree, v, weight):  # validates weight
         return []
+    from .poly import monomials_of_degree
+
     monos = monomials_of_degree(v, degree)
 
     def walk(i, c, rem, acc):

@@ -6,7 +6,10 @@ behavior: replays must be byte-identical, corrupted entries must be
 recomputed, and commands with file side effects must bypass the cache.
 """
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -468,6 +471,25 @@ def test_two_processes_storing_one_key_both_succeed(tmp_path, monkeypatch):
         assert json.load(fh) == {"ok": True}  # the later rename wins
 
 
+@pytest.mark.parametrize("step", ["dump", "replace"])
+def test_store_that_fails_leaves_no_temporary_file(capsys, monkeypatch, tmp_path, step):
+    """A store that fails in its write or its rename removes its temporary
+    file and is one warning line: stdout and the exit code are those of an
+    uncached run."""
+    argv = ("rep", "pleth", "4,2", "3", "2")
+    uncached = run(capsys, "--no-cache", *argv)
+
+    def refuse(*args, **kwargs):
+        raise OSError(f"{step} refused")
+
+    monkeypatch.setattr(json if step == "dump" else os, step, refuse)
+    cache = tmp_path / "store-fails"
+    code, out, err = run(capsys, "--cache-dir", str(cache), *argv)
+    assert (code, out) == uncached[:2] and code == 0
+    assert err == f"gct: warning: result not cached: {step} refused\n"
+    assert os.listdir(cache) == []
+
+
 def test_output_flag_bypasses_cache_and_writes(capsys, tmp_path):
     # prime the cache without -o
     run(capsys, "geo", "cp", "det", "2", "--s", "2")
@@ -774,18 +796,18 @@ _EXECUTED = (
 )
 
 
-def test_import_runs_only_the_cli_and_poly():
-    """``import gct.cli`` registers every layer but runs none besides poly."""
+def test_import_runs_only_the_cli():
+    """``import gct.cli`` registers every layer, poly too, and runs none."""
     out = _probe("import gct.cli; " + _EXECUTED)
-    assert out == "gct gct.cli gct.poly False\n"
+    assert out == "gct gct.cli False\n"
 
 
 @pytest.mark.parametrize(
     "argv,layers",
     [
         (("rep", "useful", "3,1", "2", "2", "2"), ("reptheory",)),
-        (("flatten", "shifted", "det3.json", "--k", "1", "--l", "1"), ("flatten",)),
-        (("geo", "stab", "det", "3"), ("flatten", "geometry", "zoo")),
+        (("flatten", "shifted", "det3.json", "--k", "1", "--l", "1"), ("flatten", "poly")),
+        (("geo", "stab", "det", "3"), ("flatten", "geometry", "poly", "zoo")),
     ],
     ids=["rep-useful", "flatten-shifted", "geo-stab"],
 )
@@ -797,8 +819,43 @@ def test_command_runs_only_the_layers_it_uses(capsys, tmp_path, argv, layers):
         f"import gct.cli; gct.cli.dispatch({['--no-cache', *argv]!r}); " + _EXECUTED,
         cwd=tmp_path,
     )
-    executed = " ".join(sorted(["gct", "gct.cli", "gct.poly", *(f"gct.{m}" for m in layers)]))
+    executed = " ".join(sorted(["gct", "gct.cli", *(f"gct.{m}" for m in layers)]))
     assert out.splitlines()[-1] == f"{executed} False"
+
+
+def _loaded_by(argv):
+    """The modules a fresh process loads to import the CLI and run ``argv``;
+    what the interpreter preloads at start-up does not count."""
+    out = _probe(
+        "import sys; before = set(sys.modules); import gct.cli; "
+        f"gct.cli.dispatch({list(argv)!r}); "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    return set(out.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rep", "useful", "3,1", "2", "2", "2"),
+        ("rep", "kron", "6,3,3", "4,4,4", "4,4,4"),
+        ("--no-cache", "rep", "pleth", "4,2", "3", "2"),
+        ("--no-cache", "rep", "obstruct", "4,4", "4", "2"),
+    ],
+    ids=["rep-useful", "rep-kron", "no-cache-pleth", "no-cache-obstruct"],
+)
+def test_command_that_neither_caches_nor_digests_loads_no_openssl(argv):
+    """OpenSSL's ``_hashlib`` is loaded for a digest and ``fractions`` for a
+    rational: a ``rep`` command that stores nothing needs neither."""
+    loaded = _loaded_by(argv)
+    assert "gct.reptheory" in loaded
+    assert not loaded & {"_hashlib", "fractions"}, sorted(loaded)
+
+
+def test_cached_command_loads_openssl(tmp_path):
+    """The cache key is a SHA-256 digest, so a cached run loads ``_hashlib``."""
+    loaded = _loaded_by(["--cache-dir", str(tmp_path / "c"), "rep", "pleth", "4,2", "3", "2"])
+    assert "_hashlib" in loaded and "fractions" not in loaded
 
 
 def test_lazy_layers_are_the_imported_modules():
@@ -810,6 +867,70 @@ def test_lazy_layers_are_the_imported_modules():
         "gct.cli.hhh is gct.hhh is sys.modules['gct.hhh'], type(zoo) is types.ModuleType)"
     )
     assert out == "6 True True True\n"
+
+
+# ---------------------------------------------------------------------------
+# parser oracle: the table built up front, as the CLI did before it filled
+# in only the group and the command on the line
+# ---------------------------------------------------------------------------
+
+
+def full_table_parser():
+    """Every group, command and argument of ``cli.COMMANDS``, added up front."""
+    parser = argparse.ArgumentParser(
+        prog="gct",
+        description="Exact-arithmetic toolkit for flattenings, plethysms, "
+        "Latin-square sign counting, and determinant geometry.",
+    )
+    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    parser.add_argument("--no-cache", action="store_true", help="bypass the result cache")
+    parser.add_argument("--cache-dir", default=None,
+                        help="cache directory (default $GCT_CACHE_DIR or ~/.cache/gct)")
+    groups = parser.add_subparsers(dest="group", metavar="GROUP", required=True)
+    for group, (group_help, commands) in cli.COMMANDS.items():
+        g = groups.add_parser(group, help=group_help)
+        sub = g.add_subparsers(dest="cmd", metavar="CMD", required=True)
+        for name, (cmd_help, cacheable, args) in commands.items():
+            sp = sub.add_parser(name, help=cmd_help, description=cmd_help)
+            dests = [sp.add_argument(*flags, **kwargs).dest for flags, kwargs in args]
+            sp.set_defaults(cacheable=cacheable, arg_names=[d for d in dests if d != "output"])
+    return parser
+
+
+def _parsed(parser, argv):
+    """(namespace, stdout, stderr, exit code) of parsing ``argv`` as dispatch does."""
+    out, err = io.StringIO(), io.StringIO()
+    ns, code = None, 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns = vars(parser.parse_args(cli._hoist_globals(argv)))
+        except SystemExit as exc:
+            code = exc.code
+    return ns, out.getvalue(), err.getvalue(), code
+
+
+def _parser_cases():
+    cases = [argv for _, argv in GOLDEN] + [("--json", *argv) for _, argv in GOLDEN]
+    cases += [("-h",), ()] + [(group, "-h") for group in cli.COMMANDS]
+    cases += [(group, name, "-h") for group, (_, cmds) in cli.COMMANDS.items() for name in cmds]
+    return cases + [
+        ("rpe", "kron", "2,2", "2,2", "2,2"),  # a misspelled group
+        ("rep", "kronn", "2,2", "2,2", "2,2"),  # a misspelled command
+        ("rep",),
+        ("rep", "kron", "2,2"),
+        ("rep", "kron", "2,2", "2,2", "2,2", "extra"),
+        ("hhh", "rank", "3", "x", "3"),
+        ("--cache", "somewhere", "rep", "char", "3,1", "2,1,1"),  # an abbreviated option
+        ("--no", "rep", "char", "3,1", "2,1,1", "--cache-dir"),
+        ("zoo", "witness", "nosuch"),
+    ]
+
+
+def test_parser_matches_the_full_table():
+    """For each line, the namespace, stdout, stderr and exit code of the
+    lazily filled parser are those of the parser built up front."""
+    for argv in _parser_cases():
+        assert _parsed(cli.build_parser(), list(argv)) == _parsed(full_table_parser(), list(argv)), argv
 
 
 # ---------------------------------------------------------------------------
