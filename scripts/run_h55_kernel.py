@@ -75,7 +75,7 @@ def main(argv=None) -> int:
         try:
             block = hhh.build_hhh(D, N, V, w)
             rank = block.rank()
-            dom = len(block.col_basis)
+            dom = block.shape[1]
             print(f"weight {w}: domain {dom}, rank {rank}, "
                   f"kernel {dom - rank}  ({time.monotonic() - t0:.1f}s)")
             return 0

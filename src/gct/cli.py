@@ -22,7 +22,8 @@ reaches them on the line; the rest keep the name and help that ``-h`` and
 an invalid-choice error print.
 
 Every command accepts ``--json`` (machine-readable record instead of the
-human report), ``--no-cache`` and ``--cache-dir``, anywhere on the line.
+human report), ``--no-cache`` and ``--cache-dir``: anywhere on the line
+if spelled in full, only before the group if abbreviated (``--js``).
 ``geo dualdim`` takes ``--seed`` (default 0) for the point it samples, so
 sampled points are reproducible.
 
@@ -346,14 +347,14 @@ def _parse_partition(text: str) -> Tuple[int, ...]:
     return reptheory.normalize_partition(parts)
 
 
-def _parse_weight(text: str) -> Optional[Tuple[int, ...]]:
-    return tuple(int(x) for x in text.split(",")) if text else None
+def _parse_weight(text: str) -> Tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
 
 
-def _parse_points(text: str) -> Optional[List[Fraction]]:
+def _parse_points(text: str) -> List[Fraction]:
     from fractions import Fraction
 
-    return [Fraction(x) for x in text.split(",")] if text else None
+    return [Fraction(x) for x in text.split(",")]
 
 
 #: argument name -> its conversion, applied after parsing in declaration order
@@ -593,7 +594,7 @@ def cmd_rep_obstruct(ns: argparse.Namespace) -> CommandResult:
     _progress(f"[3/3] symmetric Kronecker sk(pi, {d}^{n}) ...")
     sk = reptheory.symmetric_kronecker(pi, mu)
     _progress(f"      sk = {sk}")
-    report = reptheory.ObstructionReport(pi=pi, d=d, n=n, mult=mult, kron=kron, sym_kron=sk)
+    report = reptheory.ObstructionReport(pi=pi, d=d, n=n, mult=mult, sym_kron=sk)
     record = _echo(
         ns,
         mult=mult,
@@ -883,7 +884,7 @@ COMMANDS: Dict[str, Tuple[str, Dict[str, Tuple[str, bool, Tuple[Arg, ...]]]]] = 
 
 
 def _hoist_globals(argv: Sequence[str]) -> List[str]:
-    """Move global flags to the front so they may appear anywhere."""
+    """Move fully spelled global flags to the front."""
     front: List[str] = []
     rest: List[str] = []
     tokens = iter(argv)

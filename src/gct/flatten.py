@@ -5,8 +5,9 @@ One row format serves every matrix that is eliminated: a row is a
 matrix is a sequence of such rows with an explicit width.  One builder,
 ``gct.poly.shifted_partials``, fills them for catalecticants, shifted
 partials and the stabilizer system; h_{d,n} blocks fill them directly.
-Catalecticants and h_{d,n} blocks come back as the one labelled matrix,
-``LabelledMatrix``: row and column bases, sparse rows, ``shape``, ``rank()``.
+Catalecticants and h_{d,n} blocks come back as a ``SparseMatrix``: the
+nonzero rows keyed by their packed codomain monomial or multiset, and a
+``shape`` that counts the zero rows too; no basis is listed.
 
 One elimination core serves rank, kernel and solve: a sparse
 fraction-free elimination on primitive integer rows held as ``{col: int}``
@@ -24,10 +25,10 @@ One capacity rule decides whether an elimination can finish
 (``check_capacity``): a span of ``width`` vectors in a ``height``-dimensional
 space is admitted when ``width`` is at most ``MAX_COLUMNS`` and its dense
 size ``width * height`` at most ``MAX_COLUMNS**2``.  The dense size bounds
-the basis listed for the rows and the work of the elimination; no dense
-array is allocated.  Every builder applies the rule to exact predicted
-sizes before building anything, and the core applies it again to the
-width and row count it receives.
+the rows stored and the work of the elimination; no dense array is
+allocated.  Every builder applies the rule to exact predicted sizes
+before building anything, and the core applies it again to the width
+and row count it receives.
 """
 
 from __future__ import annotations
@@ -177,23 +178,15 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> List[Fraction]:
     return _back_substitute(echelon, x)[:n_cols]
 
 
-class LabelledMatrix(NamedTuple):
-    """A sparse matrix on labelled bases.
+class SparseMatrix(NamedTuple):
+    """``rows`` maps a row key to its ``{column: coefficient}`` nonzero
+    entries, nonzero rows only; ``shape`` counts the zero rows too."""
 
-    ``entries[r]`` is the row of ``row_basis[r]``, as ``{c: coefficient}``
-    over the nonzero entries; column ``c`` is ``col_basis[c]``.
-    """
-
-    row_basis: Tuple
-    col_basis: Tuple
-    entries: Tuple[Dict, ...]
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (len(self.row_basis), len(self.col_basis))
+    rows: Dict[object, Dict]
+    shape: Tuple[int, int]
 
     def rank(self) -> int:
-        return exact_rank(self.entries, len(self.col_basis))
+        return exact_rank(list(self.rows.values()), self.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,12 @@ permuted weights; ranks are therefore computed dominant-weight by
 dominant-weight and summed with orbit multiplicities.  This is an exact
 identity, not an approximation; a test checks it against the assembled
 full matrix on small cases.  Only weight blocks are ever built, each as a
-``flatten.LabelledMatrix``: codomain rows, domain columns, and sparse rows
-holding the nonzero entries only.
+``flatten.SparseMatrix``: a column per domain multiset, and a row per
+codomain multiset that some column reaches, keyed by its packed tuple.
+Only the domain is listed; the codomain is counted.
 
 A block is admitted by the capacity rule of the package,
-``flatten.check_capacity``, on its predicted sizes and before either basis
+``flatten.check_capacity``, on its predicted sizes and before the domain
 is listed: its domain is the width elimination pays for, its codomain the
 height.
 """
@@ -52,7 +53,7 @@ from math import factorial
 from operator import add
 from typing import Dict, List, Sequence, Tuple
 
-from .flatten import LabelledMatrix, check_capacity
+from .flatten import SparseMatrix, check_capacity
 from .poly import Exponent, codec, monomial_count
 from .reptheory import (
     Partition,
@@ -151,28 +152,25 @@ def sym_sym_dim(outer: int, inner: int, v: int) -> int:
     return monomial_count(monomial_count(v, inner), outer)
 
 
-def build_hhh(d: int, n: int, v: int, weight: Sequence[int]) -> LabelledMatrix:
+def build_hhh(d: int, n: int, v: int, weight: Sequence[int]) -> SparseMatrix:
     """Assemble the ``weight`` block of h_{d,n} on C^v.
 
-    Rows are the codomain basis (multisets of n degree-d monomials),
-    columns the domain basis (multisets of d degree-n monomials), and
-    column ms holds ``hhh_column(ms)``, its image scaled by s(ms).
-    ``check_capacity`` runs on the predicted sizes before either basis is
-    listed.
+    Column c is the c-th domain multiset (d degree-n monomials) of
+    ``multiset_basis(d, n, v, weight)`` and holds ``hhh_column``, its image
+    scaled by s(ms); each row is keyed by the packed codomain multiset
+    ``hhh_column`` gives it.  The shape comes from the predicted sizes,
+    which ``check_capacity`` admits before the domain is listed.
     """
     if d < 1 or n < 1 or v < 1:
         raise ValueError("d, n, v must be positive")
     w = tuple(int(x) for x in weight)
-    check_capacity(f"h_{{{d},{n}}} on C^{v}, weight {w}", *predicted_block_size(d, n, v, w))
-    col_basis = multiset_basis(d, n, v, w)
-    row_basis = multiset_basis(n, d, v, w)
-    pack = codec(v, d)[0]
-    row_index = {tuple(map(pack, ms)): i for i, ms in enumerate(row_basis)}
-    rows: List[Dict[int, int]] = [{} for _ in row_basis]
-    for c, ms in enumerate(col_basis):
+    dom, cod = predicted_block_size(d, n, v, w)
+    check_capacity(f"h_{{{d},{n}}} on C^{v}, weight {w}", dom, cod)
+    rows: Dict[Tuple[int, ...], Dict[int, int]] = {}
+    for c, ms in enumerate(multiset_basis(d, n, v, w)):
         for key, val in hhh_column(ms, n, v).items():
-            rows[row_index[key]][c] = val
-    return LabelledMatrix(tuple(row_basis), tuple(col_basis), tuple(rows))
+            rows.setdefault(key, {})[c] = val
+    return SparseMatrix(rows, (cod, dom))
 
 
 def dominant_weights(total: int, v: int) -> List[Tuple[int, ...]]:

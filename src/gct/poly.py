@@ -29,7 +29,7 @@ Conventions used throughout the package:
   ``{column: coefficient}`` holding nonzero entries only.
   ``PolyMatrix.evaluate`` returns such rows, ``shifted_partials`` those of
   every span of products m'' * d^{m'} p, and ``polarize`` its shift-0 rows
-  as ``gct.flatten.LabelledMatrix``, the one labelled matrix.
+  as a ``gct.flatten.SparseMatrix``, keyed by packed monomial.
 * Determinants of polynomial matrices (``det_polymatrix``) are computed
   division-free by dynamic programming over column subsets (Laplace
   expansion shared across rows), so every intermediate object is a
@@ -63,7 +63,7 @@ def grevlex_key(exps: Exponent):
     return (-sum(exps), tuple(reversed(exps)))
 
 
-@lru_cache(maxsize=8)  # a polarize call lists three bases, an h_{d,n} block two
+@lru_cache(maxsize=8)  # polarize lists degrees 0 and k; an h_{d,n} block n, and d to count rows
 def monomials_of_degree(num_vars: int, degree: int) -> Tuple[Exponent, ...]:
     """All exponent tuples of the given total degree, descending grevlex."""
     if num_vars == 0:
@@ -523,16 +523,17 @@ def shifted_partials(p: Polynomial, k: int, shift: int) -> Dict[int, Dict[int, o
     return rows
 
 
-def polarize(p: Polynomial, k: int) -> "LabelledMatrix":
+def polarize(p: Polynomial, k: int) -> "SparseMatrix":
     """Catalecticant P_{k,d-k}: column for monomial m is apply_diff(m, p).
 
     ``p`` must be homogeneous of degree d; any 0 <= k <= d is accepted,
-    the informative range being 1..d-1.  Rows are the degree-(d-k)
-    monomials and columns the degree-k ones, both in descending grevlex,
-    filled from ``shifted_partials(p, k, 0)``.  The capacity rule of
-    ``gct.flatten`` runs on the basis sizes before either basis is listed.
+    the informative range being 1..d-1.  The rows are
+    ``shifted_partials(p, k, 0)``, keyed by degree-(d-k) monomials packed
+    by ``codec(v, d - k)``; column i is the i-th degree-k monomial in
+    descending grevlex.  The capacity rule of ``gct.flatten`` runs on the
+    monomial counts before any row is built.
     """
-    from .flatten import LabelledMatrix, check_capacity  # flatten imports this module
+    from .flatten import SparseMatrix, check_capacity  # flatten imports this module
 
     if p.is_zero():
         raise ValueError("polarize requires a nonzero polynomial")
@@ -542,14 +543,9 @@ def polarize(p: Polynomial, k: int) -> "LabelledMatrix":
     if not 0 <= k <= d:
         raise ValueError(f"polarization order k={k} out of range for degree {d}")
     v = p.num_vars
-    check_capacity(
-        f"catalecticant P_{{{k},{d - k}}} on C^{v}", monomial_count(v, k), monomial_count(v, d - k)
-    )
-    rows = shifted_partials(p, k, 0)
-    pack, _ = codec(v, d - k)
-    row_basis = monomials_of_degree(v, d - k)
-    return LabelledMatrix(row_basis, monomials_of_degree(v, k),
-                          tuple(rows.get(pack(e), {}) for e in row_basis))
+    shape = (monomial_count(v, d - k), monomial_count(v, k))
+    check_capacity(f"catalecticant P_{{{k},{d - k}}} on C^{v}", shape[1], shape[0])
+    return SparseMatrix(shifted_partials(p, k, 0), shape)
 
 
 # ---------------------------------------------------------------------------

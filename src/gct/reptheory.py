@@ -597,7 +597,6 @@ class ObstructionReport(NamedTuple):
     d: int
     n: int
     mult: int
-    kron: int
     sym_kron: int
 
     @property

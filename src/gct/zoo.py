@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import CapacityError
 from .flatten import solve_linear
@@ -302,7 +302,6 @@ def make(name: str, *params: int) -> Polynomial:
 class VerificationReport(NamedTuple):
     ok: bool
     message: str
-    first_mismatch: Optional[Tuple[Exponent, Fraction, Fraction]] = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -321,7 +320,6 @@ def compare_exact(got: Polynomial, want: Polynomial, what: str) -> VerificationR
     return VerificationReport(
         False,
         f"{what}: FAIL at monomial {e} (want {want.coefficient(e)}, got {got.coefficient(e)})",
-        (e, want.coefficient(e), got.coefficient(e)),
     )
 
 

@@ -294,14 +294,14 @@ def test_criterion_13_representation_calculus():
 
 def test_criterion_14_ikenmeyer_obstructions():
     t0 = time.monotonic()
-    r10 = occurrence_obstruction_test((9, 9, 2, 2, 2, 2, 2, 2), 10, 3)
-    r11 = occurrence_obstruction_test((11, 11, 2, 2, 2, 2, 2, 1), 11, 3)
+    r10, _ = occurrence_obstruction_test((9, 9, 2, 2, 2, 2, 2, 2), 10, 3)
+    r11, r11_kron = occurrence_obstruction_test((11, 11, 2, 2, 2, 2, 2, 1), 11, 3)
     ok = (
         r10.mult == 1
         and r10.sym_kron == 0
         and r10.is_occurrence_obstruction
         and r11.mult == 1
-        and r11.kron == 1
+        and r11_kron == 1
         and r11.sym_kron == 0
         and r11.is_occurrence_obstruction
     )

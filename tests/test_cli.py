@@ -280,6 +280,19 @@ def test_non_integer_exponent_is_a_usage_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [("hhh", "rank", "3", "3", "3", "--weight", ""), ("geo", "dualdim", "det", "3", "--point", "")],
+    ids=["weight", "point"],
+)
+def test_empty_option_value_is_a_usage_error(capsys, argv):
+    """An empty --weight or --point is refused, not taken as omitted (the
+    whole-map rank, a sampled point)."""
+    code, out, err = run(capsys, "--no-cache", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("gct: error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
     "argv,size,cap",
     [(("geo", "cayley", "2", "3"), 3, 2), (("geo", "cayley", "4", "1"), 4, 3),
      (("geo", "sfturbo", "5"), 5, 4)],

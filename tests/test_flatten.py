@@ -417,10 +417,10 @@ def test_rank_capacity_cap(monkeypatch):
     assert err.value.cap == 5
 
 
-def test_labelled_matrix_rank():
+def test_sparse_matrix_rank():
     fm = polarize(det(3), 1)
     assert fm.rank() == 9
-    assert nullspace(fm.entries, fm.shape[1]) == []
+    assert nullspace(list(fm.rows.values()), fm.shape[1]) == []
 
 
 # ---------------------------------------------------------------------------

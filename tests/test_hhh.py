@@ -10,11 +10,15 @@ state-merging column builder is checked against the leaf enumeration it
 replaced, and the weight blocks against the full map assembled here.
 """
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import comb, factorial
+from pathlib import Path
 from typing import Tuple
 
 import pytest
@@ -288,7 +292,10 @@ def test_predicted_block_size_matches_built():
         dom, cod = hhh.predicted_block_size(d, n, v, w)
         block = hhh.build_hhh(d, n, v, w)
         assert block.shape == (cod, dom)
-        assert len(block.col_basis) == dom and len(block.row_basis) == cod
+        assert len(hhh.multiset_basis(d, n, v, w)) == dom
+        assert len(hhh.multiset_basis(n, d, v, w)) == cod
+        assert max(c for row in block.rows.values() for c in row) == dom - 1
+        assert len(block.rows) <= cod
 
 
 # ---------------------------------------------------------------------------
@@ -328,23 +335,45 @@ def test_packed_keys_are_block_rows_where_the_field_width_steps(d, n, v):
     """codec(v, d) has fields of 1, 2, 2, 3, 3 and 4 bits for these d.  Its
     codes of the degree-d monomials ascend in descending grevlex, so every
     codomain multiset packs to an ascending tuple, and every key
-    ``hhh_column`` returns is one of those tuples: a row of the block."""
-    pack = codec(v, d)[0]
+    ``hhh_column`` returns is one of those tuples: a row of the block,
+    which decodes to a codomain multiset of the block's weight."""
+    pack, unpack = codec(v, d)
     codes = [pack(m) for m in monomials_of_degree(v, d)]
     assert codes == sorted(set(codes))
     for w in hhh.dominant_weights(d * n, v):
         block = hhh.build_hhh(d, n, v, w)
-        rows = {tuple(map(pack, ms)): r for r, ms in enumerate(block.row_basis)}
-        assert len(rows) == len(block.row_basis) and all(list(key) == sorted(key) for key in rows), w
-        for c, ms in enumerate(block.col_basis):
+        codomain = hhh.multiset_basis(n, d, v, w)
+        rows = {tuple(map(pack, ms)) for ms in codomain}
+        assert len(rows) == len(codomain) and all(list(key) == sorted(key) for key in rows), w
+        assert {tuple(map(unpack, key)) for key in block.rows} <= set(codomain), w
+        entries = 0
+        for c, ms in enumerate(hhh.multiset_basis(d, n, v, w)):
             column = hhh.hhh_column(ms, n, v)
-            assert column and all(block.entries[rows[key]][c] == x for key, x in column.items()), ms
+            assert column and column.keys() <= rows, ms
+            assert all(block.rows[key][c] == x for key, x in column.items()), ms
+            entries += len(column)
+        assert sum(map(len, block.rows.values())) == entries, w
 
 
 def test_entries_are_python_ints():
     for d, n, v, w in [(3, 2, 3, (2, 2, 2)), (2, 3, 2, (3, 3)), (5, 5, 5, H55_BENCH_WEIGHTS[0])]:
         block = hhh.build_hhh(d, n, v, w)
-        assert all(type(x) is int for row in block.entries for x in row.values()), (d, n, v, w)
+        assert all(type(x) is int for row in block.rows.values() for x in row.values()), (d, n, v, w)
+
+
+def test_h55_script_runs_one_weight_block():
+    """scripts/run_h55_kernel.py plans every dominant weight of h_{5,5}
+    and eliminates the one --weight block it is given."""
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_h55_kernel.py"), "--weight", "19,4,1,1,0"],
+        env={**os.environ, "PYTHONPATH": str(root / "src")}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("377 nonzero dominant-weight blocks")
+    assert "221 blocks fit the elimination cap (5000)" in lines
+    assert lines[-1].startswith("weight (19, 4, 1, 1, 0): domain 36, rank 36, kernel 0")
 
 
 def test_dominant_weights():
@@ -510,10 +539,18 @@ def test_blocks_are_restrictions_of_the_full_map():
         full = full_hhh(d, n, v)
         row = {ms: r for r, ms in enumerate(full.row_basis)}
         col = {ms: c for c, ms in enumerate(full.col_basis)}
+        unpack = codec(v, d)[1]
         for w in hhh.dominant_weights(d * n, v):
             block = hhh.build_hhh(d, n, v, w)
-            dense = [[full.entries[row[r]][col[c]] for c in block.col_basis] for r in block.row_basis]
-            assert block.entries == tuple(sparse(dense)[0]), (d, n, v, w)
+            cols, codomain = hhh.multiset_basis(d, n, v, w), hhh.multiset_basis(n, d, v, w)
+            assert block.shape == (len(codomain), len(cols))
+            want = {}
+            for r in codomain:
+                entries = {j: full.entries[row[r]][col[c]] for j, c in enumerate(cols)}
+                if any(entries.values()):
+                    want[r] = {j: x for j, x in entries.items() if x}
+            got = {tuple(map(unpack, key)): x for key, x in block.rows.items()}
+            assert got == want, (d, n, v, w)
 
 
 def test_h22_c2_rank_literal():
@@ -530,12 +567,11 @@ def test_h32_c3_kernel_is_symmetric_determinant():
     assert hhh.kernel_character(3, 2, 3) == {(2, 2, 2): 1}
     # the kernel vector really is the symmetric determinant: extract it
     block = hhh.build_hhh(3, 2, 3, (2, 2, 2))
-    kernel = nullspace(block.entries, block.shape[1])
+    kernel = nullspace(list(block.rows.values()), block.shape[1])
     assert len(kernel) == 1
     # a kernel vector y of the column-scaled entries gives x = diag(s) y in ker h
-    vec = {
-        ms: c * column_scale(ms, 2) for ms, c in zip(block.col_basis, kernel[0]) if c
-    }
+    cols = hhh.multiset_basis(3, 2, 3, (2, 2, 2))
+    vec = {ms: c * column_scale(ms, 2) for ms, c in zip(cols, kernel[0]) if c}
     assert apply_map(vec, 2, 3) == {}
     # det [[x^2, xy, xz], [xy, y^2, yz], [xz, yz, z^2]]-style relation:
     # evaluate on a split point u = (ax+by+cz)^2 pairing; must vanish

@@ -1,9 +1,10 @@
 """Layout guard: the library holds no function, class or method that only
-the tests call, no keyword option that only the tests set, no import
-that its module never reads, no private name imported from another
-module, no module-level name that no library code reads, and no cache
-that never evicts unless it is on the allow-list below.  A name that
-only tests need belongs in the tests."""
+the tests call, no NamedTuple field that only the tests read, no keyword
+option that only the tests set, no import that its module never reads,
+no private name imported from another module, no module-level name that
+no library code reads, and no cache that never evicts unless it is on
+the allow-list below.  A name that only tests need belongs in the
+tests."""
 
 import ast
 import re
@@ -136,6 +137,31 @@ def unaccessed_methods():
 def test_every_library_method_has_a_src_caller():
     unused = unaccessed_methods()
     assert not unused, f"methods called only from outside src/gct: {', '.join(unused)}"
+
+
+def unaccessed_fields():
+    """Fields of src/gct NamedTuples whose name no attribute access under
+    src/gct spells, as sorted "module.Class.field" strings; matched by name,
+    as ``unaccessed_methods`` matches methods."""
+    accessed, fields = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                accessed.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and any(
+                ast.unparse(base).split(".")[-1] == "NamedTuple" for base in node.bases
+            ):
+                fields.extend(
+                    (path.stem, node.name, stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                )
+    return sorted(f"{m}.{c}.{f}" for m, c, f in fields if f not in accessed)
+
+
+def test_every_named_tuple_field_is_read_in_src():
+    unread = unaccessed_fields()
+    assert not unread, f"fields read only from outside src/gct: {', '.join(unread)}"
 
 
 def _callee(call):

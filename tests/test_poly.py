@@ -11,6 +11,7 @@ from gct.poly import (
     PolyMatrix,
     Polynomial,
     apply_diff,
+    codec,
     det_polymatrix,
     divides,
     dumps,
@@ -519,10 +520,16 @@ def test_polarize_shape_and_entries():
     p = Polynomial.monomial((2, 1))
     fm = polarize(p, 1)
     assert fm.shape == (3, 2)
-    assert fm.col_basis == ((1, 0), (0, 1))
-    assert fm.row_basis == ((2, 0), (1, 1), (0, 2))
-    col_x = [row.get(0, 0) for row in fm.entries]
-    col_y = [row.get(1, 0) for row in fm.entries]
+    # columns are the degree-1 monomials; each row is keyed by its
+    # degree-2 monomial packed by codec(2, 2)
+    assert monomials_of_degree(2, 1) == ((1, 0), (0, 1))
+    row_basis = monomials_of_degree(2, 2)
+    assert row_basis == ((2, 0), (1, 1), (0, 2))
+    unpack = codec(2, 2)[1]
+    rows = {unpack(key): row for key, row in fm.rows.items()}
+    assert set(rows) <= set(row_basis)
+    col_x = [rows.get(e, {}).get(0, 0) for e in row_basis]
+    col_y = [rows.get(e, {}).get(1, 0) for e in row_basis]
     assert col_x == [0, 2, 0]
     assert col_y == [1, 0, 0]
 
@@ -531,7 +538,7 @@ def test_polarize_entries_are_ints_where_integral():
     """Integral entries are ints, so elimination needs no denominators;
     the rest stay Fractions."""
     p = Polynomial(2, {(2, 1): Fraction(3), (0, 3): Fraction(1, 2)})
-    entries = [x for row in polarize(p, 1).entries for x in row.values()]
+    entries = [x for row in polarize(p, 1).rows.values() for x in row.values()]
     assert sorted({type(x).__name__ for x in entries}) == ["Fraction", "int"]
     assert all(type(x) is int for x in entries if Fraction(x).denominator == 1)
     assert Fraction(3, 2) in entries  # d/dy of y^3/2
@@ -539,12 +546,13 @@ def test_polarize_entries_are_ints_where_integral():
 
 def test_polarize_stores_nonzeros_only():
     """The middle catalecticant of a Fermat sextic in 25 variables has 2925
-    rows and 2925 columns but only 25 nonzero entries, and stores only those."""
+    rows and 2925 columns but only 25 nonzero entries, one in each of 25
+    rows, and stores only those."""
     fm = polarize(fermat(6, 25), 3)
     assert fm.shape == (2925, 2925)
-    assert len(fm.entries) == 2925
-    assert sum(map(len, fm.entries)) == 25
-    assert all(x for row in fm.entries for x in row.values())
+    assert len(fm.rows) == 25
+    assert sum(map(len, fm.rows.values())) == 25
+    assert all(x for row in fm.rows.values() for x in row.values())
 
 
 def test_polarize_rejects_bad_input():
