@@ -7,6 +7,8 @@ runs the module function ``cmd_<group>_<command>`` (dashes become
 underscores), looked up by name at dispatch.  After parsing, arguments are
 converted by name (partitions, ``--weight``, ``--point``, ``poly_file``,
 ``target``); a conversion error is a ``gct: error:`` line and exit 2.
+File formats belong to their layers, polynomial files to ``poly`` and
+witness files to ``zoo``; the commands only call their codecs.
 
 Each command runs in a process of its own, and where no bytecode cache is
 written that process compiles every module it runs, so start-up is paid on
@@ -192,11 +194,6 @@ def render_human(record: dict) -> str:
             lines.append(f"{pad}{key}:")
             for k, v in val.items():
                 emit(str(k), v, depth + 1)
-        elif isinstance(val, list) and val and isinstance(val[0], dict):
-            lines.append(f"{pad}{key}:")
-            for item in val:
-                parts = "; ".join(f"{k}={v}" for k, v in item.items())
-                lines.append(f"{pad}  - {parts}")
         elif isinstance(val, list):
             lines.append(f"{pad}{key}: [{', '.join(str(v) for v in val)}]")
         else:
@@ -216,90 +213,6 @@ class CommandResult(NamedTuple):
 
     record: dict
     human: Optional[str] = None
-
-
-# ---------------------------------------------------------------------------
-# Witness files (decompositions as structured text)
-# ---------------------------------------------------------------------------
-
-
-def witness_to_record(w: object) -> dict:
-    if isinstance(w, zoo.WaringDecomposition):
-        return {
-            "kind": "waring",
-            "num_vars": w.num_vars,
-            "degree": w.degree,
-            "terms": [
-                {"coeff": str(c), "form": [str(x) for x in form]}
-                for c, form in w.terms
-            ],
-        }
-    if isinstance(w, zoo.ChowDecomposition):
-        return {
-            "kind": "chow",
-            "num_vars": w.num_vars,
-            "terms": [
-                {"coeff": str(c), "forms": [[str(x) for x in f] for f in forms]}
-                for c, forms in w.terms
-            ],
-        }
-    if isinstance(w, zoo.DetExpressionWitness):
-        return {
-            "kind": "det_expression",
-            "n": w.n,
-            "num_target_vars": w.num_target_vars,
-            "entries": [[str(x) for x in row] for row in w.entries],
-        }
-    raise TypeError(f"not a witness: {type(w).__name__}")
-
-
-def _checked(value: object, json_type, what: str):
-    """``value`` when it has the JSON type ``json_type`` (a bool is no int),
-    else a ValueError: a malformed file is a bad argument, exit 2."""
-    if not isinstance(value, json_type) or isinstance(value, bool):
-        raise ValueError(f"{what} has the wrong JSON type: {value!r}")
-    return value
-
-
-def witness_from_record(rec: dict) -> object:
-    """The witness a record describes; a malformed JSON shape is a ValueError."""
-    from fractions import Fraction
-
-    kind = _checked(rec, dict, "a witness record").get("kind")
-
-    def field(name: str, json_type: type = int):
-        return _checked(rec[name], json_type, name)
-
-    def terms() -> List[dict]:
-        return [_checked(t, dict, "a term") for t in field("terms", list)]
-
-    def rational(x: object) -> Fraction:
-        return Fraction(_checked(x, (int, str), "a rational"))
-
-    def rationals(xs: object) -> Tuple[Fraction, ...]:
-        return tuple(map(rational, _checked(xs, list, "a list of rationals")))
-
-    if kind == "waring":
-        return zoo.WaringDecomposition(
-            num_vars=field("num_vars"),
-            degree=field("degree"),
-            terms=tuple((rational(t["coeff"]), rationals(t["form"])) for t in terms()),
-        )
-    if kind == "chow":
-        return zoo.ChowDecomposition(
-            num_vars=field("num_vars"),
-            terms=tuple(
-                (rational(t["coeff"]), tuple(map(rationals, _checked(t["forms"], list, "forms"))))
-                for t in terms()
-            ),
-        )
-    if kind == "det_expression":
-        return zoo.DetExpressionWitness(
-            n=field("n"),
-            num_target_vars=field("num_target_vars"),
-            entries=tuple(map(rationals, field("entries", list))),
-        )
-    raise ValueError(f"unknown witness kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +344,7 @@ def cmd_zoo_witness(ns: argparse.Namespace) -> CommandResult:
     arity, usage, target = _SCHEMES[ns.scheme]
     if len(ns.params) != arity:
         raise ValueError(f"{ns.scheme} takes {usage}")
-    rec_w = witness_to_record(getattr(zoo, f"{ns.scheme}_decomposition")(*ns.params))
+    rec_w = getattr(zoo, f"{ns.scheme}_decomposition")(*ns.params).to_record()
     record = _echo(ns, describes=target, kind=rec_w["kind"], terms=len(rec_w["terms"]))
     text = json.dumps(rec_w, indent=2) + "\n"
     return _file_or_stdout(ns, record, text, "witness", rec_w)
@@ -440,7 +353,7 @@ def cmd_zoo_witness(ns: argparse.Namespace) -> CommandResult:
 def cmd_zoo_verify(ns: argparse.Namespace) -> CommandResult:
     with open(ns.witness, "r", encoding="utf-8") as fh:
         rec_w = json.load(fh)
-    w = witness_from_record(rec_w)
+    w = zoo.from_record(rec_w)
     target = _read_poly_file(ns.target_file)
     if isinstance(w, zoo.WaringDecomposition):
         report = zoo.verify_waring(w, target)

@@ -287,9 +287,6 @@ class Polynomial:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.num_vars, frozenset(self.terms.items())))
-
     # -- evaluation ------------------------------------------------------
 
     def evaluate(self, point: Sequence) -> Fraction:

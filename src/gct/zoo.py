@@ -16,6 +16,9 @@ Variable layouts (all 0-indexed internally, 1-indexed in printed names):
 * ``discriminant``: the quartic discriminant of a binary cubic, in the 4
   coefficient variables x_1..x_4.
 
+Every generator above but ``p_lambda`` and ``discriminant`` is one call of
+``_support``, which sums signed monomials given as lists of variable indices.
+
 Decomposition witnesses (Ryser, Fischer, Ben-Or) store exact rational
 scalars and linear forms; the verifiers re-expand them and compare
 coefficientwise, reporting the first mismatching monomial in grevlex order.
@@ -23,6 +26,10 @@ A determinantal expression is expanded as the determinant of its matrix of
 linear forms (``gct.poly.det_polymatrix``), never through the n! terms of
 det_n.  A Pfaffian is one signed sum over the perfect matchings
 (``gct.poly.sum_of_products``), not a recursion of polynomial products.
+
+Witness files are this module's format, as polynomial files are
+``gct.poly``'s: a decomposition's ``to_record`` (Waring or Chow), rationals
+as strings, read back by ``from_record``, which also reads det expressions.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import CapacityError
 from .flatten import solve_linear
@@ -52,99 +59,71 @@ def perm_sign(seq: Sequence[int]) -> int:
     return -1 if inv & 1 else 1
 
 
+def _support(v: int, monomials: Iterable[Tuple[Iterable[int], int]]) -> Polynomial:
+    """sum c * prod_{i in idx} x_i over the (idx, c) pairs, in v variables: an
+    index listed twice squares, equal monomials add, and zero sums are dropped."""
+    terms: Dict[Exponent, int] = {}
+    for idx, c in monomials:
+        e = [0] * v
+        for i in idx:
+            e[i] += 1
+        key = tuple(e)
+        terms[key] = terms.get(key, 0) + c
+    return Polynomial(v, terms)
+
+
 def det(n: int) -> Polynomial:
     """Determinant of the generic n x n matrix."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    v = n * n
-    terms: Dict[Exponent, Fraction] = {}
-    for perm in permutations(range(n)):
-        e = [0] * v
-        for i in range(n):
-            e[i * n + perm[i]] = 1
-        terms[tuple(e)] = Fraction(perm_sign(perm))
-    return Polynomial(v, terms)
+    perms = permutations(range(n))
+    return _support(n * n, (([i * n + j for i, j in enumerate(s)], perm_sign(s)) for s in perms))
 
 
 def perm(n: int) -> Polynomial:
     """Permanent of the generic n x n matrix."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    v = n * n
-    terms: Dict[Exponent, Fraction] = {}
-    for p in permutations(range(n)):
-        e = [0] * v
-        for i in range(n):
-            e[i * n + p[i]] = 1
-        terms[tuple(e)] = Fraction(1)
-    return Polynomial(v, terms)
+    perms = permutations(range(n))
+    return _support(n * n, (([i * n + j for i, j in enumerate(s)], 1) for s in perms))
 
 
 def elem(n: int, k: int) -> Polynomial:
     """Elementary symmetric polynomial e^k_n in n variables."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    terms: Dict[Exponent, Fraction] = {}
-    for subset in combinations(range(n), k):
-        e = [0] * n
-        for i in subset:
-            e[i] = 1
-        terms[tuple(e)] = Fraction(1)
-    return Polynomial(n, terms)
+    return _support(n, ((s, 1) for s in combinations(range(n), k)))
 
 
 def chow(n: int) -> Polynomial:
     """x_1 * x_2 * ... * x_n, the generic point of the Chow variety."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Polynomial(n, {(1,) * n: Fraction(1)})
+    return _support(n, [(range(n), 1)])
 
 
 def fermat(d: int, n: int) -> Polynomial:
     """x_1^d + ... + x_n^d."""
     if d < 1 or n < 1:
         raise ValueError("d and n must be >= 1")
-    terms: Dict[Exponent, Fraction] = {}
-    for i in range(n):
-        e = [0] * n
-        e[i] = d
-        terms[tuple(e)] = Fraction(1)
-    return Polynomial(n, terms)
+    return _support(n, (([i] * d, 1) for i in range(n)))
 
 
 def sumprod(n: int, m: int) -> Polynomial:
     """S^n_m = sum_{i=1}^m prod_{j=1}^n x_{ij} on nm variables."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    v = n * m
-    terms: Dict[Exponent, Fraction] = {}
-    for i in range(m):
-        e = [0] * v
-        for j in range(n):
-            e[i * n + j] = 1
-        terms[tuple(e)] = Fraction(1)
-    return Polynomial(v, terms)
+    return _support(n * m, ((range(i * n, i * n + n), 1) for i in range(m)))
 
 
 def imm(k: int, n: int) -> Polynomial:
     """Iterated matrix multiplication IMM^k_n = trace(X_1 X_2 ... X_n)."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be >= 1")
-    v = n * k * k
-
-    def var(t: int, i: int, j: int) -> int:
-        return t * k * k + i * k + j
-
-    terms: Dict[Exponent, Fraction] = {}
-    for path in product(range(k), repeat=n):
-        e = [0] * v
-        for t in range(n):
-            i = path[t]
-            j = path[(t + 1) % n]
-            e[var(t, i, j)] += 1
-        key = tuple(e)
-        terms[key] = terms.get(key, Fraction(0)) + 1
-    return Polynomial(v, terms)
+    return _support(n * k * k, (
+        ([(t * k + path[t]) * k + path[(t + 1) % n] for t in range(n)], 1)
+        for path in product(range(k), repeat=n)
+    ))
 
 
 def pascal_det(m: int) -> Polynomial:
@@ -155,28 +134,11 @@ def pascal_det(m: int) -> Polynomial:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    v = m**4
-
-    def var(i: int, j: int, k: int, l: int) -> int:
-        return ((i * m + j) * m + k) * m + l
-
-    terms: Dict[Exponent, Fraction] = {}
-    perms = list(permutations(range(m)))
-    signs = {p: perm_sign(p) for p in perms}
-    for s2 in perms:
-        for s3 in perms:
-            for s4 in perms:
-                sign = signs[s2] * signs[s3] * signs[s4]
-                e = [0] * v
-                for i in range(m):
-                    e[var(i, s2[i], s3[i], s4[i])] += 1
-                key = tuple(e)
-                acc = terms.get(key, Fraction(0)) + sign
-                if acc:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
-    return Polynomial(v, terms)
+    signs = {s: perm_sign(s) for s in permutations(range(m))}
+    return _support(m**4, (
+        ([((i * m + s2[i]) * m + s3[i]) * m + s4[i] for i in range(m)], signs[s2] * signs[s3] * signs[s4])
+        for s2, s3, s4 in product(signs, repeat=3)
+    ))
 
 
 def pfaffian(rows: List[List[Polynomial]]) -> Polynomial:
@@ -259,11 +221,7 @@ def padded_elem(m: int, k: int) -> Polynomial:
     """l^{m-k} e^k_m on m+1 variables (x_1..x_m, l last): Ben-Or's target."""
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
-    base = elem(m, k)
-    terms: Dict[Exponent, Fraction] = {}
-    for e, c in base.terms.items():
-        terms[tuple(e) + (m - k,)] = c
-    return Polynomial(m + 1, terms)
+    return _support(m + 1, ((s + (m,) * (m - k), 1) for s in combinations(range(m), k)))
 
 
 _BUILTINS = {
@@ -340,6 +298,15 @@ class WaringDecomposition(NamedTuple):
             self.num_vars, [(c, [Polynomial.linear_form(form)] * self.degree) for c, form in self.terms]
         )
 
+    def to_record(self) -> dict:
+        """The record ``gct zoo witness`` writes, rationals as strings, keys in file order."""
+        return {
+            "kind": "waring",
+            "num_vars": self.num_vars,
+            "degree": self.degree,
+            "terms": [{"coeff": str(c), "form": [str(x) for x in form]} for c, form in self.terms],
+        }
+
 
 class ChowDecomposition(NamedTuple):
     """target = sum_i coeff_i * prod_j form_{ij}; each inner tuple of forms."""
@@ -351,6 +318,16 @@ class ChowDecomposition(NamedTuple):
         return sum_of_products(
             self.num_vars, [(c, [Polynomial.linear_form(f) for f in forms]) for c, forms in self.terms]
         )
+
+    def to_record(self) -> dict:
+        """The record ``gct zoo witness`` writes, rationals as strings, keys in file order."""
+        return {
+            "kind": "chow",
+            "num_vars": self.num_vars,
+            "terms": [
+                {"coeff": str(c), "forms": [[str(x) for x in f] for f in forms]} for c, forms in self.terms
+            ],
+        }
 
 
 class DetExpressionWitness(NamedTuple):
@@ -364,6 +341,57 @@ class DetExpressionWitness(NamedTuple):
     n: int
     num_target_vars: int
     entries: Tuple[Tuple[Fraction, ...], ...]
+
+
+def _checked(value: object, json_type, what: str):
+    """``value`` when it has the JSON type ``json_type`` (a bool is no int),
+    else a ValueError: a malformed file is a bad argument, exit 2."""
+    if not isinstance(value, json_type) or isinstance(value, bool):
+        raise ValueError(f"{what} has the wrong JSON type: {value!r}")
+    return value
+
+
+def from_record(rec: dict) -> object:
+    """The witness, of any of the three kinds, that a witness file's record
+    describes; a malformed JSON shape or a negative count is a ValueError."""
+    kind = _checked(rec, dict, "a witness record").get("kind")
+
+    def field(name: str, json_type: type = int):
+        value = _checked(rec[name], json_type, name)
+        if json_type is int and value < 0:
+            raise ValueError(f"{name} is negative: {value}")
+        return value
+
+    def terms() -> List[dict]:
+        return [_checked(t, dict, "a term") for t in field("terms", list)]
+
+    def rational(x: object) -> Fraction:
+        return Fraction(_checked(x, (int, str), "a rational"))
+
+    def rationals(xs: object) -> Tuple[Fraction, ...]:
+        return tuple(map(rational, _checked(xs, list, "a list of rationals")))
+
+    if kind == "waring":
+        return WaringDecomposition(
+            num_vars=field("num_vars"),
+            degree=field("degree"),
+            terms=tuple((rational(t["coeff"]), rationals(t["form"])) for t in terms()),
+        )
+    if kind == "chow":
+        return ChowDecomposition(
+            num_vars=field("num_vars"),
+            terms=tuple(
+                (rational(t["coeff"]), tuple(map(rationals, _checked(t["forms"], list, "forms"))))
+                for t in terms()
+            ),
+        )
+    if kind == "det_expression":
+        return DetExpressionWitness(
+            n=field("n"),
+            num_target_vars=field("num_target_vars"),
+            entries=tuple(map(rationals, field("entries", list))),
+        )
+    raise ValueError(f"unknown witness kind {kind!r}")
 
 
 def verify_waring(dec: WaringDecomposition, target: Polynomial) -> VerificationReport:

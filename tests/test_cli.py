@@ -253,6 +253,8 @@ NOT_A_RECORD = "a polynomial record is an object with an int num_vars and a list
          "a rational has the wrong JSON type: [1]"),
         ("zoo", {"kind": "det_expression", "n": 1, "num_target_vars": 1, "entries": [5]},
          "a list of rationals has the wrong JSON type: 5"),
+        ("zoo", {"kind": "waring", "num_vars": 2, "degree": -1, "terms": [{"coeff": "1", "form": ["1", "0"]}]},
+         "degree is negative: -1"),
     ],
 )
 def test_malformed_input_files_are_usage_errors(capsys, tmp_path, command, payload, message):
@@ -546,14 +548,29 @@ def test_zoo_make_stdout_is_loadable(capsys):
     assert p == det(2)
 
 
+def test_zoo_make_out_of_range_is_a_usage_error(capsys):
+    assert run(capsys, "zoo", "make", "det", "0") == (2, "", "gct: error: n must be >= 1\n")
+
+
 def test_zoo_witness_stdout_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "zoo", "witness", "benor", "3", "2")
     assert code == 0
     rec = json.loads(out)
-    w = cli.witness_from_record(rec)
-    from gct import zoo
-
+    w = zoo.from_record(rec)
     assert zoo.verify_chow(w, zoo.padded_elem(3, 2)).ok
+
+
+def witness_record(w) -> dict:
+    """The file record of any witness; no command writes a det expression,
+    so its writer lives here."""
+    if isinstance(w, zoo.DetExpressionWitness):
+        return {
+            "kind": "det_expression",
+            "n": w.n,
+            "num_target_vars": w.num_target_vars,
+            "entries": [[str(x) for x in row] for row in w.entries],
+        }
+    return w.to_record()
 
 
 def test_witness_record_roundtrip_all_kinds(tmp_path):
@@ -575,15 +592,15 @@ def test_witness_record_roundtrip_all_kinds(tmp_path):
             ),
         ),
     ):
-        rec = cli.witness_to_record(dec)
-        back = cli.witness_from_record(json.loads(json.dumps(rec)))
+        rec = witness_record(dec)
+        back = zoo.from_record(json.loads(json.dumps(rec)))
         assert back == dec
 
 
 def _verify_files(capsys, tmp_path, witness, m):
     """Write ``witness`` and perm_m to files; return their paths."""
     w_path, t_path = tmp_path / "witness.json", tmp_path / "perm.json"
-    w_path.write_text(json.dumps(cli.witness_to_record(witness)))
+    w_path.write_text(json.dumps(witness_record(witness)))
     assert run(capsys, "zoo", "make", "perm", str(m), "-o", str(t_path))[0] == 0
     return str(w_path), str(t_path)
 

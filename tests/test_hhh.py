@@ -14,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -551,6 +552,46 @@ def test_blocks_are_restrictions_of_the_full_map():
                     want[r] = {j: x for j, x in entries.items() if x}
             got = {tuple(map(unpack, key)): x for key, x in block.rows.items()}
             assert got == want, (d, n, v, w)
+
+
+def phi(ms):
+    """aut(ms) * prod_a ms[0][a]!: aut(ms) is the product of the factorials
+    of the multiplicities of ms's monomials, ms[0] its leading monomial."""
+    out = 1
+    for c in Counter(ms).values():
+        out *= factorial(c)
+    for e in ms[0]:
+        out *= factorial(e)
+    return out
+
+
+def block_entries(d, n, v, w):
+    """The ``w`` block of h_{d,n} as {(codomain multiset, domain multiset): entry}."""
+    unpack = codec(v, d)[1]
+    cols = hhh.multiset_basis(d, n, v, w)
+    block = hhh.build_hhh(d, n, v, w)
+    return {(tuple(map(unpack, key)), cols[c]): x for key, row in block.rows.items() for c, x in row.items()}
+
+
+@pytest.mark.parametrize(
+    "d,n,v,weights",
+    [(d, n, v, None) for d, n, v in [(2, 2, 2), (2, 3, 3), (3, 3, 3), (3, 2, 3), (4, 3, 3), (3, 4, 3),
+                                     (2, 4, 4), (4, 4, 3), (5, 5, 2), (3, 5, 3)]]
+    + [(5, 5, 5, [(19, 4, 1, 1, 0), (18, 5, 2, 0, 0)])],
+)
+def test_weight_blocks_of_h_dn_and_h_nd_are_scaled_transposes(d, n, v, weights):
+    """A = build_hhh(d, n, v, w), B = build_hhh(n, d, v, w):
+    A[N][M] * phi(N) = B[M][N] * phi(M), and the supports are transposes.
+
+    Both sides count the d x n letter arrays with row multiset M and column
+    multiset N, each divided by its own row labellings and by the letter
+    orders of its pinned first row."""
+    for w in weights or hhh.dominant_weights(d * n, v):
+        a = block_entries(d, n, v, w)
+        b = {(m, nn): x for (nn, m), x in block_entries(n, d, v, w).items()}
+        assert a.keys() == b.keys(), w
+        for (nn, m), x in a.items():
+            assert x * phi(nn) == b[nn, m] * phi(m), (w, nn, m)
 
 
 def test_h22_c2_rank_literal():

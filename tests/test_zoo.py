@@ -346,6 +346,25 @@ def test_make_dispatch():
         zoo.make("fermat", 3)
 
 
+@pytest.mark.parametrize(
+    "name,args",
+    [("det", (0,)), ("perm", (0,)), ("chow", (0,)), ("fermat", (0, 2)), ("sumprod", (2, 0)),
+     ("imm", (0, 2)), ("pascal_det", (0,)), ("pfaffian", ([],)), ("padded_elem", (3, 0)),
+     ("fischer_decomposition", (0,)), ("ryser_decomposition", (0,)), ("benor_decomposition", (2, 3))],
+)
+def test_out_of_range_parameters_are_value_errors(name, args):
+    with pytest.raises(ValueError):
+        getattr(zoo, name)(*args)
+
+
+def test_support_adds_equal_monomials_and_drops_cancelled_sums():
+    """x1 x2 twice adds to 5 x1 x2; x3^2 - x3^2 cancels and is dropped,
+    also when it first appears before the surviving terms."""
+    p = zoo._support(3, [([2, 2], 1), ((0, 1), 2), ([1, 0], 3), ([2, 2], -1), ([], 4)])
+    assert list(p.terms.items()) == [((1, 1, 0), Fraction(5)), ((0, 0, 0), Fraction(4))]
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
 def test_padded_elem_is_homogenized_elem():
     p = zoo.padded_elem(4, 2)
     assert p.num_vars == 5
