@@ -2,14 +2,16 @@
 
 Modules:
 
-* ``poly``      exact sparse polynomial arithmetic, substitutions, flattenings
+* ``poly``      exact sparse polynomial arithmetic, flattenings, the file codec
 * ``zoo``       named polynomial generators, decompositions, verifiers
 * ``flatten``   exact ranks and border-rank lower bounds
 * ``hhh``       the Hermite--Hadamard--Howe map and its kernel
-* ``reptheory`` symmetric-group character calculus and obstructions
+* ``reptheory`` symmetric-group character calculus, weight-space counting
+                and module multiplicities, obstructions
 * ``latin``     Latin-square sign counting and determinant pairings
 * ``geometry``  Hessians, characteristic-polynomial identities, stabilizers
-* ``cli``       the ``gct`` command-line entry point
+* ``cli``       the ``gct`` command-line entry point and result cache, which
+                takes every content digest
 
 ``CapacityError``, the refusal every layer raises, lives here, so no layer
 runs another only to name it.

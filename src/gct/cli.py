@@ -34,11 +34,13 @@ false), 2 unknown command or bad arguments, 3 capacity error.
 
 Expensive results are cached under ``$GCT_CACHE_DIR`` (default
 ``~/.cache/gct``), content-addressed by the SHA-256 digest of the manifest
-inputs {command, parameters, code_version}.  The parameters are the declared
-arguments except ``-o``, after conversion: partitions in normal form, a
-polynomial file by the content digest of the parsed polynomial (never the
-path), a target by name and parameters or content digest, and the seed of
-``geo dualdim``.  code_version is the SHA-256 of this package's ``*.py``
+inputs {command, parameters, code_version}.  The cache owns every content
+digest: ``_digest`` of canonical JSON keys an entry, certifies it, and
+names a polynomial by its record (``poly_digest``).  The parameters are
+the declared arguments except ``-o``, after conversion: partitions in
+normal form, a polynomial file by the content digest of the parsed
+polynomial (never the path), a target by name and parameters or content
+digest, and the seed of ``geo dualdim``.  code_version is the SHA-256 of this package's ``*.py``
 sources (so any change to the code invalidates every earlier entry).  A
 cache entry stores the run manifest (the key's inputs, timing and the result
 digest) next to the result record, the rendered human report and the
@@ -93,6 +95,12 @@ def _digest(payload: object) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
+
+
+def poly_digest(p: poly.Polynomial) -> str:
+    """Content digest of a polynomial: ``_digest`` of its record, whose terms
+    are in grevlex order, so equal polynomials share it."""
+    return _digest(poly.to_record(p))
 
 
 @functools.lru_cache(maxsize=None)
@@ -235,12 +243,12 @@ class Target(NamedTuple):
     def manifest_param(self) -> dict:
         if self.name is not None:
             return {"name": self.name, "params": list(self.params)}
-        return {"poly_digest": poly.poly_digest(self.poly)}
+        return {"poly_digest": poly_digest(self.poly)}
 
     def label(self) -> str:
         if self.name is not None:
             return " ".join([self.name, *map(str, self.params)])
-        return f"<file sha256:{poly.poly_digest(self.poly)[:12]}>"
+        return f"<file sha256:{poly_digest(self.poly)[:12]}>"
 
 
 def _load_target(tokens: Sequence[str]) -> Target:
@@ -291,7 +299,7 @@ def _echo(ns: argparse.Namespace, **fields: object) -> dict:
 def _key_value(name: str, value: object) -> object:
     """What the converted argument ``name`` contributes to the cache key."""
     if name == "poly_file":  # by name: no isinstance check that runs gct.poly
-        return poly.poly_digest(value)
+        return poly_digest(value)
     if isinstance(value, Target):
         return value.manifest_param()
     return value
@@ -334,7 +342,7 @@ def cmd_zoo_make(ns: argparse.Namespace) -> CommandResult:
         num_vars=p.num_vars,
         degree=p.degree(),
         terms=p.num_terms(),
-        digest=poly.poly_digest(p),
+        digest=poly_digest(p),
     )
     # without -o the human report *is* the polynomial file
     return _file_or_stdout(ns, record, poly.dumps(p), "polynomial", poly.to_record(p))
@@ -384,7 +392,7 @@ def cmd_flatten_rank(ns: argparse.Namespace) -> CommandResult:
     k = ns.k if ns.k is not None else d // 2
     fm = poly.polarize(p, k)
     record = {
-        "poly_digest": poly.poly_digest(p),
+        "poly_digest": poly_digest(p),
         "degree": d,
         "k": k,
         "shape": fm.shape,
@@ -396,7 +404,7 @@ def cmd_flatten_rank(ns: argparse.Namespace) -> CommandResult:
 def _border_bound(p: poly.Polynomial, lower_bound) -> CommandResult:
     b = lower_bound(p)
     record = {
-        "poly_digest": poly.poly_digest(p),
+        "poly_digest": poly_digest(p),
         "bound": b.bound,
         "best_k": b.best_k,
         "ranks": {str(k): b.ranks[k] for k in sorted(b.ranks)},
@@ -416,7 +424,7 @@ def cmd_flatten_shifted(ns: argparse.Namespace) -> CommandResult:
     p: poly.Polynomial = ns.poly_file
     dim = flatten.shifted_partials_dim(p, ns.k, ns.shift)
     record = {
-        "poly_digest": poly.poly_digest(p),
+        "poly_digest": poly_digest(p),
         "k": ns.k,
         "shift": ns.shift,
         "dimension": dim,
@@ -601,7 +609,7 @@ def cmd_geo_cp(ns: argparse.Namespace) -> CommandResult:
         "matrix": f"H({tgt.label()})",
         "terms": cp.num_terms(),
         "degree": cp.degree(),
-        "digest": poly.poly_digest(cp),
+        "digest": poly_digest(cp),
     }
     if ns.output:
         _write_text(ns.output, poly.dumps(cp))

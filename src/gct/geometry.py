@@ -14,6 +14,7 @@ import heapq
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
+from operator import add, gt, sub
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import CapacityError
@@ -23,9 +24,6 @@ from .poly import (
     Polynomial,
     apply_diff,
     det_polymatrix,
-    divides,
-    exponent_add,
-    exponent_sub,
     grevlex_key,
     shifted_partials,
     sum_of_products,
@@ -111,13 +109,13 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
         c = work.get(e)
         if not c:
             continue
-        if not divides(lt_g_exp, e):
+        if any(map(gt, lt_g_exp, e)):  # LT(g) does not divide the leading term left
             return None
-        q_exp = exponent_sub(e, lt_g_exp)
+        q_exp = tuple(map(sub, e, lt_g_exp))
         q_coeff = c / lt_g_coeff
         quotient[q_exp] = quotient.get(q_exp, Fraction(0)) + q_coeff
         for g_exp, g_coeff in g_terms:
-            t = exponent_add(q_exp, g_exp)
+            t = tuple(map(add, q_exp, g_exp))
             nc = work.get(t, Fraction(0)) - q_coeff * g_coeff
             if nc:
                 if t not in work:
@@ -169,7 +167,9 @@ def verify_sfturbo(v: int, checks: Optional[Sequence[str]] = None) -> SFReport:
     Checks (selectable): cp1 (= 0), cp3 (= det_v * cofactor of degree
     2v-6), cp5 (= det_v * cofactor of degree 4v-10), cp2_negative (det_v
     does NOT divide cp_2), cp8/cp9 (v=3 closed forms 2*det^2*Q and
-    2*det^3).  Heavy coefficients are opt-in; v is capped at 4.
+    2*det^3).  Heavy coefficients are opt-in; v is capped at 4.  Check
+    cp<s> reads cp_s and takes one of three paths by its kind of claim:
+    zero, division by det_v, or equality with a closed form.
     """
     if v < 3:
         raise ValueError(f"sfturbo checks need v >= 3, got {v}")
@@ -182,68 +182,51 @@ def verify_sfturbo(v: int, checks: Optional[Sequence[str]] = None) -> SFReport:
         raise ValueError(f"sfturbo checks cp8 and cp9 are stated only at v = 3, got v = {v}")
     d = det(v)
     h = hessian(d)
+
+    def zero(s: int, cp: Polynomial) -> CheckResult:
+        return CheckResult(f"cp_{s} = 0", cp.is_zero(), f"trace of H(det_{v}) is {cp!r}")
+
+    def division(s: int, cp: Polynomial) -> CheckResult:
+        """det_v divides cp_s with a cofactor of degree s(v-2) - v, or at s = 2 not at all."""
+        q = divide_exact(cp, d)
+        if s == 2:
+            return CheckResult(
+                f"det_{v} does not divide cp_2",
+                q is None,
+                "division fails as the theorem requires" if q is None else f"unexpected quotient {q!r}",
+            )
+        want_deg = s * (v - 2) - v
+        return CheckResult(
+            f"det_{v} | cp_{s} with cofactor degree {want_deg}",
+            q is not None and q.degree() == want_deg,
+            f"cofactor {'missing' if q is None else f'degree {q.degree()}, {q.num_terms()} terms'}",
+        )
+
+    def closed_form(s: int, cp: Polynomial) -> CheckResult:
+        """cp_s = c * det_3^2 * f, exactly (v = 3)."""
+        claim, c, f = {
+            # Exact computation gives cp_8 = det_3^2 * trace(A A^T), and
+            # trace(A A^T) = fermat(2, 9) sums the squares of all 9 entries;
+            # the constant 2 in the literature corresponds to normalizing
+            # the contraction as Q(A) = (1/2) trace(A A^T).
+            8: ("cp_8 = det_3^2 * trace(AA^T)  (= 2 det_3^2 Q with Q = trace(AA^T)/2)", 1, fermat(2, 9)),
+            # cp_9 of the 9 x 9 Hessian is its determinant.  B. Segre's
+            # identity; the exact sign at odd v is (-1)^{binom(v,2)}, here
+            # (-1)^3 * 2 = -2.
+            9: ("cp_9 = det(H(det_3)) = -2 det_3^3  (B. Segre, sign (-1)^{binom(3,2)})",
+                (-1) ** comb(v, 2) * (v - 1), d),
+        }[s]
+        ok = cp == sum_of_products(9, [(c, (d, d, f))])
+        return CheckResult(claim, ok, "exact equality" if ok else "mismatch")
+
+    kinds = {"cp1": zero, "cp2_negative": division, "cp3": division, "cp5": division,
+             "cp8": closed_form, "cp9": closed_form}
     results: List[CheckResult] = []
     for name in checks:
-        if name == "cp1":
-            cp1 = cp_coefficient(h, 1)
-            results.append(
-                CheckResult("cp_1 = 0", cp1.is_zero(), f"trace of H(det_{v}) is {cp1!r}")
-            )
-        elif name == "cp2_negative":
-            cp2 = cp_coefficient(h, 2)
-            q = divide_exact(cp2, d)
-            results.append(
-                CheckResult(
-                    f"det_{v} does not divide cp_2",
-                    q is None,
-                    "division fails as the theorem requires"
-                    if q is None
-                    else f"unexpected quotient {q!r}",
-                )
-            )
-        elif name in ("cp3", "cp5"):
-            s = int(name[2:])
-            cps = cp_coefficient(h, s)
-            q = divide_exact(cps, d)
-            want_deg = s * (v - 2) - v
-            got_deg = None if q is None else q.degree()
-            ok = q is not None and got_deg == want_deg
-            results.append(
-                CheckResult(
-                    f"det_{v} | cp_{s} with cofactor degree {want_deg}",
-                    ok,
-                    f"cofactor {'missing' if q is None else f'degree {got_deg}, {q.num_terms()} terms'}",
-                )
-            )
-        elif name == "cp8":
-            # Exact computation gives cp_8 = det_3^2 * trace(A A^T); the
-            # constant 2 in the literature corresponds to normalizing the
-            # contraction as Q(A) = (1/2) trace(A A^T).
-            cp8 = cp_coefficient(h, 8)
-            # trace(A A^T) = fermat(2, 9): the squares of all 9 entries
-            want = sum_of_products(9, [(1, (d, d, fermat(2, 9)))])
-            results.append(
-                CheckResult(
-                    "cp_8 = det_3^2 * trace(AA^T)  (= 2 det_3^2 Q with Q = trace(AA^T)/2)",
-                    cp8 == want,
-                    "exact equality" if cp8 == want else "mismatch",
-                )
-            )
-        elif name == "cp9":
-            # B. Segre's identity; the exact sign at odd v is
-            # (-1)^{binom(v,2)}, here (-1)^3 * 2 = -2.
-            cp9 = det_polymatrix(h)
-            sign = -1 if comb(v, 2) % 2 else 1
-            want = sum_of_products(9, [(sign * (v - 1), (d, d, d))])
-            results.append(
-                CheckResult(
-                    "cp_9 = det(H(det_3)) = -2 det_3^3  (B. Segre, sign (-1)^{binom(3,2)})",
-                    cp9 == want,
-                    "exact equality" if cp9 == want else "mismatch",
-                )
-            )
-        else:
+        if name not in kinds:
             raise ValueError(f"unknown sfturbo check {name!r}")
+        s = int(name[2])
+        results.append(kinds[name](s, cp_coefficient(h, s)))
     return SFReport(v=v, checks=tuple(results))
 
 

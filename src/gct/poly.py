@@ -102,19 +102,6 @@ def _numerators(terms: Dict[Exponent, Fraction], den: int = 0) -> Tuple[int, Lis
     return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
 
 
-def exponent_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def exponent_sub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def divides(a: Exponent, b: Exponent) -> bool:
-    """True if monomial ``a`` divides monomial ``b`` (componentwise <=)."""
-    return all(x <= y for x, y in zip(a, b))
-
-
 # ---------------------------------------------------------------------------
 # Polynomial
 # ---------------------------------------------------------------------------
@@ -573,6 +560,8 @@ def from_record(rec: dict) -> Polynomial:
         e = tuple(t["exps"])
         if not all(type(x) is int for x in e):
             raise ValueError(f"exponents {t['exps']!r} are not all integers")
+        if "coeff" not in t:
+            raise ValueError(f"term {t!r} has no coeff")
         c = Fraction(str(t["coeff"]))
         if c != 0:
             terms[e] = terms.get(e, Fraction(0)) + c
@@ -585,11 +574,3 @@ def dumps(p: Polynomial) -> str:
 
 def loads(text: str) -> Polynomial:
     return from_record(json.loads(text))
-
-
-def poly_digest(p: Polynomial) -> str:
-    import hashlib  # not at import: OpenSSL's _hashlib adds about 2.4 MB of RSS
-
-    return hashlib.sha256(
-        json.dumps(to_record(p), separators=(",", ":")).encode()
-    ).hexdigest()

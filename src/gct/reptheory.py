@@ -373,6 +373,11 @@ def symmetric_kronecker(pi: Sequence[int], mu: Sequence[int]) -> int:
     _check_class_count("symmetric Kronecker coefficient", sum(p), MAX_CLASSES)
     classes = _classes(sum(p))
     col_m = _column(m)
+    # chi_mu(sigma^2) is read at the rank of each square, not from a squared
+    # column chi_mu[rank(square of gamma)] built class by class: at S_33,
+    # pi = (11,11,2,2,2,2,2,1), mu = (11,11,11) with both columns built, a
+    # call took 10-17 ms this way against 48-93 ms with that column (five
+    # fresh processes each, 2 vCPUs, Python 3.11.7).
     total = 0  # 2 * N! * sk
     for cp, cm, square, size in zip(_column(p), col_m, classes.square_ranks(), classes.sizes):
         if cp:
@@ -463,6 +468,10 @@ def _suffix_counts(degree: int, v: int, count: int, rem: Tuple[int, ...]) -> Lis
     if count == 0:  # then rem is zero
         out = [1] * (len(monos) + 1)
     elif count == 1:  # rem is one monomial: counted while it is still free
+        # The general loop below gives the same list, but far slower: without
+        # this branch, predicted_block_size for every dominant block of
+        # h_{2,8} on C^8 took 30.5-34.3 s against 3.5-4.7 s with it (three
+        # fresh processes each, 2 vCPUs, Python 3.11.7).
         i = _monomial_index(v, degree)[rem]
         out = [1] * (i + 1) + [0] * (len(monos) - i)
     else:

@@ -353,11 +353,18 @@ def _checked(value: object, json_type, what: str):
 
 def from_record(rec: dict) -> object:
     """The witness, of any of the three kinds, that a witness file's record
-    describes; a malformed JSON shape or a negative count is a ValueError."""
-    kind = _checked(rec, dict, "a witness record").get("kind")
+    describes; a malformed JSON shape, a missing field or a negative count
+    is a ValueError that names it."""
+
+    def get(obj: dict, name: str) -> object:
+        if name not in obj:
+            raise ValueError(f"{name} is missing")
+        return obj[name]
+
+    kind = get(_checked(rec, dict, "a witness record"), "kind")
 
     def field(name: str, json_type: type = int):
-        value = _checked(rec[name], json_type, name)
+        value = _checked(get(rec, name), json_type, name)
         if json_type is int and value < 0:
             raise ValueError(f"{name} is negative: {value}")
         return value
@@ -375,13 +382,13 @@ def from_record(rec: dict) -> object:
         return WaringDecomposition(
             num_vars=field("num_vars"),
             degree=field("degree"),
-            terms=tuple((rational(t["coeff"]), rationals(t["form"])) for t in terms()),
+            terms=tuple((rational(get(t, "coeff")), rationals(get(t, "form"))) for t in terms()),
         )
     if kind == "chow":
         return ChowDecomposition(
             num_vars=field("num_vars"),
             terms=tuple(
-                (rational(t["coeff"]), tuple(map(rationals, _checked(t["forms"], list, "forms"))))
+                (rational(get(t, "coeff")), tuple(map(rationals, _checked(get(t, "forms"), list, "forms"))))
                 for t in terms()
             ),
         )

@@ -255,6 +255,10 @@ NOT_A_RECORD = "a polynomial record is an object with an int num_vars and a list
          "a list of rationals has the wrong JSON type: 5"),
         ("zoo", {"kind": "waring", "num_vars": 2, "degree": -1, "terms": [{"coeff": "1", "form": ["1", "0"]}]},
          "degree is negative: -1"),
+        ("zoo", {"kind": "waring"}, "num_vars is missing"),
+        ("zoo", {"kind": "chow", "num_vars": 9, "terms": [{"forms": [["1"]]}]}, "coeff is missing"),
+        ("flatten", {"num_vars": 1, "terms": [{"exps": [1]}]}, "term {'exps': [1]} has no coeff"),
+        ("zoo", {"num_vars": 2}, "kind is missing"),
     ],
 )
 def test_malformed_input_files_are_usage_errors(capsys, tmp_path, command, payload, message):

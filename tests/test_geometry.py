@@ -312,6 +312,52 @@ def test_sfturbo_errors():
             geo.verify_sfturbo(4, checks=(name,))
 
 
+CP8_CLAIM = "cp_8 = det_3^2 * trace(AA^T)  (= 2 det_3^2 Q with Q = trace(AA^T)/2)"
+CP9_CLAIM = "cp_9 = det(H(det_3)) = -2 det_3^3  (B. Segre, sign (-1)^{binom(3,2)})"
+
+#: the full default report of each v: (claim, ok, detail) of every check, in order
+SFTURBO_REPORTS = {
+    3: [
+        ("cp_1 = 0", True, "trace of H(det_3) is 0"),
+        ("det_3 | cp_3 with cofactor degree 0", True, "cofactor degree 0, 1 terms"),
+        ("det_3 does not divide cp_2", True, "division fails as the theorem requires"),
+        (CP8_CLAIM, True, "exact equality"),
+        (CP9_CLAIM, True, "exact equality"),
+    ],
+    4: [
+        ("cp_1 = 0", True, "trace of H(det_4) is 0"),
+        ("det_4 | cp_3 with cofactor degree 2", True, "cofactor degree 2, 16 terms"),
+        ("det_4 does not divide cp_2", True, "division fails as the theorem requires"),
+    ],
+}
+
+
+@pytest.mark.parametrize("v", [3, 4])
+def test_sfturbo_default_reports_are_pinned(v):
+    assert [tuple(c) for c in geo.verify_sfturbo(v).checks] == SFTURBO_REPORTS[v]
+
+
+def test_sfturbo_failure_texts_are_pinned(monkeypatch):
+    """What each kind of claim reports when it fails: no quotient, an
+    unexpected quotient, a wrong cofactor degree, a closed-form mismatch."""
+    every = ("cp1", "cp2_negative", "cp3", "cp5", "cp8", "cp9")
+    monkeypatch.setattr(geo, "divide_exact", lambda f, g: None)
+    monkeypatch.setattr(geo, "sum_of_products", lambda num_vars, terms: Polynomial.zero(num_vars))
+    assert [tuple(c) for c in geo.verify_sfturbo(3, every).checks] == [
+        ("cp_1 = 0", True, "trace of H(det_3) is 0"),
+        ("det_3 does not divide cp_2", True, "division fails as the theorem requires"),
+        ("det_3 | cp_3 with cofactor degree 0", False, "cofactor missing"),
+        ("det_3 | cp_5 with cofactor degree 2", False, "cofactor missing"),
+        (CP8_CLAIM, False, "mismatch"),
+        (CP9_CLAIM, False, "mismatch"),
+    ]
+    monkeypatch.setattr(geo, "divide_exact", lambda f, g: Polynomial.variable(0, 9))
+    assert [tuple(c) for c in geo.verify_sfturbo(3, ("cp2_negative", "cp3")).checks] == [
+        ("det_3 does not divide cp_2", False, "unexpected quotient x1"),
+        ("det_3 | cp_3 with cofactor degree 0", False, "cofactor degree 1, 1 terms"),
+    ]
+
+
 def test_sfturbo_cp5_v3():
     report = geo.verify_sfturbo(3, checks=("cp5",))
     assert report.ok
