@@ -216,9 +216,10 @@ class _Classes:
             top = part
         return pos
 
+    @cached_property
     def square_ranks(self) -> List[int]:
         """The rank of the class of sigma^2 for each class of sigma, in
-        ``partitions(N)`` order, with no class listed.
+        ``partitions(N)`` order, with no class listed, built when read.
 
         An odd t-cycle squares to a t-cycle and an even one to two
         t/2-cycles.  ranks(m, top, pending) lists, for each gamma of m boxes
@@ -379,7 +380,7 @@ def symmetric_kronecker(pi: Sequence[int], mu: Sequence[int]) -> int:
     # call took 10-17 ms this way against 48-93 ms with that column (five
     # fresh processes each, 2 vCPUs, Python 3.11.7).
     total = 0  # 2 * N! * sk
-    for cp, cm, square, size in zip(_column(p), col_m, classes.square_ranks(), classes.sizes):
+    for cp, cm, square, size in zip(_column(p), col_m, classes.square_ranks, classes.sizes):
         if cp:
             val = cm * cm + col_m[square]
             if val:

@@ -879,17 +879,83 @@ def _loaded_by(argv):
     ids=["rep-useful", "rep-kron", "no-cache-pleth", "no-cache-obstruct"],
 )
 def test_command_that_neither_caches_nor_digests_loads_no_openssl(argv):
-    """OpenSSL's ``_hashlib`` is loaded for a digest and ``fractions`` for a
+    """A SHA-256 module is loaded for a digest and ``fractions`` for a
     rational: a ``rep`` command that stores nothing needs neither."""
     loaded = _loaded_by(argv)
     assert "gct.reptheory" in loaded
-    assert not loaded & {"_hashlib", "fractions"}, sorted(loaded)
+    assert not loaded & {"_sha2", "_sha256", "hashlib", "_hashlib", "fractions"}, sorted(loaded)
 
 
-def test_cached_command_loads_openssl(tmp_path):
-    """The cache key is a SHA-256 digest, so a cached run loads ``_hashlib``."""
-    loaded = _loaded_by(["--cache-dir", str(tmp_path / "c"), "rep", "pleth", "4,2", "3", "2"])
-    assert "_hashlib" in loaded and "fractions" not in loaded
+@pytest.mark.parametrize("case", ["cached", "replay", "zoo-digest", "no-cache-file"])
+def test_digests_load_no_openssl(tmp_path, case):
+    """Every digest, a cache key, a replayed entry's check or a polynomial's
+    ``poly_digest``, comes from CPython's built-in SHA-256, so no command
+    loads OpenSSL's ``_hashlib`` (or ``hashlib``, which imports it)."""
+    cached = ["--cache-dir", str(tmp_path / "c"), "rep", "pleth", "4,2", "3", "2"]
+    det3 = str(tmp_path / "det3.json")
+    if case == "no-cache-file":
+        assert cli.dispatch(["zoo", "make", "det", "3", "-o", det3]) == 0
+    if case == "replay":
+        assert cli.dispatch(cached) == 0
+        assert len(os.listdir(tmp_path / "c")) == 1
+    argv = {
+        "cached": cached,
+        "replay": cached,
+        "zoo-digest": ["zoo", "make", "det", "3"],
+        "no-cache-file": ["--no-cache", "flatten", "rank", det3, "--k", "1"],
+    }[case]
+    loaded = _loaded_by(argv)
+    assert loaded & {"_sha2", "_sha256"}, sorted(loaded)
+    assert not loaded & {"hashlib", "_hashlib"}, sorted(loaded)
+    if argv is cached:
+        assert len(os.listdir(tmp_path / "c")) == 1  # one entry, stored or replayed
+
+
+DIGEST_PAYLOADS = [
+    {},
+    [],
+    "",
+    0,
+    None,
+    {"b": [1, 2.5, "x"], "a": {"z": None, "y": True}},
+    {"command": ["rep", "pleth"], "parameters": {"lam": [4, 2]}, "code_version": "0" * 64},
+    ["\u00e9\u2208", -(10**40)],
+]
+
+
+def _hashlib_digest(payload):
+    """The oracle: hashlib's SHA-256 of the canonical JSON of ``payload``."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _hashlib_code_digest():
+    """The oracle for ``code_digest``: hashlib's SHA-256 over the package's
+    ``*.py`` files, each as NUL, name, NUL, bytes, in name order."""
+    h = hashlib.sha256()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        h.update(b"\0" + path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def test_digests_match_hashlib():
+    """``_digest`` and ``code_digest`` are SHA-256 of the same bytes as
+    through ``hashlib``, used here only as the oracle."""
+    assert [cli._digest(x) for x in DIGEST_PAYLOADS] == list(map(_hashlib_digest, DIGEST_PAYLOADS))
+    assert cli.code_digest() == _hashlib_code_digest()
+
+
+def test_digest_falls_back_to_hashlib():
+    """With neither built-in module importable, as in a CPython built
+    without its built-in hashes, the digests come from ``hashlib`` and are
+    the same bytes."""
+    payload = DIGEST_PAYLOADS[5]
+    out = _probe(
+        "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+        "import gct.cli; "
+        f"print(gct.cli._digest({payload!r}), gct.cli.code_digest(), '_hashlib' in sys.modules)"
+    )
+    assert out.split() == [_hashlib_digest(payload), _hashlib_code_digest(), "True"]
 
 
 def test_lazy_layers_are_the_imported_modules():

@@ -345,7 +345,23 @@ def test_class_ranks_are_positions_in_partitions(n):
     index = {gamma: i for i, gamma in enumerate(types)}
     if n <= 20:
         assert [classes.rank(gamma) for gamma in types] == list(range(len(types)))
-    assert classes.square_ranks() == [index[square_cycle_type(gamma)] for gamma in types]
+    assert classes.square_ranks == [index[square_cycle_type(gamma)] for gamma in types]
+
+
+def test_square_ranks_are_built_once():
+    """square_ranks is built on first read and kept: a second read (each
+    ``symmetric_kronecker`` call at one N) is the same list, with no rank
+    taken again."""
+    classes = rt._Classes(12)
+    calls = []
+    rank = classes.rank
+    classes.rank = lambda gamma: calls.append(gamma) or rank(gamma)
+    first = classes.square_ranks
+    built = len(calls)
+    assert built > 0
+    assert classes.square_ranks is first
+    assert len(calls) == built
+    assert first == [classes.rank(square_cycle_type(gamma)) for gamma in rt.partitions(12)]
 
 
 def test_no_memo_outlives_the_column():
