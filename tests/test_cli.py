@@ -890,14 +890,16 @@ def test_command_that_neither_caches_nor_digests_loads_no_openssl(argv):
 def test_digests_load_no_openssl(tmp_path, case):
     """Every digest, a cache key, a replayed entry's check or a polynomial's
     ``poly_digest``, comes from CPython's built-in SHA-256, so no command
-    loads OpenSSL's ``_hashlib`` (or ``hashlib``, which imports it)."""
+    loads OpenSSL's ``_hashlib`` (or ``hashlib``, which imports it). A
+    cached ``rep pleth`` stores an integer, so it loads no ``fractions``."""
     cached = ["--cache-dir", str(tmp_path / "c"), "rep", "pleth", "4,2", "3", "2"]
     det3 = str(tmp_path / "det3.json")
     if case == "no-cache-file":
         assert cli.dispatch(["zoo", "make", "det", "3", "-o", det3]) == 0
     if case == "replay":
         assert cli.dispatch(cached) == 0
-        assert len(os.listdir(tmp_path / "c")) == 1
+        (entry,) = (tmp_path / "c").iterdir()
+        inode = entry.stat().st_ino
     argv = {
         "cached": cached,
         "replay": cached,
@@ -908,7 +910,10 @@ def test_digests_load_no_openssl(tmp_path, case):
     assert loaded & {"_sha2", "_sha256"}, sorted(loaded)
     assert not loaded & {"hashlib", "_hashlib"}, sorted(loaded)
     if argv is cached:
+        assert "fractions" not in loaded, sorted(loaded)
         assert len(os.listdir(tmp_path / "c")) == 1  # one entry, stored or replayed
+    if case == "replay":  # a recompute would os.replace the entry: a new inode
+        assert entry.stat().st_ino == inode
 
 
 DIGEST_PAYLOADS = [
