@@ -451,13 +451,8 @@ def cmd_flatten_shifted(ns: argparse.Namespace) -> CommandResult:
 
 def cmd_hhh_rank(ns: argparse.Namespace) -> CommandResult:
     record = _echo(ns)
-    if ns.weight:
-        block = hhh.build_hhh(ns.d, ns.n, ns.v, ns.weight)
-        record["shape"] = block.shape
-        record["rank"] = block.rank()
-        return CommandResult(record)
-    dom = hhh.sym_sym_dim(ns.d, ns.n, ns.v)
     r = hhh.hhh_rank(ns.d, ns.n, ns.v)
+    dom = hhh.sym_sym_dim(ns.d, ns.n, ns.v)
     record["domain_dimension"] = dom
     record["codomain_dimension"] = hhh.sym_sym_dim(ns.n, ns.d, ns.v)
     record["rank"] = r
@@ -725,7 +720,6 @@ def _ints(*names: str) -> Tuple[Arg, ...]:
 
 _DNV = _ints("d", "n", "v")
 _POLY_FILE = (_arg("poly_file"),)
-_WEIGHT = _arg("--weight", default=None, help="comma list, e.g. 5,5,5,5,5")
 _PI_MU = (_arg("pi"), _arg("mu"))
 _PI_D_N = (_arg("pi"), *_ints("d", "n"))
 _TARGET = _arg("target", nargs="+")
@@ -763,8 +757,11 @@ COMMANDS: Dict[str, Tuple[str, Dict[str, Tuple[str, bool, Tuple[Arg, ...]]]]] = 
         )),
     }),
     "hhh": ("the Hermite-Hadamard-Howe map h_{d,n}", {
-        "rank": ("rank of h_{d,n} on C^v (or of one weight block)", True, (*_DNV, _WEIGHT)),
-        "kernel": ("kernel dimensions by dominant weight", True, (*_DNV, _WEIGHT)),
+        "rank": ("rank of h_{d,n} on C^v", True, _DNV),
+        "kernel": ("kernel dimensions by dominant weight (or of one weight block)", True, (
+            *_DNV,
+            _arg("--weight", default=None, help="comma list, e.g. 5,5,5,5,5"),
+        )),
         "character": ("GL-character of ker h_{d,n} as Schur multiplicities", True, _DNV),
     }),
     "rep": ("symmetric-group multiplicity calculus", {

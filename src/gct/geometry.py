@@ -240,6 +240,8 @@ def cayley_check(n: int, s: int) -> bool:
     """det_n(d/dx) applied to det_n^{s+1} equals ((s+n)!/s!) det_n^s."""
     if n > 3:
         raise CapacityError("cayley_check n", n, 3)
+    if s < 0:
+        raise ValueError("s must be >= 0")
     if s > 2:
         raise CapacityError("cayley_check s", s, 2)
     d = det(n)

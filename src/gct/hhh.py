@@ -29,6 +29,21 @@ its codomain row.  Scaling a column by the nonzero s(ms) changes neither
 the rank nor the kernel's dimension; x is in ker h exactly when D^{-1} x
 is in the kernel of the entries, for D = diag(s).
 
+The blocks of h_{d,n} and h_{n,d} of one weight are scaled transposes.
+Let A and B be the integer blocks of h_{d,n} and h_{n,d}, M a domain
+multiset of h_{d,n} and N one of h_{n,d}, and X(M, N) the number of
+d x n letter arrays whose row contents form M and column contents form N.
+Fix the rows' order as in M: the n! orderings of the first row are
+permuted by the column permutations, which keep the column multiset, so
+each distinct ordering of it is the first row of equally many arrays, A[N][M]
+of them; and the d!/aut(M) orders of the rows give disjoint sets of arrays.
+So X(M, N) = A[N][M] d! n! / phi(M), where phi(M) = aut(M) prod_a M[0][a]!
+and aut(M) is the product of the factorials of the multiplicities in M.
+Transposing the arrays counts the same set as X(N, M) = B[M][N] d! n! / phi(N).
+Hence A[N][M] phi(N) = B[M][N] phi(M), the supports are transposes, and
+
+    h[N][M] = A[N][M] / s(M) = B[M][N] phi(M) / (phi(N) s(M)).
+
 h is GL(W)-equivariant, so its matrix is block diagonal with respect to
 the torus-weight grading, and permuting variables identifies blocks with
 permuted weights; ranks are therefore computed dominant-weight by
@@ -203,7 +218,10 @@ def kernel_dimension(dims: Dict[Partition, int], v: int) -> int:
 
 def hhh_rank(d: int, n: int, v: int) -> int:
     """Exact rank of h_{d,n} on C^v: dim S^d(S^n C^v) minus the kernel."""
-    return sym_sym_dim(d, n, v) - kernel_dimension(kernel_dims_by_weight(d, n, v), v)
+    # the kernel first: kernel_dims_by_weight refuses d, n, v < 1 before
+    # sym_sym_dim would count with a negative degree
+    kernel = kernel_dimension(kernel_dims_by_weight(d, n, v), v)
+    return sym_sym_dim(d, n, v) - kernel
 
 
 def kernel_dims_by_weight(d: int, n: int, v: int) -> Dict[Partition, int]:

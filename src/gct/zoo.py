@@ -40,7 +40,6 @@ from math import factorial
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import CapacityError
-from .flatten import solve_linear
 from .poly import Exponent, PolyMatrix, Polynomial, det_polymatrix, grevlex_key, sum_of_products
 
 # ---------------------------------------------------------------------------
@@ -531,19 +530,25 @@ def benor_evaluation_points(m: int, k: int) -> List[Fraction]:
 def benor_decomposition(m: int, k: int) -> ChowDecomposition:
     """Ben-Or's m-term Chow decomposition of l^{m-k} e^k_m.
 
-    Uses g_u(x, l) = prod_i (x_i + u*l) at m points u with e_k(u) = 0 and
-    exact Vandermonde-solved coefficients; lives in m+1 variables with the
-    padding variable l last.  Some coefficients can be zero (k = m needs a
-    single product); the witness still lists all m products.
+    Uses g_u(x, l) = prod_i (x_i + u*l) at m points u with e_k(u) = 0;
+    lives in m+1 variables with the padding variable l last.  The
+    coefficients solve sum_u c_u u^j = delta_{j, m-k} for j < m (the case
+    j = m is e_k(u) = 0), so c_u is the t^{m-k} coefficient of the Lagrange
+    basis polynomial prod_{w != u} (t - w) / (u - w):
+
+        c_u = (-1)^{k-1} e_{k-1}(w != u) / prod_{w != u} (u - w).
+
+    Some coefficients can be zero (k = m needs a single product); the
+    witness still lists all m products.
     """
     pts = benor_evaluation_points(m, k)
-    # conditions: sum_u c_u u^j = delta_{j, m-k} for j = 0..m
-    rows = [[u**j for u in pts] for j in range(m + 1)]
-    rhs = [Fraction(1) if j == m - k else Fraction(0) for j in range(m + 1)]
-    coeffs = solve_linear(rows, rhs)
     v = m + 1
     terms: List[Tuple[Fraction, Tuple[Tuple[Fraction, ...], ...]]] = []
-    for u, c in zip(pts, coeffs):
+    for u in pts:
+        others = [w for w in pts if w != u]
+        c = (-1) ** (k - 1) * _elementary_symmetric(others, k - 1)
+        for w in others:
+            c /= u - w
         forms = []
         for i in range(m):
             row = [Fraction(0)] * v

@@ -316,13 +316,28 @@ def test_criterion_14_ikenmeyer_obstructions():
     )
 
 
+#: ker h_{5,5} on C^5 (Ikenmeyer--Mkrtchyan): eight modules, each of
+#: kernel multiplicity one
+EXPECTED_KERNEL = (
+    (14, 7, 2, 2),
+    (13, 7, 2, 2, 1),
+    (12, 7, 3, 2, 1),
+    (12, 6, 3, 2, 2),
+    (12, 5, 4, 3, 1),
+    (11, 5, 4, 4, 1),
+    (10, 8, 4, 2, 1),
+    (9, 7, 6, 3),
+)
+
+
 def test_criterion_15_h55_capacity_reporting():
     t0 = time.monotonic()
     # the weight-zero block of h_{5,5} on C^5 has 190131 columns; the
-    # expected kernel character (Ikenmeyer--Mkrtchyan) contains eight
-    # partitions with multiplicity one, among them (14,7,2,2) and
-    # (13,7,2,2,1) -- out of reach under the default capacity caps, so
-    # the toolkit must say so rather than silently skip.
+    # expected kernel character (Ikenmeyer--Mkrtchyan) is EXPECTED_KERNEL,
+    # out of reach under the default capacity caps, so the toolkit must
+    # say so rather than silently skip.  Each module's multiplicity in
+    # S^5(S^5 C^5) bounds the kernel's HWV space of that weight.
+    ok = [reptheory.plethysm_mult(pi, 5, 5) for pi in EXPECTED_KERNEL] == [4, 1, 2, 1, 1, 1, 3, 2]
     try:
         hhh.hhh_rank(5, 5, 5)
         ok = False  # must not fit under the default caps
@@ -330,7 +345,8 @@ def test_criterion_15_h55_capacity_reporting():
     except CapacityError as exc:
         size, cap = exc.size, exc.cap
         ok = (
-            size == 190131
+            ok
+            and size == 190131
             and size > cap
             and "dominant weight (5, 5, 5, 5, 5)" in str(exc)
         )
@@ -341,7 +357,8 @@ def test_criterion_15_h55_capacity_reporting():
         15,
         ok,
         f"h_(5,5) weight-zero block 190131 > cap {cap}: capacity reported, "
-        "expected 8 kernel partitions incl. (14,7,2,2), (13,7,2,2,1) documented",
+        "expected 8 kernel partitions incl. (14,7,2,2), (13,7,2,2,1) documented, "
+        "their plethysm multiplicities 4,1,2,1,1,1,3,2",
         elapsed,
         60,
     )

@@ -88,6 +88,13 @@ def test_exit_2_bad_args(capsys, tmp_path):
         code, out, err = run(capsys, "--no-cache", "rep", *argv)
         assert (code, out) == (2, ""), argv
         assert err.endswith("gct: error: degrees d=-2 and n=-2 must be non-negative\n"), argv
+    # and by hhh rank and geo cayley, before a dimension count or a factorial
+    for argv, message in ((("hhh", "rank", "-1", "2", "2"), "d, n, v must be positive"),
+                          (("hhh", "rank", "2", "-1", "2"), "d, n, v must be positive"),
+                          (("geo", "cayley", "2", "-1"), "s must be >= 0")):
+        assert run(capsys, "--no-cache", *argv) == (2, "", f"gct: error: {message}\n"), argv
+    # one weight block is asked for by hhh kernel --weight alone
+    assert run(capsys, "hhh", "rank", "3", "2", "3", "--weight", "2,2,2")[:2] == (2, "")
 
 
 def test_error_line_prints_the_message(capsys):
@@ -109,7 +116,7 @@ def test_exit_3_capacity(capsys):
     "argv,size",
     [
         (("hhh", "kernel", "8", "2", "8", "--weight", "4,3,2,2,2,1,1,1"), 5575),
-        (("hhh", "rank", "5", "4", "5", "--weight", "8,4,3,3,2"), 5868),
+        (("hhh", "kernel", "5", "4", "5", "--weight", "8,4,3,3,2"), 5868),
         (("hhh", "kernel", "6", "3", "6", "--weight", "7,3,3,2,2,1"), 5350),
     ],
 )
@@ -287,12 +294,12 @@ def test_non_integer_exponent_is_a_usage_error(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [("hhh", "rank", "3", "3", "3", "--weight", ""), ("geo", "dualdim", "det", "3", "--point", "")],
+    [("hhh", "kernel", "3", "3", "3", "--weight", ""), ("geo", "dualdim", "det", "3", "--point", "")],
     ids=["weight", "point"],
 )
 def test_empty_option_value_is_a_usage_error(capsys, argv):
     """An empty --weight or --point is refused, not taken as omitted (the
-    whole-map rank, a sampled point)."""
+    whole-map kernel, a sampled point)."""
     code, out, err = run(capsys, "--no-cache", *argv)
     assert (code, out) == (2, "")
     assert err.startswith("gct: error:") and err.count("\n") == 1, err
@@ -783,15 +790,6 @@ def test_rep_obstruct_progress_and_fields(capsys):
     assert "plethysm" in err  # staged progress on stderr
 
 
-def test_hhh_rank_weight_block(capsys):
-    code, out, _ = run(capsys, "--json", "hhh", "rank", "3", "2", "3", "--weight", "2,2,2")
-    assert code == 0
-    rec = json.loads(out)
-    assert rec["weight"] == [2, 2, 2]
-    # shape is [codomain, domain]; the kernel here is the symmetric det
-    assert rec["rank"] == rec["shape"][1] - 1
-
-
 # ---------------------------------------------------------------------------
 # start-up
 # ---------------------------------------------------------------------------
@@ -842,8 +840,10 @@ def test_import_runs_only_the_cli():
         (("rep", "useful", "3,1", "2", "2", "2"), ("reptheory",)),
         (("flatten", "shifted", "det3.json", "--k", "1", "--l", "1"), ("flatten", "poly")),
         (("geo", "stab", "det", "3"), ("flatten", "geometry", "poly", "zoo")),
+        (("latin", "count", "3"), ("latin", "poly", "zoo")),
+        (("zoo", "make", "det", "3"), ("poly", "zoo")),
     ],
-    ids=["rep-useful", "flatten-shifted", "geo-stab"],
+    ids=["rep-useful", "flatten-shifted", "geo-stab", "latin-count", "zoo-make"],
 )
 def test_command_runs_only_the_layers_it_uses(capsys, tmp_path, argv, layers):
     """A command's process runs the code of the layers it calls and of
@@ -1064,7 +1064,6 @@ GOLDEN = (
     ("flatten-chow-lb", ("flatten", "chow-lb", "det3.json")),
     ("flatten-shifted", ("flatten", "shifted", "det3.json", "--k", "1", "--l", "1")),
     ("hhh-rank", ("hhh", "rank", "2", "2", "3")),
-    ("hhh-rank-weight", ("hhh", "rank", "3", "2", "3", "--weight", "2,2,2")),
     ("hhh-kernel", ("hhh", "kernel", "3", "2", "3")),
     ("hhh-kernel-weight", ("hhh", "kernel", "3", "2", "3", "--weight", "2,2,2")),
     ("hhh-character", ("hhh", "character", "3", "2", "3")),
@@ -1162,11 +1161,6 @@ GOLDEN_STDOUT = {
         0,
         "cd9dd53cd3d910f1f65ab4d7bd32a576ee65126f107b080b0426bd9c3610ecdd",
         "ebdb5fa93c3167c8ffaf9987850e4a3a1c6bcf375f013e3dedac0f31b5ee897f",
-    ),
-    "hhh-rank-weight": (
-        0,
-        "8ef1231f819c28f90a2140ece994510f386fad67e2c69ce915edea23142b06ca",
-        "3d84de060aaf0025520eb4d6eb0bbba33ecba904c1b95dfa027e8eb444b25aab",
     ),
     "hhh-kernel": (
         0,

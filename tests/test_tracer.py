@@ -41,7 +41,7 @@ def test_every_target_resolves():
         (["geo", "stab", "det", "3"], {"geometry.stabilizer_lie_dim", "flatten.exact_rank"}),
         (["geo", "dualdim", "det", "3", "--seed", "1"],
          {"flatten.solve_linear", "flatten.exact_rank"}),
-        (["hhh", "rank", "3", "2", "3", "--weight", "2,2,2"],
+        (["hhh", "kernel", "3", "2", "3", "--weight", "2,2,2"],
          {"hhh.build_hhh", "flatten.exact_rank"}),
         (["rep", "kron", "2,1", "2,1", "2,1"], {"reptheory.kronecker"}),
         (["latin", "count", "3"], {"latin.alon_tarsi_count_reduced", "latin.count_branch"}),

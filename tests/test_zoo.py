@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gct import zoo
-from gct.flatten import CapacityError
+from gct.flatten import CapacityError, solve_linear
 from gct.poly import PolyMatrix, Polynomial, det_polymatrix
 
 from conftest import (
@@ -427,6 +427,19 @@ def test_benor_decomposition_all_k(m):
         assert len(dec.terms) == m
         report = zoo.verify_chow(dec, zoo.padded_elem(m, k))
         assert report.ok, report.message
+
+
+def test_benor_coefficients_solve_the_vandermonde_system():
+    """The closed-form Lagrange coefficients are the exact solution of
+    sum_u c_u u^j = delta_{j, m-k} for j = 0..m, as the linear solver gives it."""
+    for m in range(1, 9):
+        for k in range(1, m + 1):
+            pts = zoo.benor_evaluation_points(m, k)
+            rows = [[u**j for u in pts] for j in range(m + 1)]
+            rhs = [Fraction(int(j == m - k)) for j in range(m + 1)]
+            coeffs = [c for c, _ in zoo.benor_decomposition(m, k).terms]
+            assert coeffs == solve_linear(rows, rhs), (m, k)
+            assert all(type(c) is Fraction for c in coeffs), (m, k)
 
 
 def test_verify_waring_detects_corruption():
