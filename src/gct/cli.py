@@ -57,6 +57,7 @@ import functools
 import importlib.util
 import json
 import os
+import re
 import sys
 import time
 import types
@@ -836,11 +837,16 @@ class _Parser(argparse.ArgumentParser):
     sub-command's ``parse_known_args``, so only the group and the command on
     the line are filled in: the others keep the name and help that ``-h``
     and an invalid-choice error print.
+
+    A word that starts like a negative number is a value, never an option,
+    so ``-1,3,4`` reaches its conversion; argparse's own pattern takes only
+    ``-1`` and ``-1.5`` as numbers.  No option of ``gct`` starts with a digit.
     """
 
     def __init__(self, *args, fill=None, **kwargs):
         super().__init__(*args, **kwargs)
         self._fill = fill
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def parse_known_args(self, args=None, namespace=None):
         fill, self._fill = self._fill, None

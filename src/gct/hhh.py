@@ -46,10 +46,25 @@ Hence A[N][M] phi(N) = B[M][N] phi(M), the supports are transposes, and
 
 h is GL(W)-equivariant, so its matrix is block diagonal with respect to
 the torus-weight grading, and permuting variables identifies blocks with
-permuted weights; ranks are therefore computed dominant-weight by
-dominant-weight and summed with orbit multiplicities.  This is an exact
-identity, not an approximation; a test checks it against the assembled
-full matrix on small cases.  Only weight blocks are ever built, each as a
+permuted weights; kernel dimensions are therefore kept by dominant weight
+and summed with orbit multiplicities.  One block decides the whole map.
+Write dn = qv + r with 0 <= r < v, and mu0 = (q+1)^r q^(v-r), the flattest
+dominant weight.  Every partition lambda of dn with at most v parts
+dominates mu0, so the Kostka number K_{lambda,mu0} is at least 1: every
+irreducible polynomial GL_v-module of degree dn has a nonzero mu0 weight
+space, and a polynomial GL_v-module of degree dn is zero exactly when its
+mu0 weight space is.  At each weight w the sequence
+
+    0 -> (ker h)_w -> S^d(S^n W)_w -> S^n(S^d W)_w -> (coker h)_w -> 0
+
+is exact, and ker h and coker h are polynomial modules of degree dn.  So
+h is injective exactly when its mu0 block has full column rank, and onto
+exactly when that block has full row rank; then (ker h)_w has dimension
+dom_w - cod_w, the two sides' counts, at every weight w.  Only when the
+mu0 block has neither full rank is every dominant-weight block built and
+eliminated.  All of this is exact, not an approximation; tests check it
+against the assembled full matrix and against every block's elimination
+on small cases.  Only weight blocks are ever built, each as a
 ``flatten.SparseMatrix``: a column per domain multiset, and a row per
 codomain multiset that some column reaches, keyed by its packed tuple.
 Only the domain is listed; the codomain is counted.
@@ -65,7 +80,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import factorial
-from operator import add
+from operator import add, sub
 from typing import Dict, List, Sequence, Tuple
 
 from .flatten import SparseMatrix, check_capacity
@@ -228,10 +243,19 @@ def kernel_dims_by_weight(d: int, n: int, v: int) -> Dict[Partition, int]:
     """dim ker(h_{d,n}) restricted to each dominant weight of dn.
 
     Oversized blocks are refused before any is built, from one count: the
-    flattest dominant weight is the dominance minimum, and weight
+    flattest dominant weight mu0 is the dominance minimum, and weight
     multiplicities of a polynomial GL_v-module never shrink down the
     dominance order (Kostka numbers K_{pi,mu} are monotone in mu), so its
     block is the largest on both sides.
+
+    The same block then answers the whole map.  Every pi of dn with at most
+    v parts dominates mu0, so K_{pi,mu0} >= 1, and a polynomial module of
+    degree dn is zero exactly when its mu0 weight space is.  Weight by
+    weight, 0 -> ker -> domain -> codomain -> coker -> 0 is exact.  So the
+    mu0 block has full column rank exactly when h is injective (every
+    weight gets 0), and full row rank exactly when h is onto (weight w gets
+    dom_w - cod_w from ``predicted_block_size``).  Otherwise every block is
+    eliminated by ``_nullities_by_weight``.
     """
     if d < 1 or n < 1 or v < 1:
         raise ValueError("d, n, v must be positive")
@@ -240,11 +264,32 @@ def kernel_dims_by_weight(d: int, n: int, v: int) -> Dict[Partition, int]:
         f"h_{{{d},{n}}} on C^{v}, dominant weight {flattest}",
         *predicted_block_size(d, n, v, flattest),
     )
+    block = build_hhh(d, n, v, flattest)
+    cod, dom = block.shape
+    rank = block.rank()
+    if rank == dom:
+        return {_partition(w): 0 for w in dominant_weights(d * n, v)}
+    if rank == cod:
+        return {
+            _partition(w): sub(*predicted_block_size(d, n, v, w))
+            for w in dominant_weights(d * n, v)
+        }
+    return _nullities_by_weight(d, n, v)
+
+
+def _nullities_by_weight(d: int, n: int, v: int) -> Dict[Partition, int]:
+    """dim ker(h_{d,n}) at each dominant weight, each block built and
+    eliminated: the route for a map that is neither injective nor onto."""
     out: Dict[Partition, int] = {}
     for w in dominant_weights(d * n, v):
         block = build_hhh(d, n, v, w)
-        out[tuple(x for x in w if x)] = block.shape[1] - block.rank()
+        out[_partition(w)] = block.shape[1] - block.rank()
     return out
+
+
+def _partition(weight: Tuple[int, ...]) -> Partition:
+    """A dominant weight without its trailing zeros."""
+    return tuple(x for x in weight if x)
 
 
 def kernel_character(d: int, n: int, v: int) -> Dict[Partition, int]:

@@ -306,6 +306,19 @@ def test_empty_option_value_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [(("hhh", "kernel", "3", "2", "3", "--weight", "-1,3,4"), "weight must be v non-negative integers"),
+     (("rep", "kron", "-2,1", "2,1", "2,1"), "negative part in (-2, 1)")],
+    ids=["weight", "kron"],
+)
+def test_comma_list_with_a_leading_minus_is_a_value(capsys, argv, message):
+    """A comma list that starts with a negative number reaches its
+    conversion, not argparse's option matching, so the error names the
+    negative entry."""
+    assert run(capsys, "--no-cache", *argv) == (2, "", f"gct: error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv,size,cap",
     [(("geo", "cayley", "2", "3"), 3, 2), (("geo", "cayley", "4", "1"), 4, 3),
      (("geo", "sfturbo", "5"), 5, 4)],

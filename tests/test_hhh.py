@@ -23,7 +23,7 @@ import pytest
 from gct import flatten, hhh
 from gct.flatten import CapacityError, exact_rank, nullspace
 from gct.poly import Polynomial, apply_diff, codec, grevlex_key, monomials_of_degree
-from gct.reptheory import count_weight_multisets, partitions, plethysm_mult
+from gct.reptheory import count_weight_multisets, decompose_weight_dims, partitions, plethysm_mult
 from conftest import sparse
 from test_reptheory import dominates
 
@@ -637,6 +637,82 @@ def test_kernel_character_principal_ideal_oracle():
             shifted[tuple(p + 2 for p in padded)] = plethysm_mult(pi, d - 3, 2)
         shifted = {pi: m for pi, m in shifted.items() if m}
         assert got == shifted, d
+
+
+#: every (d, n, v) with d, n >= 2, dn <= 12 and 2 <= v <= 4
+ORACLE_GRID = [(d, n, v) for d in range(2, 7) for n in range(2, 7) if d * n <= 12 for v in (2, 3, 4)]
+#: the grid's maps that are injective and not onto; transposing (d, n) gives
+#: the maps that are onto and not injective, and the rest are bijections
+INJECTIVE_ONLY = [(2, 3, 3), (2, 3, 4), (2, 4, 3), (2, 4, 4), (2, 5, 3), (2, 5, 4), (2, 6, 3),
+                  (2, 6, 4), (3, 4, 3), (3, 4, 4)]
+SURJECTIVE_ONLY = [(n, d, v) for d, n, v in INJECTIVE_ONLY]
+
+
+def block_nullities(d, n, v):
+    """Oracle: dim ker h_{d,n} at every dominant weight, each block built
+    and eliminated."""
+    out = {}
+    for w in hhh.dominant_weights(d * n, v):
+        block = hhh.build_hhh(d, n, v, w)
+        out[tuple(x for x in w if x)] = block.shape[1] - block.rank()
+    return out
+
+
+@pytest.mark.parametrize("d,n,v", ORACLE_GRID)
+def test_flattest_block_decides_every_weight(d, n, v):
+    """The shortcut from the flattest block, and the per-weight route it
+    falls back to, give every block's own nullity; the ranks and kernel
+    characters follow.  Each map is injective, onto or both as named."""
+    assert set(INJECTIVE_ONLY + SURJECTIVE_ONLY) <= set(ORACLE_GRID)
+    want = block_nullities(d, n, v)
+    assert hhh.kernel_dims_by_weight(d, n, v) == want
+    assert hhh._nullities_by_weight(d, n, v) == want
+    kernel = sum(len(set(permutations(w + (0,) * (v - len(w))))) * k for w, k in want.items())
+    domain, codomain = comb(comb(n + v - 1, n) + d - 1, d), comb(comb(d + v - 1, d) + n - 1, n)
+    assert hhh.hhh_rank(d, n, v) == domain - kernel
+    assert hhh.kernel_character(d, n, v) == decompose_weight_dims(want)
+    injective, onto = kernel == 0, domain - kernel == codomain
+    assert (injective, onto) == ((d, n, v) not in SURJECTIVE_ONLY, (d, n, v) not in INJECTIVE_ONLY)
+
+
+def test_whole_map_builds_only_its_flattest_block(monkeypatch):
+    """h_{6,3} on C^3 is onto and h_{5,5} on C^2 is injective, so each is
+    answered by one elimination, of its flattest block."""
+    built = []
+    build = hhh.build_hhh
+
+    def recorded(d, n, v, weight):
+        built.append(tuple(weight))
+        return build(d, n, v, weight)
+
+    monkeypatch.setattr(hhh, "build_hhh", recorded)
+    assert hhh.kernel_character(6, 3, 3) == {
+        (8, 6, 4): 1, (9, 6, 3): 1, (9, 7, 2): 1, (10, 4, 4): 1, (10, 5, 3): 1,
+        (10, 6, 2): 1, (11, 4, 3): 1, (11, 5, 2): 1, (12, 4, 2): 1, (13, 3, 2): 1,
+    }
+    assert built == [(6, 6, 6)]
+    built.clear()
+    assert hhh.hhh_rank(5, 5, 2) == comb(10, 5)
+    assert built == [(13, 12)]
+
+
+def test_flattest_block_of_neither_rank_eliminates_every_block(monkeypatch):
+    """A flattest block with full rank on neither side sends the whole map
+    to the per-weight route.  Dropping one row of the (2,2,2) block of
+    h_{3,2} on C^3 (4 x 5, rank 4) leaves rank 3: neither."""
+    build = hhh.build_hhh
+
+    def row_dropped(d, n, v, weight):
+        block = build(d, n, v, weight)
+        if tuple(weight) == (2, 2, 2):
+            del block.rows[next(iter(block.rows))]
+        return block
+
+    routed = []
+    monkeypatch.setattr(hhh, "build_hhh", row_dropped)
+    monkeypatch.setattr(hhh, "_nullities_by_weight", lambda *dnv: routed.append(dnv) or {})
+    assert hhh.kernel_dims_by_weight(3, 2, 3) == {}
+    assert routed == [(3, 2, 3)]
 
 
 def test_kernel_dims_sum_to_total_kernel():
