@@ -2,6 +2,8 @@
 
 Modules:
 
+* ``monomials`` the grevlex order, the monomials of one degree, their count
+                and packed code; imports nothing from ``gct``
 * ``poly``      exact sparse polynomial arithmetic, flattenings, the file codec
 * ``zoo``       named polynomial generators, decompositions, verifiers
 * ``flatten``   exact ranks and border-rank lower bounds

@@ -84,6 +84,7 @@ def _lazy(name: str) -> types.ModuleType:
 flatten, geometry, hhh, latin, poly, reptheory, zoo = map(
     _lazy, ("flatten", "geometry", "hhh", "latin", "poly", "reptheory", "zoo")
 )
+_lazy("monomials")  # the layers' import: bound on the package here, not as one runs
 
 # ---------------------------------------------------------------------------
 # Run manifests and the result cache

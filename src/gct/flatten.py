@@ -7,7 +7,10 @@ matrix is a sequence of such rows with an explicit width.  One builder,
 partials and the stabilizer system; h_{d,n} blocks fill them directly.
 Catalecticants and h_{d,n} blocks come back as a ``SparseMatrix``: the
 nonzero rows keyed by their packed codomain monomial or multiset, and a
-``shape`` that counts the zero rows too; no basis is listed.
+``shape`` that counts the zero rows too; no basis is listed.  ``gct.poly``
+is imported by the two bounds that polarize or shift a polynomial, and
+``fractions`` where a Fraction is built, so an h_{d,n} process, whose
+rows are ints, runs neither.
 
 One elimination core serves rank, kernel and solve: a sparse
 fraction-free elimination on primitive integer rows held as ``{col: int}``
@@ -33,12 +36,16 @@ and row count it receives.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from . import CapacityError
-from .poly import Polynomial, monomial_count, polarize, shifted_partials
+from .monomials import monomial_count
+
+if TYPE_CHECKING:  # names for the annotations; neither module runs here
+    from fractions import Fraction
+
+    from .poly import Polynomial
 
 #: The width cap of ``check_capacity``; read at call time.
 MAX_COLUMNS = 5000
@@ -69,6 +76,8 @@ def _sparse_rows(rows: Sequence[Dict], width: int, context: str) -> List[Dict[in
         if not entries:
             continue
         if any(type(x) is not int for x in entries.values()):
+            from fractions import Fraction
+
             fracs = {j: Fraction(x) for j, x in entries.items()}
             denom = lcm(*(x.denominator for x in fracs.values()))
             entries = {j: x.numerator * (denom // x.denominator) for j, x in fracs.items()}
@@ -131,6 +140,8 @@ def _back_substitute(
 
     The entries of ``x`` at the other columns are fixed by the caller.
     """
+    from fractions import Fraction
+
     for pc, row in reversed(echelon):
         s = sum(y * x[j] for j, y in row.items() if j != pc and x[j])
         x[pc] = Fraction(-s, row[pc])
@@ -148,6 +159,8 @@ def nullspace(rows: Sequence[Dict], width: int) -> List[List[Fraction]]:
 
     One vector per free column c: 1 at c, 0 at the other free columns.
     """
+    from fractions import Fraction
+
     echelon = _echelon(_sparse_rows(rows, width, "nullspace"), width)
     pivots = {pc for pc, _ in echelon}
     basis: List[List[Fraction]] = []
@@ -166,6 +179,8 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> List[Fraction]:
     of any rectangular shape; used for small exact Vandermonde-type
     systems.
     """
+    from fractions import Fraction
+
     if len(rows) != len(rhs):
         raise ValueError("rhs length must match row count")
     n_cols = len(rows[0]) if rows else 0
@@ -211,6 +226,8 @@ def _catalecticant_ranks(p: Polynomial, d: int) -> Dict[int, int]:
     log-concave in k, so it is the widest and the densest, and a refusal
     comes before any smaller one is eliminated.
     """
+    from .poly import polarize
+
     half = {k: polarize(p, k).rank() for k in range(d // 2, 0, -1)}
     return {k: half[min(k, d - k)] for k in range(1, d)}
 
@@ -265,6 +282,8 @@ def shifted_partials_dim(p: Polynomial, k: int, shift: int) -> int:
         raise ValueError("k out of range")
     if shift < 0:
         raise ValueError("shift must be non-negative")
+    from .poly import shifted_partials
+
     v = p.num_vars
     # one column per product m'' * d^{m'} p
     width = monomial_count(v, k) * monomial_count(v, shift)

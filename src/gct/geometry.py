@@ -19,12 +19,12 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import CapacityError
 from .flatten import check_capacity, exact_rank, solve_linear
+from .monomials import grevlex_key
 from .poly import (
     PolyMatrix,
     Polynomial,
     apply_diff,
     det_polymatrix,
-    grevlex_key,
     shifted_partials,
     sum_of_products,
 )

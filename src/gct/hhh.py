@@ -18,16 +18,16 @@ n! orderings.  The column of ms is then 1/s(ms) times an integer count,
 
     s(ms) = prod_{i >= 2} n! / prod_a m_i[a]!,
 
-and ``hhh_column`` returns h(ms) * s(ms): for each codomain multiset, the
-number of choices of orderings of rows 2..d whose columns form it.  The
-count is a dynamic program over rows.  A state is the multiset of the n
-partial columns: how the remaining rows extend a state depends only on
-that multiset, by the same slot symmetry, so after each row the states
-are sorted and equal ones merge, adding their counts.  A column is packed
-by ``poly.codec(v, d)``, so a final state is the key ``build_hhh`` gives
-its codomain row.  Scaling a column by the nonzero s(ms) changes neither
-the rank nor the kernel's dimension; x is in ker h exactly when D^{-1} x
-is in the kernel of the entries, for D = diag(s).
+and ``hhh_column`` returns h(ms) * s(ms): for each codomain multiset,
+the number of choices of orderings of rows 2..d whose columns form it.
+The count is a dynamic program over rows.  A state is the multiset of
+the n partial columns: how the remaining rows extend a state depends
+only on that multiset, by the same slot symmetry, so after each row the
+states are sorted and equal ones merge, adding their counts.  A column
+is packed by ``monomials.codec(v, d)``, so a final state is the key
+``build_hhh`` gives its codomain row.  Scaling a column by the nonzero
+s(ms) changes neither the rank nor the kernel's dimension; x is in ker h
+exactly when D^{-1} x is in the kernel of the entries, for D = diag(s).
 
 The blocks of h_{d,n} and h_{n,d} of one weight are scaled transposes.
 Let A and B be the integer blocks of h_{d,n} and h_{n,d}, M a domain
@@ -62,12 +62,14 @@ h is injective exactly when its mu0 block has full column rank, and onto
 exactly when that block has full row rank; then (ker h)_w has dimension
 dom_w - cod_w, the two sides' counts, at every weight w.  Only when the
 mu0 block has neither full rank is every dominant-weight block built and
-eliminated.  All of this is exact, not an approximation; tests check it
-against the assembled full matrix and against every block's elimination
-on small cases.  Only weight blocks are ever built, each as a
-``flatten.SparseMatrix``: a column per domain multiset, and a row per
-codomain multiset that some column reaches, keyed by its packed tuple.
-Only the domain is listed; the codomain is counted.
+eliminated; the rank of an injective or onto map is the dimension of its
+domain or codomain, with no other weight counted.  All of this is exact,
+not an approximation; tests check it against the assembled full matrix
+and against every block's elimination on small cases.  Only weight
+blocks are ever built, each as a ``flatten.SparseMatrix``: a column per
+domain multiset, and a row per codomain multiset that some column
+reaches, keyed by its packed tuple.  Only the domain is listed; the
+codomain is counted.
 
 A block is admitted by the capacity rule of the package,
 ``flatten.check_capacity``, on its predicted sizes and before the domain
@@ -84,7 +86,7 @@ from operator import add, sub
 from typing import Dict, List, Sequence, Tuple
 
 from .flatten import SparseMatrix, check_capacity
-from .poly import Exponent, codec, monomial_count
+from .monomials import Exponent, codec, monomial_count
 from .reptheory import (
     Partition,
     count_weight_multisets,
@@ -232,11 +234,33 @@ def kernel_dimension(dims: Dict[Partition, int], v: int) -> int:
 
 
 def hhh_rank(d: int, n: int, v: int) -> int:
-    """Exact rank of h_{d,n} on C^v: dim S^d(S^n C^v) minus the kernel."""
-    # the kernel first: kernel_dims_by_weight refuses d, n, v < 1 before
+    """Exact rank of h_{d,n} on C^v: dim S^d(S^n C^v) minus the kernel.
+
+    The flattest block decides it as it decides ``kernel_dims_by_weight``:
+    an injective map has the rank of its domain and an onto map that of
+    its codomain, so neither counts another weight.
+    """
+    # the block first: _flattest_block_rank refuses d, n, v < 1 before
     # sym_sym_dim would count with a negative degree
-    kernel = kernel_dimension(kernel_dims_by_weight(d, n, v), v)
-    return sym_sym_dim(d, n, v) - kernel
+    rank, cod, dom = _flattest_block_rank(d, n, v)
+    if rank in (dom, cod):
+        return min(sym_sym_dim(d, n, v), sym_sym_dim(n, d, v))
+    return sym_sym_dim(d, n, v) - kernel_dimension(_nullities_by_weight(d, n, v), v)
+
+
+def _flattest_block_rank(d: int, n: int, v: int) -> Tuple[int, int, int]:
+    """(rank, codomain, domain) of the flattest weight block of h_{d,n} on
+    C^v, refused before it is built if it is too large (see
+    ``kernel_dims_by_weight``)."""
+    if d < 1 or n < 1 or v < 1:
+        raise ValueError("d, n, v must be positive")
+    flattest = flattest_weight(d * n, v)
+    check_capacity(
+        f"h_{{{d},{n}}} on C^{v}, dominant weight {flattest}",
+        *predicted_block_size(d, n, v, flattest),
+    )
+    block = build_hhh(d, n, v, flattest)
+    return (block.rank(), *block.shape)
 
 
 def kernel_dims_by_weight(d: int, n: int, v: int) -> Dict[Partition, int]:
@@ -257,16 +281,7 @@ def kernel_dims_by_weight(d: int, n: int, v: int) -> Dict[Partition, int]:
     dom_w - cod_w from ``predicted_block_size``).  Otherwise every block is
     eliminated by ``_nullities_by_weight``.
     """
-    if d < 1 or n < 1 or v < 1:
-        raise ValueError("d, n, v must be positive")
-    flattest = flattest_weight(d * n, v)
-    check_capacity(
-        f"h_{{{d},{n}}} on C^{v}, dominant weight {flattest}",
-        *predicted_block_size(d, n, v, flattest),
-    )
-    block = build_hhh(d, n, v, flattest)
-    cod, dom = block.shape
-    rank = block.rank()
+    rank, cod, dom = _flattest_block_rank(d, n, v)
     if rank == dom:
         return {_partition(w): 0 for w in dominant_weights(d * n, v)}
     if rank == cod:

@@ -20,7 +20,10 @@ Conventions used throughout the package:
 * Monomials are ordered by *graded reverse lexicographic* order (grevlex),
   descending, with ``x1 > x2 > ... > xv``.  Every basis enumeration,
   serialization, and elimination in the package uses this single global
-  order so that results are bit-reproducible.
+  order so that results are bit-reproducible.  The order, the listing and
+  count of the monomials of one degree and their packed code (``codec``)
+  live in ``gct.monomials``, which imports nothing from ``gct``, so the
+  layers that only list or count monomials run no polynomial code.
 * Derivatives are plain partial derivatives (no divided-power
   normalization).  This is what makes the classical Cayley identity
   ``det_n(d/dx) det_n(x)^{s+1} = (s+n)!/s! det_n(x)^s`` hold with the
@@ -40,52 +43,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, lcm, perm
+from math import lcm, perm
 from numbers import Rational
-from operator import mul, sub
+from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-Exponent = Tuple[int, ...]
-
-# ---------------------------------------------------------------------------
-# Monomial order
-# ---------------------------------------------------------------------------
-
-
-def grevlex_key(exps: Exponent):
-    """Sort key realizing *descending* grevlex when used with sorted().
-
-    Higher total degree sorts first; within a degree, ``m`` precedes ``m'``
-    iff the last nonzero entry of ``m - m'`` is negative, which is
-    equivalent to ``reversed(m) < reversed(m')`` lexicographically.
-    """
-    return (-sum(exps), tuple(reversed(exps)))
-
-
-@lru_cache(maxsize=8)  # polarize lists degrees 0 and k; an h_{d,n} block n, and d to count rows
-def monomials_of_degree(num_vars: int, degree: int) -> Tuple[Exponent, ...]:
-    """All exponent tuples of the given total degree, descending grevlex."""
-    if num_vars == 0:
-        return ((),) if degree == 0 else ()
-    out: List[Exponent] = []
-
-    def rec(prefix: List[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], degree, num_vars)
-    return tuple(sorted(out, key=grevlex_key))
-
-
-def monomial_count(num_vars: int, degree: int) -> int:
-    """len(monomials_of_degree(num_vars, degree)), without listing them."""
-    if num_vars == 0:
-        return int(degree == 0)
-    return comb(num_vars + degree - 1, degree)
+from .monomials import Exponent, codec, grevlex_key, monomial_count, monomials_of_degree
 
 
 def _rational(c) -> Fraction:
@@ -318,19 +281,6 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # Packed monomials: chains of products and sums
 # ---------------------------------------------------------------------------
-
-
-def codec(num_vars: int, bound: int):
-    """(pack, unpack) for exponent tuples with every entry at most ``bound``:
-    variable i is the bit field [i*b, (i+1)*b) of one int, b =
-    bound.bit_length() (at least 1), so adding monomials within ``bound``
-    never carries from one field into the next; within a degree,
-    ascending codes are descending grevlex."""
-    b = max(1, bound.bit_length())
-    shifts, mask = range(0, b * num_vars, b), (1 << b) - 1
-    weights = [1 << s for s in shifts]
-    return (lambda e: sum(map(mul, e, weights))), (
-        lambda code: tuple(code >> s & mask for s in shifts))
 
 
 def _packed(p: Polynomial, pack, den: int) -> Dict[int, int]:

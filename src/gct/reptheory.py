@@ -27,6 +27,11 @@ counts (``_suffix_counts``), at most d calls deep, which
 kernel dimensions into multiplicities by Weyl's character formula
 (``decompose_weight_dims``); ``schur_dimension`` is Weyl's dimension
 formula.  The tests keep Kostka inversion and hook-content as oracles.
+A weight is counted on its support, its sorted nonzero entries on C^k,
+so weights that differ by a permutation or by zeros share one table,
+and listed on its nonzero coordinates in place.  The monomials come from
+``gct.monomials``, imported where they are listed, so a ``rep`` command
+does not run it.
 """
 
 from __future__ import annotations
@@ -447,7 +452,7 @@ _WEIGHT_COUNT_MEMO: Dict[Tuple[int, int, int, Tuple[int, ...]], List[int]] = {}
 
 @lru_cache(maxsize=8)
 def _monomial_index(v: int, degree: int) -> Dict[Tuple[int, ...], int]:
-    from .poly import monomials_of_degree  # here: `rep` commands never run gct.poly
+    from .monomials import monomials_of_degree  # here: `rep` commands never run it
 
     return {m: i for i, m in enumerate(monomials_of_degree(v, degree))}
 
@@ -463,7 +468,7 @@ def _suffix_counts(degree: int, v: int, count: int, rem: Tuple[int, ...]) -> Lis
     got = _WEIGHT_COUNT_MEMO.get(key)
     if got is not None:
         return got
-    from .poly import monomials_of_degree
+    from .monomials import monomials_of_degree
 
     monos = monomials_of_degree(v, degree)
     if count == 0:  # then rem is zero
@@ -495,13 +500,19 @@ def _suffix_counts(degree: int, v: int, count: int, rem: Tuple[int, ...]) -> Lis
 
 def count_weight_multisets(d: int, n: int, v: int, weight: Sequence[int]) -> int:
     """Number of multisets of d degree-n monomials in v vars with column sums
-    ``weight`` -- the dimension of the ``weight`` space of S^d(S^n C^v)."""
+    ``weight`` -- the dimension of the ``weight`` space of S^d(S^n C^v).
+
+    Counted on the support, the sorted nonzero entries of ``weight`` on C^k:
+    a variable of weight 0 occurs in no monomial of the multisets, and
+    weight-space dimensions are invariant under permuting the variables.
+    """
     w = tuple(int(x) for x in weight)
     if len(w) != v or any(x < 0 for x in w):
         raise ValueError("weight must be v non-negative integers")
     if sum(w) != d * n:
         return 0
-    return _suffix_counts(n, v, d, w)[0]
+    support = tuple(sorted(filter(None, w), reverse=True))
+    return _suffix_counts(n, len(support), d, support)[0]
 
 
 def multiset_basis(
@@ -511,14 +522,29 @@ def multiset_basis(
     total exponent vector ``weight``, each a tuple of monomials in
     ``monomials_of_degree`` order.
 
-    The basis is listed by walking the suffix-count table of
-    ``count_weight_multisets``, entering only nonempty branches.
+    The basis is listed on the support, the variables of nonzero weight in
+    their order, by walking the suffix-count table of
+    ``count_weight_multisets``, entering only nonempty branches; then the
+    zero coordinates are put back.  Grevlex on a subset of the variables is
+    the restriction of grevlex, so the multisets and their order are those
+    of the listing on all v variables.
     """
     if not count_weight_multisets(count, degree, v, weight):  # validates weight
         return []
-    from .poly import monomials_of_degree
+    from .monomials import monomials_of_degree
 
-    monos = monomials_of_degree(v, degree)
+    w = tuple(int(x) for x in weight)
+    support = [a for a, x in enumerate(w) if x]
+    k = len(support)
+    monos = monomials_of_degree(k, degree)
+    full = monos  # monos[p] with the zero coordinates put back
+    if k < v:
+        full = []
+        for m in monos:
+            e = [0] * v
+            for a, x in zip(support, m):
+                e[a] = x
+            full.append(tuple(e))
 
     def walk(i, c, rem, acc):
         """The multisets acc + (c monomials of monos[i:] with column sums
@@ -528,7 +554,7 @@ def multiset_basis(
         if c == 0:
             yield acc
             return
-        counts = _suffix_counts(degree, v, c, rem)
+        counts = _suffix_counts(degree, k, c, rem)
         for p in range(len(monos) - 1, i - 1, -1):
             if counts[p] == counts[p + 1]:  # nothing starts at monos[p]
                 continue
@@ -537,10 +563,10 @@ def multiset_basis(
                 cur = tuple(x - y for x, y in zip(cur, m))
                 if min(cur, default=0) < 0:
                     break
-                if _suffix_counts(degree, v, c - j, cur)[p + 1]:
-                    yield from walk(p + 1, c - j, cur, acc + (m,) * j)
+                if _suffix_counts(degree, k, c - j, cur)[p + 1]:
+                    yield from walk(p + 1, c - j, cur, acc + (full[p],) * j)
 
-    return list(walk(0, count, tuple(int(x) for x in weight), ()))
+    return list(walk(0, count, tuple(w[a] for a in support), ()))
 
 
 # ---------------------------------------------------------------------------

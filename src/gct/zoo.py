@@ -40,7 +40,8 @@ from math import factorial
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import CapacityError
-from .poly import Exponent, PolyMatrix, Polynomial, det_polymatrix, grevlex_key, sum_of_products
+from .monomials import Exponent, grevlex_key
+from .poly import PolyMatrix, Polynomial, det_polymatrix, sum_of_products
 
 # ---------------------------------------------------------------------------
 # Generators

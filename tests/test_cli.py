@@ -851,16 +851,20 @@ def test_import_runs_only_the_cli():
     "argv,layers",
     [
         (("rep", "useful", "3,1", "2", "2", "2"), ("reptheory",)),
-        (("flatten", "shifted", "det3.json", "--k", "1", "--l", "1"), ("flatten", "poly")),
-        (("geo", "stab", "det", "3"), ("flatten", "geometry", "poly", "zoo")),
-        (("latin", "count", "3"), ("latin", "poly", "zoo")),
-        (("zoo", "make", "det", "3"), ("poly", "zoo")),
+        (("flatten", "shifted", "det3.json", "--k", "1", "--l", "1"),
+         ("flatten", "monomials", "poly")),
+        (("geo", "stab", "det", "3"), ("flatten", "geometry", "monomials", "poly", "zoo")),
+        (("latin", "count", "3"), ("latin", "monomials", "poly", "zoo")),
+        (("zoo", "make", "det", "3"), ("monomials", "poly", "zoo")),
+        (("hhh", "kernel", "5", "5", "5", "--weight", "18,5,2,0,0"),
+         ("flatten", "hhh", "monomials", "reptheory")),
     ],
-    ids=["rep-useful", "flatten-shifted", "geo-stab", "latin-count", "zoo-make"],
+    ids=["rep-useful", "flatten-shifted", "geo-stab", "latin-count", "zoo-make", "hhh-kernel"],
 )
 def test_command_runs_only_the_layers_it_uses(capsys, tmp_path, argv, layers):
     """A command's process runs the code of the layers it calls and of
-    their imports, and of no other layer."""
+    their imports, and of no other layer: an h_{d,n} block lists and
+    counts monomials but builds no polynomial, so it runs no ``poly``."""
     assert run(capsys, "zoo", "make", "det", "3", "-o", str(tmp_path / "det3.json"))[0] == 0
     out = _probe(
         f"import gct.cli; gct.cli.dispatch({['--no-cache', *argv]!r}); " + _EXECUTED,
@@ -888,12 +892,14 @@ def _loaded_by(argv):
         ("rep", "kron", "6,3,3", "4,4,4", "4,4,4"),
         ("--no-cache", "rep", "pleth", "4,2", "3", "2"),
         ("--no-cache", "rep", "obstruct", "4,4", "4", "2"),
+        ("--no-cache", "hhh", "kernel", "5", "5", "5", "--weight", "18,5,2,0,0"),
     ],
-    ids=["rep-useful", "rep-kron", "no-cache-pleth", "no-cache-obstruct"],
+    ids=["rep-useful", "rep-kron", "no-cache-pleth", "no-cache-obstruct", "no-cache-hhh-kernel"],
 )
 def test_command_that_neither_caches_nor_digests_loads_no_openssl(argv):
     """A SHA-256 module is loaded for a digest and ``fractions`` for a
-    rational: a ``rep`` command that stores nothing needs neither."""
+    rational: a ``rep`` command that stores nothing needs neither, nor does
+    an h_{d,n} block, whose columns are integer counts."""
     loaded = _loaded_by(argv)
     assert "gct.reptheory" in loaded
     assert not loaded & {"_sha2", "_sha256", "hashlib", "_hashlib", "fractions"}, sorted(loaded)

@@ -16,14 +16,8 @@ from hypothesis import given, settings
 
 from gct import flatten, geometry as geo
 from gct.flatten import CapacityError, exact_rank
-from gct.poly import (
-    PolyMatrix,
-    Polynomial,
-    apply_diff,
-    det_polymatrix,
-    monomial_count,
-    monomials_of_degree,
-)
+from gct.monomials import monomial_count, monomials_of_degree
+from gct.poly import PolyMatrix, Polynomial, apply_diff, det_polymatrix
 from gct.zoo import chow, det, discriminant, fermat, p_lambda, perm
 
 from conftest import fraction_matrices, polynomials, sparse

@@ -22,7 +22,8 @@ import pytest
 
 from gct import flatten, hhh
 from gct.flatten import CapacityError, exact_rank, nullspace
-from gct.poly import Polynomial, apply_diff, codec, grevlex_key, monomials_of_degree
+from gct.monomials import codec, grevlex_key, monomials_of_degree
+from gct.poly import Polynomial, apply_diff
 from gct.reptheory import count_weight_multisets, decompose_weight_dims, partitions, plethysm_mult
 from conftest import sparse
 from test_reptheory import dominates
@@ -254,18 +255,34 @@ def test_multiset_basis_weight_restriction():
 H55_BENCH_WEIGHTS = [(19, 4, 1, 1, 0), (19, 1, 0, 4, 1), (18, 5, 2, 0, 0), (18, 0, 2, 5, 0)]
 
 
+def every_weight(total, v):
+    """Every exponent vector of length v summing to ``total``: zeros and
+    every order of the entries included."""
+    if v == 1:
+        return [(total,)]
+    return [(x, *rest) for x in range(total + 1) for rest in every_weight(total - x, v - 1)]
+
+
 @pytest.mark.parametrize(
     "d,n,v,weights",
     [(d, n, v, hhh.dominant_weights(d * n, v)) for d, n, v in [(3, 2, 3), (4, 3, 3), (6, 3, 3)]]
-    + [(5, 5, 5, H55_BENCH_WEIGHTS)],
+    + [(5, 5, 5, H55_BENCH_WEIGHTS)]
+    + [(d, n, v, every_weight(d * n, v))
+       for d in range(1, 5) for n in range(d, 5) for v in range(1, 5)],
 )
 def test_multiset_basis_matches_recursive_oracle(d, n, v, weights):
-    """Same multisets in the same order as the per-monomial recursion."""
+    """Same multisets in the same order as the per-monomial recursion, and
+    counted as many, on every weight given.  A weight is counted on its
+    sorted nonzero entries and listed on its nonzero coordinates, so the
+    cases with d, n <= 4 take every weight, zeros and permutations
+    included, and each is counted as its dominant rearrangement is."""
     for w in weights:
-        for count, degree in [(d, n), (n, d)]:
+        dominant = tuple(sorted(w, reverse=True))
+        for count, degree in {(d, n), (n, d)}:
             got = hhh.multiset_basis(count, degree, v, w)
             assert got == recursive_multiset_basis(count, degree, v, w), (count, degree, w)
             assert len(got) == count_weight_multisets(count, degree, v, w)
+            assert len(got) == count_weight_multisets(count, degree, v, dominant), (w, dominant)
 
 
 def test_flattest_h27_block_of_degree_7_monomials():

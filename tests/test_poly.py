@@ -9,18 +9,15 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gct.monomials import codec, grevlex_key, monomial_count, monomials_of_degree
 from gct.poly import (
     PolyMatrix,
     Polynomial,
     apply_diff,
-    codec,
     det_polymatrix,
     dumps,
     from_record,
-    grevlex_key,
     loads,
-    monomial_count,
-    monomials_of_degree,
     polarize,
     sum_of_products,
     to_record,

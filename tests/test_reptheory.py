@@ -32,7 +32,7 @@ import pytest
 
 from gct import hhh, reptheory as rt
 from gct.flatten import CapacityError
-from gct.poly import monomials_of_degree
+from gct.monomials import monomials_of_degree
 
 
 def class_size(mu):
