@@ -20,9 +20,10 @@ columns are taken left to right, so the pivot columns are the column rank
 profile.  A bucket's pivot is its row with the fewest nonzeros (then the
 smallest |head|, then arrival order), and only the rows of that bucket are
 updated, r -> (piv/g) r - (head/g) pivot_row with g = gcd(piv, head), an
-invertible step over Q.  Kernel vectors and solutions come from
-back-substitution over Q on the echelon rows.  Everything is exact; there
-is no floating point or modular shortcut.
+invertible step over Q.  Kernel vectors come from back-substitution over
+Q on the echelon rows, and a solution of A x = b is the kernel vector of
+(A | -b) that is 1 at b's column.  Everything is exact; there is no
+floating point or modular shortcut.
 
 One capacity rule decides whether an elimination can finish
 (``check_capacity``): a span of ``width`` vectors in a ``height``-dimensional
@@ -133,21 +134,6 @@ def _echelon(
     return echelon
 
 
-def _back_substitute(
-    echelon: List[Tuple[int, Dict[int, int]]], x: List[Fraction]
-) -> List[Fraction]:
-    """Fill ``x`` at the pivot columns so every echelon row annihilates it.
-
-    The entries of ``x`` at the other columns are fixed by the caller.
-    """
-    from fractions import Fraction
-
-    for pc, row in reversed(echelon):
-        s = sum(y * x[j] for j, y in row.items() if j != pc and x[j])
-        x[pc] = Fraction(-s, row[pc])
-    return x
-
-
 def exact_rank(rows: Sequence[Dict], width: int) -> int:
     """Exact rank over Q of sparse rows of the given width (see module
     docstring)."""
@@ -157,7 +143,8 @@ def exact_rank(rows: Sequence[Dict], width: int) -> int:
 def nullspace(rows: Sequence[Dict], width: int) -> List[List[Fraction]]:
     """Exact basis of the right kernel {v : M v = 0} of sparse rows.
 
-    One vector per free column c: 1 at c, 0 at the other free columns.
+    One vector per free column c: 1 at c, 0 at the other free columns, and
+    at each pivot column the value back-substitution over Q gives it.
     """
     from fractions import Fraction
 
@@ -166,31 +153,35 @@ def nullspace(rows: Sequence[Dict], width: int) -> List[List[Fraction]]:
     basis: List[List[Fraction]] = []
     for fc in range(width):
         if fc not in pivots:
-            v = [Fraction(0)] * width
-            v[fc] = Fraction(1)
-            basis.append(_back_substitute(echelon, v))
+            x = [Fraction(0)] * width
+            x[fc] = Fraction(1)
+            for pc, row in reversed(echelon):
+                s = sum(y * x[j] for j, y in row.items() if j != pc and x[j])
+                x[pc] = Fraction(-s, row[pc])
+            basis.append(x)
     return basis
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> List[Fraction]:
     """One exact solution of A x = b (free variables set to 0).
 
-    Raises ValueError when the system is inconsistent.  Accepts dense rows
-    of any rectangular shape; used for small exact Vandermonde-type
-    systems.
+    The kernel vector of (A | -b) that is 1 at b's column: that column is
+    free exactly when A x = b is consistent, and its ``nullspace`` vector,
+    0 at the other free columns, is (x, 1).  Raises ValueError when the
+    system is inconsistent or the rows are ragged.  Accepts dense rows of
+    any rectangular shape; used for small exact systems.
     """
-    from fractions import Fraction
-
     if len(rows) != len(rhs):
         raise ValueError("rhs length must match row count")
     n_cols = len(rows[0]) if rows else 0
-    augmented = [dict(enumerate([*row, b])) for row, b in zip(rows, rhs)]
-    echelon = _echelon(_sparse_rows(augmented, n_cols + 1, "solve_linear"), n_cols + 1)
-    if echelon and echelon[-1][0] == n_cols:
+    for i, row in enumerate(rows):
+        if len(row) != n_cols:
+            raise ValueError(f"row {i} has length {len(row)}, row 0 has {n_cols}")
+    augmented = [dict(enumerate([*row, -b])) for row, b in zip(rows, rhs)]
+    basis = nullspace(augmented, n_cols + 1)
+    if not basis or not basis[-1][n_cols]:
         raise ValueError("linear system is inconsistent")
-    # the rhs column carries -1: a row annihilating (x, -1) reads A x = b
-    x = [Fraction(0)] * n_cols + [Fraction(-1)]
-    return _back_substitute(echelon, x)[:n_cols]
+    return basis[-1][:n_cols]
 
 
 class SparseMatrix(NamedTuple):

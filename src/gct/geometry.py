@@ -314,27 +314,18 @@ def sample_det_smooth_zero(n: int, rng) -> List[Fraction]:
     diag(1,...,1,0) conjugated by a random invertible integer matrix g:
     g D g^{-1} keeps rank exactly n-1, and rank-(n-1) points are exactly
     the smooth points of {det_n = 0} (the gradient is the cofactor
-    matrix, nonzero iff some (n-1)-minor is).  A singular draw leaves some
-    g x = e_j without a solution and is drawn again.
+    matrix, nonzero iff some (n-1)-minor is).  A singular g is drawn
+    again.  g D g^{-1} = I - u y^T, with u the last column of g and y^T
+    the last row of g^{-1}, the solution of g^T y = e_n.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     while True:
         g = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-        basis = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
-        try:
-            ginv_cols = [solve_linear(g, e) for e in basis]
-        except ValueError:
-            continue
-        # w = g . diag(1,..,1,0) . g^{-1}: drop index n-1 from the sum
-        point: List[Fraction] = []
-        for i in range(n):
-            for j in range(n):
-                point.append(
-                    sum((g[i][k] * ginv_cols[j][k] for k in range(n - 1)),
-                        Fraction(0))
-                )
-        return point
+        if exact_rank([dict(enumerate(row)) for row in g], n) == n:
+            break
+    y = solve_linear(list(zip(*g)), [0] * (n - 1) + [1])
+    return [(i == j) - g[i][n - 1] * y[j] for i in range(n) for j in range(n)]
 
 
 def perm_special_point(m: int) -> List[Fraction]:

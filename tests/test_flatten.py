@@ -462,6 +462,17 @@ def test_solve_linear_known_and_inconsistent():
     assert gauss_jordan_solve(vander, values) == coeffs
 
 
+def test_solve_linear_refuses_ragged_rows():
+    """A short or long row is named, not padded: a short row's rhs would
+    land in a coefficient column, and a long row's last entry in b's."""
+    with pytest.raises(ValueError, match="row 1 has length 1, row 0 has 2"):
+        solve_linear([[1, 0], [1]], [1, 3])
+    with pytest.raises(ValueError, match="row 1 has length 2, row 0 has 1"):
+        solve_linear([[1], [0, 1]], [5, 7])
+    with pytest.raises(ValueError, match="row 2 has length 3"):
+        solve_linear([[1, 0], [0, 1], [1, 1, 1]], [1, 2, 3])
+
+
 @given(fraction_matrices(max_rows=4, max_cols=4), st.integers(0, 2**30))
 @settings(max_examples=60)
 def test_solve_linear_solves_consistent_systems(rows, seed):

@@ -475,6 +475,36 @@ def test_sample_det_smooth_zero_properties():
     assert a == b
 
 
+def n_solve_det_smooth_zero(n, rng):
+    """Oracle: the sampler before it took one solve, g D g^{-1} with every
+    column of g^{-1} solved for; a singular g leaves some g x = e_j
+    without a solution and is drawn again."""
+    while True:
+        g = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
+        basis = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+        try:
+            ginv_cols = [flatten.solve_linear(g, e) for e in basis]
+        except ValueError:
+            continue
+        return [
+            sum((g[i][k] * ginv_cols[j][k] for k in range(n - 1)), Fraction(0))
+            for i in range(n)
+            for j in range(n)
+        ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sample_det_smooth_zero_matches_the_n_solve_oracle(n):
+    """The same points, draw for draw, singular draws included (seed 1
+    draws a singular g first at n = 3)."""
+    for seed in range(40):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        for _ in range(2):
+            got = geo.sample_det_smooth_zero(n, rng)
+            assert got == n_solve_det_smooth_zero(n, oracle_rng), (n, seed)
+            assert all(type(x) is Fraction for x in got)
+
+
 def test_sample_det_smooth_zero_redraws_a_singular_draw():
     """Seed 1 draws a singular g first; the points are pinned from the
     version that tested rank g before inverting it."""

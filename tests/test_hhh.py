@@ -7,7 +7,8 @@ rank duality rank h_{d,n} = rank h_{n,d}, blockwise-vs-full assembly, and
 the principal-ideal structure of ker h_{d,2}(C^3) over the symmetric
 3x3 determinant, cross-checked against gct.reptheory plethysms.  The
 state-merging column builder is checked against the leaf enumeration it
-replaced, and the weight blocks against the full map assembled here.
+replaced, its row orderings against the recursion they replaced, and the
+weight blocks against the full map assembled here.
 """
 
 import random
@@ -315,6 +316,43 @@ def test_predicted_block_size_matches_built():
 # ---------------------------------------------------------------------------
 # the column builder against the leaf enumeration
 # ---------------------------------------------------------------------------
+
+
+def recursive_distinct_orderings(letters):
+    """Oracle: the distinct sequences of ``letters``, ascending, by the
+    recursion ``hhh._distinct_orderings`` used before it took them from
+    ``itertools.permutations``."""
+    n = len(letters)
+    out = []
+    seq = []
+    counts = Counter(letters)
+    keys = sorted(counts)
+
+    def rec():
+        if len(seq) == n:
+            out.append(tuple(seq))
+            return
+        for a in keys:
+            if counts[a]:
+                counts[a] -= 1
+                seq.append(a)
+                rec()
+                seq.pop()
+                counts[a] += 1
+
+    rec()
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_distinct_orderings_match_the_recursive_oracle(d):
+    """The same tuples in the same order for every monomial of degree
+    n <= 6 in v <= 4 variables."""
+    for v in range(1, 5):
+        for n in range(1, 7):
+            for m in monomials_of_degree(v, n):
+                want = recursive_distinct_orderings(hhh._letters(m, d))
+                assert hhh._distinct_orderings(m, d) == want, (m, d)
 
 
 @pytest.mark.parametrize(
