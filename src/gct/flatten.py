@@ -169,7 +169,9 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> List[Fraction]:
     free exactly when A x = b is consistent, and its ``nullspace`` vector,
     0 at the other free columns, is (x, 1).  Raises ValueError when the
     system is inconsistent or the rows are ragged.  Accepts dense rows of
-    any rectangular shape; used for small exact systems.
+    any rectangular shape.  Meant for small systems with few free columns:
+    ``nullspace`` back-substitutes one vector per free column and only the
+    last is read, so a wide underdetermined system pays for all of them.
     """
     if len(rows) != len(rhs):
         raise ValueError("rhs length must match row count")

@@ -81,7 +81,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import permutations
 from math import factorial
 from operator import add, sub
 from typing import Dict, List, Sequence, Tuple
@@ -128,8 +127,28 @@ def _letters(m: Exponent, d: int) -> Tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _distinct_orderings(m: Exponent, d: int) -> Tuple[Tuple[int, ...], ...]:
     """Distinct sequences of the packed ``_letters(m, d)`` (multiset
-    permutations), ascending."""
-    return tuple(sorted(set(permutations(_letters(m, d)))))
+    permutations), ascending, at a cost that tracks their number, not n!."""
+    letters = _letters(m, d)
+    n = len(letters)
+    out: List[Tuple[int, ...]] = []
+    seq: List[int] = []
+    counts = Counter(letters)
+    keys = sorted(counts)
+
+    def rec() -> None:
+        if len(seq) == n:
+            out.append(tuple(seq))
+            return
+        for a in keys:
+            if counts[a]:
+                counts[a] -= 1
+                seq.append(a)
+                rec()
+                seq.pop()
+                counts[a] += 1
+
+    rec()
+    return tuple(out)
 
 
 def hhh_column(ms: Multiset, n: int, v: int) -> Dict[Tuple[int, ...], int]:

@@ -7,14 +7,17 @@ rank duality rank h_{d,n} = rank h_{n,d}, blockwise-vs-full assembly, and
 the principal-ideal structure of ker h_{d,2}(C^3) over the symmetric
 3x3 determinant, cross-checked against gct.reptheory plethysms.  The
 state-merging column builder is checked against the leaf enumeration it
-replaced, its row orderings against the recursion they replaced, and the
-weight blocks against the full map assembled here.
+replaced, and the weight blocks against the full map assembled here.
 """
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from itertools import combinations_with_replacement, permutations
 from math import comb, factorial
 from typing import Tuple
@@ -318,43 +321,6 @@ def test_predicted_block_size_matches_built():
 # ---------------------------------------------------------------------------
 
 
-def recursive_distinct_orderings(letters):
-    """Oracle: the distinct sequences of ``letters``, ascending, by the
-    recursion ``hhh._distinct_orderings`` used before it took them from
-    ``itertools.permutations``."""
-    n = len(letters)
-    out = []
-    seq = []
-    counts = Counter(letters)
-    keys = sorted(counts)
-
-    def rec():
-        if len(seq) == n:
-            out.append(tuple(seq))
-            return
-        for a in keys:
-            if counts[a]:
-                counts[a] -= 1
-                seq.append(a)
-                rec()
-                seq.pop()
-                counts[a] += 1
-
-    rec()
-    return tuple(out)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_distinct_orderings_match_the_recursive_oracle(d):
-    """The same tuples in the same order for every monomial of degree
-    n <= 6 in v <= 4 variables."""
-    for v in range(1, 5):
-        for n in range(1, 7):
-            for m in monomials_of_degree(v, n):
-                want = recursive_distinct_orderings(hhh._letters(m, d))
-                assert hhh._distinct_orderings(m, d) == want, (m, d)
-
-
 @pytest.mark.parametrize(
     "d,n,v,weights,columns",
     [
@@ -579,6 +545,22 @@ def test_hermite_isomorphism_on_binary_forms():
             if d + n > 7:
                 continue
             assert hhh.hhh_rank(d, n, 2) == comb(n + d, d)
+
+
+def test_long_rows_cost_their_distinct_orderings():
+    """A row of n letters can have far fewer than n! distinct orderings, and
+    listing them must cost what they number.  h_{2,20} on C^1 is 1 x 1, its
+    one row x^20 has one ordering; h_{2,12} on C^2 (Hermite) has rows of 12
+    letters with at most C(12, 6) = 924.  A fresh interpreter with a
+    timeout: walking all 20! orderings runs in C, past any in-process
+    alarm."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "from gct import hhh; print(hhh.hhh_rank(2, 20, 1), hhh.hhh_rank(2, 12, 2))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        check=True,
+    ).stdout
+    assert out.split() == ["1", str(comb(14, 2))]
 
 
 def test_rank_duality():
