@@ -6,7 +6,8 @@ is declared once, in :data:`COMMANDS` (help, cacheable, argument specs);
 runs the module function ``cmd_<group>_<command>`` (dashes become
 underscores), looked up by name at dispatch.  After parsing, arguments are
 converted by name (partitions, ``--weight``, ``--point``, ``poly_file``,
-``target``); a conversion error is a ``gct: error:`` line and exit 2.
+``target``); a conversion error is a ``gct: error:`` line and exit 2, and
+a named target too large to build a capacity refusal, exit 3.
 File formats belong to their layers, polynomial files to ``poly`` and
 witness files to ``zoo``; the commands only call their codecs.
 
@@ -902,6 +903,13 @@ def _usage_error(exc: Exception) -> int:
     return 2
 
 
+def _capacity_refusal(exc, as_json: bool) -> int:
+    record = {"error": "capacity", "context": exc.context, "size": exc.size,
+              "cap": exc.cap, "message": str(exc)}
+    sys.stdout.write(render_json(record) if as_json else render_human(record))
+    return 3
+
+
 def _resolve_cache_dir(ns: argparse.Namespace) -> str:
     if ns.cache_dir:
         return ns.cache_dir
@@ -930,6 +938,8 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
                 setattr(ns, name, _CONVERSIONS[name](value))
     except _USAGE_ERRORS as exc:
         return _usage_error(exc)
+    except CapacityError as exc:
+        return _capacity_refusal(exc, ns.json)
 
     command = (ns.group, ns.cmd)
     # -o writes a side-effect file, which a cache replay would skip
@@ -954,15 +964,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     try:
         result = handler(ns)
     except CapacityError as exc:
-        record = {
-            "error": "capacity",
-            "context": exc.context,
-            "size": exc.size,
-            "cap": exc.cap,
-            "message": str(exc),
-        }
-        sys.stdout.write(render_json(record) if ns.json else render_human(record))
-        return 3
+        return _capacity_refusal(exc, ns.json)
     except _USAGE_ERRORS as exc:
         return _usage_error(exc)
     elapsed = time.perf_counter() - t0

@@ -37,11 +37,8 @@ from .zoo import det, discriminant, fermat
 
 def hessian(p: Polynomial) -> PolyMatrix:
     """The symmetric matrix of second partials of a homogeneous P, deg >= 2."""
-    d = p.degree()
-    if d is None or d < 2:
+    if not p.is_homogeneous() or (p.degree() or 0) < 2:
         raise ValueError("hessian requires a homogeneous polynomial of degree >= 2")
-    if not p.is_homogeneous():
-        raise ValueError("hessian requires a homogeneous polynomial")
     v = p.num_vars
     rows = []
     for i in range(v):
@@ -96,10 +93,8 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
         raise ValueError("operands must share the variable space")
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
-        return Polynomial.zero(f.num_vars)
-    lt_g_exp, lt_g_coeff = g.leading_term()
     g_terms = g.sorted_terms()
+    lt_g_exp, lt_g_coeff = g_terms[0]
     work: Dict[Tuple[int, ...], Fraction] = dict(f.terms)
     heap = [(grevlex_key(e), e) for e in work]
     heapq.heapify(heap)
@@ -296,16 +291,14 @@ def verify_sylvester_franke(v: int, k: int, p: int) -> bool:
 
 def dual_dimension_at(p: Polynomial, w: Sequence) -> int:
     """dim Z(P)^dual = rank(H_P(w)) - 2 at a smooth rational zero w; a
-    float coordinate is a TypeError."""
+    float coordinate is a TypeError.  ``hessian`` admits a homogeneous P of
+    degree d >= 2 only, so Euler's H(w) w = (d - 1) grad P(w) tests w."""
     if p.evaluate(w) != 0:
         raise ValueError("w is not a zero of P")
-    grad = [
-        apply_diff(Polynomial.variable(i, p.num_vars), p).evaluate(w)
-        for i in range(p.num_vars)
-    ]
-    if not any(grad):
+    rows = hessian(p).evaluate(w)
+    if not any(sum(x * w[j] for j, x in row.items()) for row in rows):
         raise ValueError("w is a singular point of Z(P)")
-    return exact_rank(hessian(p).evaluate(w), p.num_vars) - 2
+    return exact_rank(rows, p.num_vars) - 2
 
 
 def sample_det_smooth_zero(n: int, rng) -> List[Fraction]:
@@ -353,7 +346,5 @@ def stabilizer_lie_dim(p: Polynomial) -> int:
         raise ValueError("stabilizer_lie_dim requires a homogeneous polynomial")
     v = p.num_vars
     rows = shifted_partials(p, 1, 1)
-    if not rows:
-        return v * v
     check_capacity(f"stabilizer of a form in gl_{v}", v * v, len(rows))
     return v * v - exact_rank(list(rows.values()), v * v)

@@ -92,6 +92,7 @@ from .reptheory import (
     count_weight_multisets,
     decompose_weight_dims,
     multiset_basis,
+    normalize_partition,
     partitions,
 )
 
@@ -160,8 +161,6 @@ def hhh_column(ms: Multiset, n: int, v: int) -> Dict[Tuple[int, ...], int]:
     sum of its letters; no entry passes d, so no field carries.
     """
     d = len(ms)
-    if d == 0:
-        return {(): 1}
     states: Dict[Tuple[int, ...], int] = {_letters(ms[0], d): 1}
     for m in ms[1:]:
         orderings = _distinct_orderings(m, d)
@@ -283,10 +282,10 @@ def kernel_dims_by_weight(d: int, n: int, v: int) -> Dict[Partition, int]:
     """
     rank, cod, dom = _flattest_block_rank(d, n, v)
     if rank == dom:
-        return {_partition(w): 0 for w in dominant_weights(d * n, v)}
+        return {normalize_partition(w): 0 for w in dominant_weights(d * n, v)}
     if rank == cod:
         return {
-            _partition(w): sub(*predicted_block_size(d, n, v, w))
+            normalize_partition(w): sub(*predicted_block_size(d, n, v, w))
             for w in dominant_weights(d * n, v)
         }
     return _nullities_by_weight(d, n, v)
@@ -298,13 +297,8 @@ def _nullities_by_weight(d: int, n: int, v: int) -> Dict[Partition, int]:
     out: Dict[Partition, int] = {}
     for w in dominant_weights(d * n, v):
         block = build_hhh(d, n, v, w)
-        out[_partition(w)] = block.shape[1] - block.rank()
+        out[normalize_partition(w)] = block.shape[1] - block.rank()
     return out
-
-
-def _partition(weight: Tuple[int, ...]) -> Partition:
-    """A dominant weight without its trailing zeros."""
-    return tuple(x for x in weight if x)
 
 
 def kernel_character(d: int, n: int, v: int) -> Dict[Partition, int]:

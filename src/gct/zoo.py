@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial
+from math import comb, factorial
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import CapacityError
@@ -180,6 +180,8 @@ def p_lambda(n: int) -> Polynomial:
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("P_Lambda is defined for odd n")
+    if n > MAX_P_LAMBDA:
+        raise CapacityError("p_lambda n", n, MAX_P_LAMBDA)
     v = n * n
     if n == 1:
         return Polynomial.variable(0, 1)
@@ -224,31 +226,47 @@ def padded_elem(m: int, k: int) -> Polynomial:
     return _support(m + 1, ((s + (m,) * (m - k), 1) for s in combinations(range(m), k)))
 
 
+#: cap on a named polynomial's exponent entries, terms x variables: imm 2 17
+#: (8.9M) took 2.6 s and 178 MB, det 9 (29.4M) 7.4 s and 621 MB
+MAX_ENTRIES = 10**7
+#: cap on its variables, checked first: the largest exact term count it
+#: admits, C(10^4, 5000), takes milliseconds and prints in 3010 digits
+MAX_VARIABLES = 10**4
+#: P_Lambda has no closed-form term count (17, 999, 136107 at n = 3, 5, 7)
+MAX_P_LAMBDA = 7
+#: name -> (generator, arity, variables, term count); P_Lambda caps its n
 _BUILTINS = {
-    "det": (det, 1),
-    "perm": (perm, 1),
-    "elem": (elem, 2),
-    "chow": (chow, 1),
-    "fermat": (fermat, 2),
-    "sumprod": (sumprod, 2),
-    "imm": (imm, 2),
-    "pascal_det": (pascal_det, 1),
-    "p_lambda": (p_lambda, 1),
-    "discriminant": (discriminant, 0),
-    "padded_elem": (padded_elem, 2),
+    "det": (det, 1, lambda n: n * n, factorial),
+    "perm": (perm, 1, lambda n: n * n, factorial),
+    "elem": (elem, 2, lambda n, k: n, comb),
+    "chow": (chow, 1, lambda n: n, lambda n: 1),
+    "fermat": (fermat, 2, lambda d, n: n, lambda d, n: n),
+    "sumprod": (sumprod, 2, lambda n, m: n * m, lambda n, m: m),
+    "imm": (imm, 2, lambda k, n: n * k * k, pow),
+    "pascal_det": (pascal_det, 1, lambda m: m**4, lambda m: factorial(m) ** 3),
+    "p_lambda": (p_lambda, 1, None, None),
+    "discriminant": (discriminant, 0, lambda: 4, lambda: 5),
+    "padded_elem": (padded_elem, 2, lambda m, k: m + 1, comb),
 }
 
 
 def make(name: str, *params: int) -> Polynomial:
-    """Build a named polynomial; see the module docstring for layouts."""
+    """Build a named polynomial (layouts: module docstring), refused up front
+    past ``MAX_VARIABLES`` variables or ``MAX_ENTRIES`` exponent entries."""
     entry = _BUILTINS.get(name)
     if entry is None:
-        raise KeyError(
-            f"unknown polynomial {name!r}; known: {', '.join(sorted(_BUILTINS))}"
-        )
-    fn, arity = entry
+        raise KeyError(f"unknown polynomial {name!r}; known: {', '.join(sorted(_BUILTINS))}")
+    fn, arity, variables, terms = entry
     if len(params) != arity:
         raise ValueError(f"{name} takes {arity} parameter(s), got {len(params)}")
+    if terms is not None and min(params, default=0) >= 0:  # else the generator's ValueError
+        what = " ".join(map(str, (name,) + params))
+        v = variables(*params)
+        if v > MAX_VARIABLES:
+            raise CapacityError(f"{what}: variables", v, MAX_VARIABLES)
+        t = terms(*params)
+        if t * v > MAX_ENTRIES:
+            raise CapacityError(f"{what}: {t} terms in {v} variables", t * v, MAX_ENTRIES)
     return fn(*params)
 
 

@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -327,6 +328,31 @@ def test_capacity_record_names_the_parameter_over_its_cap(capsys, argv, size, ca
     code, out, _ = run(capsys, "--json", *argv)
     rec = json.loads(out)
     assert (code, rec["error"], rec["size"], rec["cap"]) == (3, "capacity", size, cap)
+
+
+@pytest.mark.parametrize(
+    "argv,context,size,cap",
+    [(("zoo", "make", "det", "13"), "det 13: 6227020800 terms in 169 variables", 6227020800 * 169, 10**7),
+     (("geo", "stab", "det", "13"), "det 13: 6227020800 terms in 169 variables", 6227020800 * 169, 10**7),
+     (("zoo", "make", "imm", "10", "7"), "imm 10 7: 10000000 terms in 700 variables", 7 * 10**9, 10**7),
+     (("zoo", "make", "chow", "1000000000"), "chow 1000000000: variables", 10**9, 10**4),
+     (("zoo", "make", "elem", "10000", "5000"), f"elem 10000 5000: {comb(10**4, 5000)} terms in 10000 variables",
+      comb(10**4, 5000) * 10**4, 10**7),
+     (("geo", "stab", "p_lambda", "9"), "p_lambda n", 9, 7)],
+    ids=["zoo-det", "geo-det", "imm", "chow", "elem", "p_lambda"],
+)
+def test_large_named_polynomial_is_refused_before_any_term(capsys, monkeypatch, argv, context, size, cap):
+    """The refusal names the exact term count and comes before any term is
+    built: every generator but P_Lambda's builds through ``_support``."""
+
+    def forbidden(*args):
+        raise AssertionError("a refused polynomial was built")
+
+    monkeypatch.setattr(zoo, "_support", forbidden)
+    monkeypatch.setattr(zoo, "pfaffian", forbidden)
+    code, out, _ = run(capsys, "--no-cache", "--json", *argv)
+    rec = json.loads(out)
+    assert (code, rec["error"], rec["context"], rec["size"], rec["cap"]) == (3, "capacity", context, size, cap)
 
 
 @pytest.mark.parametrize("v", ["1", "2"])

@@ -453,6 +453,17 @@ def test_dual_dimension_rejects_bad_points():
         geo.dual_dimension_at(det(3), [Fraction(0)] * 9)  # singular point
 
 
+def test_dual_dimension_rejects_a_singular_point_with_a_nonzero_hessian():
+    """The all-ones 3 x 3 matrix has rank one: every 2 x 2 minor, so the
+    gradient, vanishes, while H(w) does not.  At the origin H(w) = 0 and
+    any smoothness test passes; here H(w) w = (d - 1) grad P(w) must be
+    read to refuse the point."""
+    w = [Fraction(1)] * 9
+    assert any(geo.hessian(det(3)).evaluate(w))
+    with pytest.raises(ValueError, match="singular point"):
+        geo.dual_dimension_at(det(3), w)
+
+
 def test_dual_dimension_refuses_float_points():
     """0.1 + 0.2 is no exact zero: a float point is refused, not rounded to
     a binary fraction."""
@@ -545,6 +556,11 @@ def test_stabilizer_dims_classical():
 
 def test_stabilizer_dim_p_lambda():
     assert geo.stabilizer_lie_dim(p_lambda(3)) == 17
+
+
+def test_stabilizer_of_the_zero_form_is_all_of_gl():
+    """The zero form has no orbit tangent: no rows, rank 0, all of gl_3."""
+    assert geo.stabilizer_lie_dim(Polynomial.zero(3)) == 9
 
 
 @pytest.mark.parametrize(

@@ -280,7 +280,7 @@ def test_every_module_level_name_is_read():
 #: the caches src/gct keeps with no bound, each keyed by the arguments of
 #: one run: the package digest, the packed orderings of one row,
 #: and the suffix counts the weight blocks of one S^d(S^n C^v) share
-UNBOUNDED_CACHES = {"cli.code_digest", "hhh._distinct_orderings", "reptheory._WEIGHT_COUNT_MEMO"}
+UNBOUNDED_CACHES = {"cli.code_digest", "hhh._distinct_orderings", "reptheory._suffix_counts"}
 
 
 def _never_evicts(wrapper):

@@ -62,6 +62,30 @@ def test_monomials_of_degree_count_and_order(v, d):
     assert keys == sorted(keys)
 
 
+def monomials_of_degree_oracle(num_vars, degree):
+    """The recursive lister ``monomials_of_degree`` replaced: each first
+    exponent from high to low, the rest filled recursively, then sorted."""
+    if num_vars == 0:
+        return ((),) if degree == 0 else ()
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(tuple(prefix + [remaining]))
+            return
+        for e in range(remaining, -1, -1):
+            rec(prefix + [e], remaining - e, slots - 1)
+
+    rec([], degree, num_vars)
+    return tuple(sorted(out, key=grevlex_key))
+
+
+def test_monomials_of_degree_matches_the_recursive_oracle():
+    for v in range(7):
+        for d in range(7):
+            assert monomials_of_degree(v, d) == monomials_of_degree_oracle(v, d), (v, d)
+
+
 def test_monomial_count_matches_the_listing():
     # v = 0 is the case a bare C(v+d-1, d) gets wrong: C(-1, 0) is an error
     for v in range(6):
@@ -274,7 +298,7 @@ def test_exponents_are_stored_as_plain_ints():
 
 def test_leading_term_is_grevlex_first():
     p = Polynomial(2, {(1, 1): Fraction(7), (2, 0): Fraction(-1), (0, 1): Fraction(5)})
-    assert p.leading_term() == ((2, 0), Fraction(-1))
+    assert p.sorted_terms()[0] == ((2, 0), Fraction(-1))
     assert [e for e, _ in p.sorted_terms()] == [(2, 0), (1, 1), (0, 1)]
 
 
